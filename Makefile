@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify vet build test race chaos bench-concurrency bench-obs bench bench-json bench-json-smoke figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
+.PHONY: verify vet build test race chaos bench-concurrency bench-obs bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: vet build test race chaos bench-concurrency bench-obs bench-json-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover
+verify: vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover
 
 vet:
 	$(GO) vet ./...
@@ -147,32 +147,11 @@ cover:
 		if (pct < 90) { print "FAIL: coverage below floor"; exit 1 } }'
 	@rm -f .cover.risk.out
 
-# Full benchmark harness (figures, tables, ablations).
+# Every micro-benchmark once (figures, tables, ablations). The login
+# benchmark of record is bench/ (BENCHMARK.json; `go run ./bench -out F`,
+# `go run ./bench -compare A B`).
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Recorded perf trajectory: run the wire-to-WAL hot-path benchmarks with
-# -benchmem and write BENCH_$(BENCH_PR).json (see DESIGN.md §10). The
-# -require list fails the target if any expected benchmark disappears.
-BENCH_PR ?= 9
-BENCH_JSON_TIME ?= 1s
-BENCH_JSON_PATTERN = BenchmarkHOTP$$|BenchmarkEncode$$|BenchmarkDecode$$|BenchmarkHidePassword$$|BenchmarkExchange$$|BenchmarkCheckSuccess$$|BenchmarkSecretCacheHit$$|BenchmarkSecretOpenMiss$$|BenchmarkApplyParallel$$|BenchmarkBatcherParallel$$|BenchmarkGroupCommitSync$$|BenchmarkEndToEndMFALogin$$|BenchmarkCheckUnderProfiler$$
-BENCH_JSON_PKGS = ./internal/otp ./internal/radius ./internal/otpd ./internal/store .
-BENCH_JSON_REQUIRE = HOTP,Encode,Decode,HidePassword,Exchange,CheckSuccess,SecretCacheHit,SecretOpenMiss,ApplyParallel,BatcherParallel,GroupCommitSync,EndToEndMFALogin,CheckUnderProfiler
-
-bench-json:
-	$(GO) test -run xxx -bench '$(BENCH_JSON_PATTERN)' -benchmem \
-		-benchtime $(BENCH_JSON_TIME) -count 1 $(BENCH_JSON_PKGS) \
-		| $(GO) run ./cmd/benchjson -pr $(BENCH_PR) \
-		-require $(BENCH_JSON_REQUIRE) -out BENCH_$(BENCH_PR).json
-
-# Verify-gate smoke: same pipeline at -benchtime 1x, output discarded.
-# Catches renamed/broken benchmarks and parser regressions cheaply.
-bench-json-smoke:
-	$(GO) test -run xxx -bench '$(BENCH_JSON_PATTERN)' -benchmem \
-		-benchtime 1x -count 1 $(BENCH_JSON_PKGS) \
-		| $(GO) run ./cmd/benchjson -pr $(BENCH_PR) \
-		-require $(BENCH_JSON_REQUIRE) > /dev/null
 
 clean:
 	$(GO) clean ./...

@@ -9,25 +9,20 @@
 package main
 
 import (
+	"context"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"openmfa/internal/authwatch"
 	"openmfa/internal/eventstream"
-	"openmfa/internal/flightrec"
 	"openmfa/internal/geoip"
 	"openmfa/internal/httpdigest"
 	"openmfa/internal/obs"
-	"openmfa/internal/obs/prof"
-	"openmfa/internal/obs/slo"
+	"openmfa/internal/ops"
 	"openmfa/internal/otpd"
 	"openmfa/internal/radius"
 	"openmfa/internal/risk"
@@ -35,82 +30,69 @@ import (
 	"openmfa/internal/store/repl"
 )
 
-func main() {
-	var (
-		dataDir    = flag.String("data", "", "data directory (empty = in-memory)")
-		radiusAddr = flag.String("radius", "127.0.0.1:1812", "RADIUS listen address")
-		httpAddr   = flag.String("http", "127.0.0.1:8443", "admin API listen address")
-		secret     = flag.String("radius-secret", "testing123", "RADIUS shared secret")
-		keyHex     = flag.String("key-hex", "", "hex AES key for secret storage (32/48/64 hex chars)")
-		adminUser  = flag.String("admin-user", "portal", "admin API digest username")
-		adminPass  = flag.String("admin-pass", "", "admin API digest password (required)")
-		issuer     = flag.String("issuer", "HPC", "otpauth issuer label")
-		logRate    = flag.Int("log-rate", 200, "max identical log lines per second before sampling (0 = unlimited)")
-		shards     = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
-		groupSync  = flag.Bool("store-group-commit", true, "coalesce concurrent commits into shared fsyncs")
-		coalesce   = flag.Bool("coalesce-writes", true, "batch concurrent record saves into shared WAL frames")
+var (
+	dataDir    = flag.String("data", "", "data directory (empty = in-memory)")
+	radiusAddr = flag.String("radius", "127.0.0.1:1812", "RADIUS listen address")
+	httpAddr   = flag.String("http", "127.0.0.1:8443", "admin API listen address")
+	secret     = flag.String("radius-secret", "testing123", "RADIUS shared secret")
+	keyHex     = flag.String("key-hex", "", "hex AES key for secret storage, 32/48/64 hex chars (required)")
+	adminUser  = flag.String("admin-user", "portal", "admin API digest username")
+	adminPass  = flag.String("admin-pass", "", "admin API digest password (required)")
+	issuer     = flag.String("issuer", "HPC", "otpauth issuer label")
+	shards     = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
 
-		replListen  = flag.String("repl-listen", "", "replication leader listen address (empty = not a leader)")
-		replFollow  = flag.String("repl-follow", "", "leader replication address to follow; makes this otpd a standby (no RADIUS listener, local writes refused)")
-		replMinSync = flag.Int("repl-min-sync", 0, "follower acknowledgements required before a commit returns (0 = asynchronous)")
-		replSyncTO  = flag.Duration("repl-sync-timeout", 2*time.Second, "bound on the -repl-min-sync wait; past it the write (and the login) fails closed")
+	replListen  = flag.String("repl-listen", "", "replication leader listen address (empty = not a leader)")
+	replFollow  = flag.String("repl-follow", "", "leader replication address to follow; makes this otpd a standby (no RADIUS listener, local writes refused)")
+	replMinSync = flag.Int("repl-min-sync", 0, "follower acknowledgements required before a commit returns (0 = asynchronous)")
+	replSyncTO  = flag.Duration("repl-sync-timeout", 2*time.Second, "bound on the -repl-min-sync wait; past it the write (and the login) fails closed")
 
-		riskOn = flag.Bool("risk", false, "attach an advisory risk engine to the event bus: every login is scored (risk_* metrics) and the decision republished as a risk event")
+	riskOn = flag.Bool("risk", false, "attach an advisory risk engine to the event bus: every login is scored (risk_* metrics) and the decision republished as a risk event")
 
-		flightDir    = flag.String("flightrec-dir", "", "flight recorder segment directory (empty = disabled)")
-		flightSample = flag.Float64("flightrec-sample", 0.01, "fraction of unremarkable successful checks the flight recorder keeps")
-		flightSlow   = flag.Duration("flightrec-slow", 750*time.Millisecond, "flight recorder slow-check threshold")
+	opsFlags = ops.RegisterFlags(flag.CommandLine)
+)
 
-		profDir      = flag.String("prof-dir", "", "incident bundle segment directory; enables the continuous profiler + incident engine (empty = disabled)")
-		profPeriod   = flag.Duration("prof-period", 30*time.Second, "continuous profiler sampling period")
-		profCPU      = flag.Duration("prof-cpu", 250*time.Millisecond, "delta CPU profile window per sample (clamped to a tenth of -prof-period)")
-		profRetain   = flag.Int("prof-retain", 8, "profile captures kept in the in-memory ring")
-		profDebounce = flag.Duration("prof-debounce", 10*time.Minute, "minimum spacing between trigger-fired incident bundles")
-		profSlow     = flag.Duration("prof-slow", 750*time.Millisecond, "latency-spike trigger threshold on otpd check duration")
-	)
-	var slos slo.SpecList
-	flag.Var(&slos, "slo", "SLO over check latency, name:target%<threshold/window (e.g. checks:99.5%<750ms/30d); repeatable")
-	flag.Parse()
+func main() { ops.Main("otpd", run) }
+
+// run serves until ctx is cancelled. Every resource is released by a
+// defer, so a signal and a listener failure shut down the same way.
+func run(ctx context.Context) error {
 	if *adminPass == "" {
-		log.Fatal("otpd: -admin-pass required")
+		return errors.New("-admin-pass required")
 	}
 	key, err := hex.DecodeString(*keyHex)
 	if err != nil || (len(key) != 16 && len(key) != 24 && len(key) != 32) {
-		log.Fatal("otpd: -key-hex must decode to 16, 24, or 32 bytes")
+		return errors.New("-key-hex is required and must decode to 16, 24, or 32 bytes")
+	}
+	if *replListen != "" && *replFollow != "" {
+		return errors.New("-repl-listen and -repl-follow are mutually exclusive")
 	}
 
 	reg := obs.NewRegistry()
-
 	var db *store.Store
 	if *dataDir == "" {
 		db = store.OpenMemoryShards(*shards)
-	} else {
-		db, err = store.Open(*dataDir, store.Options{
-			Sync: true, Shards: *shards, GroupCommit: *groupSync, Obs: reg,
-		})
-		if err != nil {
-			log.Fatalf("otpd: %v", err)
-		}
+	} else if db, err = store.Open(*dataDir, store.Options{
+		Sync: true, Shards: *shards, GroupCommit: true, Obs: reg,
+	}); err != nil {
+		return err
 	}
 	defer db.Close()
-	if *replListen != "" && *replFollow != "" {
-		log.Fatal("otpd: -repl-listen and -repl-follow are mutually exclusive")
-	}
 
-	// When the flight recorder is on, the log stream is teed so each
-	// trace's lines can ride along in its bundle.
-	var logSink io.Writer = os.Stderr
-	var tee *flightrec.LogTee
-	if *flightDir != "" {
-		tee = flightrec.NewLogTee(os.Stderr, 0, 0)
-		logSink = tee
+	// A decision in any result class under an -slo spec's threshold is good
+	// service (a fast fail-closed rejection meets the objective; a slow or
+	// erroring check does not). RADIUS decisions complete a trace.
+	var checks []*obs.Histogram
+	for _, res := range []string{"ok", "invalid", "locked_out", "error"} {
+		checks = append(checks, reg.Histogram("otpd_check_duration_seconds", nil, "result", res))
 	}
-	logger := obs.NewLogger(logSink, obs.LevelInfo)
-	if *logRate > 0 {
-		// Identical lines beyond the per-key budget are sampled out and
-		// counted in log_events_suppressed_total.
-		logger = logger.RateLimit(*logRate, time.Second, reg)
+	kit, err := ops.Start(opsFlags, ops.Config{
+		Reg: reg, Latency: checks, StoreErr: db.Err,
+		CompleteOn: []eventstream.Type{eventstream.TypeRadius},
+	})
+	if err != nil {
+		return err
 	}
+	defer kit.Stop()
 
 	// Replication endpoints. A leader bumps the store's fencing epoch and
 	// streams committed WAL frames; a standby refuses local writes and
@@ -123,10 +105,10 @@ func main() {
 			MinSync:     *replMinSync,
 			SyncTimeout: *replSyncTO,
 			Obs:         reg,
-			Logger:      logger,
+			Logger:      kit.Logger,
 		})
 		if err != nil {
-			log.Fatalf("otpd: repl: %v", err)
+			return fmt.Errorf("repl: %w", err)
 		}
 		defer leader.Close()
 		log.Printf("otpd: replication leader on %s (epoch %d, min-sync %d)",
@@ -136,136 +118,34 @@ func main() {
 		follower, err := repl.StartFollower(db, repl.FollowerOptions{
 			Addr:   *replFollow,
 			Obs:    reg,
-			Logger: logger,
+			Logger: kit.Logger,
 		})
 		if err != nil {
-			log.Fatalf("otpd: repl: %v", err)
+			return fmt.Errorf("repl: %w", err)
 		}
 		defer follower.Stop()
 		log.Printf("otpd: standby following %s (local writes refused until promotion)", *replFollow)
 	}
-
-	// Go runtime telemetry (goroutines, heap, GC pauses) on the registry.
-	rt := obs.StartRuntimeSampler(reg, 0)
-	defer rt.Stop()
-
-	// SLO engine over the check-latency histograms: a decision in any
-	// result class under the spec's threshold is good service (a fast
-	// fail-closed rejection meets the objective; a slow or erroring check
-	// does not).
-	eng := slo.New(slo.Config{Obs: reg})
-	for _, spec := range slos {
-		var src slo.MultiSource
-		for _, res := range []string{"ok", "invalid", "locked_out", "error"} {
-			src = append(src, slo.HistogramSource{
-				H:         reg.Histogram("otpd_check_duration_seconds", nil, "result", res),
-				Threshold: spec.Threshold.Seconds(),
-			})
-		}
-		if err := eng.Add(slo.Objective{
-			Name: spec.Name, Target: spec.Target, Window: spec.Window, Source: src,
-			Description: fmt.Sprintf("%.4g%% of checks decided in <%s over %s", 100*spec.Target, spec.Threshold, spec.Window),
-		}); err != nil {
-			log.Fatalf("otpd: %v", err)
-		}
-	}
-	eng.Start(0)
-	defer eng.Stop()
-
-	// Span store, analytics bus, and streaming aggregator: every check
-	// records an otpd.check span, every decision lands on the bus, and the
-	// watcher turns the stream into live Figure 3-6 aggregates plus alert
-	// rules that degrade /healthz. The SLO engine's fast-burn check rides
-	// on the watcher's Health, so an error-budget burn 503s /healthz too.
-	spans := obs.NewSpanStore(0)
-	bus := eventstream.NewBus(reg)
-	watch := authwatch.New(authwatch.Config{
-		Obs:         reg,
-		ExtraHealth: []obs.HealthCheck{eng.Health},
-	})
-	watch.Attach(bus, 0)
-	defer watch.Stop()
 
 	// Advisory adaptive-MFA engine (DESIGN.md §14): scores every login
 	// event against the account's streaming profile and republishes the
 	// decision. The engine ignores its own risk events, so sharing the bus
 	// does not loop; enforcement (the PAM risk gate) lives login-node side.
 	if *riskOn {
-		riskEng := risk.New(risk.Options{Geo: geoip.Synthetic(), Obs: reg, Events: bus})
-		riskEng.Attach(bus, 1<<12)
+		riskEng := risk.New(risk.Options{Geo: geoip.Synthetic(), Obs: reg, Events: kit.Bus})
+		riskEng.Attach(kit.Bus, 1<<12)
 		defer riskEng.Stop()
 		log.Printf("otpd: advisory risk engine attached (risk_* metrics, decisions on the bus)")
 	}
 
-	// Flight recorder: RADIUS decisions complete a trace; failed, slow,
-	// lockout-coincident, and alert-coincident checks are always kept.
-	var rec *flightrec.Recorder
-	if *flightDir != "" {
-		rec, err = flightrec.New(flightrec.Config{
-			Dir: *flightDir, Bus: bus, Spans: spans, Logs: tee, Obs: reg,
-			CompleteOn: []eventstream.Type{eventstream.TypeRadius},
-			Policy: flightrec.Policy{
-				SampleRate:    *flightSample,
-				SlowThreshold: *flightSlow,
-				AlertActive:   func() bool { return watch.Health() != nil },
-			},
-		})
-		if err != nil {
-			log.Fatalf("otpd: %v", err)
-		}
-		defer rec.Stop()
-	}
-
-	// Continuous profiler + incident engine: the black box. Triggers
-	// cover every existing signal — SLO fast burn, authwatch alert,
-	// latency spike on the check histograms, a sticky store WAL fault —
-	// and /debug/prof/capture fires manually. Debounce keeps a flapping
-	// alert from filling the disk.
-	var profEng *prof.Engine
-	if *profDir != "" {
-		profEng, err = prof.New(prof.Config{
-			Dir:           *profDir,
-			Obs:           reg,
-			Period:        *profPeriod,
-			CPUDuration:   *profCPU,
-			Retention:     *profRetain,
-			Debounce:      *profDebounce,
-			MutexFraction: 100,
-			TraceIDs: func(n int) []string {
-				if rec == nil {
-					return nil
-				}
-				sums := rec.List(flightrec.Query{Limit: n})
-				ids := make([]string, 0, len(sums))
-				for _, s := range sums {
-					ids = append(ids, s.Trace)
-				}
-				return ids
-			},
-		})
-		if err != nil {
-			log.Fatalf("otpd: %v", err)
-		}
-		profEng.AddTrigger("slo_fast_burn", prof.HealthTrigger(eng.Health))
-		profEng.AddTrigger("authwatch_alert", prof.HealthTrigger(watch.Health))
-		var hists []*obs.Histogram
-		for _, res := range []string{"ok", "invalid", "locked_out", "error"} {
-			hists = append(hists, reg.Histogram("otpd_check_duration_seconds", nil, "result", res))
-		}
-		profEng.AddTrigger("latency_spike", prof.LatencySpikeTrigger(hists, profSlow.Seconds(), 20))
-		profEng.AddTrigger("store_error", prof.HealthTrigger(db.Err))
-		profEng.Start()
-		defer profEng.Stop()
-	}
-
 	srv, err := otpd.New(otpd.Config{
 		DB: db, EncryptionKey: key, Issuer: *issuer,
-		Obs: reg, Logger: logger,
-		Spans: spans, Events: bus,
-		CoalesceWrites: *coalesce,
+		Obs: reg, Logger: kit.Logger,
+		Spans: kit.Spans, Events: kit.Bus,
+		CoalesceWrites: true,
 	})
 	if err != nil {
-		log.Fatalf("otpd: %v", err)
+		return err
 	}
 
 	// A standby keeps the admin API and ops endpoints up for health
@@ -278,11 +158,11 @@ func main() {
 			Handler: &otpd.RadiusHandler{OTP: srv},
 			Logf:    log.Printf,
 			Obs:     reg,
-			Logger:  logger,
-			Events:  bus,
+			Logger:  kit.Logger,
+			Events:  kit.Bus,
 		}
 		if err := rsrv.ListenAndServe(*radiusAddr); err != nil {
-			log.Fatalf("otpd: radius: %v", err)
+			return fmt.Errorf("radius: %w", err)
 		}
 		defer rsrv.Close()
 		log.Printf("otpd: RADIUS on %s", rsrv.Addr())
@@ -295,27 +175,12 @@ func main() {
 			*adminUser: httpdigest.HA1(*adminUser, "otpd-admin", *adminPass),
 		},
 	}
-	// Ops endpoints ride on the admin listener: /metrics, /healthz, and
-	// /debug/pprof next to the digest-authenticated admin routes.
+	// The ops endpoints ride on the admin listener, next to the
+	// digest-authenticated admin routes.
 	mux := http.NewServeMux()
-	obs.Mount(mux, reg, watch.Health)
-	watch.Mount(mux)
-	eng.Mount(mux)
-	if rec != nil {
-		rec.Mount(mux)
-	}
-	profEng.Mount(mux)
+	kit.Mount(mux)
 	leader.Mount(mux)
 	mux.Handle("/", api.Handler())
-	go func() {
-		log.Printf("otpd: admin API on %s (+ /metrics, /healthz, /debug/pprof, /debug/authwatch, /debug/slo, /debug/flightrec, /debug/prof, /debug/repl)", *httpAddr)
-		if err := http.ListenAndServe(*httpAddr, mux); err != nil {
-			log.Fatalf("otpd: http: %v", err)
-		}
-	}()
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	<-ch
-	fmt.Fprintln(os.Stderr, "otpd: shutting down")
+	log.Printf("otpd: admin API on %s (+ /metrics, /healthz, /debug/{pprof,authwatch,slo,flightrec,prof,repl})", *httpAddr)
+	return ops.Serve(ctx, *httpAddr, mux)
 }

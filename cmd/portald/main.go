@@ -9,108 +9,74 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"strings"
-	"time"
 
 	"openmfa/internal/cryptoutil"
 	"openmfa/internal/directory"
 	"openmfa/internal/idm"
 	"openmfa/internal/obs"
-	"openmfa/internal/obs/prof"
 	"openmfa/internal/obs/slo"
+	"openmfa/internal/ops"
 	"openmfa/internal/otpd"
 	"openmfa/internal/portal"
 	"openmfa/internal/store"
 )
 
-func main() {
-	var (
-		httpAddr = flag.String("http", "127.0.0.1:8080", "portal listen address")
-		otpdURL  = flag.String("otpd", "", "otpd admin API base URL (required)")
-		otpdUser = flag.String("otpd-user", "portal", "digest username for the admin API")
-		otpdPass = flag.String("otpd-pass", "", "digest password for the admin API (required)")
-		dataDir  = flag.String("data", "", "IDM data directory (empty = in-memory)")
-		baseURL  = flag.String("base-url", "", "public base URL for signed links (default http://<http>)")
-		demo     = flag.Bool("demo", false, "create a demo account (demo/demo-pass)")
-		shards   = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
-		group    = flag.Bool("store-group-commit", true, "coalesce concurrent commits into shared fsyncs")
+var (
+	httpAddr = flag.String("http", "127.0.0.1:8080", "portal listen address")
+	otpdURL  = flag.String("otpd", "", "otpd admin API base URL (required)")
+	otpdUser = flag.String("otpd-user", "portal", "digest username for the admin API")
+	otpdPass = flag.String("otpd-pass", "", "digest password for the admin API (required)")
+	dataDir  = flag.String("data", "", "IDM data directory (empty = in-memory)")
+	baseURL  = flag.String("base-url", "", "public base URL for signed links (default http://<http>)")
+	demo     = flag.Bool("demo", false, "create a demo account (demo/demo-pass)")
+	shards   = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
 
-		profDir      = flag.String("prof-dir", "", "incident bundle segment directory; enables the continuous profiler + incident engine (empty = disabled)")
-		profPeriod   = flag.Duration("prof-period", 30*time.Second, "continuous profiler sampling period")
-		profCPU      = flag.Duration("prof-cpu", 250*time.Millisecond, "delta CPU profile window per sample (clamped to a tenth of -prof-period)")
-		profRetain   = flag.Int("prof-retain", 8, "profile captures kept in the in-memory ring")
-		profDebounce = flag.Duration("prof-debounce", 10*time.Minute, "minimum spacing between trigger-fired incident bundles")
-	)
-	var slos slo.SpecList
-	flag.Var(&slos, "slo", "availability SLO over portal HTTP requests (non-5xx = good), name:target%<threshold/window; repeatable")
-	flag.Parse()
+	opsFlags = ops.RegisterFlags(flag.CommandLine)
+)
+
+func main() { ops.Main("portald", run) }
+
+// run serves until ctx is cancelled; the defers are the shutdown path.
+func run(ctx context.Context) error {
 	if *otpdURL == "" || *otpdPass == "" {
-		log.Fatal("portald: -otpd and -otpd-pass are required")
+		return errors.New("-otpd and -otpd-pass are required")
 	}
 
 	reg := obs.NewRegistry()
-	// Go runtime telemetry (goroutines, heap, GC pauses) on the registry.
-	rt := obs.StartRuntimeSampler(reg, 0)
-	defer rt.Stop()
-
-	// Availability SLOs over the per-route/per-status request counters:
-	// any non-5xx answer is good service. FamilySource follows series as
-	// routes are first hit, so nothing needs pre-registering.
-	eng := slo.New(slo.Config{Obs: reg})
-	for _, spec := range slos {
-		if err := eng.Add(slo.Objective{
-			Name: spec.Name, Target: spec.Target, Window: spec.Window,
-			Source: slo.FamilySource{
-				Reg: reg, Family: "portal_http_requests_total",
-				Good: func(labels string) bool { return !strings.Contains(labels, `code="5`) },
-			},
-		}); err != nil {
-			log.Fatalf("portald: %v", err)
-		}
-	}
-	eng.Start(0)
-	defer eng.Stop()
-
 	var db *store.Store
 	var err error
 	if *dataDir == "" {
 		db = store.OpenMemoryShards(*shards)
 	} else if db, err = store.Open(*dataDir, store.Options{
-		Sync: true, Shards: *shards, GroupCommit: *group, Obs: reg,
+		Sync: true, Shards: *shards, GroupCommit: true, Obs: reg,
 	}); err != nil {
-		log.Fatalf("portald: %v", err)
+		return err
 	}
 	defer db.Close()
 
-	// Continuous profiler + incident engine (see cmd/otpd): the portal
-	// wires SLO fast-burn, a sticky IDM-store WAL fault, and the manual
-	// endpoint; it has no flight recorder, so bundles carry no trace IDs.
-	var profEng *prof.Engine
-	if *profDir != "" {
-		profEng, err = prof.New(prof.Config{
-			Dir:           *profDir,
-			Obs:           reg,
-			Period:        *profPeriod,
-			CPUDuration:   *profCPU,
-			Retention:     *profRetain,
-			Debounce:      *profDebounce,
-			MutexFraction: 100,
-		})
-		if err != nil {
-			log.Fatalf("portald: %v", err)
-		}
-		profEng.AddTrigger("slo_fast_burn", prof.HealthTrigger(eng.Health))
-		profEng.AddTrigger("store_error", prof.HealthTrigger(db.Err))
-		profEng.Start()
-		defer profEng.Stop()
+	// -slo objectives are availability over the per-route/per-status
+	// request counters: any non-5xx answer is good service. FamilySource
+	// follows series as routes are first hit, so nothing is pre-registered.
+	kit, err := ops.Start(opsFlags, ops.Config{
+		Reg: reg,
+		SLI: slo.FamilySource{
+			Reg: reg, Family: "portal_http_requests_total",
+			Good: func(labels string) bool { return !strings.Contains(labels, `code="5`) },
+		},
+		StoreErr: db.Err,
+	})
+	if err != nil {
+		return err
 	}
+	defer kit.Stop()
 
-	dir := directory.New()
-	users := idm.New(db, dir, nil)
+	users := idm.New(db, directory.New(), nil)
 	if *demo {
 		if _, err := users.Create("demo", "demo@hpc.example", "demo-pass", idm.ClassUser); err != nil {
 			log.Printf("portald: demo account: %v", err)
@@ -121,6 +87,8 @@ func main() {
 	if base == "" {
 		base = "http://" + *httpAddr
 	}
+	// Pairing events (Figure 6) go on the kit's bus, so /debug/authwatch
+	// shows enrolments as they happen.
 	p, err := portal.New(portal.Config{
 		IDM: users,
 		Admin: &otpd.AdminClient{
@@ -130,17 +98,19 @@ func main() {
 			log.Printf("portald: EMAIL to %s: %s\n%s", to, subject, body)
 			return nil
 		}),
-		SessionKey:   cryptoutil.RandomBytes(32),
-		BaseURL:      base,
-		Obs:          reg,
-		HealthChecks: []obs.HealthCheck{eng.Health},
-		ExtraMounts:  []func(*http.ServeMux){eng.Mount, profEng.Mount},
+		SessionKey: cryptoutil.RandomBytes(32),
+		BaseURL:    base,
+		Obs:        reg,
+		Events:     kit.Bus,
 	})
 	if err != nil {
-		log.Fatalf("portald: %v", err)
+		return err
 	}
-	fmt.Printf("portald: serving on %s (otpd at %s; /metrics, /healthz, /debug/pprof mounted)\n", *httpAddr, *otpdURL)
-	if err := http.ListenAndServe(*httpAddr, p.Handler()); err != nil {
-		log.Fatalf("portald: %v", err)
-	}
+	// The kit's endpoints sit in front of the application routes; its
+	// /healthz (authwatch alerts + SLO fast burn) is the one served.
+	mux := http.NewServeMux()
+	kit.Mount(mux)
+	mux.Handle("/", p.Handler())
+	log.Printf("portald: serving on %s (otpd at %s; + /metrics, /healthz, /debug/{pprof,authwatch,slo,flightrec,prof})", *httpAddr, *otpdURL)
+	return ops.Serve(ctx, *httpAddr, mux)
 }

@@ -9,166 +9,73 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"io"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"openmfa/internal/authwatch"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/faultnet"
-	"openmfa/internal/flightrec"
 	"openmfa/internal/obs"
-	"openmfa/internal/obs/prof"
-	"openmfa/internal/obs/slo"
+	"openmfa/internal/ops"
 	"openmfa/internal/radius"
 )
 
-func main() {
-	var (
-		listen         = flag.String("listen", "127.0.0.1:1812", "listen address")
-		secret         = flag.String("secret", "", "shared secret with downstream NAS (required)")
-		upstream       = flag.String("upstream", "", "upstream RADIUS server address (required)")
-		upstreamSecret = flag.String("upstream-secret", "", "shared secret with upstream (required)")
-		timeout        = flag.Duration("timeout", 2*time.Second, "upstream per-attempt timeout")
-		obsAddr        = flag.String("obs-addr", "", "ops HTTP listen address (/metrics, /healthz, /debug/pprof); empty = disabled")
+var (
+	listen         = flag.String("listen", "127.0.0.1:1812", "listen address")
+	secret         = flag.String("secret", "", "shared secret with downstream NAS (required)")
+	upstream       = flag.String("upstream", "", "upstream RADIUS server address (required)")
+	upstreamSecret = flag.String("upstream-secret", "", "shared secret with upstream (required)")
+	timeout        = flag.Duration("timeout", 2*time.Second, "upstream per-attempt timeout")
+	obsAddr        = flag.String("obs-addr", "", "ops HTTP listen address (/metrics, /healthz, /debug/...); empty = disabled")
 
-		// Fault injection (staging/chaos drills only): interposes the
-		// faultnet layer on both the NAS-facing socket and the upstream
-		// client so a single proxy can rehearse a degraded network.
-		faultSeed    = flag.Int64("fault-seed", 1, "fault injection RNG seed")
-		faultDrop    = flag.Float64("fault-drop", 0, "probability each datagram is silently dropped")
-		faultDup     = flag.Float64("fault-dup", 0, "probability each datagram is sent twice")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "probability one byte of each datagram is flipped")
-		faultDelay   = flag.Duration("fault-delay", 0, "base injected latency per send")
-		faultJitter  = flag.Duration("fault-jitter", 0, "uniform extra injected latency per send")
+	// Fault injection (staging/chaos drills only): interposes the
+	// faultnet layer on both the NAS-facing socket and the upstream
+	// client so a single proxy can rehearse a degraded network.
+	faultSeed    = flag.Int64("fault-seed", 1, "fault injection RNG seed")
+	faultDrop    = flag.Float64("fault-drop", 0, "probability each datagram is silently dropped")
+	faultDup     = flag.Float64("fault-dup", 0, "probability each datagram is sent twice")
+	faultCorrupt = flag.Float64("fault-corrupt", 0, "probability one byte of each datagram is flipped")
+	faultDelay   = flag.Duration("fault-delay", 0, "base injected latency per send")
+	faultJitter  = flag.Duration("fault-jitter", 0, "uniform extra injected latency per send")
 
-		flightDir    = flag.String("flightrec-dir", "", "flight recorder segment directory (empty = disabled)")
-		flightSample = flag.Float64("flightrec-sample", 0.01, "fraction of unremarkable accepted requests the flight recorder keeps")
-		flightSlow   = flag.Duration("flightrec-slow", 750*time.Millisecond, "flight recorder slow-request threshold")
+	opsFlags = ops.RegisterFlags(flag.CommandLine)
+)
 
-		profDir      = flag.String("prof-dir", "", "incident bundle segment directory; enables the continuous profiler + incident engine (empty = disabled)")
-		profPeriod   = flag.Duration("prof-period", 30*time.Second, "continuous profiler sampling period")
-		profCPU      = flag.Duration("prof-cpu", 250*time.Millisecond, "delta CPU profile window per sample (clamped to a tenth of -prof-period)")
-		profRetain   = flag.Int("prof-retain", 8, "profile captures kept in the in-memory ring")
-		profDebounce = flag.Duration("prof-debounce", 10*time.Minute, "minimum spacing between trigger-fired incident bundles")
-		profSlow     = flag.Duration("prof-slow", 750*time.Millisecond, "latency-spike trigger threshold on proxied request duration")
-	)
-	var slos slo.SpecList
-	flag.Var(&slos, "slo", "SLO over request latency, name:target%<threshold/window (e.g. requests:99.5%<750ms/30d); repeatable")
-	flag.Parse()
+func main() { ops.Main("radiusd", run) }
+
+// run serves until ctx is cancelled; the defers are the shutdown path.
+func run(ctx context.Context) error {
 	if *secret == "" || *upstream == "" || *upstreamSecret == "" {
-		log.Fatal("radiusd: -secret, -upstream and -upstream-secret are required")
+		return errors.New("-secret, -upstream and -upstream-secret are required")
 	}
-
+	// Any proxied decision (accept or fast fail-closed reject) under an
+	// -slo spec's threshold is good service.
 	reg := obs.NewRegistry()
-	// Go runtime telemetry (goroutines, heap, GC pauses) on the registry.
-	rt := obs.StartRuntimeSampler(reg, 0)
-	defer rt.Stop()
-
-	// SLO engine over the proxy's request-latency histogram: any decision
-	// (accept or fast fail-closed reject) under the threshold is good.
-	eng := slo.New(slo.Config{Obs: reg})
-	for _, spec := range slos {
-		if err := eng.Add(slo.Objective{
-			Name: spec.Name, Target: spec.Target, Window: spec.Window,
-			Source: slo.HistogramSource{
-				H:         reg.Histogram("radius_request_duration_seconds", nil),
-				Threshold: spec.Threshold.Seconds(),
-			},
-		}); err != nil {
-			log.Fatalf("radiusd: %v", err)
-		}
-	}
-	eng.Start(0)
-	defer eng.Stop()
-
-	// Request decisions stream onto the analytics bus; the watcher's alert
-	// rules (e.g. a failure-rate burn at this proxy) degrade /healthz, and
-	// the SLO engine's fast-burn check rides along via ExtraHealth.
-	bus := eventstream.NewBus(reg)
-	watch := authwatch.New(authwatch.Config{
-		Obs:         reg,
-		ExtraHealth: []obs.HealthCheck{eng.Health},
+	kit, err := ops.Start(opsFlags, ops.Config{
+		Reg:        reg,
+		Latency:    []*obs.Histogram{reg.Histogram("radius_request_duration_seconds", nil)},
+		CompleteOn: []eventstream.Type{eventstream.TypeRadius},
 	})
-	watch.Attach(bus, 0)
-	defer watch.Stop()
-
-	var logSink io.Writer = os.Stderr
-	var tee *flightrec.LogTee
-	if *flightDir != "" {
-		tee = flightrec.NewLogTee(os.Stderr, 0, 0)
-		logSink = tee
+	if err != nil {
+		return err
 	}
-	var rec *flightrec.Recorder
-	if *flightDir != "" {
-		var err error
-		rec, err = flightrec.New(flightrec.Config{
-			Dir: *flightDir, Bus: bus, Logs: tee, Obs: reg,
-			CompleteOn: []eventstream.Type{eventstream.TypeRadius},
-			Policy: flightrec.Policy{
-				SampleRate:    *flightSample,
-				SlowThreshold: *flightSlow,
-				AlertActive:   func() bool { return watch.Health() != nil },
-			},
-		})
-		if err != nil {
-			log.Fatalf("radiusd: %v", err)
-		}
-		defer rec.Stop()
-	}
+	defer kit.Stop()
 
-	// Continuous profiler + incident engine (see cmd/otpd for the trigger
-	// rationale); the proxy's latency spike watches its request histogram.
-	var profEng *prof.Engine
-	if *profDir != "" {
-		var err error
-		profEng, err = prof.New(prof.Config{
-			Dir:           *profDir,
-			Obs:           reg,
-			Period:        *profPeriod,
-			CPUDuration:   *profCPU,
-			Retention:     *profRetain,
-			Debounce:      *profDebounce,
-			MutexFraction: 100,
-			TraceIDs: func(n int) []string {
-				if rec == nil {
-					return nil
-				}
-				sums := rec.List(flightrec.Query{Limit: n})
-				ids := make([]string, 0, len(sums))
-				for _, s := range sums {
-					ids = append(ids, s.Trace)
-				}
-				return ids
-			},
-		})
-		if err != nil {
-			log.Fatalf("radiusd: %v", err)
-		}
-		profEng.AddTrigger("slo_fast_burn", prof.HealthTrigger(eng.Health))
-		profEng.AddTrigger("authwatch_alert", prof.HealthTrigger(watch.Health))
-		profEng.AddTrigger("latency_spike", prof.LatencySpikeTrigger(
-			[]*obs.Histogram{reg.Histogram("radius_request_duration_seconds", nil)},
-			profSlow.Seconds(), 20))
-		profEng.Start()
-		defer profEng.Stop()
-	}
-
+	// Obs on the client counts radius_client_discards_total{reason}: the
+	// RFC 2865 §3 silent discards of forged or corrupt upstream replies.
 	upstreamClient := &radius.Client{
-		Addr: *upstream, Secret: []byte(*upstreamSecret), Timeout: *timeout,
+		Addr: *upstream, Secret: []byte(*upstreamSecret), Timeout: *timeout, Obs: reg,
 	}
 	srv := &radius.Server{
 		Secret:  []byte(*secret),
 		Handler: &radius.Proxy{Upstream: upstreamClient},
 		Logf:    log.Printf,
 		Obs:     reg,
-		Logger:  obs.NewLogger(logSink, obs.LevelInfo).RateLimit(200, time.Second, reg),
-		Events:  bus,
+		Logger:  kit.Logger,
+		Events:  kit.Bus,
 	}
 	if *faultDrop > 0 || *faultDup > 0 || *faultCorrupt > 0 || *faultDelay > 0 || *faultJitter > 0 {
 		fn := faultnet.New(faultnet.Config{
@@ -182,33 +89,19 @@ func main() {
 		})
 		srv.ListenPacket = fn.ListenPacket
 		upstreamClient.Dial = fn.Dial
-		upstreamClient.Obs = reg
 		log.Printf("radiusd: FAULT INJECTION ACTIVE (seed=%d drop=%.2f dup=%.2f corrupt=%.2f delay=%s jitter=%s)",
 			*faultSeed, *faultDrop, *faultDup, *faultCorrupt, *faultDelay, *faultJitter)
 	}
-	if *obsAddr != "" {
-		mux := http.NewServeMux()
-		obs.Mount(mux, reg, watch.Health)
-		watch.Mount(mux)
-		eng.Mount(mux)
-		if rec != nil {
-			rec.Mount(mux)
-		}
-		profEng.Mount(mux)
-		go func() {
-			log.Printf("radiusd: ops endpoints on %s (+ /debug/authwatch, /debug/slo, /debug/flightrec, /debug/prof)", *obsAddr)
-			if err := http.ListenAndServe(*obsAddr, mux); err != nil {
-				log.Fatalf("radiusd: obs: %v", err)
-			}
-		}()
-	}
 	if err := srv.ListenAndServe(*listen); err != nil {
-		log.Fatalf("radiusd: %v", err)
+		return err
 	}
 	defer srv.Close()
 	log.Printf("radiusd: proxying %s -> %s", srv.Addr(), *upstream)
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	<-ch
+	mux := http.NewServeMux()
+	kit.Mount(mux)
+	if *obsAddr != "" {
+		log.Printf("radiusd: ops endpoints on %s (/metrics, /healthz, /debug/{pprof,authwatch,slo,flightrec,prof})", *obsAddr)
+	}
+	return ops.Serve(ctx, *obsAddr, mux)
 }

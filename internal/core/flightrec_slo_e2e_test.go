@@ -17,8 +17,8 @@ import (
 	"openmfa/internal/idm"
 	"openmfa/internal/leakcheck"
 	"openmfa/internal/obs"
-	"openmfa/internal/obs/prof"
 	"openmfa/internal/obs/slo"
+	"openmfa/internal/ops"
 	"openmfa/internal/otp"
 	"openmfa/internal/risk"
 	"openmfa/internal/sshd"
@@ -386,41 +386,37 @@ func TestFailureBurstBurnsSLOAndDegradesHealthz(t *testing.T) {
 	}
 }
 
+// opsKit starts the ops chain exactly as the daemons do (internal/ops,
+// recorder and profiler on, real clock) with a "logins" availability
+// objective over sshd decisions, and returns it with the Options that hand
+// its parts to the stack.
+func opsKit(t *testing.T) (*ops.Kit, Options) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	kit, err := ops.Start(&ops.Flags{
+		SLOs:      slo.SpecList{{Name: "logins", Target: 0.995, Threshold: ops.SlowThreshold, Window: slo.DefaultBudgetWindow}},
+		FlightDir: t.TempDir(),
+		ProfDir:   t.TempDir(),
+	}, ops.Config{Reg: reg, SLI: slo.FamilySource{Reg: reg, Family: "sshd_auth_total",
+		Good: func(l string) bool { return strings.Contains(l, `result="accept"`) }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(kit.Stop)
+	return kit, Options{Obs: reg, Spans: kit.Spans, Events: kit.Bus, Watch: kit.Watch,
+		FlightRec: kit.FlightRec, SLO: kit.SLO, Prof: kit.Prof}
+}
+
 // TestPortalMetricsExpositionIsLintClean fetches the live portal /metrics
-// page — with runtime telemetry, SLO gauges, and flight recorder counters
-// all registered — and runs the exposition linter over it: families must
-// be typed, sorted, consistently labelled, and suffixed per convention.
+// page — with every family the daemons' ops kit registers (runtime
+// telemetry, SLO gauges, authwatch, flight recorder, profiler) — and runs
+// the exposition linter over it: families must be typed, sorted,
+// consistently labelled, and suffixed per convention.
 func TestPortalMetricsExpositionIsLintClean(t *testing.T) {
 	leakcheck.Check(t)
-	reg := obs.NewRegistry()
-	rt := obs.StartRuntimeSampler(reg, time.Minute)
-	defer rt.Stop()
-	spans := obs.NewSpanStore(0)
-	bus := eventstream.NewBus(reg)
-	rec, err := flightrec.New(flightrec.Config{
-		Dir: t.TempDir(), Bus: bus, Spans: spans, Obs: reg,
-		Policy: flightrec.Policy{SampleRate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Stop()
-	eng := slo.New(slo.Config{Obs: reg})
-	if err := eng.Add(slo.Objective{
-		Name: "logins", Target: 0.995,
-		Source: slo.FamilySource{Reg: reg, Family: "sshd_auth_total",
-			Good: func(l string) bool { return strings.Contains(l, `result="accept"`) }},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A continuous profiler on the registry puts the prof_* families
-	// under the linter as well.
-	profEng, err := prof.New(prof.Config{Obs: reg, CPUDuration: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer profEng.Stop()
-	profEng.CaptureOnce()
+	kit, opts := opsKit(t)
+	reg, bus, eng := kit.Reg, kit.Bus, kit.SLO
+	kit.Prof.CaptureOnce()
 	// The adaptive-MFA engine on the same registry puts the risk_* families
 	// (gate decisions, reasons, feature-store occupancy, assess latency)
 	// under the linter: wiring it into Options.Risk makes the sshd stack
@@ -428,8 +424,8 @@ func TestPortalMetricsExpositionIsLintClean(t *testing.T) {
 	riskEng := risk.New(risk.Options{Policy: risk.AdaptivePolicy(), Obs: reg, Events: bus})
 	// A replication leader with a live follower on the same registry puts
 	// every repl_* family (both ends) under the linter too.
-	inf := newInfra(t, Options{Obs: reg, Spans: spans, Events: bus, FlightRec: rec, SLO: eng,
-		Prof: profEng, Risk: riskEng, ReplListen: "127.0.0.1:0"})
+	opts.Risk, opts.ReplListen = riskEng, "127.0.0.1:0"
+	inf := newInfra(t, opts)
 	sim := inf.Clock.(*clock.Sim)
 	standby := store.OpenMemory()
 	defer standby.Close()
@@ -473,7 +469,8 @@ func TestPortalMetricsExpositionIsLintClean(t *testing.T) {
 	// families really were on the linted page.
 	for _, fam := range []string{"repl_followers", "repl_epoch", "repl_frames_shipped_total",
 		"repl_frames_applied_total", "repl_lag_lsns", "repl_commit_lsn", "repl_follower_lag_lsns",
-		"prof_captures_total", "prof_ring_captures",
+		"prof_captures_total", "prof_ring_captures", "authwatch_alert_active", "slo_burn_rate",
+		"flightrec_bundles_dropped_total", "go_goroutines",
 		"risk_decisions_total", "risk_reasons_total", "risk_feature_users",
 		"risk_feature_evictions_total", "risk_assess_duration_seconds"} {
 		if !strings.Contains(string(page), fam) {

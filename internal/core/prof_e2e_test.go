@@ -22,10 +22,11 @@ import (
 	"openmfa/internal/obs/slo"
 )
 
-// profStack is the full diagnostics wiring for the black-box tests: SLO
+// profStack is the diagnostics wiring for the black-box test that needs
+// a simulated clock and a short CPU window, which the daemons' kit
+// (internal/ops, see opsKit) deliberately has no parameter for: SLO
 // engine over sshd decisions, a flight recorder keeping failed logins,
-// and a prof engine whose slo_fast_burn trigger and TraceIDs feed mirror
-// the cmd/otpd wiring.
+// and a prof engine with the kit's slo_fast_burn trigger and TraceIDs feed.
 func profStack(t *testing.T, profDir string) (*Infrastructure, *clock.Sim, *obs.Registry, *slo.Engine, *flightrec.Recorder, *prof.Engine) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -247,12 +248,16 @@ func TestLoginStormTripsOneIncidentBundle(t *testing.T) {
 }
 
 // TestDiagnosticsEndpointsConcurrentScrape hammers every diagnostics
-// endpoint from parallel scrapers (as a fleet of Prometheus pollers and
-// curious operators would) under the race detector: responses must stay
-// 200 with well-formed bodies, and nothing may deadlock or leak.
+// endpoint of the daemons' own ops kit from parallel scrapers (as a fleet
+// of Prometheus pollers and curious operators would) under the race
+// detector: responses must stay 200 with well-formed bodies, and nothing
+// may deadlock or leak.
 func TestDiagnosticsEndpointsConcurrentScrape(t *testing.T) {
 	leakcheck.Check(t)
-	inf, sim, reg, eng, _, profEng := profStack(t, t.TempDir())
+	kit, opts := opsKit(t)
+	reg, eng, profEng := kit.Reg, kit.SLO, kit.Prof
+	inf := newInfra(t, opts)
+	sim := inf.Clock.(*clock.Sim)
 
 	// Populate every subsystem: one good login, one incident, one tick.
 	if _, err := inf.CreateUser("scrape", "s@x", "pw", idm.ClassUser); err != nil {
@@ -274,6 +279,8 @@ func TestDiagnosticsEndpointsConcurrentScrape(t *testing.T) {
 
 	endpoints := []string{
 		"/metrics",
+		"/healthz",
+		"/debug/authwatch",
 		"/debug/slo",
 		"/debug/flightrec",
 		"/debug/prof",
@@ -310,7 +317,7 @@ func TestDiagnosticsEndpointsConcurrentScrape(t *testing.T) {
 					return
 				}
 				switch url {
-				case "/debug/slo", "/debug/prof":
+				case "/debug/authwatch", "/debug/slo", "/debug/prof":
 					var v any
 					if err := json.Unmarshal(body, &v); err != nil {
 						errs <- fmt.Errorf("%s: not JSON: %v", url, err)

@@ -80,10 +80,9 @@ type Config struct {
 	// trace IDs to embed in each incident (wire to flightrec TraceIDs).
 	TraceIDs func(n int) []string
 	// MutexFraction, when > 0, is passed to
-	// runtime.SetMutexProfileFraction so mutex snapshots have data.
+	// runtime.SetMutexProfileFraction so mutex snapshots have data. The
+	// setting is process-wide; Stop puts the previous fraction back.
 	MutexFraction int
-	// BlockRate, when > 0, is passed to runtime.SetBlockProfileRate.
-	BlockRate int
 }
 
 // Capture is one continuous-profiler sample: a delta CPU profile plus
@@ -160,6 +159,10 @@ type Engine struct {
 	lastFire  time.Time
 	haveFired bool
 	store     incidentStore
+	// prevMutex is the process-wide mutex profile fraction New replaced;
+	// restoreMutex is cleared once Stop has put it back.
+	prevMutex    int
+	restoreMutex bool
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -213,14 +216,12 @@ func New(cfg Config) (*Engine, error) {
 	if max := cfg.Period / 10; e.cpuDur > max && max > 0 {
 		e.cpuDur = max
 	}
-	if cfg.MutexFraction > 0 {
-		runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	}
-	if cfg.BlockRate > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRate)
-	}
 	if err := e.openStore(); err != nil {
 		return nil, err
+	}
+	if cfg.MutexFraction > 0 {
+		e.prevMutex = runtime.SetMutexProfileFraction(cfg.MutexFraction)
+		e.restoreMutex = true
 	}
 	e.incidentsG.Set(float64(e.store.len()))
 	return e, nil
@@ -314,9 +315,10 @@ func (e *Engine) Start() {
 	}()
 }
 
-// Stop halts the sampler (waiting for it to exit) and closes the
-// incident log. Further persisted fires fail; List/Get keep working.
-// Safe when Start was never called, and idempotent.
+// Stop halts the sampler (waiting for it to exit), closes the incident
+// log, and restores the mutex profile fraction New replaced. Further
+// persisted fires fail; List/Get keep working. Safe when Start was never
+// called, and idempotent.
 func (e *Engine) Stop() {
 	if e == nil {
 		return
@@ -328,4 +330,8 @@ func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.store.close()
+	if e.restoreMutex {
+		runtime.SetMutexProfileFraction(e.prevMutex)
+		e.restoreMutex = false
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -359,4 +360,28 @@ func TestStartStopSampler(t *testing.T) {
 	nilE.Start()
 	nilE.Stop()
 	nilE.Evaluate()
+}
+
+// TestStopRestoresMutexProfileFraction: the fraction is process-wide, so
+// an engine must leave it as it found it — and a second Stop must not
+// clobber whatever a later owner has set since.
+func TestStopRestoresMutexProfileFraction(t *testing.T) {
+	before := runtime.SetMutexProfileFraction(-1)
+	e, err := New(Config{MutexFraction: before + 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.SetMutexProfileFraction(-1); got != before+100 {
+		t.Fatalf("fraction while running = %d, want %d", got, before+100)
+	}
+	e.Stop()
+	if got := runtime.SetMutexProfileFraction(-1); got != before {
+		t.Fatalf("fraction after Stop = %d, want the pre-New %d", got, before)
+	}
+	defer runtime.SetMutexProfileFraction(before)
+	runtime.SetMutexProfileFraction(before + 7)
+	e.Stop()
+	if got := runtime.SetMutexProfileFraction(-1); got != before+7 {
+		t.Fatalf("second Stop rewrote the fraction to %d", got)
+	}
 }
