@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: verify vet build test race chaos bench-concurrency bench-obs bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover
+verify: vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
 
 vet:
 	$(GO) vet ./...
@@ -51,11 +51,12 @@ bench-obs:
 	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/otpd -run 'TestObsOverheadGate|TestSpanEventOverheadGate|TestProfOverheadGate' -count 1 -v -timeout 20m
 	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/pam -run 'TestRiskGateOverheadGate' -count 1 -v -timeout 20m
 
-# Streaming-analytics smoke: a short rollout with the event bus attached,
-# cross-checking the live authwatch day buckets against the batch report
-# (exact equality, race detector on).
+# Streaming-analytics smoke: a short run of each simulator with the event
+# bus attached, cross-checking the live authwatch day buckets against the
+# simulator's reference counts (exact equality, every kind of mismatch
+# reported by name, no goroutine left behind; race detector on).
 authwatch-smoke:
-	$(GO) test -race -count 1 -run 'TestCrossCheckStreamingMatchesBatch' ./internal/rollout
+	$(GO) test -race -count 1 -run 'TestStreamingParity' ./internal/rollout
 
 # Flight recorder gate: the chaos-storm acceptance test (every failed
 # login retrievable by trace ID with a complete four-leg span tree),
@@ -96,7 +97,7 @@ prof-smoke:
 # feature store (eviction, ring, concurrency), and the PAM gate semantics
 # (skip/step-up/deny, exemption override, fail-open).
 risk-smoke:
-	$(GO) test -race -count 1 -run 'TestRiskEval' ./internal/rollout
+	$(GO) test -race -count 1 -run 'TestRiskEval|TestStreamingParity/riskeval' ./internal/rollout
 	$(GO) test -race -count 1 ./internal/risk/... ./internal/geoip
 	$(GO) test -race -count 1 -run 'TestRiskGate|TestRiskFeedbackLoop' ./internal/pam ./internal/sshd
 
@@ -107,23 +108,28 @@ metrics-lint:
 	$(GO) test -count 1 -run 'TestPortalMetricsExpositionIsLintClean' ./internal/core
 	$(GO) test -count 1 -run 'TestLint' ./internal/obs
 
-# Figure parity gate: regenerate the paper's figures from a fresh
-# full-calendar run with the live authwatch aggregator cross-checking every
-# daily series, then fail on any drift from the checked-in FIGURES.txt.
-# On drift the regenerated output is left in .figures.gen for inspection.
+# Figure parity gate (~25 s): regenerate the paper's figures from a fresh
+# full-calendar run on the core.New deployment, with the live authwatch
+# aggregator cross-checking every daily series, then fail on any drift
+# from the checked-in FIGURES.txt. On drift the regenerated output is left
+# in .figures.gen for inspection.
 figures:
 	$(GO) run ./cmd/rollout -all -q -authwatch > .figures.gen
 	diff -u FIGURES.txt .figures.gen
 	rm -f .figures.gen
 
-# WAL-codec fuzz smoke: ten seconds per target against the frame decoder
-# and the recovery path (go fuzz takes one target per invocation).
+# Codec fuzz smoke: ten seconds per target against the store WAL's frame
+# decoder and recovery path, and against seglog recovery — the framing
+# under the flight recorder and the incident store, which drives
+# seglog.DecodeFrame on every input (FuzzDecodeFrame's own corpus runs as a
+# plain test). go fuzz takes one target per invocation.
 # -fuzzminimizetime is capped in executions, not wall time: minimizing a
 # coverage-increasing input re-runs the (file-I/O-heavy) recovery target,
 # and the default 60s budget would eat the whole smoke.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/store
 	$(GO) test -run xxx -fuzz 'FuzzRecoverWAL$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/store
+	$(GO) test -run xxx -fuzz 'FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/seglog
 
 # Coverage gates, 90% statement floors each: the sharded store (with its
 # crashtest harness and the replication protocol exercising it), and the

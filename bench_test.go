@@ -1,8 +1,9 @@
-// Benchmark harness: one benchmark per paper table/figure plus ablations
-// of the design choices DESIGN.md calls out. The figure benchmarks run the
+// Micro-benchmarks: one per paper table/figure plus ablations of the
+// design choices DESIGN.md calls out. The figure benchmarks run the
 // rollout simulator at a reduced scale and report the figure's headline
 // quantities as custom metrics; run cmd/rollout for the full-scale
-// reproduction with charts.
+// reproduction with charts. None of these measures a login: the login
+// benchmark of record is bench/ (BENCHMARK.json).
 package openmfa_test
 
 import (
@@ -110,13 +111,12 @@ func BenchmarkTable1PairingBreakdown(b *testing.B) {
 	b.ReportMetric(res.Table1.Percent("hard"), "hard-%")
 }
 
-// --- end-to-end infrastructure benchmarks ---
+// --- shared deployment for the enforcement-mode ablation ---
 
 var (
 	infraOnce sync.Once
 	infra     *core.Infrastructure
 	infraSim  *clock.Sim
-	infraEnr  *otpd.Enrollment
 )
 
 func sharedInfra(b *testing.B) (*core.Infrastructure, *clock.Sim) {
@@ -124,64 +124,11 @@ func sharedInfra(b *testing.B) (*core.Infrastructure, *clock.Sim) {
 	infraOnce.Do(func() {
 		infraSim = clock.NewSim(time.Date(2016, 10, 10, 8, 0, 0, 0, time.UTC))
 		var err error
-		infra, err = core.New(core.Options{
-			Clock:          infraSim,
-			ExemptionRules: "permit : gateway1 : ALL : ALL",
-		})
-		if err != nil {
+		if infra, err = core.New(core.Options{Clock: infraSim}); err != nil {
 			panic(err)
 		}
-		if _, err := infra.CreateUser("alice", "a@x", "pw", idm.ClassUser); err != nil {
-			panic(err)
-		}
-		infraEnr, err = infra.PairSoft("alice")
-		if err != nil {
-			panic(err)
-		}
-		infra.CreateUser("gateway1", "g@x", "pw", idm.ClassGateway)
 	})
 	return infra, infraSim
-}
-
-// BenchmarkEndToEndMFALogin measures a full login: TCP + pubkeyless
-// password first factor + RADIUS round-robin + TOTP validation.
-func BenchmarkEndToEndMFALogin(b *testing.B) {
-	inf, sim := sharedInfra(b)
-	r := &sshd.FuncResponder{}
-	r.Fn = func(echo bool, prompt string) (string, error) {
-		if strings.Contains(prompt, "Password") {
-			return "pw", nil
-		}
-		code, _ := otp.TOTP(infraEnr.Secret, sim.Now(), inf.OTP.OTPOptions())
-		return code, nil
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Advance(31 * time.Second) // fresh code (consumed-code protection)
-		c, err := sshd.Dial(inf.SSHAddr(), sshd.DialOptions{User: "alice", TTY: true, Responder: r})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Close()
-	}
-}
-
-// BenchmarkEndToEndExemptLogin measures the §3.4 gateway fast path: the
-// exemption short-circuits before any RADIUS traffic.
-func BenchmarkEndToEndExemptLogin(b *testing.B) {
-	inf, _ := sharedInfra(b)
-	r := &sshd.FuncResponder{}
-	r.Fn = func(echo bool, prompt string) (string, error) { return "pw", nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := sshd.Dial(inf.SSHAddr(), sshd.DialOptions{User: "gateway1", Responder: r})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Close()
-	}
 }
 
 // --- hot-path concurrency ---

@@ -18,204 +18,244 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
 	"openmfa/internal/authwatch"
 	"openmfa/internal/eventstream"
+	"openmfa/internal/metrics"
 	"openmfa/internal/rollout"
 )
 
 func main() {
-	var (
-		users       = flag.Int("users", 1200, "population size")
-		seed        = flag.Int64("seed", 1, "random seed")
-		fig         = flag.Int("fig", 0, "print one figure (3..6)")
-		table       = flag.Int("table", 0, "print one table (1)")
-		costs       = flag.Bool("costs", false, "print the SMS cost model")
-		analysis    = flag.Bool("analysis", false, "print the §4.1 log analysis")
-		experiments = flag.Bool("experiments", false, "print the EXPERIMENTS.md body")
-		all         = flag.Bool("all", false, "print everything")
-		quiet       = flag.Bool("q", false, "suppress progress output")
-		riskEval    = flag.Bool("risk", false, "run the adaptive-MFA attack-mix evaluation (engine off vs on) instead of the rollout simulation")
-		riskUsers   = flag.Int("risk-users", 24, "accounts per risk scenario")
-		riskDays    = flag.Int("risk-days", 8, "days per risk scenario")
-		authWatch   = flag.Bool("authwatch", false, "stream events through the live authwatch aggregator and cross-check it against the batch report (non-zero exit on mismatch)")
-		eventsOut   = flag.String("events-out", "", "write the run's auth-event stream as JSONL to this file (readable by loganalyze -format jsonl)")
-		shards      = flag.Int("store-shards", 0, "store shard count for the simulated back ends (0 = GOMAXPROCS-scaled)")
-	)
-	flag.Parse()
-	if *fig == 0 && *table == 0 && !*costs && !*analysis && !*experiments {
-		*all = true
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "rollout:", err)
+		}
+		os.Exit(1)
 	}
+}
 
-	cfg := rollout.Config{Users: *users, Seed: *seed, StoreShards: *shards}
-	if !*quiet {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+// options is the parsed command line.
+type options struct {
+	users, riskUsers, riskDays, fig, table         int
+	seed                                           int64
+	costs, analysis, experiments, all, quiet, risk bool
+	authWatch                                      bool
+	eventsOut                                      string
+}
+
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("rollout", flag.ContinueOnError)
+	fs.IntVar(&o.users, "users", 1200, "population size")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.fig, "fig", 0, "print one figure (3..6)")
+	fs.IntVar(&o.table, "table", 0, "print one table (1)")
+	fs.BoolVar(&o.costs, "costs", false, "print the SMS cost model")
+	fs.BoolVar(&o.analysis, "analysis", false, "print the §4.1 log analysis")
+	fs.BoolVar(&o.experiments, "experiments", false, "print the EXPERIMENTS.md body")
+	fs.BoolVar(&o.all, "all", false, "print everything")
+	fs.BoolVar(&o.quiet, "q", false, "suppress progress output")
+	fs.BoolVar(&o.risk, "risk", false, "run the adaptive-MFA attack-mix evaluation (engine off vs on) instead of the rollout simulation")
+	fs.IntVar(&o.riskUsers, "risk-users", 24, "accounts per risk scenario")
+	fs.IntVar(&o.riskDays, "risk-days", 8, "days per risk scenario")
+	fs.BoolVar(&o.authWatch, "authwatch", false, "stream events through the live authwatch aggregator and cross-check it against the simulator's reference aggregates (non-zero exit on mismatch)")
+	fs.StringVar(&o.eventsOut, "events-out", "", "write the run's auth-event stream as JSONL to this file (readable by loganalyze -format jsonl)")
+	return fs
+}
+
+// validate rejects what no run can satisfy, before the simulation spends
+// its twenty seconds: an unknown figure or table, and flags that belong to
+// the mode that was not selected.
+func (o *options) validate(fs *flag.FlagSet) error {
+	switch o.fig {
+	case 0, 3, 4, 5, 6:
+	default:
+		return fmt.Errorf("unknown figure %d (have 3, 4, 5, 6)", o.fig)
+	}
+	if o.table != 0 && o.table != 1 {
+		return fmt.Errorf("unknown table %d (have 1)", o.table)
+	}
+	wrongMode := map[string]bool{"risk-users": true, "risk-days": true}
+	mode := "without -risk"
+	if o.risk {
+		wrongMode = map[string]bool{"users": true, "fig": true, "table": true, "costs": true,
+			"analysis": true, "experiments": true, "all": true}
+		mode = "with -risk"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if wrongMode[f.Name] && err == nil {
+			err = fmt.Errorf("-%s has no effect %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
+// eventDump writes a bus subscription to a JSONL file.
+type eventDump struct {
+	path string
+	sub  *eventstream.Subscription
+	done chan error // the writer's verdict, once the subscription is drained
+}
+
+func startDump(bus *eventstream.Bus, path string) (*eventDump, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	d := &eventDump{path: path, sub: bus.Subscribe(1 << 16), done: make(chan error, 1)}
+	go func() {
+		w := bufio.NewWriterSize(f, 1<<20)
+		enc := json.NewEncoder(w)
+		for e := range d.sub.Events() {
+			_ = enc.Encode(e) // a write error sticks in w; Flush reports it
+		}
+		err := w.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		d.done <- err
+	}()
+	return d, nil
+}
+
+// close drains the subscription and reports how many events it dropped.
+func (d *eventDump) close() (dropped uint64, err error) {
+	dropped = d.sub.Dropped()
+	d.sub.Close()
+	if err := <-d.done; err != nil {
+		return dropped, fmt.Errorf("events-out: %w", err)
+	}
+	return dropped, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := newFlags(&o)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := o.validate(fs); err != nil {
+		return err
+	}
+	if o.fig == 0 && o.table == 0 && !o.costs && !o.analysis && !o.experiments {
+		o.all = true
+	}
+	logf := func(format string, args ...any) {
+		if !o.quiet {
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 
 	// Streaming consumers: the live authwatch aggregator (cross-checked
-	// against the batch report after the run) and/or a JSONL event dump.
-	// Neither changes the simulation's randomness or its stdout report.
+	// against the simulator's reference aggregates after the run) and/or
+	// a JSONL event dump. Neither changes the simulation's randomness or
+	// its stdout report.
 	var (
-		bus      *eventstream.Bus
-		watch    *authwatch.Watcher
-		dumpDone chan struct{}
-		dumpSub  *eventstream.Subscription
-		dumpErr  error
+		bus   *eventstream.Bus
+		watch *authwatch.Watcher
+		dump  *eventDump
 	)
-	if *authWatch || *eventsOut != "" {
+	if o.authWatch || o.eventsOut != "" {
 		bus = eventstream.NewBus(nil)
-		cfg.Events = bus
 	}
-	if *authWatch {
+	if o.authWatch {
 		watch = authwatch.New(authwatch.Config{})
 		// The watcher keeps pace easily (map updates vs live RADIUS round
 		// trips), but a deep buffer makes drops structurally impossible on
 		// a stalled scheduler too: parity demands every event.
 		watch.Attach(bus, 1<<16)
+		defer watch.Stop()
 	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			log.Fatalf("rollout: %v", err)
-		}
-		w := bufio.NewWriterSize(f, 1<<20)
-		enc := json.NewEncoder(w)
-		dumpSub = bus.Subscribe(1 << 16)
-		dumpDone = make(chan struct{})
-		go func() {
-			defer close(dumpDone)
-			for e := range dumpSub.Events() {
-				if err := enc.Encode(e); err != nil && dumpErr == nil {
-					dumpErr = err
-				}
-			}
-			if err := w.Flush(); err != nil && dumpErr == nil {
-				dumpErr = err
-			}
-			if err := f.Close(); err != nil && dumpErr == nil {
-				dumpErr = err
-			}
-		}()
-	}
-
-	closeDump := func() {
-		if dumpSub == nil {
-			return
-		}
-		dropped := dumpSub.Dropped()
-		dumpSub.Close()
-		<-dumpDone
-		if dumpErr != nil {
-			log.Fatalf("rollout: events-out: %v", dumpErr)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "rollout: event stream written to %s (%d dropped)\n", *eventsOut, dropped)
+	if o.eventsOut != "" {
+		var err error
+		if dump, err = startDump(bus, o.eventsOut); err != nil {
+			return err
 		}
 	}
 
-	if *riskEval {
-		rcfg := rollout.RiskEvalConfig{
-			Users: *riskUsers, Days: *riskDays, Seed: *seed,
-			Events: bus, StoreShards: *shards, Logf: cfg.Logf,
-		}
-		start := time.Now()
-		rres, err := rollout.RunRiskEval(rcfg)
-		if err != nil {
-			log.Fatalf("rollout: %v", err)
-		}
-		closeDump()
-		failed := false
-		if watch != nil {
-			watch.Stop()
-			if err := rollout.RiskCrossCheck(rres, watch); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed = true
-			} else if !*quiet {
-				fmt.Fprintln(os.Stderr, rollout.RiskCrossCheckSummary(rres, watch))
-			}
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "rollout: risk evaluation finished in %s\n\n", time.Since(start).Round(time.Millisecond))
-		}
-		fmt.Println(rres.Report())
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-
+	// Both modes end the same way: drain the dump, cross-check the
+	// watcher, then print the report — a mismatch still prints it, and
+	// fails the run afterwards.
 	start := time.Now()
-	res, err := rollout.Run(cfg)
-	if err != nil {
-		log.Fatalf("rollout: %v", err)
+	var (
+		report   func()
+		daily    *metrics.Daily
+		smsTotal int
+	)
+	if o.risk {
+		res, err := rollout.RunRiskEval(rollout.RiskEvalConfig{
+			Users: o.riskUsers, Days: o.riskDays, Seed: o.seed, Events: bus, Logf: logf,
+		})
+		if err != nil {
+			return err
+		}
+		daily, smsTotal = res.Metrics, res.SMSTotal
+		report = func() { fmt.Fprintln(stdout, res.Report()) }
+	} else {
+		res, err := rollout.Run(rollout.Config{Users: o.users, Seed: o.seed, Events: bus, Logf: logf})
+		if err != nil {
+			return err
+		}
+		daily, smsTotal = res.Metrics, res.SMSMessages
+		report = func() {
+			logf("%s", res.ObservabilityReport())
+			printRollout(stdout, &o, res)
+		}
 	}
 
-	closeDump()
-	crosscheckFailed := false
+	if dump != nil {
+		dropped, err := dump.close()
+		if err != nil {
+			return err
+		}
+		logf("rollout: event stream written to %s (%d dropped)", dump.path, dropped)
+	}
+	var mismatch error
 	if watch != nil {
 		watch.Stop() // drains the subscription before we compare
-		if err := rollout.CrossCheck(res, watch); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			crosscheckFailed = true
-		} else if !*quiet {
-			fmt.Fprintln(os.Stderr, rollout.CrossCheckSummary(res, watch))
+		var summary string
+		if summary, mismatch = rollout.CrossCheck(daily, smsTotal, watch); mismatch == nil {
+			logf("%s", summary)
 		}
 	}
-	defer func() {
-		if crosscheckFailed {
-			os.Exit(1)
-		}
-	}()
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "rollout: simulation finished in %s\n\n", time.Since(start).Round(time.Millisecond))
-	}
+	logf("rollout: run finished in %s\n", time.Since(start).Round(time.Millisecond))
+	report()
+	return mismatch
+}
 
-	if !*quiet {
-		fmt.Fprintln(os.Stderr, res.ObservabilityReport())
-	}
-	if *all {
-		fmt.Println(res.Summary())
-		fmt.Println(res.Figure3())
-		fmt.Println(res.Figure4())
-		fmt.Println(res.Figure5())
-		fmt.Println(res.Figure6())
-		fmt.Println(res.Table1Report())
-		fmt.Println(res.CostReport())
-		fmt.Println(res.Analysis.Summary(15))
+// printRollout prints the selected figures and tables of a rollout run.
+func printRollout(w io.Writer, o *options, res *rollout.Result) {
+	figures := map[int]func() string{3: res.Figure3, 4: res.Figure4, 5: res.Figure5, 6: res.Figure6}
+	if o.all {
+		fmt.Fprintln(w, res.Summary())
+		for n := 3; n <= 6; n++ {
+			fmt.Fprintln(w, figures[n]())
+		}
+		fmt.Fprintln(w, res.Table1Report())
+		fmt.Fprintln(w, res.CostReport())
+		fmt.Fprintln(w, res.Analysis.Summary(15))
 		return
 	}
-	switch *fig {
-	case 3:
-		fmt.Println(res.Figure3())
-	case 4:
-		fmt.Println(res.Figure4())
-	case 5:
-		fmt.Println(res.Figure5())
-	case 6:
-		fmt.Println(res.Figure6())
-	case 0:
-	default:
-		log.Fatalf("rollout: unknown figure %d", *fig)
+	if o.fig != 0 {
+		fmt.Fprintln(w, figures[o.fig]())
 	}
-	if *table == 1 {
-		fmt.Println(res.Table1Report())
-	} else if *table != 0 {
-		log.Fatalf("rollout: unknown table %d", *table)
+	if o.table == 1 {
+		fmt.Fprintln(w, res.Table1Report())
 	}
-	if *costs {
-		fmt.Println(res.CostReport())
+	if o.costs {
+		fmt.Fprintln(w, res.CostReport())
 	}
-	if *analysis {
-		fmt.Println(res.Analysis.Summary(15))
+	if o.analysis {
+		fmt.Fprintln(w, res.Analysis.Summary(15))
 	}
-	if *experiments {
-		fmt.Println(res.ExperimentsMarkdown())
+	if o.experiments {
+		fmt.Fprintln(w, res.ExperimentsMarkdown())
 	}
 }

@@ -5,6 +5,6 @@
 // The library lives under internal/: see internal/core for the assembled
 // infrastructure, DESIGN.md for the system inventory and experiment index,
 // and EXPERIMENTS.md for paper-vs-measured results. The root package holds
-// the benchmark harness that regenerates every table and figure
-// (bench_test.go).
+// the per-figure/table micro-benchmarks and ablations (bench_test.go); the
+// login benchmark is bench/.
 package openmfa

@@ -342,7 +342,7 @@ func (w *Watcher) Health() error {
 // subscription channel (<= 0 for the default).
 func (w *Watcher) Attach(bus *eventstream.Bus, buffer int) {
 	w.mu.Lock()
-	if w.sub != nil {
+	if w.done != nil {
 		w.mu.Unlock()
 		return
 	}
@@ -359,21 +359,23 @@ func (w *Watcher) Attach(bus *eventstream.Bus, buffer int) {
 }
 
 // Stop closes the bus subscription (after delivering already-buffered
-// events) and waits for the consumer goroutine to drain.
+// events) and waits for the consumer goroutine to drain. The closed
+// subscription stays readable, so Dropped and Snapshot keep reporting what
+// it missed.
 func (w *Watcher) Stop() {
 	w.mu.Lock()
 	sub, done := w.sub, w.done
-	w.sub, w.done = nil, nil
+	w.done = nil
 	w.mu.Unlock()
-	if sub == nil {
+	if done == nil {
 		return
 	}
 	sub.Close()
 	<-done
 }
 
-// Dropped is the number of bus events the attached subscription missed
-// (0 when not attached).
+// Dropped is the number of bus events the subscription missed, up to and
+// after Stop (0 when never attached).
 func (w *Watcher) Dropped() uint64 {
 	w.mu.Lock()
 	sub := w.sub

@@ -209,3 +209,24 @@ func TestAttachStopDrainsSubscription(t *testing.T) {
 	}
 	w.Stop() // idempotent
 }
+
+// A parity check reads the drop count after Stop has drained the watcher;
+// the count must still be there, or a lossy subscription passes as exact.
+func TestDroppedSurvivesStop(t *testing.T) {
+	bus := eventstream.NewBus(nil)
+	w := New(Config{})
+	w.Attach(bus, 1)
+	const events = 20000
+	for i := 0; i < events; i++ {
+		bus.Publish(login(base.Add(time.Duration(i)*time.Second), "u", "73.0.0.1", "accept", false))
+	}
+	w.Stop()
+	snap := w.Snapshot()
+	if snap.Dropped == 0 {
+		t.Fatal("a one-slot subscription kept up with a 20000-event burst; nothing to check")
+	}
+	if got := w.Dropped(); got != snap.Dropped || snap.Events+got != events {
+		t.Errorf("after Stop: Dropped() = %d, snapshot dropped = %d, ingested = %d, want them to add up to %d",
+			got, snap.Dropped, snap.Events, events)
+	}
+}

@@ -6,8 +6,9 @@
 // exactly as in §3's architecture (PAM → RADIUS → otpd; portal → admin
 // REST → otpd; otpd → SMS gateway → phones).
 //
-// It is the library's top-level entry point: examples, the cmd/ binaries,
-// and the rollout simulator all build on an Infrastructure.
+// It is the library's top-level entry point: the examples, cmd/sshsim, the
+// login benchmark (bench/) and both evaluation simulators
+// (internal/rollout) run on an Infrastructure from New.
 package core
 
 import (
@@ -261,6 +262,12 @@ func New(opts Options) (*Infrastructure, error) {
 		key = cryptoutil.RandomBytes(32)
 	}
 	inf := &Infrastructure{Clock: clk, Obs: opts.Obs, Spans: opts.Spans, Events: opts.Events}
+	// fail releases whatever is already open or listening: every error
+	// return below goes through it.
+	fail := func(err error) (*Infrastructure, error) {
+		inf.Close()
+		return nil, err
+	}
 
 	newStore := func(name string) (*store.Store, error) {
 		if opts.DataDir == "" {
@@ -283,11 +290,11 @@ func New(opts Options) (*Infrastructure, error) {
 
 	idmStore, err := newStore("idm")
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	otpStore, err := newStore("otpd")
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	inf.otpStore = otpStore
 
@@ -296,8 +303,7 @@ func New(opts Options) (*Infrastructure, error) {
 	// lose). Started before anything can write so a standby never sees an
 	// un-fenced local commit.
 	if opts.ReplListen != "" && opts.ReplFollow != "" {
-		inf.Close()
-		return nil, fmt.Errorf("core: ReplListen and ReplFollow are mutually exclusive")
+		return fail(fmt.Errorf("core: ReplListen and ReplFollow are mutually exclusive"))
 	}
 	if opts.ReplListen != "" {
 		lo := repl.LeaderOptions{
@@ -312,8 +318,7 @@ func New(opts Options) (*Infrastructure, error) {
 		}
 		inf.ReplLeader, err = repl.StartLeader(otpStore, lo)
 		if err != nil {
-			inf.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	if opts.ReplFollow != "" {
@@ -327,8 +332,7 @@ func New(opts Options) (*Infrastructure, error) {
 		}
 		inf.ReplFollower, err = repl.StartFollower(otpStore, fo)
 		if err != nil {
-			inf.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 
@@ -361,17 +365,17 @@ func New(opts Options) (*Infrastructure, error) {
 		}),
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	inf.AuthLog, err = authlog.New("", 65536)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	rules, err := accessctl.Parse(opts.ExemptionRules)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	inf.ACL = accessctl.NewList(rules)
 
@@ -397,8 +401,7 @@ func New(opts Options) (*Infrastructure, error) {
 			rs.ListenPacket = opts.FaultNet.ListenPacket
 		}
 		if err := rs.ListenAndServe("127.0.0.1:0"); err != nil {
-			inf.Close()
-			return nil, err
+			return fail(err)
 		}
 		inf.radiusServers = append(inf.radiusServers, rs)
 		addrs = append(addrs, rs.Addr().String())
@@ -421,8 +424,7 @@ func New(opts Options) (*Infrastructure, error) {
 	// Directory service (network form, for components that want it).
 	inf.dirServer = directory.NewServer(inf.Dir)
 	if err := inf.dirServer.ListenAndServe("127.0.0.1:0"); err != nil {
-		inf.Close()
-		return nil, err
+		return fail(err)
 	}
 
 	// Enforcement mode + PAM stack.
@@ -461,8 +463,7 @@ func New(opts Options) (*Infrastructure, error) {
 		inf.SSHD.Listen = opts.FaultNet.Listen
 	}
 	if err := inf.SSHD.ListenAndServe("127.0.0.1:0"); err != nil {
-		inf.Close()
-		return nil, err
+		return fail(err)
 	}
 
 	// otpd admin REST API with digest credentials for the portal.
@@ -476,8 +477,7 @@ func New(opts Options) (*Infrastructure, error) {
 	}
 	adminLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		inf.Close()
-		return nil, err
+		return fail(err)
 	}
 	inf.adminAddr = adminLn.Addr().String()
 	inf.adminHTTP = &http.Server{Handler: api.Handler()}
@@ -523,14 +523,12 @@ func New(opts Options) (*Infrastructure, error) {
 	}
 	p, err := portal.New(pcfg)
 	if err != nil {
-		inf.Close()
-		return nil, err
+		return fail(err)
 	}
 	inf.Portal = p
 	portalLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		inf.Close()
-		return nil, err
+		return fail(err)
 	}
 	inf.portalAddr = portalLn.Addr().String()
 	inf.portalHTTP = &http.Server{Handler: p.Handler()}

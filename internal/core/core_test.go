@@ -8,6 +8,7 @@ import (
 
 	"openmfa/internal/clock"
 	"openmfa/internal/idm"
+	"openmfa/internal/leakcheck"
 	"openmfa/internal/otp"
 	"openmfa/internal/pam"
 	"openmfa/internal/sshd"
@@ -248,5 +249,30 @@ func TestStringSummary(t *testing.T) {
 	s := inf.String()
 	if !strings.Contains(s, "sshd=") || !strings.Contains(s, "radius=") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// A New that fails after the stores are open must release them and the
+// replication listener: a malformed exemption rule is operator input, and
+// the operator's next step is to fix it and start again on the same
+// DataDir.
+func TestNewFailureReleasesStoresAndListeners(t *testing.T) {
+	leakcheck.Check(t)
+	opts := Options{
+		DataDir:        t.TempDir(),
+		ReplListen:     "127.0.0.1:0",
+		ExemptionRules: "this is not a rule",
+	}
+	if inf, err := New(opts); err == nil {
+		inf.Close()
+		t.Fatal("malformed exemption rule accepted")
+	}
+	opts.ExemptionRules = "permit : gateway1 : ALL : ALL"
+	inf, err := New(opts)
+	if err != nil {
+		t.Fatalf("second New on the same DataDir: %v", err)
+	}
+	if err := inf.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

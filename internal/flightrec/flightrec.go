@@ -16,7 +16,8 @@
 //     simulation runs keep the same traces
 //
 // Kept bundles are persisted as CRC-framed JSON records in size-capped,
-// rotated segment files (see segment.go); a torn tail from a crash never
+// rotated flightrec-NNNNNN.seg files (internal/seglog, the crash-safe layer
+// shared with the incident profiler); a torn tail from a crash never
 // yields a half-bundle. Query by trace ID, result class, or minimum
 // duration via Get/List, the /debug/flightrec handler, or
 // `loganalyze -format flightrec` offline.
@@ -57,6 +58,9 @@ type Bundle struct {
 	Logs        []string            `json:"logs,omitempty"`
 	LogsDropped int                 `json:"logs_dropped,omitempty"`
 }
+
+// segPrefix names the recorder's segment files.
+const segPrefix = "flightrec-"
 
 // Keep reasons, in check order. The first matching reason labels the
 // bundle and the flightrec_bundles_kept_total counter.
@@ -132,7 +136,7 @@ type summary struct {
 	Result   string        `json:"result,omitempty"`
 	Reason   string        `json:"reason"`
 	Duration time.Duration `json:"duration,omitempty"`
-	ref      frameRef
+	ref      seglog.Ref
 }
 
 // Summary is one persisted bundle's index entry, as reported by List.
@@ -245,7 +249,7 @@ func New(cfg Config) (*Recorder, error) {
 		Prefix:         segPrefix,
 		MaxSegmentSize: cfg.MaxSegmentSize,
 		MaxSegments:    cfg.MaxSegments,
-	}, func(payload []byte, ref frameRef) error {
+	}, func(payload []byte, ref seglog.Ref) error {
 		var b Bundle
 		if err := json.Unmarshal(payload, &b); err != nil {
 			// A committed frame that is not a bundle is foreign; skip it
@@ -271,7 +275,7 @@ func New(cfg Config) (*Recorder, error) {
 	return r, nil
 }
 
-func (r *Recorder) indexBundle(b *Bundle, ref frameRef) {
+func (r *Recorder) indexBundle(b *Bundle, ref seglog.Ref) {
 	s := &summary{
 		Trace: b.Trace, Time: b.Time, User: b.User,
 		Result: b.Result, Reason: b.Reason, Duration: b.Duration,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"openmfa/internal/seglog"
 )
 
 // ReadDir reads every committed bundle from a recorder directory (or a
@@ -23,13 +25,13 @@ func ReadDir(path string) ([]Bundle, error) {
 		if dir == "" {
 			dir = "."
 		}
-		seq, ok := segSeq(name)
+		seq, ok := seglog.SegSeq(segPrefix, name)
 		if !ok {
-			return nil, fmt.Errorf("flightrec: %s is not a %sNNNNNN%s segment", path, segPrefix, segSuffix)
+			return nil, fmt.Errorf("flightrec: %s is not a %sNNNNNN%s segment", path, segPrefix, seglog.SegSuffix)
 		}
 		return readSegmentBundles(dir, seq)
 	}
-	seqs, err := listSegments(path)
+	seqs, err := seglog.ListSegments(path, segPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: %w", err)
 	}
@@ -46,7 +48,7 @@ func ReadDir(path string) ([]Bundle, error) {
 
 func readSegmentBundles(dir string, seq uint64) ([]Bundle, error) {
 	var out []Bundle
-	_, err := scanSegment(dir, seq, func(payload []byte, _ frameRef) error {
+	_, err := seglog.ScanSegment(dir, segPrefix, seq, func(payload []byte, _ seglog.Ref) error {
 		var b Bundle
 		if err := json.Unmarshal(payload, &b); err != nil {
 			return nil // foreign committed frame; skip

@@ -1,12 +1,13 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"openmfa/internal/seglog"
 )
 
 func writeBundles(t *testing.T, dir string, n int) []string {
@@ -33,7 +34,8 @@ func writeBundles(t *testing.T, dir string, n int) []string {
 	return traces
 }
 
-// TestTornTailSweep is the crash-recovery exhaustiveness test: a segment
+// TestTornTailSweep is the crash-recovery exhaustiveness test at the bundle
+// level (the frame codec's own cases live in internal/seglog): a segment
 // holding several bundles is truncated at EVERY byte offset, and recovery
 // must (a) never error, (b) recover exactly the bundles whose frames lie
 // entirely before the cut, (c) never produce a half-bundle, and (d) leave
@@ -41,7 +43,7 @@ func writeBundles(t *testing.T, dir string, n int) []string {
 func TestTornTailSweep(t *testing.T) {
 	src := t.TempDir()
 	traces := writeBundles(t, src, 4)
-	segPath := filepath.Join(src, segName(1))
+	segPath := filepath.Join(src, seglog.SegName(segPrefix, 1))
 	data, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func TestTornTailSweep(t *testing.T) {
 	// Frame boundaries: recovery at a boundary keeps every frame before it.
 	boundaries := []int{0}
 	for off := 0; off < len(data); {
-		_, frameLen, err := decodeFrame(data[off:])
+		_, frameLen, err := seglog.DecodeFrame(data[off:])
 		if err != nil {
 			t.Fatalf("intact segment has bad frame at %d: %v", off, err)
 		}
@@ -69,7 +71,7 @@ func TestTornTailSweep(t *testing.T) {
 
 	for cut := len(data); cut >= 0; cut-- {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), data[:cut], 0o600); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, seglog.SegName(segPrefix, 1)), data[:cut], 0o600); err != nil {
 			t.Fatal(err)
 		}
 		rec, err := New(Config{Dir: dir, Policy: Policy{}})
@@ -88,7 +90,7 @@ func TestTornTailSweep(t *testing.T) {
 		}
 		// The torn segment must have been truncated back to its last
 		// committed frame.
-		fi, err := os.Stat(filepath.Join(dir, segName(1)))
+		fi, err := os.Stat(filepath.Join(dir, seglog.SegName(segPrefix, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,64 +114,6 @@ func TestTornTailSweep(t *testing.T) {
 			t.Fatalf("cut=%d: new bundle unreadable after recovery", cut)
 		}
 		rec.Stop()
-	}
-}
-
-// TestCorruptFrameStopsRecovery flips a payload byte mid-segment:
-// everything before the corruption recovers, everything after is
-// discarded (frame streams have no resync point — mirroring the store
-// WAL's prefix rule).
-func TestCorruptFrameStopsRecovery(t *testing.T) {
-	dir := t.TempDir()
-	writeBundles(t, dir, 3)
-	segPath := filepath.Join(dir, segName(1))
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, first, err := decodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[first+frameHeaderSize+4] ^= 0xFF // corrupt frame 2's payload
-	if err := os.WriteFile(segPath, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := New(Config{Dir: dir, Policy: Policy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Stop()
-	if rec.Len() != 1 {
-		t.Fatalf("recovered %d bundles past corruption, want 1", rec.Len())
-	}
-	if b, err := rec.Get("tr-00"); err != nil || b == nil {
-		t.Fatalf("pre-corruption bundle lost: %v", err)
-	}
-}
-
-// TestFrameRoundTrip pins the frame layout against the store WAL
-// discipline: length, CRC, payload, commit marker.
-func TestFrameRoundTrip(t *testing.T) {
-	payload, _ := json.Marshal(Bundle{Trace: "x", Reason: ReasonFailed})
-	frame := encodeFrame(payload)
-	if frame[len(frame)-1] != commitMarker {
-		t.Fatal("frame missing trailing commit marker")
-	}
-	got, n, err := decodeFrame(frame)
-	if err != nil || n != len(frame) || string(got) != string(payload) {
-		t.Fatalf("round trip: %q, %d, %v", got, n, err)
-	}
-	for _, mutate := range []func([]byte){
-		func(b []byte) { b[len(b)-1] = 0 },         // marker
-		func(b []byte) { b[frameHeaderSize] ^= 1 }, // payload -> CRC mismatch
-		func(b []byte) { b[0], b[1] = 0xFF, 0xFF }, // absurd length
-	} {
-		c := append([]byte(nil), frame...)
-		mutate(c)
-		if _, _, err := decodeFrame(c); err == nil {
-			t.Fatal("mutated frame decoded cleanly")
-		}
 	}
 }
 

@@ -8,13 +8,15 @@
 //	2016-09-06  countdown mode (phase 2)
 //	2016-10-04  MFA mandatory ("full" mode, phase 3)
 //
-// Every login in the simulation exercises the real stack: the Figure 1 PAM
-// configuration, the exemption list, LDAP pairing lookups, and live RADIUS
-// exchanges over UDP against the otpd validation engine. Pairings create
-// real tokens; SMS codes travel through the SMS sender; failures hit the
-// real lockout counters. Only the SSH wire framing is bypassed (the PAM
-// stack is invoked in-process) to keep multi-month simulations fast — the
-// sshd package's own tests cover that layer.
+// Both simulators (this one and the adaptive-MFA attack-mix evaluation in
+// riskeval.go) run on the deployment core.New builds, so every login
+// exercises the stack that ships: the Figure 1 PAM configuration, the
+// exemption list, LDAP pairing lookups, and live RADIUS exchanges over UDP
+// against the otpd validation engine. Pairings create real tokens; SMS
+// codes travel through the SMS gateway to virtual handsets; failures hit
+// the real lockout counters. Only the SSH wire framing is bypassed (the
+// PAM stack is invoked in-process, see deploy.go) to keep multi-month
+// simulations fast — the sshd package's own tests cover that layer.
 package rollout
 
 import (
@@ -39,16 +41,13 @@ type Config struct {
 	Announce, Phase2, Phase3 time.Time
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// Events, when set, receives the run's typed auth events live: one
-	// login event per attempt (stamped on the scheduled simulation day, so
-	// streaming day buckets aggregate exactly like the batch report) plus
-	// the otpd-side SMS, lockout, and enrolment events. The bus consumes
-	// no randomness, so a run's figures are identical with or without it.
+	// Events, when set, is the deployment's analytics bus: one login
+	// event per attempt (stamped on the scheduled simulation day, so
+	// streaming day buckets aggregate exactly like the reference series)
+	// plus whatever the components publish (SMS, lockouts, enrolments,
+	// RADIUS decisions). The bus consumes no randomness, so a run's
+	// figures are identical with or without it.
 	Events *eventstream.Bus
-	// StoreShards is the shard count for the simulation's in-memory
-	// stores (0 = GOMAXPROCS-scaled default). Sharding changes lock
-	// contention only, never results: runs are identical per seed.
-	StoreShards int
 }
 
 func (c Config) withDefaults() Config {

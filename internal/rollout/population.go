@@ -8,6 +8,7 @@ import (
 
 	"openmfa/internal/idm"
 	"openmfa/internal/otpd"
+	"openmfa/internal/sms"
 )
 
 // person is one synthetic account and its behaviour profile.
@@ -30,13 +31,10 @@ type person struct {
 	shell string
 
 	// Populated when the pairing happens.
-	secret     []byte
+	secret     []byte     // soft token seed
+	handset    *sms.Phone // where SMS token texts arrive
 	staticCode string
 	paired     bool
-
-	// givenUp is set when a never-pairing user stops trying after the
-	// mandatory deadline locks them out.
-	deniedAttempts int
 }
 
 // classMix is the population composition. The §2/§4.1 description: most

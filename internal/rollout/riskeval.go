@@ -1,7 +1,7 @@
 // Risk-based adaptive-MFA attack-mix evaluation (DESIGN.md §14): the same
-// deterministic attempt schedule is replayed twice over fresh
-// infrastructure — once through the plain Figure 1 stack ("off" arm), once
-// with the risk gate wired in ("on" arm) — and the two arms are compared
+// deterministic attempt schedule is replayed twice over fresh core.New
+// deployments — once through the plain Figure 1 stack ("off" arm), once
+// with Options.Risk set ("on" arm) — and the two arms are compared
 // on usability (MFA prompts shown to legitimate users, SMS volume) and
 // security (attacker success per scenario).
 //
@@ -30,30 +30,21 @@
 package rollout
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"openmfa/internal/accessctl"
-	"openmfa/internal/authlog"
-	"openmfa/internal/authwatch"
-	"openmfa/internal/clock"
-	"openmfa/internal/cryptoutil"
-	"openmfa/internal/directory"
 	"openmfa/internal/eventstream"
-	"openmfa/internal/geoip"
 	"openmfa/internal/idm"
-	"openmfa/internal/obs"
+	"openmfa/internal/metrics"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
 	"openmfa/internal/pam"
-	"openmfa/internal/radius"
-	"openmfa/internal/risk"
-	"openmfa/internal/store"
+	"openmfa/internal/sms"
 )
 
 // RiskEvalConfig parameterises RunRiskEval. Zero values take defaults.
@@ -74,8 +65,6 @@ type RiskEvalConfig struct {
 	Events *eventstream.Bus
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// StoreShards is the shard count for the in-memory back ends.
-	StoreShards int
 }
 
 func (c RiskEvalConfig) withDefaults() RiskEvalConfig {
@@ -119,24 +108,14 @@ type RiskScenarioResult struct {
 	Off, On     RiskArmStats
 }
 
-// RiskDay is one on-arm day's aggregates, mirroring the authwatch series
-// so streaming aggregation can be cross-checked exactly.
-type RiskDay struct {
-	Date           string
-	TrafficAll     int
-	TrafficExt     int
-	TrafficExtMFA  int
-	UniqueMFAUsers int
-	LoginFailures  int
-}
-
-// RiskEvalResult carries everything the report and cross-check need.
+// RiskEvalResult carries everything the report and CrossCheck need.
 type RiskEvalResult struct {
 	Config    RiskEvalConfig
 	Scenarios []RiskScenarioResult
-	// Days are the on-arm daily aggregates across all scenarios (user
-	// names are scenario-prefixed, so merging days is collision-free).
-	Days []RiskDay
+	// Metrics holds the on-arm daily login series across all scenarios,
+	// under the rollout simulator's series names (user names are
+	// scenario-prefixed, so merging the scenarios' days is collision-free).
+	Metrics *metrics.Daily
 	// SMSTotal is the on-arm SMS volume across all scenarios.
 	SMSTotal int
 }
@@ -399,165 +378,45 @@ func genTravel(rng *rand.Rand, cfg RiskEvalConfig) ([]*rperson, []rattempt) {
 	return people, sched
 }
 
-// riskArm is one scenario arm's live infrastructure.
+// riskArm is one scenario arm: a fresh deployment and what its principals
+// hold.
 type riskArm struct {
-	clk     *clock.Sim
-	obs     *obs.Registry
-	idm     *idm.IDM
-	dir     *directory.Dir
-	otp     *otpd.Server
-	alog    *authlog.Log
-	acl     *accessctl.List
-	pool    *radius.Pool
-	servers []*radius.Server
-	stack   *pam.Stack
-	engine  *risk.Engine // nil on the off arm
-	secrets map[string][]byte
-
-	smsMu    sync.Mutex
-	smsCodes map[string]string
-	smsCount int
+	*deployment
+	secrets map[string][]byte     // user → token seed
+	phones  map[string]*sms.Phone // user → handset (SMS accounts)
 }
 
-func (a *riskArm) teardown() {
-	for _, rs := range a.servers {
-		rs.Close()
-	}
-}
-
-// riskEval accumulates the on-arm streaming aggregates across scenarios.
-type riskEval struct {
-	cfg  RiskEvalConfig
-	days map[int64]*riskDayBucket
-	sms  int
-}
-
-type riskDayBucket struct {
-	trafficAll, trafficExt, trafficExtMFA, failures int
-	mfa                                             map[string]struct{}
-}
-
-// newArm builds fresh infrastructure (accounts, tokens, RADIUS farm, PAM
-// stack) for one arm of one scenario, mirroring the rollout simulator's
-// wiring; the on arm adds the risk gate and imports each account's
-// pre-evaluation login history.
-func (ev *riskEval) newArm(people []*rperson, on bool) (*riskArm, error) {
-	cfg := ev.cfg
-	arm := &riskArm{
-		clk:      clock.NewSim(cfg.Start.AddDate(0, 0, -warmupDays-1)),
-		obs:      obs.NewRegistry(),
-		secrets:  make(map[string][]byte),
-		smsCodes: make(map[string]string),
-	}
-	arm.dir = directory.New()
-	arm.idm = idm.New(store.OpenMemoryShards(cfg.StoreShards), arm.dir, arm.clk)
+// newArm deploys fresh infrastructure for one arm of one scenario and
+// enrols the population; the on arm carries the risk gate and imports each
+// account's pre-evaluation login history.
+func newArm(cfg RiskEvalConfig, people []*rperson, on bool) (*riskArm, error) {
 	var events *eventstream.Bus
+	var exempt []string
 	if on {
 		events = cfg.Events
 	}
-	var err error
-	arm.otp, err = otpd.New(otpd.Config{
-		DB:            store.OpenMemoryShards(cfg.StoreShards),
-		EncryptionKey: cryptoutil.RandomBytes(32),
-		Clock:         arm.clk,
-		Issuer:        "HPC",
-		Obs:           arm.obs,
-		Events:        events,
-		SMS: otpd.SMSSenderFunc(func(phone, body string) error {
-			arm.smsMu.Lock()
-			f := strings.Fields(body)
-			arm.smsCodes[phone] = f[len(f)-1]
-			arm.smsCount++
-			arm.smsMu.Unlock()
-			return nil
-		}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if arm.alog, err = authlog.New("", 1<<12); err != nil {
-		return nil, err
-	}
-
-	var aclText strings.Builder
-	aclText.WriteString("permit : ALL : 10.128.0.0/16 : ALL\n")
 	for _, p := range people {
 		if p.exempt {
-			fmt.Fprintf(&aclText, "permit : %s : ALL : ALL\n", p.name)
+			exempt = append(exempt, p.name)
 		}
 	}
-	rules, err := accessctl.Parse(aclText.String())
+	d, err := deploy(cfg.Start.AddDate(0, 0, -warmupDays-1), events, pam.ModeFull, exempt, on)
 	if err != nil {
 		return nil, err
 	}
-	arm.acl = accessctl.NewList(rules)
-
-	secret := cryptoutil.RandomBytes(16)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		rs := &radius.Server{Secret: secret, Handler: &otpd.RadiusHandler{OTP: arm.otp}, Obs: arm.obs}
-		if err := rs.ListenAndServe("127.0.0.1:0"); err != nil {
-			arm.teardown()
+	arm := &riskArm{
+		deployment: d,
+		secrets:    make(map[string][]byte),
+		phones:     make(map[string]*sms.Phone),
+	}
+	for _, p := range people {
+		if err := arm.enrol(p); err != nil {
+			d.inf.Close()
 			return nil, err
 		}
-		arm.servers = append(arm.servers, rs)
-		addrs = append(addrs, rs.Addr().String())
 	}
-	arm.pool = radius.NewPool(addrs, secret, 2*time.Second, 1)
-	arm.pool.Obs = arm.obs
 
-	mode := &modeSwitch{}
-	mode.set(pam.TokenConfig{Mode: pam.ModeFull})
-	scfg := pam.SSHDStackConfig{
-		AuthLog:    arm.alog,
-		IDM:        arm.idm,
-		Exemptions: arm.acl,
-		TokenCfg:   mode,
-		Pairing:    pam.LocalPairing{Dir: arm.dir},
-		Radius:     arm.pool,
-	}
 	if on {
-		arm.engine = risk.New(risk.Options{
-			Geo:    geoip.Synthetic(),
-			Policy: risk.AdaptivePolicy(),
-			Obs:    arm.obs,
-			Events: events,
-		})
-		arm.stack = pam.NewSSHDStackWithRisk(scfg, arm.engine, nil)
-	} else {
-		arm.stack = pam.NewSSHDStack(scfg)
-	}
-
-	for _, p := range people {
-		class := idm.ClassUser
-		if p.exempt {
-			class = idm.ClassGateway
-		}
-		if _, err := arm.idm.Create(p.name, p.name+"@hpc.example", p.password, class); err != nil {
-			arm.teardown()
-			return nil, err
-		}
-		switch p.device {
-		case otpd.TokenSMS:
-			enr, err := arm.otp.InitSMSToken(p.name, p.phone)
-			if err != nil {
-				arm.teardown()
-				return nil, err
-			}
-			arm.secrets[p.name] = enr.Secret
-			arm.idm.SetPairing(p.name, idm.PairingSMS)
-		case otpd.TokenSoft:
-			enr, err := arm.otp.InitSoftToken(p.name)
-			if err != nil {
-				arm.teardown()
-				return nil, err
-			}
-			arm.secrets[p.name] = enr.Secret
-			arm.idm.SetPairing(p.name, idm.PairingSoft)
-		}
-	}
-
-	if arm.engine != nil {
 		// Import each account's pre-evaluation history: habitual network,
 		// country, and working hours (spread so no in-window hour reads as
 		// off-hours). This is what a production deployment accumulates
@@ -567,140 +426,87 @@ func (ev *riskEval) newArm(people []*rperson, on bool) (*riskArm, error) {
 			for i := 0; i < warmupDays; i++ {
 				at := cfg.Start.AddDate(0, 0, i-warmupDays).
 					Add(time.Duration(hours[i%len(hours)]) * time.Hour)
-				arm.engine.RecordSuccess(p.name, p.home, at)
+				d.engine.RecordSuccess(p.name, p.home, at)
 			}
 		}
 	}
 	return arm, nil
 }
 
-// record folds one on-arm login outcome into the daily aggregates and, if
-// a bus is wired, publishes the login event (stamped on the scheduled day,
-// mirroring the rollout simulator's convention).
-func (ev *riskEval) record(date, at time.Time, user string, ip net.IP, granted, mfa bool) {
-	evTime := at
-	if evTime.Unix()/86400 != date.Unix()/86400 {
-		evTime = date.Add(24*time.Hour - time.Second)
+func (arm *riskArm) enrol(p *rperson) error {
+	class := idm.ClassUser
+	if p.exempt {
+		class = idm.ClassGateway
 	}
-	result := "reject"
-	if granted {
-		result = "accept"
+	if _, err := arm.inf.CreateUser(p.name, p.name+"@hpc.example", p.password, class); err != nil {
+		return err
 	}
-	if ev.cfg.Events != nil {
-		ev.cfg.Events.Publish(eventstream.Event{
-			Time: evTime, Type: eventstream.TypeLogin, Component: "sshd",
-			User: user, Addr: ip.String(), Result: result, MFA: mfa,
-		})
+	var enr *otpd.Enrollment
+	var err error
+	switch p.device {
+	case otpd.TokenSMS:
+		enr, arm.phones[p.name], err = arm.inf.PairSMS(p.name, p.phone)
+	case otpd.TokenSoft:
+		enr, err = arm.inf.PairSoft(p.name)
 	}
-	k := evTime.Unix() / 86400
-	b := ev.days[k]
-	if b == nil {
-		b = &riskDayBucket{mfa: make(map[string]struct{})}
-		ev.days[k] = b
+	if enr != nil {
+		arm.secrets[p.name] = enr.Secret
 	}
-	if granted {
-		b.trafficAll++
-		b.trafficExt++ // every evaluation source is outside 10.128/16
-		if mfa {
-			b.trafficExtMFA++
-			b.mfa[user] = struct{}{}
-		}
-	} else {
-		b.failures++
-	}
+	return err
 }
 
-// riskEvalConv plays the principal's side of the conversation: the
-// account's real password (all scripted attacks assume it leaked) and a
-// second factor per the attempt kind.
-type riskEvalConv struct {
-	arm *riskArm
-	a   *rattempt
-	at  time.Time
-
-	prompted bool
-	tokenOK  bool
-}
-
-func (c *riskEvalConv) Prompt(echo bool, msg string) (string, error) {
-	switch {
-	case strings.Contains(msg, "Password"):
-		return c.a.p.password, nil
-	case strings.Contains(msg, "Token"):
-		c.prompted = true
-		code, err := c.code()
-		if err != nil {
-			// A code-less attacker answers with a structurally invalid
-			// guess (7 digits; otpd requires exactly 6). A well-formed
-			// guess like "000000" would carry a real ~1e-6-per-window
-			// chance of matching the run's random secrets — faithful to
-			// an actual guessing attacker, but a determinism hole for a
-			// byte-identical evaluation.
-			return "0000000", nil
-		}
-		c.tokenOK = true
-		return code, nil
-	default:
-		return "", nil
-	}
-}
-
-func (c *riskEvalConv) Info(string) error { return nil }
-
-func (c *riskEvalConv) code() (string, error) {
-	p := c.a.p
-	switch c.a.kind {
+// code is the second factor the attempt's principal holds at at.
+func (arm *riskArm) code(a *rattempt, at time.Time, conv *deviceConv) (string, error) {
+	p := a.p
+	switch a.kind {
 	case kindStuff:
-		return "", fmt.Errorf("attacker holds no second factor")
+		return "", errors.New("attacker holds no second factor")
 	case kindReplay:
 		// The code the victim consumed replayLag ago, inside the same
 		// TOTP step.
-		return otp.TOTP(c.arm.secrets[p.name], c.at.Add(-replayLag), c.arm.otp.OTPOptions())
+		return otp.TOTP(arm.secrets[p.name], at.Add(-replayLag), arm.inf.OTP.OTPOptions())
 	default:
 		// legit: the user's own device. simswap: the ported phone receives
 		// this attempt's text. phish: the relay reads the current code off
 		// the victim's screen. All three resolve to the live device value.
 		if p.device == otpd.TokenSMS {
-			c.arm.smsMu.Lock()
-			code := c.arm.smsCodes[p.phone]
-			c.arm.smsMu.Unlock()
-			if code == "" {
-				return "", fmt.Errorf("no sms received")
-			}
-			return code, nil
+			return conv.smsCode()
 		}
-		sec := c.arm.secrets[p.name]
+		sec := arm.secrets[p.name]
 		if sec == nil {
-			return "", fmt.Errorf("unpaired")
+			return "", errors.New("unpaired")
 		}
-		return otp.TOTP(sec, c.arm.clk.Now(), c.arm.otp.OTPOptions())
+		return otp.TOTP(sec, at, arm.inf.OTP.OTPOptions())
 	}
 }
 
-// runArm replays the schedule through one arm's stack.
-func (ev *riskEval) runArm(arm *riskArm, sched []rattempt, on bool) RiskArmStats {
+// run replays the schedule through the arm's stack. ref, when set,
+// receives every outcome's contribution to the reference daily series —
+// the ones the rollout simulator counts, so one CrossCheck serves both.
+func (arm *riskArm) run(start time.Time, sched []rattempt, ref *metrics.Daily) RiskArmStats {
 	var stats RiskArmStats
+	type dayUser struct {
+		day  int
+		user string
+	}
+	mfaSeen := make(map[dayUser]bool) // already counted in SeriesUniqueMFAUsers
 	for i := range sched {
 		a := &sched[i]
-		date := ev.cfg.Start.AddDate(0, 0, a.day)
+		date := start.AddDate(0, 0, a.day)
 		at := date.Add(a.off)
-		arm.clk.Set(at)
 
-		conv := &riskEvalConv{arm: arm, a: a, at: at}
-		ctx := &pam.Context{
-			User: a.p.name, RemoteAddr: a.ip, Service: "sshd",
-			Conv: conv, Now: arm.clk.Now,
-			Trace: obs.NewTraceID(), Metrics: arm.obs,
+		// Every principal knows the account's real password (all scripted
+		// attacks assume it leaked). A code-less attacker answers with a
+		// structurally invalid guess (7 digits; otpd requires exactly 6):
+		// a well-formed one like "000000" would carry a real
+		// ~1e-6-per-window chance of matching the run's random secrets —
+		// faithful to a guessing attacker, but a determinism hole for a
+		// byte-identical evaluation.
+		conv := &deviceConv{
+			password: a.p.password, guess: "0000000", handset: arm.phones[a.p.name],
+			code: func(c *deviceConv) (string, error) { return arm.code(a, at, c) },
 		}
-		granted := arm.stack.Authenticate(ctx) == nil
-		if arm.engine != nil {
-			// The sshd wiring's outcome feedback.
-			if granted {
-				arm.engine.RecordSuccess(a.p.name, a.ip, at)
-			} else {
-				arm.engine.RecordFailure(a.p.name, a.ip, at)
-			}
-		}
+		granted := arm.login(date, at, a.p.name, a.ip, conv, nil)
 
 		if a.attacker() {
 			stats.AttackerTries++
@@ -716,15 +522,26 @@ func (ev *riskEval) runArm(arm *riskArm, sched []rattempt, on bool) RiskArmStats
 				stats.LegitPrompts++
 			}
 		}
-		if on {
-			ev.record(date, at, a.p.name, a.ip, granted, granted && conv.tokenOK)
+		switch {
+		case ref == nil:
+		case !granted:
+			ref.Add(date, SeriesLoginFailures, 1)
+		default:
+			ref.Add(date, SeriesTrafficAll, 1)
+			ref.Add(date, SeriesTrafficExternal, 1) // every evaluation source is outside 10.128/16
+			if conv.tokenOK {
+				ref.Add(date, SeriesTrafficExtMFA, 1)
+				if k := (dayUser{a.day, a.p.name}); !mfaSeen[k] {
+					mfaSeen[k] = true
+					ref.Add(date, SeriesUniqueMFAUsers, 1)
+				}
+			}
 		}
 	}
-	stats.SMS = arm.smsCount
-	if on {
-		ev.sms += arm.smsCount
+	stats.SMS = arm.inf.SMS.Cost().Messages
+	if arm.engine != nil {
 		dec := func(name string) int {
-			return int(arm.obs.Counter("risk_decisions_total", "decision", name).Value())
+			return int(arm.inf.Obs.Counter("risk_decisions_total", "decision", name).Value())
 		}
 		stats.Skips, stats.Allows = dec("skip"), dec("allow")
 		stats.StepUps, stats.Denies = dec("step_up"), dec("deny")
@@ -736,8 +553,10 @@ func (ev *riskEval) runArm(arm *riskArm, sched []rattempt, on bool) RiskArmStats
 // and returns the comparative result. Deterministic per config.
 func RunRiskEval(cfg RiskEvalConfig) (*RiskEvalResult, error) {
 	cfg = cfg.withDefaults()
-	ev := &riskEval{cfg: cfg, days: make(map[int64]*riskDayBucket)}
-	res := &RiskEvalResult{Config: cfg}
+	res := &RiskEvalResult{
+		Config:  cfg,
+		Metrics: metrics.NewDaily(cfg.Start, cfg.Start.AddDate(0, 0, cfg.Days-1)),
+	}
 
 	scenarios := []struct {
 		name, desc string
@@ -756,17 +575,17 @@ func RunRiskEval(cfg RiskEvalConfig) (*RiskEvalResult, error) {
 
 		sr := RiskScenarioResult{Name: sc.name, Description: sc.desc}
 		for _, on := range []bool{false, true} {
-			arm, err := ev.newArm(people, on)
+			arm, err := newArm(cfg, people, on)
 			if err != nil {
 				return nil, fmt.Errorf("riskeval %s: %w", sc.name, err)
 			}
-			stats := ev.runArm(arm, sched, on)
-			arm.teardown()
 			if on {
-				sr.On = stats
+				sr.On = arm.run(cfg.Start, sched, res.Metrics)
+				res.SMSTotal += sr.On.SMS
 			} else {
-				sr.Off = stats
+				sr.Off = arm.run(cfg.Start, sched, nil)
 			}
+			arm.inf.Close()
 		}
 		res.Scenarios = append(res.Scenarios, sr)
 		if cfg.Logf != nil {
@@ -775,24 +594,6 @@ func RunRiskEval(cfg RiskEvalConfig) (*RiskEvalResult, error) {
 				sr.On.Breaches, sr.On.AttackerTries, sr.On.LegitPrompts)
 		}
 	}
-
-	keys := make([]int64, 0, len(ev.days))
-	for k := range ev.days {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		b := ev.days[k]
-		res.Days = append(res.Days, RiskDay{
-			Date:           time.Unix(k*86400, 0).UTC().Format("2006-01-02"),
-			TrafficAll:     b.trafficAll,
-			TrafficExt:     b.trafficExt,
-			TrafficExtMFA:  b.trafficExtMFA,
-			UniqueMFAUsers: len(b.mfa),
-			LoginFailures:  b.failures,
-		})
-	}
-	res.SMSTotal = ev.sms
 	return res, nil
 }
 
@@ -878,60 +679,4 @@ func (r *RiskEvalResult) Report() string {
 		fmt.Fprintf(&b, "  %-20s on  |%s| %4.0f%%\n", "", riskBar(on, 24), 100*on)
 	}
 	return b.String()
-}
-
-// RiskCrossCheck compares the on-arm daily aggregates against what an
-// authwatch watcher accumulated from the same bus (the streaming pipeline
-// computed by entirely independent code). Call after Watcher.Stop.
-func RiskCrossCheck(res *RiskEvalResult, w *authwatch.Watcher) error {
-	var diffs []string
-	addDiff := func(format string, args ...any) {
-		if len(diffs) < 10 {
-			diffs = append(diffs, fmt.Sprintf(format, args...))
-		}
-	}
-	if n := w.Dropped(); n > 0 {
-		addDiff("subscription dropped %d events; streaming aggregates are incomplete", n)
-	}
-	snap := w.Snapshot()
-	days := make(map[string]authwatch.DaySnapshot, len(snap.Days))
-	for _, d := range snap.Days {
-		days[d.Date] = d
-	}
-	checked := make(map[string]bool, len(res.Days))
-	for _, d := range res.Days {
-		checked[d.Date] = true
-		ds := days[d.Date]
-		compare := func(what string, eval, stream int) {
-			if eval != stream {
-				addDiff("%s %s: eval=%d stream=%d", d.Date, what, eval, stream)
-			}
-		}
-		compare("traffic_all", d.TrafficAll, ds.TrafficAll)
-		compare("traffic_external", d.TrafficExt, ds.TrafficExt)
-		compare("traffic_ext_mfa", d.TrafficExtMFA, ds.TrafficExtMFA)
-		compare("unique_mfa_users", d.UniqueMFAUsers, ds.UniqueMFAUsers)
-		compare("login_failures", d.LoginFailures, ds.LoginFailures)
-	}
-	for _, d := range snap.Days {
-		if !checked[d.Date] && (d.TrafficAll > 0 || d.LoginFailures > 0) {
-			addDiff("stream has login activity on %s, outside the evaluation calendar", d.Date)
-		}
-	}
-	if snap.SMSTotal != res.SMSTotal {
-		addDiff("sms total: eval=%d stream=%d", res.SMSTotal, snap.SMSTotal)
-	}
-	if len(diffs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("riskeval: streaming/eval aggregate mismatch:\n  %s",
-		strings.Join(diffs, "\n  "))
-}
-
-// RiskCrossCheckSummary is the one-line success report for RiskCrossCheck.
-func RiskCrossCheckSummary(res *RiskEvalResult, w *authwatch.Watcher) string {
-	snap := w.Snapshot()
-	return fmt.Sprintf(
-		"authwatch: %d events streamed (%d dropped), %d days: daily aggregates and %d SMS match the risk eval",
-		snap.Events, snap.Dropped, len(snap.Days), snap.SMSTotal)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"openmfa/internal/authwatch"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/geoip"
 	"openmfa/internal/risk"
@@ -107,39 +106,8 @@ func TestRiskEvalDeterministic(t *testing.T) {
 	if fmt.Sprintf("%+v", a.Scenarios) != fmt.Sprintf("%+v", b.Scenarios) {
 		t.Fatal("scenario stats differ between identical runs")
 	}
-	if fmt.Sprintf("%+v", a.Days) != fmt.Sprintf("%+v", b.Days) || a.SMSTotal != b.SMSTotal {
+	if seriesDump(a.Metrics) != seriesDump(b.Metrics) || a.SMSTotal != b.SMSTotal {
 		t.Fatal("daily aggregates differ between identical runs")
-	}
-}
-
-// The on-arm stream must aggregate to exactly the eval's own daily
-// numbers through authwatch's independent code path.
-func TestRiskEvalStreamingParity(t *testing.T) {
-	bus := eventstream.NewBus(nil)
-	watch := authwatch.New(authwatch.Config{})
-	watch.Attach(bus, 1<<16)
-
-	cfg := smallRiskCfg()
-	cfg.Events = bus
-	res, err := RunRiskEval(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	watch.Stop()
-	if err := RiskCrossCheck(res, watch); err != nil {
-		t.Fatal(err)
-	}
-	if s := RiskCrossCheckSummary(res, watch); !strings.Contains(s, "match the risk eval") {
-		t.Fatalf("summary = %q", s)
-	}
-	if len(res.Days) == 0 {
-		t.Fatal("no daily aggregates collected")
-	}
-
-	// A perturbed eval result must be detected, not silently accepted.
-	res.Days[0].TrafficAll++
-	if err := RiskCrossCheck(res, watch); err == nil {
-		t.Fatal("perturbed aggregates passed the cross-check")
 	}
 }
 

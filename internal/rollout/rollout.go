@@ -1,19 +1,15 @@
 package rollout
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
-	"openmfa/internal/accessctl"
 	"openmfa/internal/authlog"
-	"openmfa/internal/clock"
 	"openmfa/internal/cryptoutil"
-	"openmfa/internal/directory"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/idm"
 	"openmfa/internal/loganalysis"
@@ -22,8 +18,6 @@ import (
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
 	"openmfa/internal/pam"
-	"openmfa/internal/radius"
-	"openmfa/internal/store"
 )
 
 // Result carries everything the experiment emitters need.
@@ -71,53 +65,13 @@ func (r *Result) ObservabilityReport() string {
 type sim struct {
 	cfg     Config
 	rng     *rand.Rand
-	clk     *clock.Sim
 	metrics *metrics.Daily
-	obs     *obs.Registry
-	authDur *obs.Histogram
 	people  []*person
-
-	idm   *idm.IDM
-	dir   *directory.Dir
-	otp   *otpd.Server
-	alog  *authlog.Log
-	acl   *accessctl.List
-	pool  *radius.Pool
-	stack *pam.Stack
-	mode  *modeSwitch
-
-	radiusServers []*radius.Server
-
-	smsMu    sync.Mutex
-	smsCodes map[string]string // phone → last code body
-	smsCount int
+	*deployment
 
 	mfaLogins   int
 	totalLogins int
 	lastLogin   map[string]time.Time // per-user spacing for replay safety
-}
-
-type modeSwitch struct {
-	mu  sync.Mutex
-	cfg pam.TokenConfig
-}
-
-func (m *modeSwitch) TokenConfig() pam.TokenConfig {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cfg
-}
-
-func (m *modeSwitch) set(cfg pam.TokenConfig) {
-	m.mu.Lock()
-	m.cfg = cfg
-	m.mu.Unlock()
-}
-
-func (s *sim) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // Run executes the simulation and returns the collected evaluation data.
@@ -126,28 +80,29 @@ func Run(cfg Config) (*Result, error) {
 	s := &sim{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		clk:       clock.NewSim(cfg.Start),
 		metrics:   metrics.NewDaily(cfg.Start, cfg.End),
-		obs:       obs.NewRegistry(),
-		smsCodes:  make(map[string]string),
 		lastLogin: make(map[string]time.Time),
 	}
-	// End-to-end latency is wall-clock (the sim clock jumps days at a
-	// time); the histogram answers "how long does one login actually take
-	// through the full PAM → RADIUS → otpd path".
-	s.authDur = s.obs.Histogram("rollout_auth_duration_seconds", nil)
-	if err := s.build(); err != nil {
+	s.buildPopulation()
+
+	// Gateways and community automation keep a standing whitelist entry.
+	var gateways []string
+	for _, p := range s.people {
+		if p.class == idm.ClassGateway {
+			gateways = append(gateways, p.name)
+		}
+	}
+	var err error
+	s.deployment, err = deploy(cfg.Start, cfg.Events, pam.ModePaired, gateways, false)
+	if err != nil {
 		return nil, err
 	}
-	defer s.teardown()
-
-	s.buildPopulation()
-	s.register()
+	defer s.inf.Close()
 
 	for d := 0; d < s.metrics.Days; d++ {
 		s.runDay(d)
-		if d%30 == 29 {
-			s.logf("rollout: %s done (%d/%d days, %d logins so far)",
+		if d%30 == 29 && cfg.Logf != nil {
+			cfg.Logf("rollout: %s done (%d/%d days, %d logins so far)",
 				s.metrics.Date(d).Format("2006-01-02"), d+1, s.metrics.Days, s.totalLogins)
 		}
 	}
@@ -155,96 +110,8 @@ func Run(cfg Config) (*Result, error) {
 	return s.assemble(), nil
 }
 
-// build wires the infrastructure: real otpd + a two-server RADIUS farm +
-// the Figure 1 PAM stack.
-func (s *sim) build() error {
-	s.dir = directory.New()
-	s.idm = idm.New(store.OpenMemoryShards(s.cfg.StoreShards), s.dir, s.clk)
-	var err error
-	s.otp, err = otpd.New(otpd.Config{
-		DB:            store.OpenMemoryShards(s.cfg.StoreShards),
-		EncryptionKey: cryptoutil.RandomBytes(32),
-		Clock:         s.clk,
-		Issuer:        "HPC",
-		Obs:           s.obs,
-		Events:        s.cfg.Events,
-		SMS: otpd.SMSSenderFunc(func(phone, body string) error {
-			s.smsMu.Lock()
-			f := strings.Fields(body)
-			s.smsCodes[phone] = f[len(f)-1]
-			s.smsCount++
-			s.smsMu.Unlock()
-			return nil
-		}),
-	})
-	if err != nil {
-		return err
-	}
-	s.alog, err = authlog.New("", 1<<16)
-	if err != nil {
-		return err
-	}
-	// Internal system traffic moves freely (§3.4); gateways and
-	// community automation keep a standing whitelist entry.
-	rules, err := accessctl.Parse("permit : ALL : 10.128.0.0/16 : ALL\n")
-	if err != nil {
-		return err
-	}
-	s.acl = accessctl.NewList(rules)
-
-	secret := cryptoutil.RandomBytes(16)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		rs := &radius.Server{Secret: secret, Handler: &otpd.RadiusHandler{OTP: s.otp}, Obs: s.obs}
-		if err := rs.ListenAndServe("127.0.0.1:0"); err != nil {
-			return err
-		}
-		s.radiusServers = append(s.radiusServers, rs)
-		addrs = append(addrs, rs.Addr().String())
-	}
-	s.pool = radius.NewPool(addrs, secret, 2*time.Second, 1)
-	s.pool.Obs = s.obs
-
-	s.mode = &modeSwitch{}
-	s.mode.set(pam.TokenConfig{Mode: pam.ModePaired})
-	s.stack = pam.NewSSHDStack(pam.SSHDStackConfig{
-		AuthLog:    s.alog,
-		IDM:        s.idm,
-		Exemptions: s.acl,
-		TokenCfg:   s.mode,
-		Pairing:    pam.LocalPairing{Dir: s.dir},
-		Radius:     s.pool,
-	})
-	return nil
-}
-
-func (s *sim) teardown() {
-	for _, rs := range s.radiusServers {
-		rs.Close()
-	}
-}
-
-// register creates the IDM accounts that exist at simulation start, plus
-// the gateway exemption rules.
-func (s *sim) register() {
-	var exempt strings.Builder
-	exempt.WriteString("permit : ALL : 10.128.0.0/16 : ALL\n")
-	for _, p := range s.people {
-		if p.createdDay == 0 {
-			s.createAccount(p)
-		}
-		if p.class == idm.ClassGateway {
-			fmt.Fprintf(&exempt, "permit : %s : ALL : ALL\n", p.name)
-		}
-	}
-	rules, err := accessctl.Parse(exempt.String())
-	if err == nil {
-		s.acl.Replace(rules)
-	}
-}
-
 func (s *sim) createAccount(p *person) {
-	if _, err := s.idm.Create(p.name, p.name+"@hpc.example", p.password, p.class); err != nil {
+	if _, err := s.inf.CreateUser(p.name, p.name+"@hpc.example", p.password, p.class); err != nil {
 		panic("rollout: create account: " + err.Error())
 	}
 }
@@ -253,15 +120,15 @@ func (s *sim) createAccount(p *person) {
 func (s *sim) runDay(d int) {
 	date := s.metrics.Date(d)
 	s.clk.Set(date.Add(5 * time.Hour))
-	s.mode.set(pam.TokenConfig{
+	s.inf.Mode.Set(pam.TokenConfig{
 		Mode:     s.cfg.modeFor(date),
 		Deadline: s.cfg.Phase3.AddDate(0, 0, -1),
 		InfoURL:  "https://portal.hpc.example/mfa",
 	})
 
-	// Late-created accounts appear.
+	// Accounts appear on their creation day (most on day 0).
 	for _, p := range s.people {
-		if p.createdDay == d && p.createdDay != 0 {
+		if p.createdDay == d {
 			s.createAccount(p)
 		}
 	}
@@ -327,7 +194,6 @@ func (s *sim) runDay(d int) {
 			failures++
 			if !l.p.paired && !l.internal {
 				s.metrics.Add(date, SeriesDeniedUnpaired, 1)
-				l.p.deniedAttempts++
 			}
 			continue
 		}
@@ -353,42 +219,30 @@ func (s *sim) loginOffset() time.Duration {
 	return 6*time.Hour + time.Duration(s.rng.Int63n(int64(16*time.Hour)))
 }
 
-// pair provisions the person's device through the real back end.
+// pair provisions the person's device through the deployment's enrolment
+// entry points.
 func (s *sim) pair(p *person) bool {
+	var err error
 	switch p.device {
 	case otpd.TokenTraining:
-		if err := s.otp.SetStaticToken(p.name, p.staticCode); err != nil {
-			return false
-		}
-		s.idm.SetPairing(p.name, idm.PairingTraining)
+		err = s.inf.PairTraining(p.name, p.staticCode)
 	case otpd.TokenSMS:
-		enr, err := s.otp.InitSMSToken(p.name, p.phone)
-		if err != nil {
-			return false
-		}
-		p.secret = enr.Secret
-		s.idm.SetPairing(p.name, idm.PairingSMS)
+		_, p.handset, err = s.inf.PairSMS(p.name, p.phone)
 	case otpd.TokenHard:
+		// The fob holds the same pre-programmed seed as the back end; the
+		// simulated device reads codes via CurrentCode at login.
 		serial := "C200-" + p.name
-		if err := s.otp.ImportHardToken(serial, cryptoutil.RandomBytes(20)); err != nil {
-			return false
+		if err = s.inf.OTP.ImportHardToken(serial, cryptoutil.RandomBytes(20)); err == nil {
+			_, err = s.inf.PairHard(p.name, serial)
 		}
-		if _, err := s.otp.AssignHardToken(p.name, serial); err != nil {
-			return false
-		}
-		// The fob holds the same pre-programmed seed as the back end;
-		// the simulated device reads codes via CurrentCode at login.
-		s.idm.SetPairing(p.name, idm.PairingHard)
 	default: // soft
-		enr, err := s.otp.InitSoftToken(p.name)
-		if err != nil {
-			return false
+		var enr *otpd.Enrollment
+		if enr, err = s.inf.PairSoft(p.name); err == nil {
+			p.secret = enr.Secret
 		}
-		p.secret = enr.Secret
-		s.idm.SetPairing(p.name, idm.PairingSoft)
 	}
-	p.paired = true
-	return true
+	p.paired = err == nil
+	return p.paired
 }
 
 // doLogin pushes one login through the PAM stack. Returns (granted,
@@ -403,7 +257,6 @@ func (s *sim) doLogin(p *person, date time.Time, offset time.Duration, internal 
 		}
 	}
 	s.lastLogin[p.name] = at
-	s.clk.Set(at)
 
 	var ip net.IP
 	if internal {
@@ -415,106 +268,42 @@ func (s *sim) doLogin(p *person, date time.Time, offset time.Duration, internal 
 	// Public-key first factor: sshd would have verified the signature
 	// and written the log record the PAM module greps.
 	if p.pubkey {
-		s.alog.Append(authlog.Event{
-			Time: s.clk.Now(), Type: authlog.AcceptedPublickey,
+		s.inf.AuthLog.Append(authlog.Event{
+			Time: at, Type: authlog.AcceptedPublickey,
 			User: p.name, Addr: ip.String(), Port: 50000 + s.rng.Intn(9999),
 			TTY: s.rng.Float64() < p.tty, Shell: p.shell,
 		})
 	}
 
-	conv := &simConv{sim: s, p: p}
-	ctx := &pam.Context{
-		User: p.name, RemoteAddr: ip, Service: "sshd",
-		Conv: conv, Now: s.clk.Now,
-		Trace: obs.NewTraceID(), Metrics: s.obs,
+	conv := &deviceConv{
+		password: p.password, guess: "000000", handset: p.handset,
+		code: func(c *deviceConv) (string, error) { return s.deviceCode(p, c) },
 	}
-	start := time.Now()
-	err := s.stack.Authenticate(ctx)
-	s.authDur.ObserveSince(start)
-	if err != nil {
-		s.publishLogin(p, date, at, ip, "reject", false, false, "")
-		return false, false
-	}
-	tty := s.rng.Float64() < p.tty
-	s.alog.Append(authlog.Event{
-		Time: s.clk.Now(), Type: authlog.SessionOpen,
-		User: p.name, Addr: ip.String(), Port: 50000 + s.rng.Intn(9999),
-		TTY: tty, Shell: p.shell,
+	granted := s.login(date, at, p.name, ip, conv, func(ev *eventstream.Event) {
+		ev.TTY, ev.Shell = s.rng.Float64() < p.tty, p.shell
+		s.inf.AuthLog.Append(authlog.Event{
+			Time: at, Type: authlog.SessionOpen,
+			User: p.name, Addr: ip.String(), Port: 50000 + s.rng.Intn(9999),
+			TTY: ev.TTY, Shell: p.shell,
+		})
 	})
-	s.publishLogin(p, date, at, ip, "accept", conv.tokenOK, tty, p.shell)
-	return true, conv.tokenOK
+	return granted, granted && conv.tokenOK
 }
 
-// publishLogin mirrors sshd's per-connection login event for simulated
-// attempts (the sim invokes the PAM stack in-process, bypassing sshd). The
-// event is stamped on the scheduled simulation day — per-user replay
-// spacing can nudge the wall-clock instant past midnight, but the batch
-// report attributes every login to the day it was scheduled, and streaming
-// aggregation must bucket identically. Publishing draws no randomness.
-func (s *sim) publishLogin(p *person, date, at time.Time, ip net.IP, result string, usedMFA, tty bool, shell string) {
-	if s.cfg.Events == nil {
-		return
-	}
-	evTime := at
-	if evTime.Unix()/86400 != date.Unix()/86400 {
-		evTime = date.Add(24*time.Hour - time.Second)
-	}
-	s.cfg.Events.Publish(eventstream.Event{
-		Time: evTime, Type: eventstream.TypeLogin, Component: "sshd",
-		User: p.name, Addr: ip.String(), Result: result,
-		MFA: usedMFA, TTY: tty, Shell: shell,
-	})
-}
-
-// simConv plays the user's side of the conversation: password, token code
-// from the simulated device, countdown acknowledgements.
-type simConv struct {
-	sim     *sim
-	p       *person
-	tokenOK bool
-}
-
-func (c *simConv) Prompt(echo bool, msg string) (string, error) {
-	switch {
-	case strings.Contains(msg, "Password"):
-		return c.p.password, nil
-	case strings.Contains(msg, "Token"):
-		code, err := c.code()
-		if err != nil {
-			return "000000", nil
-		}
-		c.tokenOK = true // provisionally; a stack failure resets relevance
-		return code, nil
-	default:
-		return "", nil // countdown acknowledgement
-	}
-}
-
-func (c *simConv) Info(string) error { return nil }
-
-// code produces what the user's device would show right now.
-func (c *simConv) code() (string, error) {
-	p := c.p
+// deviceCode is what the person's device shows right now.
+func (s *sim) deviceCode(p *person, conv *deviceConv) (string, error) {
 	switch p.device {
 	case otpd.TokenTraining:
 		return p.staticCode, nil
 	case otpd.TokenSMS:
-		// The PAM module's null request already triggered the text;
-		// read it off the (instant-delivery) phone.
-		c.sim.smsMu.Lock()
-		code := c.sim.smsCodes[p.phone]
-		c.sim.smsMu.Unlock()
-		if code == "" {
-			return "", fmt.Errorf("no sms received")
-		}
-		return code, nil
+		return conv.smsCode()
 	case otpd.TokenHard:
-		return c.sim.otp.CurrentCode(p.name, 0)
+		return s.inf.OTP.CurrentCode(p.name, 0)
 	default:
 		if p.secret == nil {
-			return "", fmt.Errorf("unpaired")
+			return "", errors.New("unpaired")
 		}
-		return otp.TOTP(p.secret, c.sim.clk.Now(), c.sim.otp.OTPOptions())
+		return otp.TOTP(p.secret, s.clk.Now(), s.inf.OTP.OTPOptions())
 	}
 }
 
@@ -552,30 +341,26 @@ func (s *sim) tickets(date time.Time, newPairings, failures int) {
 // assemble builds the Result.
 func (s *sim) assemble() *Result {
 	counts := map[string]int{}
-	for _, ti := range s.otp.Tokens() {
+	for _, ti := range s.inf.OTP.Tokens() {
 		counts[string(ti.Type)]++
 	}
 	table1 := metrics.NewBreakdown("Token Device Pairing Type", counts)
 
 	var events []authlog.Event
-	s.alog.ScanRecent(func(e authlog.Event) bool {
+	s.inf.AuthLog.ScanRecent(func(e authlog.Event) bool {
 		events = append(events, e)
 		return true
 	})
 	analysis := loganalysis.Analyze(events, s.cfg.Start, s.cfg.End.AddDate(0, 0, 1))
 
-	s.smsMu.Lock()
-	smsN := s.smsCount
-	s.smsMu.Unlock()
-
 	return &Result{
 		Config:      s.cfg,
 		Metrics:     s.metrics,
 		Table1:      table1,
-		SMSMessages: smsN,
+		SMSMessages: s.inf.SMS.Cost().Messages,
 		Analysis:    analysis,
 		MFALogins:   s.mfaLogins,
 		TotalLogins: s.totalLogins,
-		Obs:         s.obs,
+		Obs:         s.inf.Obs,
 	}
 }

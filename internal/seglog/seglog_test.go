@@ -191,3 +191,166 @@ func TestForeignAndClosed(t *testing.T) {
 		t.Errorf("append after close = %v, want ErrClosed", err)
 	}
 }
+
+// TestFrameRoundTrip pins the frame layout against the store WAL
+// discipline: length, CRC, payload, commit marker.
+func TestFrameRoundTrip(t *testing.T) {
+	payload := []byte(`{"trace":"x","reason":"failed"}`)
+	frame := EncodeFrame(payload)
+	if frame[len(frame)-1] != CommitMarker {
+		t.Fatal("frame missing trailing commit marker")
+	}
+	got, n, err := DecodeFrame(frame)
+	if err != nil || n != len(frame) || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip: %q, %d, %v", got, n, err)
+	}
+	for _, mutate := range []func([]byte){
+		func(b []byte) { b[len(b)-1] = 0 },         // marker
+		func(b []byte) { b[FrameHeaderSize] ^= 1 }, // payload -> CRC mismatch
+		func(b []byte) { b[0], b[1] = 0xFF, 0xFF }, // absurd length
+	} {
+		c := append([]byte(nil), frame...)
+		mutate(c)
+		if _, _, err := DecodeFrame(c); err == nil {
+			t.Fatal("mutated frame decoded cleanly")
+		}
+	}
+}
+
+// TestCorruptFrameStopsRecovery flips a payload byte mid-segment:
+// everything before the corruption recovers, everything after is
+// discarded (frame streams have no resync point — mirroring the store
+// WAL's prefix rule).
+func TestCorruptFrameStopsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, dir, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("frame-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	seg := filepath.Join(dir, SegName(testPrefix, 1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := DecodeFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[first+FrameHeaderSize+4] ^= 0xFF // corrupt frame 2's payload
+	if err := os.WriteFile(seg, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []string
+	l, torn := openTest(t, dir, func(p []byte, _ Ref) error {
+		replayed = append(replayed, string(p))
+		return nil
+	})
+	defer l.Close()
+	if len(replayed) != 1 || replayed[0] != "frame-0" || torn != 1 {
+		t.Fatalf("replayed %v past corruption (torn=%d), want [frame-0] and one torn tail", replayed, torn)
+	}
+}
+
+// fuzzSegment is three committed frames back to back.
+func fuzzSegment() []byte {
+	var seg []byte
+	for _, p := range []string{"a", `{"trace":"tr-01","user":"alice"}`, string(bytes.Repeat([]byte{0xC3}, 40))} {
+		seg = append(seg, EncodeFrame([]byte(p))...)
+	}
+	return seg
+}
+
+// FuzzDecodeFrame: the decoder never panics, never reads past its input,
+// and accepts exactly what EncodeFrame would have written.
+func FuzzDecodeFrame(f *testing.F) {
+	seg := fuzzSegment()
+	f.Add(seg)
+	f.Add(seg[:len(seg)-1])
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0xC3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, n, err := DecodeFrame(data)
+		if err != nil {
+			if payload != nil || n != 0 {
+				t.Fatalf("error %v with payload %q, n=%d", err, payload, n)
+			}
+			return
+		}
+		if n != FrameHeaderSize+len(payload)+1 || n > len(data) {
+			t.Fatalf("frame length %d for a %d-byte payload in %d bytes", n, len(payload), len(data))
+		}
+		if !bytes.Equal(EncodeFrame(payload), data[:n]) {
+			t.Fatal("accepted frame is not what EncodeFrame writes for its payload")
+		}
+	})
+}
+
+// FuzzRecover: Open over an arbitrary segment never fails, replays exactly
+// the committed prefix a read-only scan sees, truncates the file to it,
+// stays appendable, and recovers the same frames plus the new one when
+// opened again.
+func FuzzRecover(f *testing.F) {
+	seg := fuzzSegment()
+	f.Add(seg)
+	f.Add(seg[:len(seg)-5])
+	f.Add([]byte{})
+	mut := append([]byte(nil), seg...)
+	mut[12] ^= 0xFF
+	f.Add(mut)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, SegName(testPrefix, 1))
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var scanned [][]byte
+		validEnd, err := ScanSegment(dir, testPrefix, 1, func(p []byte, ref Ref) error {
+			if int(ref.Offset)+ref.Length > len(data) {
+				t.Fatalf("frame ref %+v outside %d bytes", ref, len(data))
+			}
+			scanned = append(scanned, append([]byte(nil), p...))
+			return nil
+		})
+		if err != nil || validEnd < 0 || validEnd > int64(len(data)) {
+			t.Fatalf("scan: validEnd=%d of %d, err=%v", validEnd, len(data), err)
+		}
+
+		recoverAll := func() (*Log, [][]byte, int) {
+			var got [][]byte
+			l, torn, err := Open(Options{Dir: dir, Prefix: testPrefix, MaxSegmentSize: 1 << 20, MaxSegments: 8},
+				func(p []byte, _ Ref) error {
+					got = append(got, append([]byte(nil), p...))
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("open over fuzzed segment: %v", err)
+			}
+			return l, got, torn
+		}
+		l, got, torn := recoverAll()
+		if len(got) != len(scanned) || (torn == 1) != (validEnd < int64(len(data))) {
+			t.Fatalf("recovered %d frames (torn=%d), scan saw %d up to %d of %d", len(got), torn, len(scanned), validEnd, len(data))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], scanned[i]) {
+				t.Fatalf("frame %d: recovered %q, scanned %q", i, got[i], scanned[i])
+			}
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != validEnd {
+			t.Fatalf("segment left at %d bytes, want %d (err %v)", fi.Size(), validEnd, err)
+		}
+		if _, err := l.Append([]byte("post-recovery")); err != nil {
+			t.Fatalf("append after recovery: %v", err)
+		}
+		l.Close()
+
+		l, again, torn := recoverAll()
+		l.Close()
+		if torn != 0 || len(again) != len(got)+1 || string(again[len(again)-1]) != "post-recovery" {
+			t.Fatalf("second open: %d frames (torn=%d), want %d ending in the appended one", len(again), torn, len(got)+1)
+		}
+	})
+}
