@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: verify vet build test race chaos bench-concurrency bench-obs bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
+.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
+verify: fmt vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
+
+# Fails listing every file gofmt would change.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -118,11 +122,13 @@ figures:
 	diff -u FIGURES.txt .figures.gen
 	rm -f .figures.gen
 
-# Codec fuzz smoke: ten seconds per target against the store WAL's frame
-# decoder and recovery path, and against seglog recovery — the framing
-# under the flight recorder and the incident store, which drives
-# seglog.DecodeFrame on every input (FuzzDecodeFrame's own corpus runs as a
-# plain test). go fuzz takes one target per invocation.
+# Codec fuzz smoke: ten seconds per target. seglog owns the one frame
+# codec (store WAL, snapshots, flight recorder, incident store):
+# FuzzRecover drives its scanner and recovery on every input
+# (FuzzDecodeFrame's own corpus runs as a plain test). The store targets
+# fuzz what it adds on top — the batch payload codec behind that scanner
+# (FuzzDecodeRecord) and full store recovery (FuzzRecoverWAL). go fuzz
+# takes one target per invocation.
 # -fuzzminimizetime is capped in executions, not wall time: minimizing a
 # coverage-increasing input re-runs the (file-I/O-heavy) recovery target,
 # and the default 60s budget would eat the whole smoke.

@@ -101,8 +101,8 @@ const maxDayBuckets = 1000
 
 type dayBucket struct {
 	trafficAll, trafficExternal, trafficExtMFA int
-	failures, sms, lockouts, enrolments       int
-	mfaUsers                                  map[string]struct{}
+	failures, sms, lockouts, enrolments        int
+	mfaUsers                                   map[string]struct{}
 }
 
 type hourBucket struct {

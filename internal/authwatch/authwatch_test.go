@@ -30,7 +30,7 @@ func TestWatcherDailyAggregation(t *testing.T) {
 	w.Ingest(login(base, "alice", "73.1.2.3", "accept", true))
 	w.Ingest(login(base.Add(time.Hour), "alice", "73.1.2.3", "accept", true)) // same user: unique count stays 1
 	w.Ingest(login(base, "bob", "73.9.9.9", "accept", true))
-	w.Ingest(login(base, "carol", "73.4.4.4", "accept", false))   // external, no MFA
+	w.Ingest(login(base, "carol", "73.4.4.4", "accept", false))      // external, no MFA
 	w.Ingest(login(base, "gateway1", "10.128.3.7", "accept", false)) // internal
 	w.Ingest(login(base, "mallory", "73.6.6.6", "reject", false))
 	w.Ingest(eventstream.Event{Time: base, Type: eventstream.TypeSMS, Component: "otpd", Result: "sent"})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"openmfa/internal/clock"
 	"openmfa/internal/idm"
@@ -86,10 +85,8 @@ func TestOptionsPlumbing(t *testing.T) {
 	o := otp.DefaultTOTPOptions()
 	o.Digits = otp.EightDigits
 	inf := newInfra(t, Options{
-		LockoutThreshold:      3,
-		OTP:                   o,
-		RadiusDedupWindow:     time.Second,
-		RadiusMaxDedupEntries: 16,
+		LockoutThreshold: 3,
+		OTP:              o,
 	})
 	if got := inf.OTP.OTPOptions().Digits; got != otp.EightDigits {
 		t.Fatalf("Digits = %d, want 8", got)
@@ -109,10 +106,5 @@ func TestOptionsPlumbing(t *testing.T) {
 	}
 	if ti.Active {
 		t.Fatal("token still active after LockoutThreshold=3 failures")
-	}
-	for _, rs := range inf.RadiusFarm() {
-		if rs.DedupWindow != time.Second || rs.MaxDedupEntries != 16 {
-			t.Fatalf("farm member dedup config = (%v, %d)", rs.DedupWindow, rs.MaxDedupEntries)
-		}
 	}
 }

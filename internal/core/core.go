@@ -56,12 +56,6 @@ type Options struct {
 	// RadiusServers is the size of the RADIUS farm ("a handful of
 	// servers", §3.2); zero means 2.
 	RadiusServers int
-	// RadiusDedupWindow overrides each farm member's RFC 2865 §2
-	// duplicate-detection window; zero keeps the 5-second default.
-	RadiusDedupWindow time.Duration
-	// RadiusMaxDedupEntries caps each farm member's dedup cache; zero
-	// keeps radius.DefaultMaxDedupEntries, negative means unbounded.
-	RadiusMaxDedupEntries int
 	// LockoutThreshold overrides the otpd failure-deactivation
 	// threshold; zero keeps the paper's default of 20.
 	LockoutThreshold int
@@ -388,14 +382,12 @@ func New(opts Options) (*Infrastructure, error) {
 	var addrs []string
 	for i := 0; i < n; i++ {
 		rs := &radius.Server{
-			Secret:          secret,
-			Handler:         &otpd.RadiusHandler{OTP: inf.OTP},
-			DedupWindow:     opts.RadiusDedupWindow,
-			MaxDedupEntries: opts.RadiusMaxDedupEntries,
-			Obs:             opts.Obs,
-			Logger:          opts.Logger,
-			Events:          opts.Events,
-			Now:             clk.Now,
+			Secret:  secret,
+			Handler: &otpd.RadiusHandler{OTP: inf.OTP},
+			Obs:     opts.Obs,
+			Logger:  opts.Logger,
+			Events:  opts.Events,
+			Now:     clk.Now,
 		}
 		if opts.FaultNet != nil {
 			rs.ListenPacket = opts.FaultNet.ListenPacket

@@ -8,7 +8,7 @@
 // it wraps net.Conn, net.PacketConn, and net.Listener with faults drawn
 // from a seeded RNG, so the same seed replays the same misbehaviour.
 //
-// Fault model
+// # Fault model
 //
 // Datagram transports (UDP, the RADIUS legs) get the classic loss model:
 // per-datagram drop, duplication, hold-one reordering, single-byte

@@ -70,19 +70,6 @@ type Server struct {
 	Secret []byte
 	// Handler processes Access-Requests.
 	Handler Handler
-	// DedupWindow bounds the duplicate-detection cache. Retransmitted
-	// requests (same source, identifier, and authenticator) within the
-	// window receive the cached reply instead of a second evaluation,
-	// matching RFC 2865 §2 duplicate handling. A duplicate that arrives
-	// while the original is still being handled waits for that reply
-	// instead of triggering a second evaluation, so the handler runs
-	// exactly once per request. Zero means 5 seconds.
-	DedupWindow time.Duration
-	// MaxDedupEntries caps the duplicate-detection cache so spoofed
-	// source addresses cannot grow it without bound. When full, the
-	// oldest reservation is evicted. Zero means DefaultMaxDedupEntries;
-	// negative means unbounded.
-	MaxDedupEntries int
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 	// Obs, when set, receives request/outcome counters and per-exchange
@@ -115,11 +102,19 @@ type Server struct {
 	mResults  map[string]*obs.Counter
 }
 
-// DefaultMaxDedupEntries bounds the dedup cache when MaxDedupEntries is
-// zero. At ~60 bytes of bookkeeping per entry this is a few MiB worst
-// case, while comfortably covering every outstanding request a farm
-// member sees within one 5-second window.
-const DefaultMaxDedupEntries = 65536
+// RFC 2865 §2 duplicate detection: a retransmitted request (same source,
+// identifier, and authenticator) within dedupWindow receives the cached
+// reply instead of a second evaluation, and one that arrives while the
+// original is still being handled waits for that reply, so the handler
+// runs exactly once per request. maxDedupEntries caps the cache so spoofed
+// source addresses cannot grow it without bound (when full, the oldest
+// reservation is evicted): at ~60 bytes of bookkeeping per entry this is a
+// few MiB worst case, while comfortably covering every outstanding request
+// a farm member sees within one window.
+const (
+	dedupWindow     = 5 * time.Second
+	maxDedupEntries = 65536
+)
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -152,7 +147,7 @@ func (s *Server) ListenAndServe(addr string) error {
 		return errors.New("radius: server closed")
 	}
 	s.conn = conn
-	s.dedup = newDedupTable(s.dedupWindow(), s.maxDedupEntries(), time.Now)
+	s.dedup = newDedupTable(dedupWindow, maxDedupEntries, time.Now)
 	if s.Obs != nil {
 		s.mReplays = s.Obs.Counter("radius_retransmit_replays_total")
 		s.mDuration = s.Obs.Histogram("radius_request_duration_seconds", nil)
@@ -175,23 +170,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.conn.LocalAddr()
-}
-
-func (s *Server) dedupWindow() time.Duration {
-	if s.DedupWindow > 0 {
-		return s.DedupWindow
-	}
-	return 5 * time.Second
-}
-
-func (s *Server) maxDedupEntries() int {
-	switch {
-	case s.MaxDedupEntries > 0:
-		return s.MaxDedupEntries
-	case s.MaxDedupEntries < 0:
-		return 0 // unbounded
-	}
-	return DefaultMaxDedupEntries
 }
 
 func (s *Server) serve(conn net.PacketConn) {
@@ -246,7 +224,7 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 			if entry.reply != nil {
 				conn.WriteTo(entry.reply, src)
 			}
-		case <-time.After(s.dedupWindow()):
+		case <-time.After(dedupWindow):
 		}
 		return
 	}

@@ -1,15 +1,17 @@
-// Package seglog is the shared crash-safe segment-log layer under the
-// flight recorder and the incident profiler: rotated, size-capped segment
-// files holding CRC-framed payloads with the store WAL's format-v2
-// commit discipline. Every persisted record is exactly one frame,
+// Package seglog owns the crash-atomic frame format and the segment-log
+// layer built on it. Every persisted record — a store WAL batch or
+// snapshot chunk, a flight-recorder bundle, an incident bundle — is
+// exactly one frame,
 //
 //	[u32 payload length][u32 CRC32-IEEE of payload][payload][0xC3]
 //
 // little-endian, committed only when all four pieces are present and
-// consistent. Recovery scans each segment frame-by-frame and truncates at
-// the first incomplete or corrupt frame, so a crash mid-append can lose
-// at most the record being written — a torn tail never yields a half
-// record to a reader.
+// consistent. Scan walks frame bytes and stops at the first incomplete or
+// corrupt frame, so a crash mid-append can lose at most the record being
+// written — a torn tail never yields a half record to a reader. The store
+// keeps its own per-shard segment files and uses only the codec and Scan;
+// the flight recorder and the incident profiler use the rotated,
+// size-capped Log below.
 //
 // Segments are named <prefix>NNNNNN.seg and rotate by size: when the
 // active segment would exceed MaxSegmentSize a new one is opened, and
@@ -41,15 +43,17 @@ import (
 	"sync"
 )
 
-// Frame-format constants, shared with the historical flightrec layout
-// (existing flightrec segments read back unchanged).
+// Frame-format constants, shared with the historical store WAL and
+// flightrec layouts (existing segments and snapshots read back unchanged).
 const (
 	// CommitMarker is the single byte terminating every committed frame.
 	CommitMarker = 0xC3
 	// FrameHeaderSize is the length + CRC prefix in bytes.
 	FrameHeaderSize = 8
-	// MaxPayloadSize bounds one frame's payload (64 MiB).
-	MaxPayloadSize = 1 << 26
+	// MaxPayloadSize bounds one frame's payload (1 GiB). Writers must
+	// refuse larger payloads: DecodeFrame rejects them, so such a frame
+	// would read back as a torn tail.
+	MaxPayloadSize = 1 << 30
 	// SegSuffix is the segment filename extension.
 	SegSuffix = ".seg"
 )
@@ -66,12 +70,22 @@ var (
 
 // EncodeFrame renders one complete frame around payload.
 func EncodeFrame(payload []byte) []byte {
-	buf := make([]byte, FrameHeaderSize+len(payload)+1)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[FrameHeaderSize:], payload)
-	buf[FrameHeaderSize+len(payload)] = CommitMarker
-	return buf
+	frame := make([]byte, FrameHeaderSize+len(payload)+1)
+	copy(frame[FrameHeaderSize:], payload)
+	SealFrame(frame)
+	return frame
+}
+
+// SealFrame completes a frame whose payload was written in place, so a
+// caller that encodes straight into its frame buffer allocates once:
+// frame is FrameHeaderSize bytes of header room, the payload, and one
+// byte for the marker. It fills in the length, checksum and marker. The
+// payload must be 1..MaxPayloadSize bytes.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderSize : len(frame)-1]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	frame[len(frame)-1] = CommitMarker
 }
 
 // DecodeFrame parses the frame at the start of b, returning the payload
@@ -98,6 +112,27 @@ func DecodeFrame(b []byte) (payload []byte, frameLen int, err error) {
 		return nil, 0, errBadMarker
 	}
 	return payload, total, nil
+}
+
+// Scan walks the committed frames at the head of data, calling fn with
+// each payload, its offset and its frame length. It returns the offset
+// just past the last committed frame: len(data) for clean input, the
+// torn-tail offset otherwise. If fn rejects a frame, Scan stops there and
+// returns that frame's offset with fn's error. Scan is the one loop that
+// walks frame bytes: tolerant readers truncate or skip at valid, strict
+// ones require valid == len(data).
+func Scan(data []byte, fn func(payload []byte, off, frameLen int) error) (valid int, err error) {
+	for valid < len(data) {
+		payload, frameLen, derr := DecodeFrame(data[valid:])
+		if derr != nil {
+			return valid, nil
+		}
+		if err := fn(payload, valid, frameLen); err != nil {
+			return valid, err
+		}
+		valid += frameLen
+	}
+	return valid, nil
 }
 
 // SegName renders the segment filename for seq under prefix.
@@ -153,21 +188,13 @@ func ScanSegment(dir, prefix string, seq uint64, fn func(payload []byte, ref Ref
 	if err != nil {
 		return 0, err
 	}
-	off := 0
-	for off < len(data) {
-		payload, frameLen, derr := DecodeFrame(data[off:])
-		if derr != nil {
-			// Torn tail: everything before off is intact.
-			return int64(off), nil
+	valid, err := Scan(data, func(payload []byte, off, frameLen int) error {
+		if fn == nil {
+			return nil
 		}
-		if fn != nil {
-			if err := fn(payload, Ref{Seg: seq, Offset: int64(off), Length: frameLen}); err != nil {
-				return int64(off), err
-			}
-		}
-		off += frameLen
-	}
-	return int64(off), nil
+		return fn(payload, Ref{Seg: seq, Offset: int64(off), Length: frameLen})
+	})
+	return int64(valid), err
 }
 
 // ScanDir walks every committed frame across all of dir's prefix

@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -205,15 +206,43 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %q, %d, %v", got, n, err)
 	}
 	for _, mutate := range []func([]byte){
-		func(b []byte) { b[len(b)-1] = 0 },         // marker
-		func(b []byte) { b[FrameHeaderSize] ^= 1 }, // payload -> CRC mismatch
-		func(b []byte) { b[0], b[1] = 0xFF, 0xFF }, // absurd length
+		func(b []byte) { b[len(b)-1] = 0 },            // marker
+		func(b []byte) { b[FrameHeaderSize] ^= 1 },    // payload -> CRC mismatch
+		func(b []byte) { b[3] = 0xFF },                // length claim over MaxPayloadSize
+		func(b []byte) { b[0], b[1], b[2] = 0, 0, 0 }, // zero length
 	} {
 		c := append([]byte(nil), frame...)
 		mutate(c)
 		if _, _, err := DecodeFrame(c); err == nil {
 			t.Fatal("mutated frame decoded cleanly")
 		}
+	}
+}
+
+// TestScanStopsAtTornOrRejectedFrame pins Scan's contract: valid is the
+// offset past the last committed frame, and a frame fn rejects stops the
+// scan at its own offset with fn's error.
+func TestScanStopsAtTornOrRejectedFrame(t *testing.T) {
+	seg := fuzzSegment()
+	_, first, _ := DecodeFrame(seg)
+	_, second, _ := DecodeFrame(seg[first:])
+	var offs []int
+	valid, err := Scan(seg[:len(seg)-1], func(_ []byte, off, _ int) error {
+		offs = append(offs, off)
+		return nil
+	})
+	if err != nil || len(offs) != 2 || offs[1] != first || valid != first+second {
+		t.Fatalf("torn tail: valid=%d offsets=%v err=%v", valid, offs, err)
+	}
+	stop := errors.New("stop")
+	valid, err = Scan(seg, func(_ []byte, off, _ int) error {
+		if off > 0 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || valid != first {
+		t.Fatalf("rejected frame: valid=%d err=%v, want %d and fn's error", valid, err, first)
 	}
 }
 

@@ -156,13 +156,9 @@ func countWALFrames(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	frames := 0
-	for len(data) > 0 {
-		_, n, err := decodeBatchRecord(data)
-		if err != nil {
-			t.Fatalf("frame %d: %v", frames, err)
-		}
-		data = data[n:]
-		frames++
+	valid, err := scanBatches(data, func(walBatch, int, int) { frames++ })
+	if err := requireIntact("segment", data, valid, err); err != nil {
+		t.Fatalf("after %d frames: %v", frames, err)
 	}
 	return frames
 }

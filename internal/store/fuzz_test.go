@@ -5,25 +5,28 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"openmfa/internal/seglog"
 )
 
 // fuzzSeedFrames returns representative valid frames for the fuzz corpora.
 func fuzzSeedFrames() [][]byte {
 	return [][]byte{
-		encodeBatchRecord(1, []Op{{Key: "token/alice", Value: []byte("sealed-secret")}}),
-		encodeBatchRecord(2, []Op{{Key: "acct/bob", Delete: true}}),
-		encodeBatchRecord(3, []Op{
+		EncodeFrame(1, []Op{{Key: "token/alice", Value: []byte("sealed-secret")}}),
+		EncodeFrame(2, []Op{{Key: "acct/bob", Delete: true}}),
+		EncodeFrame(3, []Op{
 			{Key: "a", Value: nil},
 			{Key: string([]byte{0, 255, '\n'}), Value: []byte{0, 1, 2}},
 			{Key: "a", Delete: true},
 		}),
-		encodeBatchRecord(0, nil),
+		EncodeFrame(0, nil),
 	}
 }
 
-// FuzzDecodeRecord throws arbitrary bytes at the frame decoder: it must
-// never panic, must reject corrupt checksums, and on success must be
-// canonical — re-encoding the decoded batch reproduces the input bytes.
+// FuzzDecodeRecord throws arbitrary bytes at the batch codec, both behind
+// the shared seglog scanner and bare: it must never panic, and whatever it
+// accepts must be canonical — re-encoding every decoded batch reproduces
+// the scanned bytes exactly, and a bare payload re-encodes to itself.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range fuzzSeedFrames() {
 		f.Add(rec)
@@ -35,29 +38,32 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, n, err := decodeBatchRecord(data)
-		if err != nil {
-			return
+		var canon []byte
+		valid, _ := scanBatches(data, func(b walBatch, off, n int) {
+			re := EncodeFrame(b.lsn, b.ops)
+			if !bytes.Equal(re, data[off:off+n]) {
+				t.Fatalf("decode→encode not canonical:\n in  %x\n out %x", data[off:off+n], re)
+			}
+			canon = append(canon, re...)
+		})
+		if valid < 0 || valid > len(data) || !bytes.Equal(canon, data[:valid]) {
+			t.Fatalf("scan accepted %d of %d bytes but re-encodes to %d", valid, len(data), len(canon))
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("frameLen %d out of range for %d input bytes", n, len(data))
-		}
-		re := encodeBatchRecord(b.lsn, b.ops)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode→encode not canonical:\n in  %x\n out %x", data[:n], re)
-		}
-		// And the round trip must decode to the same batch again.
-		b2, n2, err := decodeBatchRecord(re)
-		if err != nil || n2 != n || b2.lsn != b.lsn || len(b2.ops) != len(b.ops) {
-			t.Fatalf("re-decode mismatch: %v", err)
+		// The payload codec alone: random bytes reach it without first
+		// having to pass a checksum.
+		if lsn, ops, err := decodeBatchPayload(data); err == nil {
+			re := EncodeFrame(lsn, ops)
+			if !bytes.Equal(re[seglog.FrameHeaderSize:len(re)-1], data) {
+				t.Fatalf("payload decode→encode not canonical:\n in  %x\n out %x", data, re)
+			}
 		}
 	})
 }
 
-// FuzzRecoverWAL feeds arbitrary bytes in as a WAL segment: recovery must
-// never panic, must stop at a frame boundary within the input, must be
-// idempotent over its own valid prefix, and a real store must open over
-// the segment without error.
+// FuzzRecoverWAL feeds arbitrary bytes in as a WAL segment: the scan must
+// stop at a frame boundary within the input and be idempotent over its own
+// valid prefix, and a real store must open over the segment, replay
+// exactly the committed batches and truncate the file to them.
 func FuzzRecoverWAL(f *testing.F) {
 	var seg []byte
 	for _, rec := range fuzzSeedFrames() {
@@ -70,19 +76,20 @@ func FuzzRecoverWAL(f *testing.F) {
 	mut[10] ^= 0xFF
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batches, valid := recoverSegment(data)
+		var batches []walBatch
+		valid, _ := scanBatches(data, func(b walBatch, _, _ int) { batches = append(batches, b) })
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid offset %d out of range", valid)
 		}
-		again, validAgain := recoverSegment(data[:valid])
-		if validAgain != valid || len(again) != len(batches) {
-			t.Fatalf("recovery not idempotent: %d/%d then %d/%d",
-				len(batches), valid, len(again), validAgain)
+		again := 0
+		validAgain, err := scanBatches(data[:valid], func(walBatch, int, int) { again++ })
+		if err != nil || validAgain != valid || again != len(batches) {
+			t.Fatalf("recovery not idempotent: %d/%d then %d/%d (%v)",
+				len(batches), valid, again, validAgain, err)
 		}
-		// A store over this segment must open, replaying exactly the
-		// committed batches and truncating the rest.
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "shard-000.wal"), data, 0o644); err != nil {
+		path := filepath.Join(dir, "shard-000.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, Options{Shards: 1})
@@ -90,6 +97,9 @@ func FuzzRecoverWAL(f *testing.F) {
 			t.Fatalf("open over fuzzed segment: %v", err)
 		}
 		defer s.Close()
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(valid) {
+			t.Fatalf("segment left at %v, want %d bytes (err %v)", fi, valid, err)
+		}
 		want := map[string][]byte{}
 		for _, b := range batches {
 			// Keys hash into shard 0 by construction (one shard).
@@ -103,6 +113,11 @@ func FuzzRecoverWAL(f *testing.F) {
 		}
 		if s.Len() != len(want) {
 			t.Fatalf("replayed %d keys, want %d", s.Len(), len(want))
+		}
+		for k, v := range want {
+			if got, err := s.Get(k); err != nil || !bytes.Equal(got, v) {
+				t.Fatalf("Get(%q) = %q, %v; want %q", k, got, err, v)
+			}
 		}
 	})
 }

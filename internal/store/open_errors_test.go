@@ -123,7 +123,7 @@ func TestCloseReportsFlushError(t *testing.T) {
 	}
 	// Leave data sitting in the bufio layer, then sabotage the fd.
 	sh := s.shards[0]
-	if _, err := sh.walBuf.Write(encodeBatchRecord(1, []Op{{Key: "k", Value: []byte("v")}})); err != nil {
+	if _, err := sh.walBuf.Write(EncodeFrame(1, []Op{{Key: "k", Value: []byte("v")}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.wal.Close(); err != nil {

@@ -263,7 +263,7 @@ func TestFollowerModeBlocksLocalApply(t *testing.T) {
 		t.Fatalf("Apply in follower mode = %v, want ErrFollower", err)
 	}
 	// Replicated frames still land.
-	if ok, err := s.ApplyReplicated(encodeBatchRecord(1, []Op{{Key: "k", Value: []byte("v")}})); err != nil || !ok {
+	if ok, err := s.ApplyReplicated(EncodeFrame(1, []Op{{Key: "k", Value: []byte("v")}})); err != nil || !ok {
 		t.Fatalf("ApplyReplicated in follower mode = (%v, %v), want (true, nil)", ok, err)
 	}
 	s.SetFollowerMode(false)
@@ -372,7 +372,7 @@ func TestApplyReplicatedIdempotentAndGapChecked(t *testing.T) {
 
 	// A frame that skips ahead is a gap: the follower must resync, not
 	// apply a log with a hole.
-	gap := encodeBatchRecord(follower.LSN()+2, []Op{{Key: "x", Value: []byte("v")}})
+	gap := EncodeFrame(follower.LSN()+2, []Op{{Key: "x", Value: []byte("v")}})
 	if _, err := follower.ApplyReplicated(gap); !errors.Is(err, ErrReplGap) {
 		t.Fatalf("gap frame = %v, want ErrReplGap", err)
 	}
@@ -381,7 +381,7 @@ func TestApplyReplicatedIdempotentAndGapChecked(t *testing.T) {
 	if _, err := follower.ApplyReplicated([]byte("junk")); err == nil {
 		t.Fatal("garbage frame accepted")
 	}
-	if _, err := follower.ApplyReplicated(encodeBatchRecord(follower.LSN()+1, nil)); err == nil {
+	if _, err := follower.ApplyReplicated(EncodeFrame(follower.LSN()+1, nil)); err == nil {
 		t.Fatal("zero-op frame accepted")
 	}
 }

@@ -11,9 +11,9 @@
 //
 // Keys hash to one of N shards (N a power of two, fixed when the directory
 // is created), each with its own RWMutex, map, WAL segment, and snapshot,
-// so unrelated users never contend. A batch is framed as a single
-// length-prefixed, CRC-checksummed record with a trailing commit marker in
-// exactly one segment (the lowest involved shard), which makes Apply
+// so unrelated users never contend. A batch is one seglog frame
+// (length-prefixed, CRC-checksummed, trailing commit marker) in exactly
+// one segment (the lowest involved shard), which makes Apply
 // crash-atomic: recovery truncates a torn tail to the last complete batch
 // and never replays a partial one. In Sync mode with GroupCommit,
 // concurrent Apply callers coalesce into a single fsync per segment.
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"openmfa/internal/obs"
+	"openmfa/internal/seglog"
 )
 
 // ErrNotFound is returned by Get when the key is absent.
@@ -452,18 +453,10 @@ func (s *Store) shardFor(key string) *shard { return s.shards[s.shardIndex(key)]
 // order is preserved).
 func (s *Store) recover() error {
 	n := len(s.shards)
-	segBatches := make([][]walBatch, n)
-	snapLSNs := make([]uint64, n)
+	snaps := make([][]walBatch, n)
+	segs := make([][]walBatch, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			segBatches[i], snapLSNs[i], errs[i] = s.recoverShard(i)
-		}(i)
-	}
-	wg.Wait()
+	s.eachShardParallel(func(i int) { snaps[i], segs[i], errs[i] = s.recoverShard(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -474,97 +467,110 @@ func (s *Store) recover() error {
 	// (appends within a segment serialize on the shard lock), so a
 	// global sort is a merge of sorted runs.
 	var all []walBatch
-	for _, bs := range segBatches {
+	for _, bs := range segs {
 		all = append(all, bs...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
 
+	// Snapshot contents go first (every segment frame is newer), then the
+	// segments in LSN order, each op routed to its shard. The LSN clock
+	// resumes from the highest LSN seen anywhere: WAL frames, or — after a
+	// compaction emptied the segments — the snapshot header frames that
+	// record where the clock stood at compact time. Without the header, a
+	// compact+reopen would reissue LSNs from 1.
 	perShard := make([][]Op, n)
-	// The LSN clock resumes from the highest LSN seen anywhere: WAL
-	// frames, or — after a compaction emptied the segments — the snapshot
-	// header frames that record where the clock stood at compact time.
-	// Without the header, a compact+reopen would reissue LSNs from 1.
-	var maxLSN, floor uint64
-	for _, l := range snapLSNs {
-		if l > maxLSN {
-			maxLSN = l
-		}
-		if l > floor {
-			floor = l
-		}
-	}
-	for _, b := range all {
-		if b.lsn > maxLSN {
-			maxLSN = b.lsn
-		}
-		for _, op := range b.ops {
+	route := func(ops []Op) {
+		for _, op := range ops {
 			d := s.shardIndex(op.Key)
 			perShard[d] = append(perShard[d], op)
 		}
 	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			applyOps(s.shards[i].data, perShard[i])
-		}(i)
+	var floor uint64
+	for _, bs := range snaps {
+		for _, b := range bs {
+			floor = max(floor, b.lsn)
+			route(b.ops)
+		}
 	}
-	wg.Wait()
+	maxLSN := floor
+	for _, b := range all {
+		maxLSN = max(maxLSN, b.lsn)
+		route(b.ops)
+	}
+	// Every op in perShard[i] hashes to shard i, so the goroutines are disjoint.
+	s.eachShardParallel(func(i int) { s.applyOps(perShard[i]) })
 	s.lsn.Store(maxLSN)
 	s.snapFloor.Store(floor)
 	return nil
 }
 
-// recoverShard loads shard i's snapshot (strict) and WAL segment
-// (truncating a torn tail), returning the segment's committed batches and
-// the LSN recorded in the snapshot header frame (0 for headerless
-// snapshots written before the LSN fix, and for absent snapshots). Only
+// eachShardParallel runs f once per shard index, concurrently, and waits.
+func (s *Store) eachShardParallel(f func(i int)) {
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// recoverShard reads shard i's snapshot (strict) and WAL segment
+// (truncating a torn tail) and returns the batches of each. A snapshot
+// opens with a zero-op header frame carrying the compaction LSN (absent
+// in snapshots written before the LSN fix); its chunks carry LSN 0. Only
 // this goroutine touches shard i during recovery.
-func (s *Store) recoverShard(i int) ([]walBatch, uint64, error) {
-	sh := s.shards[i]
-	var snapLSN uint64
-	snap, err := os.ReadFile(s.snapshotPath(i))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("store: %w", err)
+func (s *Store) recoverShard(i int) (snap, seg []walBatch, err error) {
+	data, err := readIfExists(s.snapshotPath(i))
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(snap) > 0 {
-		recs, err := parseSnapshot(snap)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, b := range recs {
-			if b.lsn > snapLSN {
-				snapLSN = b.lsn
-			}
-			applyOps(sh.data, b.ops)
-		}
+	if snap, err = parseSnapshot(data); err != nil {
+		return nil, nil, err
 	}
-	wal, err := os.ReadFile(s.walPath(i))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("store: %w", err)
+	wal, err := readIfExists(s.walPath(i))
+	if err != nil {
+		return nil, nil, err
 	}
-	batches, valid := recoverSegment(wal)
+	// A frame whose payload does not decode is damage like any other: the
+	// committed prefix ends there, so the scan error needs no handling.
+	valid, _ := scanBatches(wal, func(b walBatch, _, _ int) {
+		seg = append(seg, b)
+		s.shards[i].walLen += len(b.ops)
+	})
 	if valid < len(wal) {
 		// Torn tail from a crash mid-append: drop the incomplete frame
 		// on disk too, so the next append starts at a frame boundary.
 		if err := os.Truncate(s.walPath(i), int64(valid)); err != nil {
-			return nil, 0, fmt.Errorf("store: %w", err)
+			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	for _, b := range batches {
-		sh.walLen += len(b.ops)
-	}
-	return batches, snapLSN, nil
+	return snap, seg, nil
 }
 
-func applyOps(data map[string][]byte, ops []Op) {
+// readIfExists reads a snapshot or segment file; a missing one is empty.
+func readIfExists(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return data, nil
+}
+
+// applyOps applies ops to the shard maps, routing each key to its shard.
+// It is the one place ops reach a map; the caller holds the write lock of
+// every shard ops touch (or, during recovery, owns them outright).
+func (s *Store) applyOps(ops []Op) {
 	for _, op := range ops {
+		sh := s.shardFor(op.Key)
 		if op.Delete {
-			delete(data, op.Key)
+			delete(sh.data, op.Key)
 		} else {
 			v := make([]byte, len(op.Value))
 			copy(v, op.Value)
-			data[op.Key] = v
+			sh.data[op.Key] = v
 		}
 	}
 }
@@ -611,7 +617,8 @@ func (s *Store) Delete(key string) error {
 // Apply commits a batch of operations atomically: either every op is
 // visible and logged, or none is — including across a crash, because the
 // whole batch is one checksummed WAL frame. Batches spanning shards lock
-// the involved shards in ascending order and log to the lowest one.
+// the involved shards in ascending order and log to the lowest one. A
+// batch too large for one frame is refused before it consumes an LSN.
 func (s *Store) Apply(batch []Op) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -622,12 +629,55 @@ func (s *Store) Apply(batch []Op) error {
 	if len(batch) == 0 {
 		return nil
 	}
-
-	// Distinct involved shards, ascending (insertion sort: batches are
-	// small and usually single-key).
 	var idxBuf [8]int
-	idxs := idxBuf[:0]
-	for _, op := range batch {
+	idxs, err := s.lockShards(batch, idxBuf[:0])
+	if err != nil {
+		return err
+	}
+	seg, repl := s.shards[idxs[0]], s.replicator.Load()
+	if err := seg.walErr; err != nil {
+		s.unlockShards(idxs)
+		return err
+	}
+	// An in-memory store without a replicator has no reader for a frame,
+	// so it encodes none. A frame the decoder would reject is refused
+	// before it consumes an LSN: flushed anyway, it would read back as a
+	// torn tail and take every later frame in its segment with it.
+	encode := s.dir != "" || repl != nil
+	if encode {
+		if plen := payloadLen(batch); plen > seglog.MaxPayloadSize {
+			s.unlockShards(idxs)
+			return fmt.Errorf("store: batch encodes to %d bytes, over the %d-byte frame limit", plen, seglog.MaxPayloadSize)
+		}
+	}
+	lsn := s.lsn.Add(1)
+	var frame []byte
+	if encode {
+		// Freshly allocated and never reused, so the replicator may keep it.
+		frame = EncodeFrame(lsn, batch)
+	}
+	mySeq, err := s.commit(idxs[0], lsn, frame, frame, batch, repl)
+	s.unlockShards(idxs)
+	if err == nil {
+		err = s.waitGroupSync(seg, mySeq)
+	}
+	if err != nil || repl == nil {
+		return err
+	}
+	// Outside every lock: a synchronous leader may block here waiting for
+	// follower acks. An error means farm-level durability is unknown — the
+	// batch is applied locally, but the caller must treat the operation as
+	// failed.
+	return repl.r.WaitCommitted(lsn)
+}
+
+// lockShards write-locks the distinct shards ops touch in ascending order
+// (deadlock-free) and returns their indexes, appended to idxs; the first
+// is the segment the batch logs to. On a closed store it returns ErrClosed
+// with nothing left locked.
+func (s *Store) lockShards(ops []Op, idxs []int) ([]int, error) {
+	// Insertion sort: batches are small and usually single-key.
+	for _, op := range ops {
 		d := s.shardIndex(op.Key)
 		pos := sort.SearchInts(idxs, d)
 		if pos < len(idxs) && idxs[pos] == d {
@@ -640,97 +690,70 @@ func (s *Store) Apply(batch []Op) error {
 	for _, i := range idxs {
 		s.shards[i].mu.Lock()
 	}
-	unlock := func() {
-		for j := len(idxs) - 1; j >= 0; j-- {
-			s.shards[idxs[j]].mu.Unlock()
-		}
-	}
 	if s.closed.Load() {
-		unlock()
-		return ErrClosed
+		s.unlockShards(idxs)
+		return nil, ErrClosed
 	}
+	return idxs, nil
+}
 
-	seg := s.shards[idxs[0]]
-	var mySeq, lsn uint64
-	repl := s.replicator.Load()
+func (s *Store) unlockShards(idxs []int) {
+	for j := len(idxs) - 1; j >= 0; j-- {
+		s.shards[idxs[j]].mu.Unlock()
+	}
+}
+
+// commit is the commit sequence Apply and ApplyReplicated share, run under
+// the locks of every shard ops touches after the caller checked the
+// segment's sticky error: log frame to segment idx (on-disk stores), hand
+// hook to the replicator under the segment lock — so per-segment hook
+// order is commit order — and apply ops to the maps. It returns the
+// group-commit sequence number to wait on once unlocked (0 for none).
+func (s *Store) commit(idx int, lsn uint64, frame, hook []byte, ops []Op, repl *replicatorBox) (mySeq uint64, err error) {
+	seg := s.shards[idx]
 	if s.dir != "" {
-		if seg.walErr != nil {
-			err := seg.walErr
-			unlock()
-			return err
-		}
-		lsn = s.lsn.Add(1)
-		rec := encodeBatchRecord(lsn, batch)
-		if _, err := seg.walBuf.Write(rec); err != nil {
-			seg.walErr = fmt.Errorf("store: wal append: %w", err)
-			err = seg.walErr
-			unlock()
-			return err
+		if _, err := seg.walBuf.Write(frame); err != nil {
+			return 0, seg.failStop("wal append", err)
 		}
 		if err := seg.walBuf.Flush(); err != nil {
-			seg.walErr = fmt.Errorf("store: wal flush: %w", err)
-			err = seg.walErr
-			unlock()
-			return err
+			return 0, seg.failStop("wal flush", err)
 		}
 		if s.sync && !s.group {
 			if err := seg.wal.Sync(); err != nil {
-				seg.walErr = fmt.Errorf("store: wal sync: %w", err)
-				err = seg.walErr
-				unlock()
-				return err
+				return 0, seg.failStop("wal sync", err)
 			}
 			s.fsyncTotal.Inc()
 			s.fsyncBatch.Observe(1)
 		}
-		seg.walLen += len(batch)
+		seg.walLen += len(ops)
 		if s.sync && s.group {
 			mySeq = seg.seq.Add(1)
 		}
-		if repl != nil {
-			// Under the segment lock, so per-segment hook order matches
-			// commit order; rec is freshly allocated and never reused.
-			repl.r.OnCommit(lsn, idxs[0], rec)
-		}
-	} else {
-		lsn = s.lsn.Add(1)
-		if repl != nil {
-			repl.r.OnCommit(lsn, idxs[0], encodeBatchRecord(lsn, batch))
-		}
-	}
-	for _, op := range batch {
-		sh := s.shardFor(op.Key)
-		if op.Delete {
-			delete(sh.data, op.Key)
-		} else {
-			v := make([]byte, len(op.Value))
-			copy(v, op.Value)
-			sh.data[op.Key] = v
-		}
-	}
-	unlock()
-	s.applyTotal.Inc()
-	if s.dir != "" && s.sync && s.group {
-		if err := s.waitGroupSync(seg, mySeq); err != nil {
-			return err
-		}
 	}
 	if repl != nil {
-		// Outside every lock: a synchronous leader may block here waiting
-		// for follower acks. An error means farm-level durability is
-		// unknown — the batch is applied locally, but the caller must
-		// treat the operation as failed.
-		return repl.r.WaitCommitted(lsn)
+		repl.r.OnCommit(lsn, idx, hook)
 	}
-	return nil
+	s.applyOps(ops)
+	s.applyTotal.Inc()
+	return mySeq, nil
 }
 
-// waitGroupSync blocks until an fsync covers mySeq. The first committer to
-// arrive while no fsync is running becomes the leader and syncs on behalf
-// of everything flushed so far; the rest wait on the condition variable.
-// Shard locks are NOT held here, so readers and later writers proceed
-// while the disk works.
+// failStop poisons the shard after a WAL fault: the segment is in an
+// unknown state, so every later write to it returns this error.
+func (sh *shard) failStop(what string, err error) error {
+	sh.walErr = fmt.Errorf("store: %s: %w", what, err)
+	return sh.walErr
+}
+
+// waitGroupSync blocks until an fsync covers mySeq (0: nothing to wait
+// for). The first committer to arrive while no fsync is running becomes
+// the leader and syncs on behalf of everything flushed so far; the rest
+// wait on the condition variable. Shard locks are NOT held here, so
+// readers and later writers proceed while the disk works.
 func (s *Store) waitGroupSync(sh *shard, mySeq uint64) error {
+	if mySeq == 0 {
+		return nil
+	}
 	sh.gmu.Lock()
 	defer sh.gmu.Unlock()
 	for sh.synced < mySeq {
@@ -784,122 +807,51 @@ func (s *Store) ApplyReplicated(frame []byte) (applied bool, err error) {
 	if s.closed.Load() {
 		return false, ErrClosed
 	}
-	b, n, err := decodeBatchRecord(frame)
+	lsn, ops, err := DecodeFrame(frame)
 	if err != nil {
 		return false, err
 	}
-	if n != len(frame) {
-		return false, fmt.Errorf("store: %d trailing bytes after replicated frame", len(frame)-n)
-	}
-	if len(b.ops) == 0 {
+	if len(ops) == 0 {
 		return false, errors.New("store: replicated frame carries no ops")
 	}
-	if b.lsn <= s.lsn.Load() {
+	if lsn <= s.lsn.Load() {
 		return false, nil // duplicate delivery
 	}
-
 	var idxBuf [8]int
-	idxs := idxBuf[:0]
-	for _, op := range b.ops {
-		d := s.shardIndex(op.Key)
-		pos := sort.SearchInts(idxs, d)
-		if pos < len(idxs) && idxs[pos] == d {
-			continue
-		}
-		idxs = append(idxs, 0)
-		copy(idxs[pos+1:], idxs[pos:])
-		idxs[pos] = d
+	idxs, err := s.lockShards(ops, idxBuf[:0])
+	if err != nil {
+		return false, err
 	}
-	for _, i := range idxs {
-		s.shards[i].mu.Lock()
+	seg, repl := s.shards[idxs[0]], s.replicator.Load()
+	cur := s.lsn.Load()
+	switch {
+	case lsn <= cur:
+		err = nil // a duplicate that raced past the unlocked check
+	case lsn != cur+1:
+		err = fmt.Errorf("%w: frame lsn %d, local lsn %d", ErrReplGap, lsn, cur)
+	default:
+		err = seg.walErr
 	}
-	unlock := func() {
-		for j := len(idxs) - 1; j >= 0; j-- {
-			s.shards[idxs[j]].mu.Unlock()
-		}
+	if lsn <= cur || err != nil {
+		s.unlockShards(idxs)
+		return false, err
 	}
-	if s.closed.Load() {
-		unlock()
-		return false, ErrClosed
-	}
-	switch cur := s.lsn.Load(); {
-	case b.lsn <= cur:
-		unlock()
-		return false, nil
-	case b.lsn != cur+1:
-		unlock()
-		return false, fmt.Errorf("%w: frame lsn %d, local lsn %d", ErrReplGap, b.lsn, cur)
-	}
-
-	seg := s.shards[idxs[0]]
-	var mySeq uint64
-	repl := s.replicator.Load()
-	if s.dir != "" {
-		if seg.walErr != nil {
-			err := seg.walErr
-			unlock()
-			return false, err
-		}
-		if _, err := seg.walBuf.Write(frame); err != nil {
-			seg.walErr = fmt.Errorf("store: wal append: %w", err)
-			err = seg.walErr
-			unlock()
-			return false, err
-		}
-		if err := seg.walBuf.Flush(); err != nil {
-			seg.walErr = fmt.Errorf("store: wal flush: %w", err)
-			err = seg.walErr
-			unlock()
-			return false, err
-		}
-		if s.sync && !s.group {
-			if err := seg.wal.Sync(); err != nil {
-				seg.walErr = fmt.Errorf("store: wal sync: %w", err)
-				err = seg.walErr
-				unlock()
-				return false, err
-			}
-			s.fsyncTotal.Inc()
-			s.fsyncBatch.Observe(1)
-		}
-		seg.walLen += len(b.ops)
-		if s.sync && s.group {
-			mySeq = seg.seq.Add(1)
-		}
-	}
+	var hook []byte
 	if repl != nil {
 		// Chained replication: a follower that is itself a leader for
-		// further replicas re-ships the frame (asynchronously — the
-		// WaitCommitted gate is only consulted for local Apply).
-		fc := make([]byte, len(frame))
-		copy(fc, frame)
-		repl.r.OnCommit(b.lsn, idxs[0], fc)
+		// further replicas re-ships a copy of the frame (asynchronously —
+		// the WaitCommitted gate is only consulted for local Apply).
+		hook = append([]byte(nil), frame...)
 	}
-	s.applyOpsSharded(b.ops)
-	s.lsn.Store(b.lsn)
-	unlock()
-	s.applyTotal.Inc()
-	if s.dir != "" && s.sync && s.group {
-		if err := s.waitGroupSync(seg, mySeq); err != nil {
-			return false, err
-		}
+	mySeq, err := s.commit(idxs[0], lsn, frame, hook, ops, repl)
+	if err == nil {
+		s.lsn.Store(lsn)
 	}
-	return true, nil
-}
-
-// applyOpsSharded applies ops routing each key to its shard (caller
-// holds the involved shard locks).
-func (s *Store) applyOpsSharded(ops []Op) {
-	for _, op := range ops {
-		sh := s.shards[s.shardIndex(op.Key)]
-		if op.Delete {
-			delete(sh.data, op.Key)
-		} else {
-			v := make([]byte, len(op.Value))
-			copy(v, op.Value)
-			sh.data[op.Key] = v
-		}
+	s.unlockShards(idxs)
+	if err == nil {
+		err = s.waitGroupSync(seg, mySeq)
 	}
+	return err == nil, err
 }
 
 // ReplicationSnapshot captures a consistent cut of the whole store: the
@@ -959,21 +911,18 @@ func (s *Store) SegmentFrames(sinceLSN uint64) ([]ReplFrame, error) {
 		}
 		// Appends to this segment and compaction both need this shard's
 		// write lock, so the file is frame-complete and stable here.
-		data, err := os.ReadFile(s.walPath(i))
+		data, err := readIfExists(s.walPath(i))
 		sh.mu.RUnlock()
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("store: %w", err)
+		if err != nil {
+			return nil, err
 		}
-		off := 0
-		for off < len(data) {
-			b, n, err := decodeBatchRecord(data[off:])
-			if err != nil {
-				return nil, fmt.Errorf("store: segment %d corrupt at offset %d: %w", i, off, err)
-			}
+		valid, err := scanBatches(data, func(b walBatch, off, n int) {
 			if b.lsn > sinceLSN {
 				out = append(out, ReplFrame{LSN: b.lsn, Shard: i, Frame: data[off : off+n]})
 			}
-			off += n
+		})
+		if err := requireIntact(fmt.Sprintf("segment %d", i), data, valid, err); err != nil {
+			return nil, err
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
@@ -1006,7 +955,11 @@ func (s *Store) InstallReplicaSnapshot(lsn uint64, kvs []KV) error {
 		}
 		sh.data = make(map[string][]byte, len(sh.data))
 	}
-	s.applyOpsSharded(kvsToOps(kvs))
+	ops := make([]Op, len(kvs))
+	for i, kv := range kvs {
+		ops[i] = Op{Key: kv.Key, Value: kv.Value}
+	}
+	s.applyOps(ops)
 	s.lsn.Store(lsn)
 	if err := s.compactLocked(); err != nil {
 		return err
@@ -1015,21 +968,10 @@ func (s *Store) InstallReplicaSnapshot(lsn uint64, kvs []KV) error {
 	return nil
 }
 
-func kvsToOps(kvs []KV) []Op {
-	ops := make([]Op, len(kvs))
-	for i, kv := range kvs {
-		ops[i] = Op{Key: kv.Key, Value: kv.Value}
-	}
-	return ops
-}
-
 // Scan returns all pairs whose key starts with prefix, sorted by key. The
 // per-shard results are collected under each shard's read lock and merged
 // (each shard's slice is sorted; keys never repeat across shards).
 func (s *Store) Scan(prefix string) ([]KV, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
 	parts := make([][]KV, 0, len(s.shards))
 	total := 0
 	for _, sh := range s.shards {
@@ -1083,51 +1025,32 @@ func mergeKVs(parts [][]KV, total int) []KV {
 
 // Count returns the number of keys with the given prefix (0 after Close).
 func (s *Store) Count(prefix string) int {
-	if s.closed.Load() {
-		return 0
-	}
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if s.closed.Load() {
-			sh.mu.RUnlock()
-			return 0
-		}
+	return s.sumShards(func(sh *shard) int {
+		n := 0
 		for k := range sh.data {
 			if strings.HasPrefix(k, prefix) {
 				n++
 			}
 		}
-		sh.mu.RUnlock()
-	}
-	return n
+		return n
+	})
 }
 
 // Len returns the total number of keys (0 after Close).
 func (s *Store) Len() int {
-	if s.closed.Load() {
-		return 0
-	}
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if s.closed.Load() {
-			sh.mu.RUnlock()
-			return 0
-		}
-		n += len(sh.data)
-		sh.mu.RUnlock()
-	}
-	return n
+	return s.sumShards(func(sh *shard) int { return len(sh.data) })
 }
 
 // WALRecords reports the number of WAL ops accumulated since the last
 // compaction, summed across segments (0 for in-memory stores and after
 // Close); exposed for compaction policies and tests.
 func (s *Store) WALRecords() int {
-	if s.closed.Load() {
-		return 0
-	}
+	return s.sumShards(func(sh *shard) int { return sh.walLen })
+}
+
+// sumShards totals f over every shard, each under its read lock (0 after
+// Close).
+func (s *Store) sumShards(f func(sh *shard) int) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -1135,15 +1058,15 @@ func (s *Store) WALRecords() int {
 			sh.mu.RUnlock()
 			return 0
 		}
-		n += sh.walLen
+		n += f(sh)
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// snapshotChunk bounds the ops per snapshot frame so a snapshot streams as
-// modest records rather than one giant allocation.
-const snapshotChunk = 1024
+// snapshotChunkBytes bounds the encoded payload of one snapshot frame, so
+// a snapshot streams as modest records whatever its values' sizes.
+const snapshotChunkBytes = 1 << 20
 
 // Compact writes a fresh snapshot of every shard and truncates the WAL
 // segments. Readers and writers are blocked for the duration.
@@ -1190,17 +1113,14 @@ func (s *Store) compactLocked() error {
 	for i, sh := range s.shards {
 		if s.compactFault != nil {
 			if err := s.compactFault(i); err != nil {
-				sh.walErr = fmt.Errorf("store: compact: %w", err)
-				return sh.walErr
+				return sh.failStop("compact", err)
 			}
 		}
 		if err := sh.wal.Truncate(0); err != nil {
-			sh.walErr = fmt.Errorf("store: compact: %w", err)
-			return sh.walErr
+			return sh.failStop("compact", err)
 		}
 		if _, err := sh.wal.Seek(0, 0); err != nil {
-			sh.walErr = fmt.Errorf("store: compact: %w", err)
-			return sh.walErr
+			return sh.failStop("compact", err)
 		}
 		sh.walBuf.Reset(sh.wal)
 		sh.walLen = 0
@@ -1221,25 +1141,17 @@ func (s *Store) writeSnapshot(i int, sh *shard, lsn uint64) error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	if _, err := w.Write(encodeBatchRecord(lsn, nil)); err != nil {
+	if _, err := w.Write(EncodeFrame(lsn, nil)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	keys := make([]string, 0, len(sh.data))
-	for k := range sh.data {
-		keys = append(keys, k)
+	ops := make([]Op, 0, len(sh.data))
+	for k, v := range sh.data {
+		ops = append(ops, Op{Key: k, Value: v})
 	}
-	sort.Strings(keys)
-	for off := 0; off < len(keys); off += snapshotChunk {
-		end := off + snapshotChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		ops := make([]Op, 0, end-off)
-		for _, k := range keys[off:end] {
-			ops = append(ops, Op{Key: k, Value: sh.data[k]})
-		}
-		if _, err := w.Write(encodeBatchRecord(0, ops)); err != nil {
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+	for _, chunk := range chunkOps(ops, snapshotChunkBytes) {
+		if _, err := w.Write(EncodeFrame(0, chunk)); err != nil {
 			f.Close()
 			return fmt.Errorf("store: compact: %w", err)
 		}

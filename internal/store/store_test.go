@@ -202,7 +202,7 @@ func TestTornWALTailTruncatedToLastBatch(t *testing.T) {
 	s.Close()
 	wal := s.WALPaths()[0]
 	// Simulate a crash mid-append: a partial frame at the end.
-	whole := encodeBatchRecord(99, []Op{{Key: "torn", Value: []byte("partial")}})
+	whole := EncodeFrame(99, []Op{{Key: "torn", Value: []byte("partial")}})
 	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -4,41 +4,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"openmfa/internal/seglog"
 )
 
-// WAL batch-record framing (format v2). Every Apply appends exactly one
-// frame to one shard segment:
-//
-//	[u32 payload length][u32 CRC32-IEEE of payload][payload][0xC3]
-//
-// payload:
+// WAL batch payload (format v2). Every Apply appends exactly one
+// seglog frame (length, CRC32, payload, commit marker — see package
+// seglog) to one shard segment, carrying:
 //
 //	[u64 LSN][u32 nops] then per op:
 //	  [u8 kind (0 put, 1 delete)][u32 klen][key] (+ [u32 vlen][value] for puts)
 //
-// All integers are little-endian. A frame is committed only when it is
-// complete — length, checksum, payload, and the trailing commit marker all
-// present and consistent. Recovery truncates a segment at the first
-// incomplete or corrupt frame, so a crash mid-Apply either replays the
-// whole batch or none of it; the v1 text WAL replayed a prefix of the
-// batch, breaking Apply's atomicity promise.
+// All integers are little-endian. Recovery truncates a segment at the
+// first frame that is torn, fails its checksum, or whose payload does not
+// decode, so a crash mid-Apply either replays the whole batch or none of
+// it; the v1 text WAL replayed a prefix of the batch, breaking Apply's
+// atomicity promise.
 const (
-	commitMarker    = 0xC3
-	frameHeaderSize = 8  // payload length + CRC
-	minPayloadSize  = 12 // LSN + op count
-	maxPayloadSize  = 1 << 30
+	minPayloadSize = 12 // LSN + op count
 
 	opPut    = 0
 	opDelete = 1
 )
 
-var (
-	errShortFrame  = errors.New("store: incomplete wal frame")
-	errBadLength   = errors.New("store: wal frame length out of range")
-	errBadChecksum = errors.New("store: wal frame checksum mismatch")
-	errBadMarker   = errors.New("store: wal frame missing commit marker")
-)
+var errOpOverrun = errors.New("store: wal op overruns its payload")
 
 // walBatch is one decoded batch record.
 type walBatch struct {
@@ -46,24 +35,31 @@ type walBatch struct {
 	ops []Op
 }
 
-// encodedBatchLen returns the payload size for batch.
-func encodedBatchLen(batch []Op) int {
+// payloadLen returns the encoded payload size for batch.
+func payloadLen(batch []Op) int {
 	n := minPayloadSize
 	for _, op := range batch {
-		n += 1 + 4 + len(op.Key)
-		if !op.Delete {
-			n += 4 + len(op.Value)
-		}
+		n += opLen(op)
 	}
 	return n
 }
 
-// encodeBatchRecord renders one complete frame (header, payload, marker).
-func encodeBatchRecord(lsn uint64, batch []Op) []byte {
-	plen := encodedBatchLen(batch)
-	buf := make([]byte, frameHeaderSize+plen+1)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(plen))
-	p := buf[frameHeaderSize : frameHeaderSize+plen]
+// opLen returns one op's encoded size.
+func opLen(op Op) int {
+	if op.Delete {
+		return 1 + 4 + len(op.Key)
+	}
+	return 1 + 4 + len(op.Key) + 4 + len(op.Value)
+}
+
+// EncodeFrame renders one complete WAL frame — the exact bytes Apply logs
+// for this batch at this LSN — in a single allocation. Replication tests
+// and tooling use it to synthesise leader streams. The payload must be
+// within seglog.MaxPayloadSize (Apply checks before encoding).
+func EncodeFrame(lsn uint64, batch []Op) []byte {
+	plen := payloadLen(batch)
+	frame := make([]byte, seglog.FrameHeaderSize+plen+1)
+	p := frame[seglog.FrameHeaderSize : seglog.FrameHeaderSize+plen]
 	binary.LittleEndian.PutUint64(p[0:8], lsn)
 	binary.LittleEndian.PutUint32(p[8:12], uint32(len(batch)))
 	off := 12
@@ -83,73 +79,41 @@ func encodeBatchRecord(lsn uint64, batch []Op) []byte {
 			off += copy(p[off:], op.Value)
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(p))
-	buf[frameHeaderSize+plen] = commitMarker
-	return buf
+	seglog.SealFrame(frame)
+	return frame
 }
-
-// EncodeFrame renders one complete WAL frame — the exact bytes Apply
-// would log for this batch at this LSN. Replication tests and tooling
-// use it to synthesise leader streams.
-func EncodeFrame(lsn uint64, batch []Op) []byte { return encodeBatchRecord(lsn, batch) }
 
 // DecodeFrame parses one complete WAL frame (strict: no trailing bytes).
 func DecodeFrame(frame []byte) (lsn uint64, ops []Op, err error) {
-	b, n, err := decodeBatchRecord(frame)
+	p, n, err := seglog.DecodeFrame(frame)
 	if err != nil {
 		return 0, nil, err
 	}
 	if n != len(frame) {
 		return 0, nil, fmt.Errorf("store: %d trailing bytes after frame", len(frame)-n)
 	}
-	return b.lsn, b.ops, nil
-}
-
-// decodeBatchRecord parses the frame at the head of data. frameLen is the
-// number of bytes the frame occupies when err is nil. Decoded keys and
-// values are copies; they do not alias data.
-func decodeBatchRecord(data []byte) (b walBatch, frameLen int, err error) {
-	if len(data) < frameHeaderSize {
-		return walBatch{}, 0, errShortFrame
-	}
-	plen := binary.LittleEndian.Uint32(data[0:4])
-	if plen < minPayloadSize || plen > maxPayloadSize {
-		return walBatch{}, 0, errBadLength
-	}
-	total := frameHeaderSize + int(plen) + 1
-	if len(data) < total {
-		return walBatch{}, 0, errShortFrame
-	}
-	payload := data[frameHeaderSize : frameHeaderSize+int(plen)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:8]) {
-		return walBatch{}, 0, errBadChecksum
-	}
-	if data[total-1] != commitMarker {
-		return walBatch{}, 0, errBadMarker
-	}
-	lsn, ops, err := decodeBatchPayload(payload)
-	if err != nil {
-		return walBatch{}, 0, err
-	}
-	return walBatch{lsn: lsn, ops: ops}, total, nil
+	return decodeBatchPayload(p)
 }
 
 // decodeBatchPayload parses a checksummed payload into its ops. It is
 // strict: every byte must be consumed, so encode→decode→encode is
-// byte-identical.
+// byte-identical. Decoded keys and values are copies; they do not alias p.
 func decodeBatchPayload(p []byte) (lsn uint64, ops []Op, err error) {
+	if len(p) < minPayloadSize {
+		return 0, nil, fmt.Errorf("store: %d-byte wal payload below the %d-byte minimum", len(p), minPayloadSize)
+	}
 	lsn = binary.LittleEndian.Uint64(p[0:8])
 	nops := binary.LittleEndian.Uint32(p[8:12])
 	// Each op needs at least kind+klen (5 bytes); reject counts the
 	// payload cannot hold before allocating.
-	if int64(nops)*5 > int64(len(p)-minPayloadSize) && nops > 0 {
+	if int64(nops)*5 > int64(len(p)-minPayloadSize) {
 		return 0, nil, fmt.Errorf("store: wal op count %d exceeds payload", nops)
 	}
 	ops = make([]Op, 0, nops)
 	off := 12
 	for i := uint32(0); i < nops; i++ {
 		if off+5 > len(p) {
-			return 0, nil, errShortFrame
+			return 0, nil, errOpOverrun
 		}
 		kind := p[off]
 		if kind != opPut && kind != opDelete {
@@ -158,18 +122,18 @@ func decodeBatchPayload(p []byte) (lsn uint64, ops []Op, err error) {
 		klen := int(binary.LittleEndian.Uint32(p[off+1:]))
 		off += 5
 		if klen < 0 || off+klen > len(p) {
-			return 0, nil, errShortFrame
+			return 0, nil, errOpOverrun
 		}
 		op := Op{Key: string(p[off : off+klen]), Delete: kind == opDelete}
 		off += klen
 		if kind == opPut {
 			if off+4 > len(p) {
-				return 0, nil, errShortFrame
+				return 0, nil, errOpOverrun
 			}
 			vlen := int(binary.LittleEndian.Uint32(p[off:]))
 			off += 4
 			if vlen < 0 || off+vlen > len(p) {
-				return 0, nil, errShortFrame
+				return 0, nil, errOpOverrun
 			}
 			op.Value = append([]byte(nil), p[off:off+vlen]...)
 			off += vlen
@@ -182,20 +146,31 @@ func decodeBatchPayload(p []byte) (lsn uint64, ops []Op, err error) {
 	return lsn, ops, nil
 }
 
-// recoverSegment decodes frames until the first incomplete or corrupt one.
-// valid is the byte offset of the last complete frame — the truncation
-// point for a torn tail. It never fails: a corrupt segment simply yields
-// the committed prefix.
-func recoverSegment(data []byte) (batches []walBatch, valid int) {
-	for valid < len(data) {
-		b, n, err := decodeBatchRecord(data[valid:])
-		if err != nil {
-			return batches, valid
+// scanBatches decodes the batch frames at the head of data with the
+// shared seglog scanner, calling fn with each. valid is the offset just
+// past the last good frame; a frame whose payload does not decode stops
+// the scan there, with err saying why.
+func scanBatches(data []byte, fn func(b walBatch, off, frameLen int)) (valid int, err error) {
+	return seglog.Scan(data, func(p []byte, off, frameLen int) error {
+		lsn, ops, err := decodeBatchPayload(p)
+		if err == nil {
+			fn(walBatch{lsn: lsn, ops: ops}, off, frameLen)
 		}
-		batches = append(batches, b)
-		valid += n
+		return err
+	})
+}
+
+// requireIntact turns a scan of a file that must never be torn (a
+// snapshot, or a segment read under its shard lock) into an error when
+// the scan stopped short of the end.
+func requireIntact(what string, data []byte, valid int, err error) error {
+	if err == nil && valid < len(data) {
+		_, _, err = seglog.DecodeFrame(data[valid:]) // the frame-level reason
 	}
-	return batches, valid
+	if err != nil {
+		return fmt.Errorf("store: %s corrupt at offset %d: %w", what, valid, err)
+	}
+	return nil
 }
 
 // parseSnapshot decodes a snapshot file, which uses the same framing but
@@ -203,14 +178,30 @@ func recoverSegment(data []byte) (batches []walBatch, valid int) {
 // fsync+rename and must never be torn.
 func parseSnapshot(data []byte) ([]walBatch, error) {
 	var batches []walBatch
-	off := 0
-	for off < len(data) {
-		b, n, err := decodeBatchRecord(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("store: corrupt snapshot at offset %d: %w", off, err)
-		}
-		batches = append(batches, b)
-		off += n
+	valid, err := scanBatches(data, func(b walBatch, _, _ int) { batches = append(batches, b) })
+	if err := requireIntact("snapshot", data, valid, err); err != nil {
+		return nil, err
 	}
 	return batches, nil
+}
+
+// chunkOps splits ops into consecutive runs whose encoded payload stays
+// within budget bytes, so a snapshot streams as modest frames rather than
+// one giant allocation. An op too big to share a frame gets one alone;
+// that frame is no larger than the single-op batch Apply accepted.
+func chunkOps(ops []Op, budget int) [][]Op {
+	var chunks [][]Op
+	start, plen := 0, minPayloadSize
+	for i, op := range ops {
+		if n := opLen(op); i > start && plen+n > budget {
+			chunks = append(chunks, ops[start:i])
+			start, plen = i, minPayloadSize+n
+		} else {
+			plen += n
+		}
+	}
+	if start < len(ops) {
+		chunks = append(chunks, ops[start:])
+	}
+	return chunks
 }
