@@ -138,9 +138,10 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/seglog
 
 # Coverage gates, 90% statement floors each: the sharded store (with its
-# crashtest harness and the replication protocol exercising it), and the
+# crashtest harness and the replication protocol exercising it), the
 # adaptive-MFA decision layer (risk engine + feature store + geoip) whose
-# skip/deny outcomes are security-critical.
+# skip/deny outcomes are security-critical, and the authlog, the only data
+# source of the pubkey module's first-factor waiver.
 cover:
 	$(GO) test -count 1 -coverprofile .cover.store.out \
 		-coverpkg openmfa/internal/store \
@@ -158,6 +159,12 @@ cover:
 		printf "risk+feature+geoip statement coverage: %.1f%% (floor 90%%)\n", pct; \
 		if (pct < 90) { print "FAIL: coverage below floor"; exit 1 } }'
 	@rm -f .cover.risk.out
+	$(GO) test -count 1 -coverprofile .cover.authlog.out ./internal/authlog
+	@$(GO) tool cover -func .cover.authlog.out | awk '/^total:/ { \
+		pct = $$3 + 0; \
+		printf "internal/authlog statement coverage: %.1f%% (floor 90%%)\n", pct; \
+		if (pct < 90) { print "FAIL: coverage below floor"; exit 1 } }'
+	@rm -f .cover.authlog.out
 
 # Every micro-benchmark once (figures, tables, ablations). The login
 # benchmark of record is bench/ (BENCHMARK.json; `go run ./bench -out F`,

@@ -6,8 +6,8 @@
 // public key authentication is not provided from SSH to PAM. This module is
 // the only mechanism known to provide this information." We reproduce that
 // arrangement exactly: sshd appends structured events, and the PAM module
-// scans the recent tail for an "Accepted publickey" record matching the
-// user and connection.
+// looks up the newest "Accepted publickey" record matching the user and
+// connection.
 //
 // The log doubles as the data source for §4.1 information gathering: every
 // successful entry also records shell properties and whether a TTY was
@@ -113,17 +113,20 @@ func ParseLine(line string) (Event, error) {
 	return e, nil
 }
 
-// Log is an append-only auth log with an in-memory recent-events ring for
-// fast scanning and an optional file sink.
+// Log is an append-only auth log with an in-memory recent-events ring (the
+// §4.1 analytics read it), an index of the newest retained pubkey success
+// per (user, addr) and per (user, ""), and an optional file sink.
 type Log struct {
 	mu     sync.Mutex
 	file   *os.File
 	w      *bufio.Writer
-	recent []Event // ring buffer
-	head   int
-	size   int
-	max    int
+	recent []Event // ring buffer: the event appended as seq lives at seq % max
+	n      uint64  // events appended so far; the next one's seq
+	max    uint64
+	pubkey map[pubkeyKey]uint64 // seq of the newest retained AcceptedPublickey
 }
+
+type pubkeyKey struct{ user, addr string }
 
 // New creates a log keeping the most recent maxRecent events in memory. If
 // path is non-empty, events are also appended to that file.
@@ -131,7 +134,8 @@ func New(path string, maxRecent int) (*Log, error) {
 	if maxRecent <= 0 {
 		maxRecent = 4096
 	}
-	l := &Log{recent: make([]Event, maxRecent), max: maxRecent}
+	l := &Log{recent: make([]Event, maxRecent), max: uint64(maxRecent),
+		pubkey: make(map[pubkeyKey]uint64)}
 	if path != "" {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 		if err != nil {
@@ -147,11 +151,20 @@ func New(path string, maxRecent int) (*Log, error) {
 func (l *Log) Append(e Event) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recent[l.head] = e
-	l.head = (l.head + 1) % l.max
-	if l.size < l.max {
-		l.size++
+	slot := &l.recent[l.n%l.max]
+	if slot.Type == AcceptedPublickey {
+		// The evicted record leaves the index wherever it is still the
+		// newest, so the index only ever points into the ring.
+		old := l.n - l.max
+		l.unindex(pubkeyKey{slot.User, slot.Addr}, old)
+		l.unindex(pubkeyKey{slot.User, ""}, old)
 	}
+	*slot = e
+	if e.Type == AcceptedPublickey {
+		l.pubkey[pubkeyKey{e.User, e.Addr}] = l.n
+		l.pubkey[pubkeyKey{e.User, ""}] = l.n
+	}
+	l.n++
 	if l.w != nil {
 		if _, err := l.w.WriteString(e.String() + "\n"); err != nil {
 			return fmt.Errorf("authlog: %w", err)
@@ -167,10 +180,10 @@ func (l *Log) Append(e Event) error {
 // stops when fn returns false.
 func (l *Log) ScanRecent(fn func(Event) bool) {
 	l.mu.Lock()
-	events := make([]Event, 0, l.size)
-	for i := 0; i < l.size; i++ {
-		idx := (l.head - 1 - i + l.max*2) % l.max
-		events = append(events, l.recent[idx])
+	size := min(l.n, l.max)
+	events := make([]Event, 0, size)
+	for i := uint64(0); i < size; i++ {
+		events = append(events, l.recent[(l.n-1-i)%l.max])
 	}
 	l.mu.Unlock()
 	for _, e := range events {
@@ -180,26 +193,34 @@ func (l *Log) ScanRecent(fn func(Event) bool) {
 	}
 }
 
-// FindPubkeySuccess reports whether an AcceptedPublickey event exists for
-// user from addr no older than window before now. This is the query the
-// paper's first PAM module performs ("Public Key Success?" in Figure 1).
+// FindPubkeySuccess reports whether the newest retained AcceptedPublickey
+// event for user from addr (any origin when addr is "") is stamped within
+// window of now. This is the query the paper's first PAM module performs
+// ("Public Key Success?" in Figure 1).
 //
-// The scan walks the in-memory ring newest-first in place and stops at the
-// window horizon, so its cost is bounded by the connection rate within the
-// window, not the ring capacity.
+// It is one lookup in the per-(user, addr) index Append maintains, whatever
+// the ring size or login rate. A record leaves the index when the ring
+// overwrites it, so the answer depends only on retained events, as the
+// ring walk it replaced did, and never on the stamps of unrelated ones. The
+// window is two-sided, |now − t| ≤ window: after a backward clock step a
+// record stamped in the future fails closed (the password is asked for)
+// instead of waiving the first factor.
 func (l *Log) FindPubkeySuccess(user, addr string, now time.Time, window time.Duration) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := 0; i < l.size; i++ {
-		e := &l.recent[(l.head-1-i+l.max*2)%l.max]
-		if now.Sub(e.Time) > window {
-			return false // newest-first; everything older is out of window
-		}
-		if e.Type == AcceptedPublickey && e.User == user && (addr == "" || e.Addr == addr) {
-			return true
-		}
+	seq, ok := l.pubkey[pubkeyKey{user, addr}]
+	if !ok {
+		return false
 	}
-	return false
+	d := now.Sub(l.recent[seq%l.max].Time)
+	return -window <= d && d <= window
+}
+
+// unindex drops the index entry for k if it still names record seq.
+func (l *Log) unindex(k pubkeyKey, seq uint64) {
+	if l.pubkey[k] == seq {
+		delete(l.pubkey, k)
+	}
 }
 
 // Close flushes and closes the file sink, if any.

@@ -2,11 +2,15 @@ package authlog
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"openmfa/internal/racecheck"
 )
 
 var t0 = time.Date(2016, 10, 4, 8, 0, 0, 0, time.UTC)
@@ -70,6 +74,157 @@ func TestFindPubkeySuccess(t *testing.T) {
 	// Outside the window the event must be ignored.
 	if l.FindPubkeySuccess("storm", "129.114.0.5", t0.Add(2*time.Hour), time.Minute) {
 		t.Fatal("stale event matched")
+	}
+}
+
+// A backward clock step between two appends must not hide a pubkey success
+// that is still inside the window: the answer may not depend on the stamp
+// of an unrelated record.
+func TestFindPubkeySuccessUnrelatedRecordStampedEarlier(t *testing.T) {
+	l, _ := New("", 16)
+	l.Append(ev(AcceptedPublickey, "storm", t0))
+	l.Append(ev(AcceptedPassword, "hanlon", t0.Add(-2*time.Minute))) // NTP stepped back
+	if !l.FindPubkeySuccess("storm", "129.114.0.5", t0.Add(time.Second), 30*time.Second) {
+		t.Fatal("pubkey success 1 s old not found behind an older-stamped record")
+	}
+}
+
+// A record stamped after now (the query's clock stepped back) is outside
+// the window in the fail-closed direction: the password is asked for.
+func TestFindPubkeySuccessFutureRecordFailsClosed(t *testing.T) {
+	l, _ := New("", 16)
+	l.Append(ev(AcceptedPublickey, "storm", t0))
+	if l.FindPubkeySuccess("storm", "129.114.0.5", t0.Add(-time.Hour), 30*time.Second) {
+		t.Fatal("pubkey success stamped an hour after now waived the first factor")
+	}
+	if !l.FindPubkeySuccess("storm", "129.114.0.5", t0.Add(-time.Second), 30*time.Second) {
+		t.Fatal("pubkey success 1 s ahead of now should still match")
+	}
+}
+
+// refFindPubkeySuccess is the newest-first window walk the index replaced,
+// kept as the reference: on monotone stamps the two must agree.
+func refFindPubkeySuccess(l *Log, user, addr string, now time.Time, window time.Duration) bool {
+	found := false
+	l.ScanRecent(func(e Event) bool {
+		if now.Sub(e.Time) > window {
+			return false // newest-first; everything older is out of window
+		}
+		if e.Type == AcceptedPublickey && e.User == user && (addr == "" || e.Addr == addr) {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// Property: over random monotone append sequences that wrap a small ring
+// many times, every query agrees with the reference walk.
+func TestFindPubkeySuccessMatchesReferenceWalk(t *testing.T) {
+	users := []string{"storm", "hanlon", "cproctor", "nosuch"}
+	addrs := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3", ""}
+	types := []EventType{AcceptedPublickey, AcceptedPublickey, AcceptedPassword, SessionOpen, SessionClose}
+	// The ring spans 8-16 events at ~1 s apart: the windows fall on both
+	// sides of that span.
+	windows := []time.Duration{0, time.Second, 4 * time.Second, 10 * time.Second, time.Hour}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		size := 8 << rng.Intn(2)
+		l, _ := New("", size)
+		at := t0
+		for i := 0; i < 50*size; i++ {
+			at = at.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
+			l.Append(Event{Time: at, Type: types[rng.Intn(len(types))],
+				User: users[rng.Intn(len(users)-1)], Addr: addrs[rng.Intn(len(addrs)-1)]})
+			for q := 0; q < 4; q++ {
+				user, addr := users[rng.Intn(len(users))], addrs[rng.Intn(len(addrs))]
+				now := at.Add(time.Duration(rng.Intn(3000)) * time.Millisecond)
+				window := windows[rng.Intn(len(windows))]
+				got := l.FindPubkeySuccess(user, addr, now, window)
+				if want := refFindPubkeySuccess(l, user, addr, now, window); got != want {
+					t.Fatalf("seed %d append %d: FindPubkeySuccess(%q, %q, +%v, %v) = %v, reference walk %v",
+						seed, i, user, addr, now.Sub(at), window, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The index holds at most two entries per retained record, so it stays
+// bounded by the ring without any pruning.
+func TestPubkeyIndexBoundedByRing(t *testing.T) {
+	const size = 16
+	l, _ := New("", size)
+	for i := 0; i < 100*size; i++ {
+		e := ev(AcceptedPublickey, fmt.Sprintf("u%d", i), t0)
+		e.Addr = fmt.Sprintf("10.0.%d.%d", i/256, i%256)
+		l.Append(e)
+	}
+	if n := len(l.pubkey); n > 2*size {
+		t.Fatalf("index holds %d entries after %d appends to a %d-slot ring, want <= %d",
+			n, 100*size, size, 2*size)
+	}
+	if l.FindPubkeySuccess("u0", "", t0, time.Minute) {
+		t.Fatal("evicted record still found")
+	}
+	if !l.FindPubkeySuccess(fmt.Sprintf("u%d", 100*size-1), "", t0, time.Minute) {
+		t.Fatal("newest record not found")
+	}
+}
+
+// Concurrent appenders and queriers under -race: each writer's own pubkey
+// success is visible to its next query.
+func TestConcurrentAppendAndFind(t *testing.T) {
+	const writers, rounds = 4, 200
+	l, _ := New("", 2*writers*rounds) // nothing is evicted
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			user := fmt.Sprintf("u%d", w)
+			for i := 0; i < rounds; i++ {
+				at := t0.Add(time.Duration(i) * time.Second)
+				l.Append(ev(SessionOpen, user, at))
+				l.Append(ev(AcceptedPublickey, user, at))
+				if !l.FindPubkeySuccess(user, "129.114.0.5", at, 30*time.Second) {
+					errs <- fmt.Errorf("writer %d round %d: own pubkey success not found", w, i)
+					return
+				}
+				l.FindPubkeySuccess("nosuch", "", at, 30*time.Second)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// The login path's two calls allocate nothing: the lookup, and an Append
+// of a non-pubkey record (here also evicting an indexed one) with no file
+// sink.
+func TestLoginPathZeroAlloc(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("alloc-count assertions are meaningless under -race")
+	}
+	l, _ := New("", 64)
+	for i := 0; i < 64; i++ {
+		l.Append(ev(AcceptedPublickey, fmt.Sprintf("u%d", i), t0))
+	}
+	now := t0.Add(time.Second)
+	if got := testing.AllocsPerRun(500, func() {
+		l.FindPubkeySuccess("u63", "129.114.0.5", now, 30*time.Second)
+		l.FindPubkeySuccess("nosuch", "", now, 30*time.Second)
+	}); got != 0 {
+		t.Errorf("FindPubkeySuccess allocs/op = %.1f, want 0", got)
+	}
+	e := ev(SessionOpen, "storm", now)
+	if got := testing.AllocsPerRun(500, func() { l.Append(e) }); got != 0 {
+		t.Errorf("non-pubkey Append allocs/op = %.1f, want 0", got)
 	}
 }
 

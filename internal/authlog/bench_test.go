@@ -8,8 +8,8 @@ import (
 
 // BenchmarkAuthlogScan measures FindPubkeySuccess, the query the pubkey
 // PAM module runs on every login. The ring is filled to capacity with
-// recent events so the scan pays the full in-window walk: the worst case
-// for a miss, and the common case on a busy login node.
+// in-window pubkey successes; the lookup is keyed, so hit and miss should
+// cost the same at every ring size.
 func BenchmarkAuthlogScan(b *testing.B) {
 	for _, size := range []int{1024, 16384, 65536} {
 		b.Run(fmt.Sprintf("ring%d", size), func(b *testing.B) {
@@ -21,8 +21,6 @@ func BenchmarkAuthlogScan(b *testing.B) {
 			now := time.Date(2016, 10, 4, 8, 0, 0, 0, time.UTC)
 			for i := 0; i < size; i++ {
 				l.Append(Event{
-					// All events inside the window: the miss case scans
-					// the whole ring.
 					Time: now.Add(-time.Duration(i) * time.Millisecond),
 					Type: AcceptedPublickey,
 					User: fmt.Sprintf("user%04d", i%500),
@@ -39,15 +37,6 @@ func BenchmarkAuthlogScan(b *testing.B) {
 			b.Run("miss-full-window", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if l.FindPubkeySuccess("nosuch", "", now, 5*time.Minute) {
-						b.Fatal("unexpected hit")
-					}
-				}
-			})
-			b.Run("miss-window-horizon", func(b *testing.B) {
-				// A narrow window exits at the horizon instead of walking
-				// the whole ring — the property the scan's doc promises.
-				for i := 0; i < b.N; i++ {
-					if l.FindPubkeySuccess("nosuch", "", now, 100*time.Millisecond) {
 						b.Fatal("unexpected hit")
 					}
 				}

@@ -308,6 +308,7 @@ func (s *Server) serveConn(raw net.Conn) {
 	}
 	wc := sshwire.NewConn(raw)
 	ip, port := splitHostPort(raw.RemoteAddr())
+	addr := ip.String() // formatted once for every log line and event below
 
 	// LoginGraceTime: one wall-clock deadline covers the entire pre-auth
 	// conversation, so a client that stalls at any phase (or a network
@@ -340,7 +341,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		if s.verifyPubkey(user, nonce, m.Pub, m.Sig) {
 			s.AuthLog.Append(authlog.Event{
 				Time: s.clk().Now(), Type: authlog.AcceptedPublickey,
-				User: user, Addr: ip.String(), Port: port,
+				User: user, Addr: addr, Port: port,
 				TTY: hello.TTY, Shell: hello.Shell,
 				Detail: fmt.Sprintf("ED25519 %x", m.Pub[:8]),
 			})
@@ -392,7 +393,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		}
 		s.AuthLog.Append(authlog.Event{
 			Time: s.clk().Now(), Type: authlog.FailedPassword,
-			User: user, Addr: ip.String(), Port: port,
+			User: user, Addr: addr, Port: port,
 			TTY: hello.TTY, Shell: hello.Shell,
 		})
 	}
@@ -407,13 +408,13 @@ func (s *Server) serveConn(raw net.Conn) {
 		s.Obs.Counter("sshd_auth_total", "result", result).Inc()
 	}
 	s.Logger.Info("auth", "component", "sshd", "trace", trace,
-		"user", user, "addr", ip.String(), "result", result)
+		"user", user, "addr", addr, "result", result)
 	if s.Events != nil {
 		mfaUsed, _ := lastCtx.Data[pam.DataMFAUsed].(bool)
 		method, _ := lastCtx.Data[pam.DataMFAMethod].(string)
 		s.Events.Publish(eventstream.Event{
 			Time: s.clk().Now(), Type: eventstream.TypeLogin, Component: "sshd",
-			Trace: trace, User: user, Addr: ip.String(), Result: result,
+			Trace: trace, User: user, Addr: addr, Result: result,
 			MFA: mfaUsed && authErr == nil, Method: method,
 			TTY: hello.TTY, Shell: hello.Shell,
 			Duration: time.Since(authStart),
@@ -430,7 +431,7 @@ func (s *Server) serveConn(raw net.Conn) {
 	s.accepted.Add(1)
 	s.AuthLog.Append(authlog.Event{
 		Time: s.clk().Now(), Type: authlog.SessionOpen,
-		User: user, Addr: ip.String(), Port: port,
+		User: user, Addr: addr, Port: port,
 		TTY: hello.TTY, Shell: hello.Shell,
 	})
 	if err := wc.Send(&sshwire.Msg{T: sshwire.TResult, OK: true, Msg: "welcome"}); err != nil {
@@ -442,7 +443,7 @@ func (s *Server) serveConn(raw net.Conn) {
 
 	// Session phase: exec requests and multiplexed channels, none of
 	// which re-authenticate.
-	s.session(raw, wc, user, ip, port, hello)
+	s.session(raw, wc, user, addr, port, hello)
 }
 
 func (s *Server) verifyPubkey(user string, nonce, pub, sig []byte) bool {
@@ -467,7 +468,7 @@ func (s *Server) verifyPubkey(user string, nonce, pub, sig []byte) bool {
 	return ed25519.Verify(candidate, nonce, sig)
 }
 
-func (s *Server) session(raw net.Conn, wc *sshwire.Conn, user string, ip net.IP, port int, hello *sshwire.Msg) {
+func (s *Server) session(raw net.Conn, wc *sshwire.Conn, user, addr string, port int, hello *sshwire.Msg) {
 	idle := s.idleTimeout()
 	var m sshwire.Msg // reused across the session's frames
 	for {
@@ -489,7 +490,7 @@ func (s *Server) session(raw net.Conn, wc *sshwire.Conn, user string, ip net.IP,
 			// connection opens a session without touching PAM.
 			s.AuthLog.Append(authlog.Event{
 				Time: s.clk().Now(), Type: authlog.SessionOpen,
-				User: user, Addr: ip.String(), Port: port,
+				User: user, Addr: addr, Port: port,
 				TTY: hello.TTY, Shell: hello.Shell, Detail: "mux",
 			})
 			if err := wc.Send(&sshwire.Msg{T: sshwire.TChannelOK}); err != nil {
@@ -498,7 +499,7 @@ func (s *Server) session(raw net.Conn, wc *sshwire.Conn, user string, ip net.IP,
 		case sshwire.TBye:
 			s.AuthLog.Append(authlog.Event{
 				Time: s.clk().Now(), Type: authlog.SessionClose,
-				User: user, Addr: ip.String(), Port: port,
+				User: user, Addr: addr, Port: port,
 			})
 			return
 		default:
