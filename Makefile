@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
+.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench-smoke bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: fmt vet build test race chaos bench-concurrency bench-obs authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
+verify: fmt vet build test race chaos bench-concurrency bench-obs bench-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -54,6 +54,20 @@ bench-obs:
 	$(GO) vet ./internal/obs/
 	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/otpd -run 'TestObsOverheadGate|TestSpanEventOverheadGate|TestProfOverheadGate' -count 1 -v -timeout 20m
 	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/pam -run 'TestRiskGateOverheadGate' -count 1 -v -timeout 20m
+
+# Login-benchmark smoke: the benchmark's own entry point (BENCHMARK.json's
+# command) for 2 s on each listed workload. `go test ./bench` runs at
+# U = 64 for 0.8 s, which never reaches the 5 s RADIUS dedup window; these
+# runs pass through the soak and into expiry. Fails on a non-zero exit or a
+# run whose result line is not "correct":true.
+bench-smoke:
+	@for w in totp_mem totp_sync mix_paper; do \
+		echo "bench-smoke: $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 2>&1) \
+			|| { echo "$$out"; echo "FAIL: $$w exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' \
+			|| { echo "$$out"; echo "FAIL: $$w not correct"; exit 1; }; \
+	done
 
 # Streaming-analytics smoke: a short run of each simulator with the event
 # bus attached, cross-checking the live authwatch day buckets against the

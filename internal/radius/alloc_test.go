@@ -2,7 +2,9 @@ package radius
 
 import (
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"openmfa/internal/racecheck"
 )
@@ -62,6 +64,44 @@ func TestDecodeFromZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("DecodeFrom allocs/op = %.1f, want 0", got)
+	}
+}
+
+// TestDedupReserveFinishZeroAlloc gates the duplicate table's first-seen
+// path: once the ring and index have reached their steady size, reserving
+// and finishing a fresh request (expiring one old one) allocates nothing.
+func TestDedupReserveFinishZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	const live = 1024
+	now := time.Unix(1000, 0)
+	tab := newDedupTable(5*time.Second, maxDedupEntries, func() time.Time { return now })
+	i := 0
+	op := func() {
+		seq, _ := tab.reserve(seqKey(i))
+		tab.finish(seq, nil)
+		i++
+		now = now.Add(5 * time.Second / live)
+	}
+	for i < 8*live {
+		op()
+	}
+	if got := testing.AllocsPerRun(4*live, op); got != 0 {
+		t.Errorf("reserve+finish allocs/op = %.1f, want 0", got)
+	}
+}
+
+// TestDedupKeyOfUDPZeroAlloc gates key derivation from a UDP source.
+func TestDedupKeyOfUDPZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	var src net.Addr = &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 1812}
+	var auth [16]byte
+	var k dedupKey
+	got := testing.AllocsPerRun(500, func() { k = dedupKeyOf(src, 7, auth) })
+	if got != 0 {
+		t.Errorf("dedupKeyOf(*net.UDPAddr) allocs/op = %.1f, want 0", got)
+	}
+	if k.port != 1812 {
+		t.Fatalf("port = %d", k.port)
 	}
 }
 

@@ -1,6 +1,7 @@
 package radius
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,6 +48,35 @@ func BenchmarkHidePassword(b *testing.B) {
 		if _, err := HidePassword("123456", secret, auth); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDedupSteadyState measures one reserve + finish of a fresh
+// request on a table holding a steady live population, with one
+// reservation expiring per operation (an injected clock advances one
+// window per population). ns/op must not grow with the population.
+func BenchmarkDedupSteadyState(b *testing.B) {
+	for _, live := range []int{1000, 16000, 64000} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			now := time.Unix(1000, 0)
+			tab := newDedupTable(dedupWindow, maxDedupEntries, func() time.Time { return now })
+			step := dedupWindow / time.Duration(live)
+			i := 0
+			op := func() {
+				seq, _ := tab.reserve(seqKey(i))
+				tab.finish(seq, nil)
+				i++
+				now = now.Add(step)
+			}
+			for i < 2*live {
+				op()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				op()
+			}
+		})
 	}
 }
 

@@ -1,131 +1,193 @@
 package radius
 
 import (
+	"crypto/md5"
+	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
 
 // dedupKey identifies a request for RFC 2865 §2 duplicate detection: a
 // retransmission reuses the source endpoint, the Identifier, and the
-// Request Authenticator.
+// Request Authenticator. It holds no pointers, so the index map is never
+// scanned by the garbage collector and building a key allocates nothing.
 type dedupKey struct {
-	src  string
+	ip   [16]byte // IPv4 in its IPv4-mapped form; the IPv6 zone is dropped
+	port uint16
 	id   byte
 	auth [16]byte
 }
 
-// dedupEntry tracks one request from the moment it is accepted for
-// handling. It is inserted *before* the handler runs ("reserve before
-// handle"): a retransmission that arrives while the original is still in
-// flight finds the entry, waits on done, and replays the cached reply —
-// it never reaches the handler, so an Access-Request is evaluated exactly
-// once no matter how many copies the NAS sends.
-type dedupEntry struct {
-	done  chan struct{} // closed once reply is valid
-	reply []byte        // nil if the handler dropped the request
-	at    time.Time     // reservation time; expiry = at + window
+// dedupKeyOf builds the key for a request from src. A *net.UDPAddr (every
+// datagram a UDP socket returns) is read in place; any other address is
+// parsed from its String form, and one that does not parse as ip:port is
+// keyed by its digest.
+func dedupKeyOf(src net.Addr, id byte, auth [16]byte) dedupKey {
+	k := dedupKey{id: id, auth: auth}
+	var ap netip.AddrPort
+	if u, ok := src.(*net.UDPAddr); ok {
+		ap = u.AddrPort()
+	} else if p, err := netip.ParseAddrPort(src.String()); err == nil {
+		ap = p
+	} else {
+		k.ip = md5.Sum([]byte(src.String()))
+		return k
+	}
+	k.ip, k.port = ap.Addr().As16(), ap.Port()
+	return k
 }
 
-// expired reports whether the entry has aged out at time now.
-func (e *dedupEntry) expired(now time.Time, window time.Duration) bool {
-	return now.Sub(e.at) >= window
+// dedupWait is what a duplicate waits on. It is created only when a
+// duplicate arrives (never for a first-seen request), and shared by every
+// duplicate of the same request. done is closed once reply is final: the
+// original finished (reply is its answer, nil if it dropped the request),
+// or its reservation left the table unfinished (reply nil).
+type dedupWait struct {
+	done  chan struct{}
+	reply []byte
+	left  time.Duration // time to the reservation's expiry, at creation
 }
 
-// dedupTable is the duplicate-detection cache. Expiry is O(1) amortised:
-// every entry lives for the same window, so insertion order is expiry
-// order and a FIFO queue replaces the old full-map scan that ran inside
-// the lock on every packet. The table is also bounded: maxEntries caps
-// memory against spoofed-source floods, evicting the oldest reservation
-// when full (the oldest is the one a legitimate retransmission is least
-// likely to still reference).
+// wait blocks until w is released or the reservation's window has passed,
+// and returns the reply to replay; nil means drop.
+func (w *dedupWait) wait() []byte {
+	timer := time.NewTimer(w.left)
+	defer timer.Stop()
+	select {
+	case <-w.done:
+		return w.reply
+	case <-timer.C:
+		return nil
+	}
+}
+
+// dedupSlot is one reservation, stored by value in the ring.
+type dedupSlot struct {
+	key      dedupKey
+	finished bool
+	at       time.Time  // reservation time; expiry = at + window
+	reply    []byte     // valid once finished; nil if the handler dropped
+	wait     *dedupWait // nil until a duplicate arrives
+}
+
+// dedupTable is the duplicate-detection cache. Reservations live in a
+// ring of values in reservation order; index maps each live key to the
+// sequence number of its slot (slot = seq mod len(ring)). Every
+// reservation lives for the same window, so the head is always the next
+// to expire: expiry and cap eviction pop the head and move no other
+// record. The ring grows by doubling while live reservations fill it;
+// maxEntries caps them against spoofed-source floods by evicting the
+// oldest reservation when full (the one a legitimate retransmission is
+// least likely to still reference).
 type dedupTable struct {
-	mu      sync.Mutex
-	entries map[dedupKey]*dedupEntry
-	queue   []dedupRecord // FIFO of live reservations, oldest first
-	window  time.Duration
-	max     int
-	now     func() time.Time
-}
-
-// dedupRecord pins the queue slot to a specific entry: after an eviction
-// the same key can be re-reserved, and the stale record must not purge the
-// new entry.
-type dedupRecord struct {
-	key   dedupKey
-	entry *dedupEntry
+	mu         sync.Mutex
+	index      map[dedupKey]uint64
+	ring       []dedupSlot // power-of-two length
+	head, tail uint64      // live reservations are seqs [head, tail)
+	moved      uint64      // slots copied by grow
+	window     time.Duration
+	max        int
+	now        func() time.Time
 }
 
 func newDedupTable(window time.Duration, maxEntries int, now func() time.Time) *dedupTable {
 	return &dedupTable{
-		entries: make(map[dedupKey]*dedupEntry),
-		window:  window,
-		max:     maxEntries,
-		now:     now,
+		index:  make(map[dedupKey]uint64),
+		window: window,
+		max:    maxEntries,
+		now:    now,
 	}
 }
 
-// reserve claims key for handling. isNew reports whether the caller owns
-// the request: it must run the handler and call finish exactly once. When
-// isNew is false the returned entry belongs to an earlier packet — wait on
-// entry.done and replay entry.reply.
-func (t *dedupTable) reserve(key dedupKey) (entry *dedupEntry, isNew bool) {
+// reserve claims key for handling. A nil wait means the caller owns the
+// request: it must run the handler and call finish(seq, …) exactly once.
+// Otherwise the request is a duplicate: the caller replays w.wait().
+func (t *dedupTable) reserve(key dedupKey) (seq uint64, w *dedupWait) {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.purgeLocked(now)
-	if e, ok := t.entries[key]; ok {
-		return e, false
+	for t.head < t.tail && now.Sub(t.slot(t.head).at) >= t.window {
+		t.popLocked()
+	}
+	if seq, ok := t.index[key]; ok {
+		s := t.slot(seq)
+		if s.wait == nil {
+			s.wait = &dedupWait{done: make(chan struct{}), left: t.window - now.Sub(s.at)}
+			if s.finished {
+				s.wait.reply = s.reply
+				close(s.wait.done)
+			}
+		}
+		return seq, s.wait
 	}
 	if t.max > 0 {
-		for len(t.entries) >= t.max && len(t.queue) > 0 {
-			t.evictOldestLocked()
+		for t.tail-t.head >= uint64(t.max) {
+			t.popLocked()
 		}
 	}
-	e := &dedupEntry{done: make(chan struct{}), at: now}
-	t.entries[key] = e
-	t.queue = append(t.queue, dedupRecord{key: key, entry: e})
-	return e, true
+	if t.tail-t.head == uint64(len(t.ring)) {
+		t.growLocked()
+	}
+	seq = t.tail
+	t.tail++
+	*t.slot(seq) = dedupSlot{key: key, at: now}
+	t.index[key] = seq
+	return seq, nil
 }
 
-// finish publishes the reply for a reservation and wakes every waiting
-// retransmission. reply nil means the handler dropped the request; late
+// finish publishes the reply for reservation seq and releases every
+// waiting duplicate. reply nil means the handler dropped the request;
 // duplicates are then dropped too. Callers must invoke finish on every
-// reservation, including error paths, or duplicates block until expiry.
-func (t *dedupTable) finish(e *dedupEntry, reply []byte) {
-	e.reply = reply // happens-before the close synchronises this write
-	close(e.done)
-}
-
-// purgeLocked drops expired reservations from the front of the queue.
-func (t *dedupTable) purgeLocked(now time.Time) {
-	i := 0
-	for ; i < len(t.queue); i++ {
-		rec := t.queue[i]
-		if !rec.entry.expired(now, t.window) {
-			break
-		}
-		if cur, ok := t.entries[rec.key]; ok && cur == rec.entry {
-			delete(t.entries, rec.key)
-		}
+// reservation, including error paths, or duplicates wait until expiry. A
+// reservation that already left the table is ignored: its waiters were
+// released when it left.
+func (t *dedupTable) finish(seq uint64, reply []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seq < t.head || seq >= t.tail {
+		return
 	}
-	if i > 0 {
-		t.queue = append(t.queue[:0], t.queue[i:]...)
+	s := t.slot(seq)
+	s.finished, s.reply = true, reply
+	if s.wait != nil {
+		s.wait.reply = reply
+		close(s.wait.done)
 	}
 }
 
-// evictOldestLocked removes the oldest live reservation (capacity
-// pressure, not expiry).
-func (t *dedupTable) evictOldestLocked() {
-	rec := t.queue[0]
-	t.queue = t.queue[1:]
-	if cur, ok := t.entries[rec.key]; ok && cur == rec.entry {
-		delete(t.entries, rec.key)
+func (t *dedupTable) slot(seq uint64) *dedupSlot {
+	return &t.ring[seq&uint64(len(t.ring)-1)]
+}
+
+// popLocked removes the oldest reservation (expiry or capacity pressure).
+// Duplicates still waiting on an unfinished one are released to drop.
+func (t *dedupTable) popLocked() {
+	s := t.slot(t.head)
+	if seq, ok := t.index[s.key]; ok && seq == t.head {
+		delete(t.index, s.key)
 	}
+	if s.wait != nil && !s.finished {
+		close(s.wait.done)
+	}
+	*s = dedupSlot{}
+	t.head++
+}
+
+// growLocked doubles the ring, re-homing each live slot at its sequence
+// number's position in the larger ring.
+func (t *dedupTable) growLocked() {
+	ring := make([]dedupSlot, max(16, 2*len(t.ring)))
+	for seq := t.head; seq < t.tail; seq++ {
+		ring[seq&uint64(len(ring)-1)] = *t.slot(seq)
+	}
+	t.moved += t.tail - t.head
+	t.ring = ring
 }
 
 // len reports the live entry count (test hook).
 func (t *dedupTable) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	return len(t.index)
 }

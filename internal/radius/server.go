@@ -108,9 +108,10 @@ type Server struct {
 // original is still being handled waits for that reply, so the handler
 // runs exactly once per request. maxDedupEntries caps the cache so spoofed
 // source addresses cannot grow it without bound (when full, the oldest
-// reservation is evicted): at ~60 bytes of bookkeeping per entry this is a
-// few MiB worst case, while comfortably covering every outstanding request
-// a farm member sees within one window.
+// reservation is evicted): at ≈ 150 bytes of bookkeeping per entry (a
+// 96-byte ring slot plus its index entry) this is ≈ 10 MiB worst case,
+// while comfortably covering every outstanding request a farm member sees
+// within one window.
 const (
 	dedupWindow     = 5 * time.Second
 	maxDedupEntries = 65536
@@ -209,9 +210,8 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 		return
 	}
 
-	key := dedupKey{src: src.String(), id: req.Identifier, auth: req.Authenticator}
-	entry, isNew := s.dedup.reserve(key)
-	if !isNew {
+	seq, dup := s.dedup.reserve(dedupKeyOf(src, req.Identifier, req.Authenticator))
+	if dup != nil {
 		s.mReplays.Inc()
 		// Retransmission. The original reservation may still be in the
 		// handler: wait for its reply rather than evaluating the request
@@ -219,12 +219,8 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 		// answer one retransmission pair with Accept+Reject). If the
 		// original never finishes within the window, drop silently —
 		// the NAS will retransmit again.
-		select {
-		case <-entry.done:
-			if entry.reply != nil {
-				conn.WriteTo(entry.reply, src)
-			}
-		case <-time.After(dedupWindow):
+		if reply := dup.wait(); reply != nil {
+			conn.WriteTo(reply, src)
 		}
 		return
 	}
@@ -250,7 +246,7 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 	}
 	s.Logger.Info("request", "component", "radius", "trace", trace,
 		"user", req.GetString(AttrUserName), "result", result)
-	s.dedup.finish(entry, replyWire)
+	s.dedup.finish(seq, replyWire)
 	if replyWire != nil {
 		if _, err := conn.WriteTo(replyWire, src); err != nil {
 			s.logf("radius: write to %s: %v", src, err)

@@ -66,7 +66,9 @@ type Conn struct {
 // NewConn wraps c.
 func NewConn(c net.Conn) *Conn {
 	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 0, 16*1024), 1024*1024)
+	// Login frames are a few hundred bytes and every login opens a Conn on
+	// each side, so start small; the scanner doubles the buffer on demand.
+	sc.Buffer(make([]byte, 0, 512), 1024*1024)
 	return &Conn{c: c, r: sc, enc: json.NewEncoder(c)}
 }
 

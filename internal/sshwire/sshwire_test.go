@@ -3,6 +3,7 @@ package sshwire
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,58 @@ func TestRecvIntoResetsBetweenFrames(t *testing.T) {
 	}
 	if m.T != TBye || m.User != "" || m.TTY || m.Nonce != nil {
 		t.Fatalf("second frame kept stale fields: %+v", m)
+	}
+}
+
+// TestLargeFrameRoundTrips sends a frame far larger than NewConn's initial
+// buffer, so the scanner must grow it.
+func TestLargeFrameRoundTrips(t *testing.T) {
+	client, server := pair(t)
+	defer client.Close()
+	defer server.Close()
+	banner := strings.Repeat("hpc-login ", 64*1024/10)
+	go server.Send(&Msg{T: TNonce, Banner: banner})
+	m, err := client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Banner != banner {
+		t.Fatalf("banner: got %d bytes, want %d", len(m.Banner), len(banner))
+	}
+}
+
+// TestOversizeFrameFails pins the 1 MiB frame cap: a longer line is an
+// error, not a hang or a truncated frame.
+func TestOversizeFrameFails(t *testing.T) {
+	a, b := net.Pipe()
+	conn := NewConn(b)
+	defer conn.Close()
+	go func() {
+		defer a.Close()
+		frame := append([]byte(`{"t":"nonce","banner":"`), strings.Repeat("x", 1024*1024)...)
+		a.Write(append(frame, "\"}\n"...))
+	}()
+	var m Msg
+	if err := conn.RecvInto(&m); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("err = %v, want token too long", err)
+	}
+}
+
+// TestNewConnAllocatesLittle gates the per-connection cost: every login
+// opens a Conn on each side, and its frames are a few hundred bytes.
+func TestNewConnAllocatesLittle(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	const n = 100
+	conns := make([]*Conn, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range conns {
+		conns[i] = NewConn(a)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got > 1024 {
+		t.Fatalf("NewConn allocates %d B, want ≤ 1024", got)
 	}
 }
