@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench-smoke bench figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
+.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench-smoke bench examples figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: fmt vet build test race chaos bench-concurrency bench-obs bench-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint figures fuzz cover
+verify: fmt vet build test race chaos bench-concurrency bench-obs bench-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint examples figures fuzz cover
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -113,7 +113,8 @@ prof-smoke:
 # lockouts, fewer prompts), byte-identical double runs, exact authwatch
 # parity on the on-arm stream, the JSONL replay regression, the bounded
 # feature store (eviction, ring, concurrency), and the PAM gate semantics
-# (skip/step-up/deny, exemption override, fail-open).
+# (skip/step-up/deny, exemption override, nil Risk = the four Figure 1
+# modules).
 risk-smoke:
 	$(GO) test -race -count 1 -run 'TestRiskEval|TestStreamingParity/riskeval' ./internal/rollout
 	$(GO) test -race -count 1 ./internal/risk/... ./internal/geoip
@@ -125,6 +126,15 @@ risk-smoke:
 metrics-lint:
 	$(GO) test -count 1 -run 'TestPortalMetricsExpositionIsLintClean' ./internal/core
 	$(GO) test -count 1 -run 'TestLint' ./internal/obs
+
+# Runs every examples/ program (about 4 s for all six), each under a 60 s
+# timeout, and fails on the first non-zero exit: `go build ./...` only
+# compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		timeout 60 $(GO) run ./$$d > /dev/null || { echo "FAIL: $$d"; exit 1; }; \
+	done
 
 # Figure parity gate (~25 s): regenerate the paper's figures from a fresh
 # full-calendar run on the core.New deployment, with the live authwatch

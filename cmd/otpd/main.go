@@ -39,7 +39,6 @@ var (
 	adminUser  = flag.String("admin-user", "portal", "admin API digest username")
 	adminPass  = flag.String("admin-pass", "", "admin API digest password (required)")
 	issuer     = flag.String("issuer", "HPC", "otpauth issuer label")
-	shards     = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
 
 	replListen  = flag.String("repl-listen", "", "replication leader listen address (empty = not a leader)")
 	replFollow  = flag.String("repl-follow", "", "leader replication address to follow; makes this otpd a standby (no RADIUS listener, local writes refused)")
@@ -70,9 +69,9 @@ func run(ctx context.Context) error {
 	reg := obs.NewRegistry()
 	var db *store.Store
 	if *dataDir == "" {
-		db = store.OpenMemoryShards(*shards)
+		db = store.OpenMemory()
 	} else if db, err = store.Open(*dataDir, store.Options{
-		Sync: true, Shards: *shards, GroupCommit: true, Obs: reg,
+		Sync: true, GroupCommit: true, Obs: reg,
 	}); err != nil {
 		return err
 	}

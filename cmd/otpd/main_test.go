@@ -20,7 +20,7 @@ func TestFlagSurface(t *testing.T) {
 	})
 	want := []string{"admin-pass", "admin-user", "data", "flightrec-dir", "http", "issuer", "key-hex",
 		"prof-dir", "radius", "radius-secret", "repl-follow", "repl-listen", "repl-min-sync",
-		"repl-sync-timeout", "risk", "slo", "store-shards"}
+		"repl-sync-timeout", "risk", "slo"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("otpd flags = %v\nwant %v", got, want)
 	}

@@ -35,7 +35,6 @@ var (
 	dataDir  = flag.String("data", "", "IDM data directory (empty = in-memory)")
 	baseURL  = flag.String("base-url", "", "public base URL for signed links (default http://<http>)")
 	demo     = flag.Bool("demo", false, "create a demo account (demo/demo-pass)")
-	shards   = flag.Int("store-shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled; existing data dirs keep their count)")
 
 	opsFlags = ops.RegisterFlags(flag.CommandLine)
 )
@@ -52,9 +51,9 @@ func run(ctx context.Context) error {
 	var db *store.Store
 	var err error
 	if *dataDir == "" {
-		db = store.OpenMemoryShards(*shards)
+		db = store.OpenMemory()
 	} else if db, err = store.Open(*dataDir, store.Options{
-		Sync: true, Shards: *shards, GroupCommit: true, Obs: reg,
+		Sync: true, GroupCommit: true, Obs: reg,
 	}); err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ func TestFlagSurface(t *testing.T) {
 		}
 	})
 	want := []string{"base-url", "data", "demo", "flightrec-dir", "http", "otpd", "otpd-pass", "otpd-user",
-		"prof-dir", "slo", "store-shards"}
+		"prof-dir", "slo"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("portald flags = %v\nwant %v", got, want)
 	}

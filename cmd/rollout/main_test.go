@@ -11,9 +11,8 @@ import (
 	"openmfa/internal/leakcheck"
 )
 
-// TestFlagSurface pins the flag names, so a re-added knob (-store-shards
-// went in PR 17: it never changed a result) fails here rather than
-// shipping.
+// TestFlagSurface pins the flag names, so a re-added knob fails here
+// rather than shipping.
 func TestFlagSurface(t *testing.T) {
 	var got []string
 	newFlags(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
@@ -41,7 +40,7 @@ func TestRejectsBadSelectionsBeforeRunning(t *testing.T) {
 		{"-risk -users 50", "-users has no effect with -risk"},
 		{"-risk-users 8", "-risk-users has no effect without -risk"},
 		{"-fig 3 -risk-days 5", "-risk-days has no effect without -risk"},
-		{"-store-shards 4", "flag provided but not defined"},
+		{"-no-such-flag 4", "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
 		start := time.Now()

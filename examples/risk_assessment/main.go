@@ -2,7 +2,8 @@
 // dynamic risk assessment"), built out on top of the same stack. A user
 // with a stable Austin login history is admitted normally; a login from a
 // brand-new country forces the second factor even for exempt accounts;
-// impossible travel is refused outright.
+// impossible travel is refused outright. The program exits non-zero if
+// any of the three outcomes does not hold.
 package main
 
 import (
@@ -16,96 +17,100 @@ import (
 	"openmfa/internal/geoip"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
-	"openmfa/internal/pam"
 	"openmfa/internal/risk"
 	"openmfa/internal/sshd"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
+	// Every connection in this single-process demo reaches the login node
+	// over loopback, so the geolocation table places loopback on the
+	// Austin campus: alice's history and her first login share one
+	// network, one country and one location.
+	geo := geoip.Synthetic()
+	if err := geo.AddRange("127.0.0.0/8", geoip.Location{Country: "US", Region: "Austin TX", Lat: 30.27, Lon: -97.74}); err != nil {
+		return err
+	}
+	engine := risk.New(risk.Options{Geo: geo})
 	inf, err := core.New(core.Options{
 		// alice is whitelisted — normally she would never see a token
 		// prompt.
 		ExemptionRules: "permit : alice : ALL : ALL",
+		// The risk gate joins the Figure 1 stack after the password, and
+		// the login node feeds every outcome back into the engine.
+		Risk: engine,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer inf.Close()
 
-	// Swap the standard Figure 1 stack for the risk-gated variant and
-	// wire outcome feedback.
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
-	*inf.Stack = *pam.NewSSHDStackWithRisk(pam.SSHDStackConfig{
-		AuthLog:    inf.AuthLog,
-		IDM:        inf.IDM,
-		Exemptions: inf.ACL,
-		TokenCfg:   inf.Mode,
-		Pairing:    pam.LocalPairing{Dir: inf.Dir},
-		Radius:     inf.Pool,
-	}, engine, func(user string, d risk.Decision) {
-		fmt.Printf("  [risk alert] %s: %s (score %.2f) %v\n", user, d.Outcome, d.Score, d.ReasonStrings())
-	})
-	inf.SSHD.Risk = engine
-
 	if _, err := inf.CreateUser("alice", "a@hpc.example", "pw", idm.ClassUser); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	enr, err := inf.PairSoft("alice")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Build a month of boring history: Austin, business hours.
+	// Build a month of boring history: the campus network, this hour of
+	// the day.
 	now := time.Now().UTC()
-	austin := net.ParseIP("129.114.3.7")
+	campus := net.ParseIP("127.0.0.1")
 	for i := 0; i < 30; i++ {
-		engine.RecordSuccess("alice", austin, now.AddDate(0, 0, -30+i))
-	}
-
-	login := func(label string, drift int) error {
-		r := &sshd.FuncResponder{}
-		prompted := []string{}
-		r.Fn = func(echo bool, prompt string) (string, error) {
-			prompted = append(prompted, strings.TrimSpace(prompt))
-			if strings.Contains(prompt, "Password") {
-				return "pw", nil
-			}
-			code, _ := otp.TOTP(enr.Secret, time.Now().Add(time.Duration(drift)*30*time.Second), inf.OTP.OTPOptions())
-			return code, nil
-		}
-		c, err := sshd.Dial(inf.SSHAddr(), sshd.DialOptions{User: "alice", TTY: true, Responder: r})
-		if err != nil {
-			fmt.Printf("%s: DENIED (%v)\n", label, err)
-			return err
-		}
-		c.Close()
-		fmt.Printf("%s: admitted, prompts=%v\n", label, prompted)
-		return nil
+		engine.RecordSuccess("alice", campus, now.AddDate(0, 0, -30+i))
 	}
 
 	// 1. Familiar pattern: exemption applies, password only.
-	fmt.Println("— login from the usual Austin network —")
-	login("usual place", 1)
-
-	// Simulate the engine having just seen that Austin success (the sshd
-	// feedback did it), then an attacker with the password shows up from
-	// the other side of the planet within the hour: impossible travel.
-	fmt.Println("— same credentials from China 30 minutes later —")
-	// Reach the login node from a different (Chinese) address is not
-	// possible over loopback, so consult the engine directly, the way a
-	// border IDS would:
-	a := engine.Assess("alice", net.ParseIP("159.226.40.1"), time.Now().UTC().Add(30*time.Minute))
-	fmt.Printf("  assessment: %s (score %.2f) %v\n", a.Level, a.Score, a.Reasons)
-	if a.Level != risk.Critical {
-		log.Fatalf("expected critical, got %v", a.Level)
+	fmt.Println("— login from the usual campus network —")
+	var prompted []string
+	r := &sshd.FuncResponder{}
+	r.Fn = func(echo bool, prompt string) (string, error) {
+		prompted = append(prompted, strings.TrimSpace(prompt))
+		if strings.Contains(prompt, "Password") {
+			return "pw", nil
+		}
+		return otp.TOTP(enr.Secret, time.Now(), inf.OTP.OTPOptions())
 	}
-	fmt.Println("  → the risk-gated PAM stack denies this attempt before the second factor")
+	c, err := sshd.Dial(inf.SSHAddr(), sshd.DialOptions{User: "alice", TTY: true, Responder: r})
+	if err != nil {
+		return fmt.Errorf("familiar login denied: %w", err)
+	}
+	c.Close()
+	fmt.Printf("usual place: admitted, prompts=%v\n", prompted)
+	if len(prompted) != 1 || !strings.Contains(prompted[0], "Password") {
+		return fmt.Errorf("familiar login prompted %v, want the password only", prompted)
+	}
 
-	// 3. A legitimate trip: Germany, a week later. Elevated, not
-	//    critical — the stack suppresses alice's exemption and demands
-	//    the token code she can provide.
+	// The login node recorded that success. An attacker with the password
+	// shows up from the other side of the planet within the hour:
+	// impossible travel. Loopback cannot originate from China, so ask the
+	// engine the question the gate would ask.
+	fmt.Println("— same credentials from China 30 minutes later —")
+	if err := expect(engine.Decide("alice", net.ParseIP("159.226.40.1"), time.Now().UTC().Add(30*time.Minute)),
+		risk.OutcomeDeny, "the risk gate denies this attempt before the second factor"); err != nil {
+		return err
+	}
+
+	// 3. A legitimate trip: Germany, a week later. Step-up, not deny —
+	//    the gate suppresses alice's exemption and demands the token code
+	//    she can provide.
 	fmt.Println("— legitimate travel to Germany a week later —")
-	b := engine.Assess("alice", net.ParseIP("141.20.1.2"), time.Now().UTC().AddDate(0, 0, 7))
-	fmt.Printf("  assessment: %s (score %.2f) %v\n", b.Level, b.Score, b.Reasons)
-	fmt.Println("  → exemption suppressed; the token prompt stands between the password and entry")
+	return expect(engine.Decide("alice", net.ParseIP("141.20.1.2"), time.Now().UTC().AddDate(0, 0, 7)),
+		risk.OutcomeStepUp, "exemption suppressed; the token prompt stands between the password and entry")
+}
+
+// expect prints a decision and fails unless it has the wanted outcome.
+func expect(d risk.Decision, want risk.Outcome, consequence string) error {
+	fmt.Printf("  decision: %s (score %.2f) %v\n", d.Outcome, d.Score, d.ReasonStrings())
+	if d.Outcome != want {
+		return fmt.Errorf("decision %s, want %s", d.Outcome, want)
+	}
+	fmt.Println("  → " + consequence)
+	return nil
 }

@@ -127,8 +127,8 @@ func (r Rule) matchesOrigin(ip net.IP) bool {
 	return false
 }
 
-// ParseRule parses one "action : users : origins : expires" line.
-func ParseRule(line string, lineNo int) (Rule, error) {
+// parseRule parses one "action : users : origins : expires" line.
+func parseRule(line string, lineNo int) (Rule, error) {
 	r := Rule{Line: lineNo, Raw: line}
 	parts := strings.Split(line, ":")
 	if len(parts) != 4 {
@@ -223,7 +223,7 @@ func Parse(content string) ([]Rule, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		r, err := ParseRule(line, lineNo)
+		r, err := parseRule(line, lineNo)
 		if err != nil {
 			return nil, err
 		}

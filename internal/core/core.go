@@ -133,17 +133,9 @@ type Options struct {
 	// radius.Client sentinel semantics (zero keeps 1 retry here,
 	// radius.NoRetry means single-shot).
 	RadiusRetries int
-	// SSHAuthTimeout / SSHIdleTimeout / SSHMaxConns pass through to the
-	// login node (sshd.Server sentinel semantics; zero keeps its
-	// defaults).
+	// SSHAuthTimeout passes through to the login node (sshd.Server
+	// sentinel semantics; zero keeps its default).
 	SSHAuthTimeout time.Duration
-	SSHIdleTimeout time.Duration
-	SSHMaxConns    int
-	// StoreShards is the shard count for each backing store (rounded up to
-	// a power of two, capped at store.MaxShards); zero picks the
-	// GOMAXPROCS-scaled default. Existing data directories keep their
-	// persisted count.
-	StoreShards int
 	// StoreSync fsyncs every committed batch in the on-disk stores.
 	StoreSync bool
 	// StoreGroupCommit coalesces concurrent committers into shared fsyncs
@@ -265,12 +257,11 @@ func New(opts Options) (*Infrastructure, error) {
 
 	newStore := func(name string) (*store.Store, error) {
 		if opts.DataDir == "" {
-			s := store.OpenMemoryShards(opts.StoreShards)
+			s := store.OpenMemory()
 			inf.stores = append(inf.stores, s)
 			return s, nil
 		}
 		s, err := store.Open(opts.DataDir+"/"+name, store.Options{
-			Shards:      opts.StoreShards,
 			Sync:        opts.StoreSync,
 			GroupCommit: opts.StoreGroupCommit,
 			Obs:         opts.Obs,
@@ -426,19 +417,15 @@ func New(opts Options) (*Infrastructure, error) {
 	}
 	inf.Mode = &ModeSwitch{}
 	inf.Mode.Set(pam.TokenConfig{Mode: mode, Deadline: opts.Deadline, InfoURL: opts.InfoURL})
-	scfg := pam.SSHDStackConfig{
+	inf.Stack = pam.NewSSHDStack(pam.SSHDStackConfig{
 		AuthLog:    inf.AuthLog,
 		IDM:        inf.IDM,
 		Exemptions: inf.ACL,
 		TokenCfg:   inf.Mode,
 		Pairing:    pam.LocalPairing{Dir: inf.Dir},
 		Radius:     inf.Pool,
-	}
-	if opts.Risk != nil {
-		inf.Stack = pam.NewSSHDStackWithRisk(scfg, opts.Risk, nil)
-	} else {
-		inf.Stack = pam.NewSSHDStack(scfg)
-	}
+		Risk:       opts.Risk,
+	})
 
 	// Login node.
 	inf.SSHD = &sshd.Server{
@@ -448,8 +435,6 @@ func New(opts Options) (*Infrastructure, error) {
 		Obs: opts.Obs, Logger: opts.Logger,
 		Spans: opts.Spans, Events: opts.Events,
 		AuthTimeout: opts.SSHAuthTimeout,
-		IdleTimeout: opts.SSHIdleTimeout,
-		MaxConns:    opts.SSHMaxConns,
 	}
 	if opts.FaultNet != nil {
 		inf.SSHD.Listen = opts.FaultNet.Listen

@@ -135,8 +135,8 @@ func (n *Network) Heal(addr string) {
 	n.mu.Unlock()
 }
 
-// Partitioned reports whether addr is currently partitioned.
-func (n *Network) Partitioned(addr string) bool {
+// partitioned reports whether addr is currently partitioned.
+func (n *Network) partitioned(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.parts[addr]
@@ -189,7 +189,7 @@ func (n *Network) corrupt(b []byte) []byte {
 // wrapped so per-operation faults apply. Datagram networks ("udp...")
 // get the datagram fault model, everything else the stream model.
 func (n *Network) Dial(network, addr string) (net.Conn, error) {
-	if n.Partitioned(addr) {
+	if n.partitioned(addr) {
 		n.cPartition.Inc()
 		return nil, &net.OpError{Op: "dial", Net: network, Err: ErrPartitioned}
 	}
@@ -222,12 +222,6 @@ func (n *Network) ListenPacket(network, addr string) (net.PacketConn, error) {
 		return nil, err
 	}
 	return n.WrapPacketConn(pc), nil
-}
-
-// WrapConn interposes the fault layer on an existing connection. peer is
-// the partition key (normally c.RemoteAddr().String()).
-func (n *Network) WrapConn(c net.Conn, peer string) net.Conn {
-	return n.wrapConn(c, peer, isDatagram(c.RemoteAddr().Network()))
 }
 
 // WrapPacketConn interposes the datagram fault model on an existing
@@ -279,7 +273,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	if c.datagram {
 		return c.writeDatagram(b)
 	}
-	if c.n.Partitioned(c.peer) {
+	if c.n.partitioned(c.peer) {
 		c.n.cPartition.Inc()
 		return 0, &net.OpError{Op: "write", Net: "tcp", Err: ErrPartitioned}
 	}
@@ -298,7 +292,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 func (c *faultConn) writeDatagram(b []byte) (int, error) {
 	// Silent-loss cases report success, like a real lossy network: the
 	// datagram left the host; nobody will ever know what became of it.
-	if c.n.Partitioned(c.peer) {
+	if c.n.partitioned(c.peer) {
 		c.n.cPartition.Inc()
 		return len(b), nil
 	}
@@ -348,7 +342,7 @@ func (c *faultConn) Read(b []byte) (int, error) {
 		if err != nil {
 			return nr, err
 		}
-		if c.n.Partitioned(c.peer) {
+		if c.n.partitioned(c.peer) {
 			c.n.cPartition.Inc()
 			if c.datagram {
 				continue // swallow datagrams from a partitioned peer
@@ -372,7 +366,7 @@ type faultPacketConn struct {
 
 func (p *faultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	peer := addr.String()
-	if p.n.Partitioned(peer) {
+	if p.n.partitioned(peer) {
 		p.n.cPartition.Inc()
 		return len(b), nil
 	}
@@ -421,7 +415,7 @@ func (p *faultPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 		if err != nil {
 			return nr, src, err
 		}
-		if src != nil && p.n.Partitioned(src.String()) {
+		if src != nil && p.n.partitioned(src.String()) {
 			p.n.cPartition.Inc()
 			continue // blackhole inbound datagrams from partitioned peers
 		}

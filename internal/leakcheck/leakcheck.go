@@ -5,7 +5,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,13 +104,3 @@ func interesting(gs map[string]string) map[string]string {
 // Count returns the number of interesting goroutines right now — handy for
 // asserting a server's handler fan-out returned to baseline mid-test.
 func Count() int { return len(interesting(stacks())) }
-
-// Dump formats all interesting goroutines, for debugging chaos failures.
-func Dump() string {
-	gs := interesting(stacks())
-	parts := make([]string, 0, len(gs))
-	for _, s := range gs {
-		parts = append(parts, s)
-	}
-	return fmt.Sprintf("%d goroutines:\n%s", len(gs), strings.Join(parts, "\n---\n"))
-}

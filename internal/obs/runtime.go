@@ -40,7 +40,7 @@ const DefaultRuntimeSampleInterval = 10 * time.Second
 // sample immediately, and refreshes them every interval until Stop.
 // A nil registry returns a no-op sampler (Stop still safe).
 func StartRuntimeSampler(reg *Registry, interval time.Duration) *RuntimeSampler {
-	s := NewRuntimeSampler(reg)
+	s := newRuntimeSampler(reg)
 	if reg == nil {
 		return s
 	}
@@ -65,10 +65,10 @@ func StartRuntimeSampler(reg *Registry, interval time.Duration) *RuntimeSampler 
 	return s
 }
 
-// NewRuntimeSampler registers the gauges and samples once, without a
+// newRuntimeSampler registers the gauges and samples once, without a
 // background goroutine — callers drive Sample themselves (tests, or a
 // scrape-time hook).
-func NewRuntimeSampler(reg *Registry) *RuntimeSampler {
+func newRuntimeSampler(reg *Registry) *RuntimeSampler {
 	s := &RuntimeSampler{
 		goroutines: reg.Gauge("go_goroutines"),
 		heapInuse:  reg.Gauge("go_heap_inuse_bytes"),

@@ -128,8 +128,8 @@ type WindowPair struct {
 	Threshold float64
 }
 
-// DefaultWindows returns the standard multi-window multi-burn-rate pairs.
-func DefaultWindows() []WindowPair {
+// defaultWindows returns the standard multi-window multi-burn-rate pairs.
+func defaultWindows() []WindowPair {
 	return []WindowPair{
 		{Severity: "page", Short: 5 * time.Minute, Long: time.Hour, Threshold: 14.4},
 		{Severity: "ticket", Short: 6 * time.Hour, Long: 3 * 24 * time.Hour, Threshold: 1},
@@ -144,7 +144,8 @@ type Config struct {
 	// deployments pass the same clock.Sim as the rest of the stack so
 	// burn windows track simulated time deterministically.
 	Clock clock.Clock
-	// Windows overrides the alert pairs; nil means DefaultWindows.
+	// Windows overrides the alert pairs; nil means the standard page and
+	// ticket pairs (defaultWindows).
 	Windows []WindowPair
 	// MaxSamples bounds each objective's snapshot history (default 16384).
 	// When exceeded, the older half of the history is thinned 2:1, so
@@ -200,7 +201,7 @@ func New(cfg Config) *Engine {
 	}
 	wins := cfg.Windows
 	if wins == nil {
-		wins = DefaultWindows()
+		wins = defaultWindows()
 	}
 	maxSamples := cfg.MaxSamples
 	if maxSamples <= 0 {

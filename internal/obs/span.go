@@ -248,8 +248,8 @@ func (s *SpanStore) Evicted() uint64 {
 
 type spanCtxKey struct{}
 
-// WithSpan attaches a span to ctx so downstream legs can parent off it.
-func WithSpan(ctx context.Context, sp *Span) context.Context {
+// withSpan attaches a span to ctx so downstream legs can parent off it.
+func withSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
@@ -279,5 +279,5 @@ func (s *SpanStore) StartCtx(ctx context.Context, name string) (context.Context,
 	} else {
 		sp = s.Start(TraceID(ctx), name)
 	}
-	return WithSpan(ctx, sp), sp
+	return withSpan(ctx, sp), sp
 }

@@ -131,14 +131,7 @@ func TestStandardRegistryParsesFigureOneEndToEnd(t *testing.T) {
 	h := newHarness(t, "")
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
-	reg := StandardRegistry(SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	})
+	reg := StandardRegistry(h.stackConfig(nil))
 	stack, err := ParseConfig("sshd", FigureOneConfig, reg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
 	"openmfa/internal/radius"
+	"openmfa/internal/risk"
 	"openmfa/internal/store"
 )
 
@@ -164,15 +165,22 @@ func newHarness(t testing.TB, aclRules string) *harness {
 
 	mode := StaticConfig{Mode: ModeFull}
 	h.mode = &mode
-	h.stack = NewSSHDStack(SSHDStackConfig{
+	h.stack = NewSSHDStack(h.stackConfig(nil))
+	return h
+}
+
+// stackConfig wires the Figure 1 modules to the harness back end; a
+// non-nil engine adds the risk gate.
+func (h *harness) stackConfig(engine *risk.Engine) SSHDStackConfig {
+	return SSHDStackConfig{
 		AuthLog:    h.authLog,
 		IDM:        h.idm,
 		Exemptions: h.acl,
 		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: dir},
+		Pairing:    LocalPairing{Dir: h.dir},
 		Radius:     h.pool,
-	})
-	return h
+		Risk:       engine,
+	}
 }
 
 func (h *harness) addUser(t testing.TB, user, password string) {
@@ -546,14 +554,7 @@ func TestSolarisStack(t *testing.T) {
 	h.addUser(t, "gateway1", "pw")
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
-	solaris := NewSolarisStack(SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	})
+	solaris := NewSolarisStack(h.stackConfig(nil))
 	// Exempt user sails through.
 	ctx := &Context{User: "gateway1", RemoteAddr: external, Conv: &conv{}, Now: h.sim.Now}
 	if err := solaris.Authenticate(ctx); err != nil {

@@ -1,7 +1,6 @@
 package pam
 
 import (
-	"fmt"
 	"strconv"
 
 	"openmfa/internal/risk"
@@ -21,14 +20,12 @@ import (
 //   - allow   → abstains (Ignore); the stack runs unchanged.
 //
 // The decision (outcome, score, reasons) is attached to the attempt's
-// flight-recorder span. Outcomes feed back into the engine via
+// flight-recorder span, and the engine publishes it as a TypeRisk event on
+// its bus (the admin alert channel). Outcomes feed back into the engine via
 // RecordSuccess/RecordFailure from the caller (sshd does this
 // automatically when a risk engine is wired).
 type RiskGate struct {
 	Engine *risk.Engine
-	// Notify, when set, receives every step-up and deny decision (the
-	// admin alert channel).
-	Notify func(user string, d risk.Decision)
 }
 
 // DataRiskForceMFA marks the attempt as too risky for exemptions.
@@ -60,15 +57,12 @@ func (m *RiskGate) Authenticate(ctx *Context) Result {
 			ctx.Span.SetAttr("risk.reasons", d.Detail())
 		}
 	}
-	if m.Notify != nil && (d.Outcome == risk.OutcomeStepUp || d.Outcome == risk.OutcomeDeny) {
-		m.Notify(ctx.User, d)
-	}
 	switch d.Outcome {
 	case risk.OutcomeDeny:
 		ctx.logf("pam_risk_gate: DENY %s from %v: score %.2f (%v)",
 			ctx.User, ctx.RemoteAddr, d.Score, d.ReasonStrings())
 		if ctx.Conv != nil {
-			ctx.Conv.Info(fmt.Sprintf("login blocked by risk policy (%s)", d.Level()))
+			ctx.Conv.Info("login blocked by risk policy (critical)")
 		}
 		return AuthErr
 	case risk.OutcomeStepUp:

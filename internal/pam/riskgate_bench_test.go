@@ -13,15 +13,8 @@ import (
 func BenchmarkRiskGatedLogin(b *testing.B) {
 	h := newHarness(b, "permit : bench : ALL : ALL")
 	h.addUser(b, "bench", "pw")
-	cfg := SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	}
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
+	cfg := h.stackConfig(nil)
+	engine := risk.New(risk.Options{Geo: geoip.Synthetic()})
 	seedHistory(engine, "bench", h.sim.Now())
 	run := func(b *testing.B, stack *Stack) {
 		b.ReportAllocs()
@@ -35,5 +28,6 @@ func BenchmarkRiskGatedLogin(b *testing.B) {
 		}
 	}
 	b.Run("gate-off", func(b *testing.B) { run(b, NewSSHDStack(cfg)) })
-	b.Run("gate-on", func(b *testing.B) { run(b, NewSSHDStackWithRisk(cfg, engine, nil)) })
+	cfg.Risk = engine
+	b.Run("gate-on", func(b *testing.B) { run(b, NewSSHDStack(cfg)) })
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,20 +21,65 @@ var (
 	germanIP = net.ParseIP("141.20.1.2")
 )
 
-// riskHarness wires the risk-gated stack over the usual back end.
-func riskHarness(t *testing.T, aclRules string) (*harness, *risk.Engine, *Stack) {
+// riskHarness wires the risk-gated stack over the usual back end; a nil
+// opts.Geo takes the synthetic table.
+func riskHarness(t *testing.T, aclRules string, opts risk.Options) (*harness, *risk.Engine, *Stack) {
 	t.Helper()
 	h := newHarness(t, aclRules)
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
-	stack := NewSSHDStackWithRisk(SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	}, engine, nil)
-	return h, engine, stack
+	if opts.Geo == nil {
+		opts.Geo = geoip.Synthetic()
+	}
+	engine := risk.New(opts)
+	return h, engine, NewSSHDStack(h.stackConfig(engine))
+}
+
+// riskEvents drains sub after closing it, failing on any event that is
+// not a risk decision.
+func riskEvents(t *testing.T, sub *eventstream.Subscription) []eventstream.Event {
+	t.Helper()
+	sub.Close()
+	var got []eventstream.Event
+	for e := range sub.Events() {
+		if e.Type != eventstream.TypeRisk {
+			t.Fatalf("unexpected event type %q", e.Type)
+		}
+		got = append(got, e)
+	}
+	return got
+}
+
+// TestRiskGateStackConfig: a nil Risk builds exactly the four Figure 1
+// modules; a set Risk puts the gate between the password and the
+// exemption. Both stacks admit a correct password + token login.
+func TestRiskGateStackConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine *risk.Engine
+		want   []string
+	}{
+		{"nil risk", nil,
+			[]string{"pam_pubkey_success", "pam_password", "pam_mfa_exempt", "pam_mfa_token"}},
+		{"risk set", risk.New(risk.Options{Geo: geoip.Synthetic()}),
+			[]string{"pam_pubkey_success", "pam_password", "pam_risk_gate", "pam_mfa_exempt", "pam_mfa_token"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, "")
+			h.addUser(t, "alice", "pw")
+			code := h.pairSoft(t, "alice")
+			stack := NewSSHDStack(h.stackConfig(tc.engine))
+			var names []string
+			for _, e := range stack.Entries {
+				names = append(names, e.Module.Name())
+			}
+			if !reflect.DeepEqual(names, tc.want) {
+				t.Fatalf("modules = %v, want %v", names, tc.want)
+			}
+			c := &conv{answers: []any{"pw", func() string { return code() }}}
+			if err := loginVia(t, h, stack, "alice", austinIP, c); err != nil {
+				t.Fatalf("login denied: %v", err)
+			}
+		})
+	}
 }
 
 func seedHistory(e *risk.Engine, user string, at time.Time) {
@@ -49,7 +95,7 @@ func loginVia(t *testing.T, h *harness, stack *Stack, user string, ip net.IP, c 
 }
 
 func TestRiskGateLowRiskPassesThrough(t *testing.T) {
-	h, engine, stack := riskHarness(t, "")
+	h, engine, stack := riskHarness(t, "", risk.Options{})
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
 	seedHistory(engine, "alice", h.sim.Now())
@@ -62,7 +108,7 @@ func TestRiskGateLowRiskPassesThrough(t *testing.T) {
 func TestRiskGateElevatedCancelsExemption(t *testing.T) {
 	// A whitelisted user from a brand-new country must still present a
 	// token code: the exemption is suppressed for the attempt.
-	h, engine, stack := riskHarness(t, "permit : gateway1 : ALL : ALL")
+	h, engine, stack := riskHarness(t, "permit : gateway1 : ALL : ALL", risk.Options{})
 	h.addUser(t, "gateway1", "pw")
 	code := h.pairSoft(t, "gateway1")
 	seedHistory(engine, "gateway1", h.sim.Now())
@@ -86,7 +132,7 @@ func TestRiskGateElevatedCancelsExemption(t *testing.T) {
 }
 
 func TestRiskGateCriticalDenies(t *testing.T) {
-	h, engine, stack := riskHarness(t, "")
+	h, engine, stack := riskHarness(t, "", risk.Options{})
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
 	seedHistory(engine, "alice", h.sim.Now())
@@ -107,59 +153,29 @@ func TestRiskGateCriticalDenies(t *testing.T) {
 	}
 }
 
-func TestRiskGateNotifyChannel(t *testing.T) {
-	h, engine, _ := riskHarness(t, "")
+func TestRiskGateStepUpPublishesRiskEvent(t *testing.T) {
+	// The engine's bus is the alert channel: a German login (new network
+	// + new country) publishes exactly one step-up decision.
+	bus := eventstream.NewBus(nil)
+	sub := bus.Subscribe(64)
+	h, engine, stack := riskHarness(t, "", risk.Options{Events: bus})
 	h.addUser(t, "alice", "pw")
 	h.pairSoft(t, "alice")
 	seedHistory(engine, "alice", h.sim.Now())
-	var alerts []string
-	stack := NewSSHDStackWithRisk(SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	}, engine, func(user string, d risk.Decision) {
-		alerts = append(alerts, user+":"+d.Level().String())
-	})
-	code := h.pairSoft // silence unused; not needed here
-	_ = code
 	c := &conv{answers: []any{"pw", "000000"}}
 	loginVia(t, h, stack, "alice", germanIP, c)
-	if len(alerts) != 1 || alerts[0] != "alice:elevated" {
-		t.Fatalf("alerts = %v", alerts)
+	got := riskEvents(t, sub)
+	if len(got) != 1 || got[0].User != "alice" || got[0].Result != "step_up" {
+		t.Fatalf("risk events = %+v, want one step_up for alice", got)
 	}
-}
-
-// adaptiveStack builds a risk-gated stack with the skip tier enabled.
-func adaptiveStack(t *testing.T, h *harness, opts risk.Options) (*risk.Engine, *Stack) {
-	t.Helper()
-	if opts.Geo == nil {
-		opts.Geo = geoip.Synthetic()
-	}
-	if !opts.Policy.AllowSkip {
-		opts.Policy = risk.AdaptivePolicy()
-	}
-	engine := risk.New(opts)
-	stack := NewSSHDStackWithRisk(SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	}, engine, nil)
-	return engine, stack
 }
 
 func TestRiskGateAdaptiveSkipSuppressesPrompt(t *testing.T) {
 	// With AllowSkip on, a clean attempt from a well-established account
 	// ends the stack after the first factor: no token prompt.
-	h := newHarness(t, "")
+	h, engine, stack := riskHarness(t, "", risk.Options{Policy: risk.AdaptivePolicy()})
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
-	engine, stack := adaptiveStack(t, h, risk.Options{})
 	seedHistory(engine, "alice", h.sim.Now())
 
 	c := &conv{answers: []any{"pw"}}
@@ -182,10 +198,9 @@ func TestRiskGateAdaptiveSkipSuppressesPrompt(t *testing.T) {
 
 func TestRiskGateSkipRequiresHistory(t *testing.T) {
 	// A brand-new account scores 0 but must not earn the bypass.
-	h := newHarness(t, "")
+	h, _, stack := riskHarness(t, "", risk.Options{Policy: risk.AdaptivePolicy()})
 	h.addUser(t, "newbie", "pw")
 	code := h.pairSoft(t, "newbie")
-	_, stack := adaptiveStack(t, h, risk.Options{})
 	c := &conv{answers: []any{"pw", func() string { return code() }}}
 	if err := loginVia(t, h, stack, "newbie", austinIP, c); err != nil {
 		t.Fatalf("new-account login denied: %v", err)
@@ -198,7 +213,7 @@ func TestRiskGateSkipRequiresHistory(t *testing.T) {
 func TestRiskGateAttachesDecisionToSpans(t *testing.T) {
 	// The gate annotates the per-module span with the decision so the
 	// flight recorder's trace view explains why an attempt was denied.
-	h, engine, stack := riskHarness(t, "")
+	h, engine, stack := riskHarness(t, "", risk.Options{})
 	h.addUser(t, "alice", "pw")
 	h.pairSoft(t, "alice")
 	seedHistory(engine, "alice", h.sim.Now())
@@ -237,16 +252,11 @@ func TestRiskGateAttachesDecisionToSpans(t *testing.T) {
 func TestRiskGatePublishesOneDecisionPerAttempt(t *testing.T) {
 	// Exactly one TypeRisk event per stack run, even when the stack
 	// continues through exemption and token modules.
-	h := newHarness(t, "")
-	h.addUser(t, "alice", "pw")
-	code := h.pairSoft(t, "alice")
 	bus := eventstream.NewBus(nil)
 	sub := bus.Subscribe(64)
-	engine := risk.New(risk.Options{Geo: geoip.Synthetic(), Events: bus})
-	stack := NewSSHDStackWithRisk(SSHDStackConfig{
-		AuthLog: h.authLog, IDM: h.idm, Exemptions: h.acl,
-		TokenCfg: h.mode, Pairing: LocalPairing{Dir: h.dir}, Radius: h.pool,
-	}, engine, nil)
+	h, engine, stack := riskHarness(t, "", risk.Options{Events: bus})
+	h.addUser(t, "alice", "pw")
+	code := h.pairSoft(t, "alice")
 	seedHistory(engine, "alice", h.sim.Now())
 
 	for i := 0; i < 3; i++ {
@@ -256,19 +266,14 @@ func TestRiskGatePublishesOneDecisionPerAttempt(t *testing.T) {
 		}
 		h.sim.Advance(time.Minute)
 	}
-	sub.Close()
-	got := 0
-	for e := range sub.Events() {
-		if e.Type != eventstream.TypeRisk {
-			t.Fatalf("unexpected event type %q", e.Type)
-		}
+	got := riskEvents(t, sub)
+	for _, e := range got {
 		if e.User != "alice" || e.Result != "allow" {
 			t.Fatalf("decision event = %+v", e)
 		}
-		got++
 	}
-	if got != 3 {
-		t.Fatalf("decision events = %d, want 3", got)
+	if len(got) != 3 {
+		t.Fatalf("decision events = %d, want 3", len(got))
 	}
 }
 
@@ -290,18 +295,11 @@ func TestRiskGateOverheadGate(t *testing.T) {
 	)
 	h := newHarness(t, "permit : bench : ALL : ALL")
 	h.addUser(t, "bench", "pw")
-	cfg := SSHDStackConfig{
-		AuthLog:    h.authLog,
-		IDM:        h.idm,
-		Exemptions: h.acl,
-		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
-		Radius:     h.pool,
-	}
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
-	seedHistory(engine, "bench", h.sim.Now())
+	cfg := h.stackConfig(nil)
 	base := NewSSHDStack(cfg)
-	gated := NewSSHDStackWithRisk(cfg, engine, nil)
+	cfg.Risk = risk.New(risk.Options{Geo: geoip.Synthetic()})
+	seedHistory(cfg.Risk, "bench", h.sim.Now())
+	gated := NewSSHDStack(cfg)
 	run := func(stack *Stack) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for j := 0; j < b.N; j++ {
@@ -346,17 +344,16 @@ func TestRiskGateOverheadGate(t *testing.T) {
 func TestRiskGateRunsAfterFirstFactor(t *testing.T) {
 	// The gate must not fire for attempts that fail the password: the
 	// stack is requisite-ordered, password first.
-	h, engine, stack := riskHarness(t, "")
+	bus := eventstream.NewBus(nil)
+	sub := bus.Subscribe(64)
+	h, engine, stack := riskHarness(t, "", risk.Options{Events: bus})
 	h.addUser(t, "alice", "pw")
 	seedHistory(engine, "alice", h.sim.Now())
-	var alerts int
-	stack.Entries[2].Module = &RiskGate{Engine: engine,
-		Notify: func(string, risk.Decision) { alerts++ }}
 	c := &conv{answers: []any{"wrong-password"}}
 	if err := loginVia(t, h, stack, "alice", chinaIP, c); !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("err = %v", err)
 	}
-	if alerts != 0 {
-		t.Fatal("risk gate evaluated before the first factor succeeded")
+	if got := riskEvents(t, sub); len(got) != 0 {
+		t.Fatalf("risk gate evaluated before the first factor succeeded: %+v", got)
 	}
 }

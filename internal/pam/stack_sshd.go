@@ -16,6 +16,12 @@ type SSHDStackConfig struct {
 	TokenCfg   ConfigProvider
 	Pairing    PairingLookup
 	Radius     *radius.Pool
+	// Risk, when set, inserts the adaptive-MFA gate (§6 future work)
+	// right after the first factor: a deny refuses before the second
+	// factor is even attempted, a step-up forces MFA past any exemption,
+	// and a skip (policy opt-in) ends the stack in success without a
+	// token prompt. nil means no gate module.
+	Risk *risk.Engine
 }
 
 // NewSSHDStack builds the representative Linux PAM authentication stack of
@@ -33,35 +39,21 @@ type SSHDStackConfig struct {
 // for the retry budget). Only then is the second factor processed: the
 // exemption module short-circuits to success for whitelisted
 // users/addresses, and finally the token module enforces the configured
-// opt-in tier.
+// opt-in tier. With cfg.Risk set, pam_risk_gate sits between the password
+// and the exemption module.
 func NewSSHDStack(cfg SSHDStackConfig) *Stack {
-	return &Stack{
-		Service: "sshd",
-		Entries: []Entry{
-			{SkipOnSuccess(1), &PubkeySuccess{Log: cfg.AuthLog}},
-			{Requisite(), &Password{IDM: cfg.IDM}},
-			{Sufficient(), &Exempt{List: cfg.Exemptions}},
-			{Required(), &Token{Config: cfg.TokenCfg, Pairing: cfg.Pairing, Radius: cfg.Radius}},
-		},
+	entries := []Entry{
+		{SkipOnSuccess(1), &PubkeySuccess{Log: cfg.AuthLog}},
+		{Requisite(), &Password{IDM: cfg.IDM}},
 	}
-}
-
-// NewSSHDStackWithRisk is NewSSHDStack plus the adaptive-MFA gate (§6
-// future work): the gate runs right after the first factor, so a deny
-// refuses before the second factor is even attempted, a step-up forces
-// MFA past any exemption, and a skip (policy opt-in) ends the stack in
-// success without a token prompt.
-func NewSSHDStackWithRisk(cfg SSHDStackConfig, engine *risk.Engine, notify func(string, risk.Decision)) *Stack {
-	return &Stack{
-		Service: "sshd",
-		Entries: []Entry{
-			{SkipOnSuccess(1), &PubkeySuccess{Log: cfg.AuthLog}},
-			{Requisite(), &Password{IDM: cfg.IDM}},
-			{RiskGateControl(), &RiskGate{Engine: engine, Notify: notify}},
-			{Sufficient(), &Exempt{List: cfg.Exemptions}},
-			{Required(), &Token{Config: cfg.TokenCfg, Pairing: cfg.Pairing, Radius: cfg.Radius}},
-		},
+	if cfg.Risk != nil {
+		entries = append(entries, Entry{RiskGateControl(), &RiskGate{Engine: cfg.Risk}})
 	}
+	entries = append(entries,
+		Entry{Sufficient(), &Exempt{List: cfg.Exemptions}},
+		Entry{Required(), &Token{Config: cfg.TokenCfg, Pairing: cfg.Pairing, Radius: cfg.Radius}},
+	)
+	return &Stack{Service: "sshd", Entries: entries}
 }
 
 // NewSolarisStack is the Oracle Solaris variant (§3.4): the combined

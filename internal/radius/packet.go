@@ -339,9 +339,9 @@ var wireBufs = sync.Pool{
 func getWireBuf() *[]byte  { return wireBufs.Get().(*[]byte) }
 func putWireBuf(b *[]byte) { *b = (*b)[:0]; wireBufs.Put(b) }
 
-// ResponseAuthenticator computes MD5(Code+ID+Length+RequestAuth+Attrs+Secret)
+// responseAuthenticator computes MD5(Code+ID+Length+RequestAuth+Attrs+Secret)
 // for a response whose Authenticator field is currently zero or arbitrary.
-func ResponseAuthenticator(resp *Packet, reqAuth [16]byte, secret []byte) ([16]byte, error) {
+func responseAuthenticator(resp *Packet, reqAuth [16]byte, secret []byte) ([16]byte, error) {
 	save := resp.Authenticator
 	resp.Authenticator = reqAuth
 	buf := getWireBuf()
@@ -360,7 +360,7 @@ func ResponseAuthenticator(resp *Packet, reqAuth [16]byte, secret []byte) ([16]b
 // SignResponse fills in the response authenticator for a reply to a request
 // carrying reqAuth.
 func SignResponse(resp *Packet, reqAuth [16]byte, secret []byte) error {
-	auth, err := ResponseAuthenticator(resp, reqAuth, secret)
+	auth, err := responseAuthenticator(resp, reqAuth, secret)
 	if err != nil {
 		return err
 	}
@@ -370,7 +370,7 @@ func SignResponse(resp *Packet, reqAuth [16]byte, secret []byte) error {
 
 // VerifyResponse checks a reply's response authenticator.
 func VerifyResponse(resp *Packet, reqAuth [16]byte, secret []byte) bool {
-	want, err := ResponseAuthenticator(resp, reqAuth, secret)
+	want, err := responseAuthenticator(resp, reqAuth, secret)
 	if err != nil {
 		return false
 	}

@@ -13,7 +13,7 @@ import (
 // when the gate is wired. It must stay allocation-free: the ≤5% budget in
 // TestRiskGateOverheadGate (internal/pam) depends on it.
 func BenchmarkDecideHot(b *testing.B) {
-	e := NewEngine(geoip.Synthetic(), DefaultWeights())
+	e := New(Options{Geo: geoip.Synthetic()})
 	ip := net.ParseIP("129.114.3.7")
 	t0 := time.Date(2026, 1, 1, 10, 0, 0, 0, time.UTC)
 	for i := 0; i < 30; i++ {

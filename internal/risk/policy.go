@@ -72,7 +72,7 @@ type Policy struct {
 }
 
 // DefaultPolicy scores with DefaultWeights and keeps adaptive skip off:
-// drop-in behaviour for the original assess-only engine.
+// every low score abstains (allow) and the Figure 1 stack runs unchanged.
 func DefaultPolicy() Policy {
 	return Policy{Weights: DefaultWeights(), SkipBelow: 0.05, MinHistory: 20}
 }
@@ -147,19 +147,6 @@ type Decision struct {
 	Reasons []Reason
 	// History is the account's successful-login count at decision time.
 	History int
-}
-
-// Level maps the decision onto the coarse legacy scale (deny=critical,
-// step-up=elevated, everything else low).
-func (d Decision) Level() Level {
-	switch d.Outcome {
-	case OutcomeDeny:
-		return Critical
-	case OutcomeStepUp:
-		return Elevated
-	default:
-		return Low
-	}
 }
 
 // ReasonStrings flattens the explanations.

@@ -36,38 +36,6 @@ import (
 	"openmfa/internal/risk/feature"
 )
 
-// Level buckets a score (legacy coarse scale; Decision is the full view).
-type Level int
-
-// Risk levels.
-const (
-	Low Level = iota
-	Elevated
-	Critical
-)
-
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case Low:
-		return "low"
-	case Elevated:
-		return "elevated"
-	case Critical:
-		return "critical"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
-// Assessment is the legacy scored verdict for one attempt (a flattened
-// Decision; Assess keeps the original advisory API).
-type Assessment struct {
-	Score   float64
-	Level   Level
-	Reasons []string
-}
-
 const failWindow = feature.FailWindow
 
 // burstFloor is the EWMA value below which decayed failure pressure
@@ -77,7 +45,6 @@ const burstFloor = 0.25
 // Options configures New. Zero values take defaults.
 type Options struct {
 	// Geo resolves source addresses (nil disables geographic signals).
-	// Ignored when Store is set.
 	Geo *geoip.DB
 	// Policy is the decision policy; a zero Weights field is replaced by
 	// DefaultWeights.
@@ -89,12 +56,6 @@ type Options struct {
 	Obs *obs.Registry
 	// Events, when set, receives one TypeRisk event per Decide call.
 	Events *eventstream.Bus
-	// MaxUsers bounds the feature store (0 = its default). Ignored when
-	// Store is set.
-	MaxUsers int
-	// Store, when set, is an externally built feature store to decide
-	// over (shared with other consumers).
-	Store *feature.Store
 }
 
 // Engine scores attempts and decides outcomes. Safe for concurrent use.
@@ -113,12 +74,8 @@ func New(o Options) *Engine {
 	if o.Policy.Weights == (Weights{}) {
 		o.Policy.Weights = DefaultWeights()
 	}
-	st := o.Store
-	if st == nil {
-		st = feature.NewStore(feature.Config{Geo: o.Geo, MaxUsers: o.MaxUsers, Obs: o.Obs})
-	}
 	e := &Engine{
-		store:     st,
+		store:     feature.NewStore(feature.Config{Geo: o.Geo, Obs: o.Obs}),
 		policy:    o.Policy.withDefaults(),
 		events:    o.Events,
 		reasons:   make(map[string]*obs.Counter, len(FeatureNames)),
@@ -133,13 +90,6 @@ func New(o Options) *Engine {
 		e.reasons[name] = o.Obs.Counter("risk_reasons_total", "reason", name)
 	}
 	return e
-}
-
-// NewEngine builds an engine over a geolocation DB (nil disables the
-// geographic signals) with the legacy assess-only behaviour: adaptive
-// skip stays off unless the policy enables it.
-func NewEngine(geo *geoip.DB, w Weights) *Engine {
-	return New(Options{Geo: geo, Policy: Policy{Weights: w}})
 }
 
 // Store exposes the engine's feature store.
@@ -217,24 +167,9 @@ func (e *Engine) evaluate(user string, ip net.IP, at time.Time) Decision {
 	return d
 }
 
-// Assess scores an attempt without mutating history (call RecordSuccess /
-// RecordFailure afterwards with the outcome). Advisory: unlike Decide it
-// does not count a decision or publish an event.
-func (e *Engine) Assess(user string, ip net.IP, at time.Time) Assessment {
-	var start time.Time
-	if e.assessDur != nil {
-		start = time.Now()
-	}
-	d := e.evaluate(user, ip, at)
-	if e.assessDur != nil {
-		e.assessDur.ObserveSince(start)
-	}
-	return Assessment{Score: d.Score, Level: d.Level(), Reasons: d.ReasonStrings()}
-}
-
 // Decide scores an attempt and commits the decision: exactly one
 // risk_decisions_total increment and exactly one TypeRisk event per call.
-// Like Assess it never mutates history — outcomes feed back through
+// It never mutates history — outcomes feed back through
 // RecordSuccess / RecordFailure (or Ingest).
 func (e *Engine) Decide(user string, ip net.IP, at time.Time) Decision {
 	var start time.Time

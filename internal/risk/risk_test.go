@@ -17,7 +17,7 @@ var (
 )
 
 func newEngine() *Engine {
-	return NewEngine(geoip.Synthetic(), DefaultWeights())
+	return New(Options{Geo: geoip.Synthetic()})
 }
 
 // seed establishes a stable Austin daytime history for the user.
@@ -30,8 +30,8 @@ func seed(e *Engine, user string, days int) {
 
 func TestFirstLoginIsLowRisk(t *testing.T) {
 	e := newEngine()
-	a := e.Assess("newbie", austin, t0)
-	if a.Level != Low || a.Score != 0 {
+	a := e.Decide("newbie", austin, t0)
+	if a.Outcome != OutcomeAllow || a.Score != 0 {
 		t.Fatalf("first login = %+v", a)
 	}
 }
@@ -39,8 +39,8 @@ func TestFirstLoginIsLowRisk(t *testing.T) {
 func TestFamiliarPatternStaysLow(t *testing.T) {
 	e := newEngine()
 	seed(e, "alice", 30)
-	a := e.Assess("alice", austin, t0)
-	if a.Level != Low {
+	a := e.Decide("alice", austin, t0)
+	if a.Outcome != OutcomeAllow {
 		t.Fatalf("familiar login = %+v", a)
 	}
 }
@@ -48,12 +48,12 @@ func TestFamiliarPatternStaysLow(t *testing.T) {
 func TestNewNetworkElevates(t *testing.T) {
 	e := newEngine()
 	seed(e, "alice", 30)
-	a := e.Assess("alice", texas2, t0)
+	a := e.Decide("alice", texas2, t0)
 	// New /24 alone: 0.35 < 0.50 → still low, but scored.
 	if a.Score <= 0 {
 		t.Fatalf("new network not scored: %+v", a)
 	}
-	if a.Level != Low {
+	if a.Outcome != OutcomeAllow {
 		t.Fatalf("same-country new net should stay low: %+v", a)
 	}
 }
@@ -61,9 +61,9 @@ func TestNewNetworkElevates(t *testing.T) {
 func TestNewCountryElevates(t *testing.T) {
 	e := newEngine()
 	seed(e, "alice", 30)
-	a := e.Assess("alice", german, t0)
-	// New network (0.35) + new country (0.55) = 0.90 → elevated.
-	if a.Level != Elevated {
+	a := e.Decide("alice", german, t0)
+	// New network (0.35) + new country (0.55) = 0.90 → step-up.
+	if a.Outcome != OutcomeStepUp {
 		t.Fatalf("new country = %+v", a)
 	}
 }
@@ -74,18 +74,18 @@ func TestImpossibleTravelCritical(t *testing.T) {
 	// Last success in Austin at t0; a login from China 1 hour later is
 	// ~12,000 km/h: new net + new country + impossible speed = 1.70.
 	e.RecordSuccess("alice", austin, t0)
-	a := e.Assess("alice", china, t0.Add(time.Hour))
-	if a.Level != Critical {
+	a := e.Decide("alice", china, t0.Add(time.Hour))
+	if a.Outcome != OutcomeDeny {
 		t.Fatalf("impossible travel = %+v", a)
 	}
 	found := false
 	for _, r := range a.Reasons {
-		if len(r) > 10 && r[:10] == "impossible" {
+		if r.Feature == FeatureImpossibleTravel {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no impossible-travel reason: %v", a.Reasons)
+		t.Fatalf("no impossible-travel reason: %v", a.ReasonStrings())
 	}
 }
 
@@ -94,10 +94,10 @@ func TestSlowTravelIsFine(t *testing.T) {
 	seed(e, "alice", 30)
 	e.RecordSuccess("alice", austin, t0)
 	// Same trip a week later: plausible flight; only novelty scores.
-	a := e.Assess("alice", china, t0.AddDate(0, 0, 7))
+	a := e.Decide("alice", china, t0.AddDate(0, 0, 7))
 	for _, r := range a.Reasons {
-		if len(r) > 10 && r[:10] == "impossible" {
-			t.Fatalf("slow travel flagged: %v", a.Reasons)
+		if r.Feature == FeatureImpossibleTravel {
+			t.Fatalf("slow travel flagged: %v", a.ReasonStrings())
 		}
 	}
 }
@@ -107,8 +107,8 @@ func TestTravelBecomesFamiliar(t *testing.T) {
 	seed(e, "alice", 30)
 	// Once the user has logged in from Germany, it is no longer novel.
 	e.RecordSuccess("alice", german, t0)
-	a := e.Assess("alice", german, t0.AddDate(0, 0, 1))
-	if a.Level != Low {
+	a := e.Decide("alice", german, t0.AddDate(0, 0, 1))
+	if a.Outcome != OutcomeAllow {
 		t.Fatalf("familiar country still scored: %+v", a)
 	}
 }
@@ -119,13 +119,13 @@ func TestFailurePressure(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		e.RecordFailure("alice", austin, t0.Add(time.Duration(i)*time.Minute))
 	}
-	a := e.Assess("alice", austin, t0.Add(15*time.Minute))
-	// Capped at 10 × 0.12 = 1.20 → critical.
-	if a.Level != Critical {
+	a := e.Decide("alice", austin, t0.Add(15*time.Minute))
+	// Capped at 10 × 0.12 = 1.20 → deny.
+	if a.Outcome != OutcomeDeny {
 		t.Fatalf("failure storm = %+v", a)
 	}
 	// Pressure decays once the window passes.
-	a2 := e.Assess("alice", austin, t0.Add(failWindow+20*time.Minute))
+	a2 := e.Decide("alice", austin, t0.Add(failWindow+20*time.Minute))
 	if a2.Score != 0 {
 		t.Fatalf("stale failures still scored: %+v", a2)
 	}
@@ -134,32 +134,24 @@ func TestFailurePressure(t *testing.T) {
 func TestOffHoursSignal(t *testing.T) {
 	e := newEngine()
 	seed(e, "alice", 40) // all at 15:00 UTC
-	a := e.Assess("alice", austin, time.Date(2016, 11, 2, 3, 0, 0, 0, time.UTC))
+	a := e.Decide("alice", austin, time.Date(2016, 11, 2, 3, 0, 0, 0, time.UTC))
 	if a.Score == 0 {
 		t.Fatalf("off-hours login not scored: %+v", a)
 	}
 	// Adjacent hour counts as usual.
-	b := e.Assess("alice", austin, time.Date(2016, 11, 2, 16, 0, 0, 0, time.UTC))
+	b := e.Decide("alice", austin, time.Date(2016, 11, 2, 16, 0, 0, 0, time.UTC))
 	if b.Score != 0 {
 		t.Fatalf("adjacent hour scored: %+v", b)
 	}
 }
 
 func TestNoGeoDBDegradesGracefully(t *testing.T) {
-	e := NewEngine(nil, DefaultWeights())
+	e := New(Options{})
 	seed(e, "alice", 30)
-	a := e.Assess("alice", china, t0)
+	a := e.Decide("alice", china, t0)
 	// Only the new-network signal is available.
-	if a.Level != Low || a.Score == 0 {
-		t.Fatalf("geo-less assess = %+v", a)
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	for l, want := range map[Level]string{Low: "low", Elevated: "elevated", Critical: "critical", Level(9): "Level(9)"} {
-		if l.String() != want {
-			t.Errorf("%d -> %q", int(l), l.String())
-		}
+	if a.Outcome != OutcomeAllow || a.Score == 0 {
+		t.Fatalf("geo-less decision = %+v", a)
 	}
 }
 

@@ -214,10 +214,10 @@ func ScanDir(dir, prefix string, fn func(payload []byte, ref Ref) error) error {
 	return nil
 }
 
-// ReadFrame fetches one frame's payload back off disk by reference,
+// readFrame fetches one frame's payload back off disk by reference,
 // re-verifying the checksum so a post-write disk corruption surfaces as
 // an error rather than bad data.
-func ReadFrame(dir, prefix string, ref Ref) ([]byte, error) {
+func readFrame(dir, prefix string, ref Ref) ([]byte, error) {
 	f, err := os.Open(filepath.Join(dir, SegName(prefix, ref.Seg)))
 	if err != nil {
 		return nil, err
@@ -366,7 +366,7 @@ func (l *Log) Append(payload []byte) (AppendResult, error) {
 // Read fetches one payload back off disk by reference, re-verifying its
 // checksum. Works after Close.
 func (l *Log) Read(ref Ref) ([]byte, error) {
-	return ReadFrame(l.opts.Dir, l.opts.Prefix, ref)
+	return readFrame(l.opts.Dir, l.opts.Prefix, ref)
 }
 
 // Dir reports the segment directory.

@@ -20,17 +20,18 @@ func TestRiskFeedbackLoop(t *testing.T) {
 	h.addUser(t, "victim", "right")
 	code := h.pairSoft(t, "victim")
 
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
+	engine := risk.New(risk.Options{Geo: geoip.Synthetic()})
 	h.server.Risk = engine
 	// Swap in the risk-gated stack sharing all the same back ends.
-	*h.server.Stack = *pam.NewSSHDStackWithRisk(pam.SSHDStackConfig{
+	*h.server.Stack = *pam.NewSSHDStack(pam.SSHDStackConfig{
 		AuthLog:    h.alog,
 		IDM:        h.idm,
 		Exemptions: h.server.Stack.Entries[2].Module.(*pam.Exempt).List,
 		TokenCfg:   h.mode,
 		Pairing:    pam.LocalPairing{Dir: h.dir},
 		Radius:     h.server.Stack.Entries[3].Module.(*pam.Token).Radius,
-	}, engine, nil)
+		Risk:       engine,
+	})
 
 	// A clean login works and builds history.
 	good := pwTokenResponder("right", code)
@@ -69,16 +70,17 @@ func TestRiskFeedbackLoop(t *testing.T) {
 func TestRiskGateDoesNotBreakGateways(t *testing.T) {
 	h := newHarness(t, "permit : gw : ALL : ALL")
 	h.addUser(t, "gw", "pw")
-	engine := risk.NewEngine(geoip.Synthetic(), risk.DefaultWeights())
+	engine := risk.New(risk.Options{Geo: geoip.Synthetic()})
 	h.server.Risk = engine
-	*h.server.Stack = *pam.NewSSHDStackWithRisk(pam.SSHDStackConfig{
+	*h.server.Stack = *pam.NewSSHDStack(pam.SSHDStackConfig{
 		AuthLog:    h.alog,
 		IDM:        h.idm,
 		Exemptions: h.server.Stack.Entries[2].Module.(*pam.Exempt).List,
 		TokenCfg:   h.mode,
 		Pairing:    pam.LocalPairing{Dir: h.dir},
 		Radius:     h.server.Stack.Entries[3].Module.(*pam.Token).Radius,
-	}, engine, nil)
+		Risk:       engine,
+	})
 
 	pwOnly := &FuncResponder{}
 	pwOnly.Fn = func(echo bool, prompt string) (string, error) {

@@ -81,7 +81,8 @@ type Server struct {
 	// PAM stack; I/O deadlines deliberately ignore it (see AuthTimeout).
 	Clock clock.Clock
 	// Risk, when set, receives login outcomes so the dynamic-risk
-	// engine's history tracks reality (pair with NewSSHDStackWithRisk).
+	// engine's history tracks reality. Pair it with a Stack built by
+	// pam.NewSSHDStack with the same engine as SSHDStackConfig.Risk.
 	Risk *risk.Engine
 	// Obs, when set, receives connection and auth-outcome metrics; it is
 	// also handed to the PAM stack via the per-attempt Context.
