@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench-concurrency bench-obs bench-smoke bench examples figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
+.PHONY: verify fmt vet build test race chaos bench-concurrency bench-smoke bench examples figures authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint fuzz cover clean
 
-verify: fmt vet build test race chaos bench-concurrency bench-obs bench-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint examples figures fuzz cover
+verify: fmt vet build test race chaos bench-concurrency bench-smoke authwatch-smoke flightrec-smoke repl-smoke prof-smoke risk-smoke metrics-lint examples figures fuzz cover
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -40,20 +40,6 @@ chaos:
 # (exactly-once evaluation under retransmit storms).
 bench-concurrency:
 	$(GO) test -run xxx -bench 'BenchmarkValidateParallel|BenchmarkRadiusRetransmitStorm' -benchtime 0.5s -cpu 1,2,4 .
-
-# Observability overhead gates: vet the obs package and prove that (a) the
-# metrics-instrumented otpd.Check hot path stays within 5% of the
-# uninstrumented one (TestObsOverheadGate), (b) the span + event pipeline
-# stays within 5% of metrics-only (TestSpanEventOverheadGate), (c) the
-# continuous profiler sampling at its structural ceiling keeps Check
-# within 5% of profiler-off (TestProfOverheadGate), and (d) the PAM risk
-# gate keeps the full stack's password+gate path within 5% of a gateless
-# stack (TestRiskGateOverheadGate). All are interleaved min-of-trials
-# comparisons.
-bench-obs:
-	$(GO) vet ./internal/obs/
-	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/otpd -run 'TestObsOverheadGate|TestSpanEventOverheadGate|TestProfOverheadGate' -count 1 -v -timeout 20m
-	OBS_OVERHEAD_GATE=1 $(GO) test ./internal/pam -run 'TestRiskGateOverheadGate' -count 1 -v -timeout 20m
 
 # Login-benchmark smoke: the benchmark's own entry point (BENCHMARK.json's
 # command) for 2 s on each listed workload. `go test ./bench` runs at

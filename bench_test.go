@@ -206,7 +206,8 @@ func BenchmarkValidateParallel(b *testing.B) {
 // BenchmarkRadiusRetransmitStorm measures the dedup fast path under a
 // retransmit storm: each iteration sends one unique Access-Request plus 7
 // identical retransmissions and waits for all replies. The handler must
-// run exactly once per iteration (reported as handler-calls/op).
+// run exactly once per iteration (reported as handler-calls/op); any other
+// count fails the benchmark.
 func BenchmarkRadiusRetransmitStorm(b *testing.B) {
 	secret := []byte("storm-bench-secret")
 	var handled int64
@@ -253,7 +254,11 @@ func BenchmarkRadiusRetransmitStorm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(atomic.LoadInt64(&handled))/float64(b.N), "handler-calls/op")
+	calls := atomic.LoadInt64(&handled)
+	b.ReportMetric(float64(calls)/float64(b.N), "handler-calls/op")
+	if calls != int64(b.N) {
+		b.Fatalf("handler ran %d times for %d requests, want exactly once each", calls, b.N)
+	}
 }
 
 // --- ablations ---

@@ -7,8 +7,9 @@
 // structural: the CPU profile window is clamped to at most a tenth of
 // the sampling period, so profiling is active ≤10% of wall time at the
 // runtime's default 100 Hz sample rate (and the shipped defaults —
-// 250ms every 30s — keep it under 1%). TestProfOverheadGate in
-// internal/otpd holds the measured cost on otpd.Check within 5%.
+// 250ms every 30s — keep it under 1%). TestNewClampsCPUDuration pins the
+// clamp; the benchmark's obs.overhead_* row records the measured cost of
+// every ops surface on at once.
 //
 // The incident half subscribes triggers to existing signals (SLO
 // fast-burn, authwatch alerts, latency spikes, sticky store errors, a

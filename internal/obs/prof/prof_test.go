@@ -362,6 +362,29 @@ func TestStartStopSampler(t *testing.T) {
 	nilE.Evaluate()
 }
 
+// TestNewClampsCPUDuration pins the sampler's structural overhead budget:
+// the CPU profile window never exceeds a tenth of the sampling period, so
+// profiling is active at most 10% of wall time whatever the config asks.
+func TestNewClampsCPUDuration(t *testing.T) {
+	for _, c := range []struct {
+		period, cpu, want time.Duration
+	}{
+		{500 * time.Millisecond, 5 * time.Second, 50 * time.Millisecond},
+		{500 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond},
+		{0, 0, 250 * time.Millisecond}, // the defaults, 250ms every 30s
+		{time.Second, 0, 100 * time.Millisecond},
+	} {
+		e, err := New(Config{Period: c.period, CPUDuration: c.cpu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.cpuDur != c.want {
+			t.Errorf("Period %v, CPUDuration %v: CPU window %v, want %v", c.period, c.cpu, e.cpuDur, c.want)
+		}
+		e.Stop()
+	}
+}
+
 // TestStopRestoresMutexProfileFraction: the fraction is process-wide, so
 // an engine must leave it as it found it — and a second Stop must not
 // clobber whatever a later owner has set since.

@@ -607,6 +607,49 @@ func TestTokenModuleRadiusOutage(t *testing.T) {
 	}
 }
 
+// brokenPairing is a directory that is down.
+type brokenPairing struct{}
+
+func (brokenPairing) Pairing(string) (string, error) {
+	return "", errors.New("directory unreachable")
+}
+
+// TestPairingOutageFailsClosed: when the pairing lookup fails, no
+// enforcement mode may waive the second factor. A paired user is
+// challenged and needs a valid code; an unpaired user is denied.
+func TestPairingOutageFailsClosed(t *testing.T) {
+	for _, mode := range []Mode{ModePaired, ModeCountdown, ModeFull} {
+		t.Run(string(mode), func(t *testing.T) {
+			h := newHarness(t, "")
+			*h.mode = StaticConfig{Mode: mode, Deadline: time.Date(2016, 10, 4, 0, 0, 0, 0, time.UTC)}
+			h.stack.Entries[3].Module = &Token{Config: h.mode, Pairing: brokenPairing{}, Radius: h.pool}
+			h.addUser(t, "paired", "pw")
+			code := h.pairSoft(t, "paired")
+			h.addUser(t, "unpaired", "pw")
+
+			c := &conv{answers: []any{"pw", ""}}
+			if err := h.login(t, "paired", external, c); !errors.Is(err, ErrAuthFailed) {
+				t.Fatalf("paired user without a code: err = %v, want denied", err)
+			}
+			if !c.sawPrompt("Token Code:") {
+				t.Fatalf("paired user never challenged: prompts %q", c.prompts)
+			}
+			c = &conv{answers: []any{"pw", "000000"}}
+			if err := h.login(t, "paired", external, c); !errors.Is(err, ErrAuthFailed) {
+				t.Fatalf("paired user with a wrong code: err = %v, want denied", err)
+			}
+			c = &conv{answers: []any{"pw", func() string { return code() }}}
+			if err := h.login(t, "paired", external, c); err != nil {
+				t.Fatalf("paired user with a valid code: %v", err)
+			}
+			c = &conv{answers: []any{"pw", ""}}
+			if err := h.login(t, "unpaired", external, c); !errors.Is(err, ErrAuthFailed) {
+				t.Fatalf("unpaired user: err = %v, want denied", err)
+			}
+		})
+	}
+}
+
 func TestDirectoryPairingLookup(t *testing.T) {
 	d := directory.New()
 	d.Add(directory.UserDN("u"), map[string][]string{"uid": {"u"}, "mfapairing": {"sms"}})

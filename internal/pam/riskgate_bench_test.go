@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkRiskGatedLogin compares the Figure 1 password+exemption hot
-// path with and without the risk gate (the enforced comparison lives in
-// TestRiskGateOverheadGate).
+// path with and without the risk gate (TestRiskGateAllocs gates the
+// difference in allocations).
 func BenchmarkRiskGatedLogin(b *testing.B) {
 	h := newHarness(b, "permit : bench : ALL : ALL")
 	h.addUser(b, "bench", "pw")

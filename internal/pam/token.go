@@ -224,10 +224,12 @@ func (m *Token) Authenticate(ctx *Context) Result {
 
 	pairing, err := m.Pairing.Pairing(ctx.User)
 	if err != nil {
-		// LDAP unavailable: fail safe — treat as unpaired under the
-		// mandatory regime, prompt anyway.
+		// Directory unavailable: the pairing is unknown, so no mode may
+		// waive the factor. Challenge without the SMS trigger: a soft or
+		// hard token code still logs its user in, and everyone else
+		// (SMS-paired or unpaired) fails closed at the back end.
 		ctx.logf("pam_mfa_token: pairing lookup failed for %s: %v", ctx.User, err)
-		pairing = "none"
+		return m.challenge(ctx, "unknown")
 	}
 	paired := pairing != "none" && pairing != ""
 

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"openmfa/internal/obs"
 )
 
 // startServer launches a server whose handler accepts password "123456",
@@ -245,6 +247,9 @@ func TestPoolFailover(t *testing.T) {
 	dead.Close()
 
 	pool := NewPool([]string{deadAddr, live.Addr().String()}, secret, 100*time.Millisecond, 0)
+	reg := obs.NewRegistry()
+	pool.SetObs(reg)
+	failovers := reg.Counter("radius_client_failover_total")
 	resp, err := pool.Exchange(buildReq("u", "123456", secret))
 	if err != nil {
 		t.Fatalf("failover exchange failed: %v", err)
@@ -252,14 +257,16 @@ func TestPoolFailover(t *testing.T) {
 	if resp.Code != AccessAccept {
 		t.Fatalf("code = %v", resp.Code)
 	}
+	if got := failovers.Value(); got != 1 {
+		t.Fatalf("failovers after the first exchange = %d, want 1", got)
+	}
 	// The dead server is now cooling down; the next exchange must go
-	// straight to the live one and succeed quickly.
-	start := time.Now()
+	// straight to the live one without trying it again.
 	if _, err := pool.Exchange(buildReq("u", "123456", secret)); err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(start); took > 80*time.Millisecond {
-		t.Fatalf("second exchange took %v; cooldown not honoured", took)
+	if got := failovers.Value(); got != 1 {
+		t.Fatalf("failovers after the second exchange = %d, want 1: cooldown not honoured", got)
 	}
 }
 

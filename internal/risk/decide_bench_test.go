@@ -10,8 +10,8 @@ import (
 
 // BenchmarkDecideHot is the PAM gate's per-attempt cost for an
 // established account from a familiar origin — the path every login pays
-// when the gate is wired. It must stay allocation-free: the ≤5% budget in
-// TestRiskGateOverheadGate (internal/pam) depends on it.
+// when the gate is wired. It must stay allocation-free:
+// TestRiskGateAllocs (internal/pam) fails on any allocation the gate adds.
 func BenchmarkDecideHot(b *testing.B) {
 	e := New(Options{Geo: geoip.Synthetic()})
 	ip := net.ParseIP("129.114.3.7")
