@@ -137,8 +137,9 @@ figures:
 # FuzzRecover drives its scanner and recovery on every input
 # (FuzzDecodeFrame's own corpus runs as a plain test). The store targets
 # fuzz what it adds on top — the batch payload codec behind that scanner
-# (FuzzDecodeRecord) and full store recovery (FuzzRecoverWAL). go fuzz
-# takes one target per invocation.
+# (FuzzDecodeRecord) and full store recovery (FuzzRecoverWAL). sshwire's
+# FuzzDecode drives the frame decoder sshd runs before authentication.
+# go fuzz takes one target per invocation.
 # -fuzzminimizetime is capped in executions, not wall time: minimizing a
 # coverage-increasing input re-runs the (file-I/O-heavy) recovery target,
 # and the default 60s budget would eat the whole smoke.
@@ -146,6 +147,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/store
 	$(GO) test -run xxx -fuzz 'FuzzRecoverWAL$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/store
 	$(GO) test -run xxx -fuzz 'FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/seglog
+	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/sshwire
 
 # Coverage gates, 90% statement floors each: the sharded store (with its
 # crashtest harness and the replication protocol exercising it), the

@@ -102,6 +102,7 @@ const maxDayBuckets = 1000
 type dayBucket struct {
 	trafficAll, trafficExternal, trafficExtMFA int
 	failures, sms, lockouts, enrolments        int
+	unpairs                                    int
 	mfaUsers                                   map[string]struct{}
 }
 
@@ -245,9 +246,14 @@ func (w *Watcher) Ingest(e eventstream.Event) {
 		// The portal also announces enrolments (for its own audit trail);
 		// otpd is the system of record, so only its events feed the
 		// Table 1 device mix — counting both would double every pairing.
-		if e.Component == "otpd" {
+		// Only the portal unpairs, so its "unpaired" events are the
+		// count of device removals.
+		switch {
+		case e.Component == "otpd":
 			w.day(e.Time).enrolments++
 			w.deviceMix[e.Method]++
+		case e.Result == "unpaired":
+			w.day(e.Time).unpairs++
 		}
 	}
 	w.pruneHoursLocked()
@@ -397,6 +403,7 @@ type DaySnapshot struct {
 	SMS            int    `json:"sms"`
 	Lockouts       int    `json:"lockouts"`
 	Enrolments     int    `json:"enrolments"`
+	Unpairs        int    `json:"unpairs"`
 }
 
 // AlertStatus is one rule's current state.
@@ -446,6 +453,7 @@ func (w *Watcher) Snapshot() Snapshot {
 			SMS:            b.sms,
 			Lockouts:       b.lockouts,
 			Enrolments:     b.enrolments,
+			Unpairs:        b.unpairs,
 		})
 	}
 	for _, rule := range []string{RuleFailureRate, RuleLockoutSpike, RuleSMSSurge} {

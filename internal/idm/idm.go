@@ -61,7 +61,11 @@ type Account struct {
 	PasswordHash string        `json:"password_hash"`
 	PublicKeys   []string      `json:"public_keys,omitempty"` // base64 ed25519
 	Pairing      PairingStatus `json:"pairing"`
-	Created      time.Time     `json:"created"`
+	// PairingGen counts pairing changes: SetPairing increments it, so a
+	// credential bound to one value (the portal's unpair link) dies with
+	// the pairing it was issued for.
+	PairingGen uint64    `json:"pairing_gen,omitempty"`
+	Created    time.Time `json:"created"`
 }
 
 // Errors.
@@ -263,8 +267,9 @@ func (m *IDM) PublicKeys(username string) ([]ed25519.PublicKey, error) {
 	return out, nil
 }
 
-// SetPairing records the MFA pairing status and mirrors it to the
-// directory so PAM's LDAP query sees it immediately.
+// SetPairing records the MFA pairing status, advances PairingGen, and
+// mirrors the status to the directory so PAM's LDAP query sees it
+// immediately.
 func (m *IDM) SetPairing(username string, p PairingStatus) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -273,6 +278,7 @@ func (m *IDM) SetPairing(username string, p PairingStatus) error {
 		return err
 	}
 	a.Pairing = p
+	a.PairingGen++
 	if err := m.save(a); err != nil {
 		return err
 	}

@@ -62,8 +62,9 @@ type Config struct {
 	// Obs, when set, mounts /metrics, /healthz, and /debug/pprof on the
 	// portal mux and counts requests per route and status class.
 	Obs *obs.Registry
-	// Events, when set, receives a pairing-confirmed event per successful
-	// enrolment on the operational analytics bus.
+	// Events, when set, receives an enroll event per confirmed pairing
+	// (Result "paired") and per unpairing (Result "unpaired") on the
+	// operational analytics bus.
 	Events *eventstream.Bus
 	// HealthChecks are mounted alongside Obs on /healthz; any failing
 	// check degrades the endpoint to 503.
@@ -455,18 +456,29 @@ func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *
 		http.Error(w, "code did not validate: "+msg, http.StatusUnprocessableEntity)
 		return
 	}
-	if err := p.unpair(s.user); err != nil {
+	if err := p.unpair(s.user, pairing); err != nil {
 		p.adminError(w, err)
 		return
 	}
 	fmt.Fprintln(w, "device unpaired")
 }
 
-func (p *Portal) unpair(user string) error {
+// unpair removes user's device from otpd and the directory, then
+// announces it on the bus: an unpair is the account-takeover signal.
+func (p *Portal) unpair(user string, was idm.PairingStatus) error {
 	if err := p.admin.Remove(user); err != nil {
 		return err
 	}
-	return p.idm.SetPairing(user, idm.PairingNone)
+	if err := p.idm.SetPairing(user, idm.PairingNone); err != nil {
+		return err
+	}
+	if p.events != nil {
+		p.events.Publish(eventstream.Event{
+			Time: p.clk.Now(), Type: eventstream.TypeEnroll, Component: "portal",
+			User: user, Method: string(was), Result: "unpaired",
+		})
+	}
+	return nil
 }
 
 // OOBTTL is the lifetime of out-of-band unpair links.
@@ -487,8 +499,9 @@ func (p *Portal) handleUnpairEmail(w http.ResponseWriter, r *http.Request, s *se
 		return
 	}
 	// "The user is sent an email to their associated account email
-	// address that contains a signed URL."
-	tok := p.signer.Sign("unpair:"+s.user, p.clk.Now().Add(OOBTTL))
+	// address that contains a signed URL." The URL names the pairing it
+	// was issued for, so it dies on first use and on any re-pair.
+	tok := p.signer.Sign(fmt.Sprintf("unpair:%s:%d", s.user, acct.PairingGen), p.clk.Now().Add(OOBTTL))
 	link := fmt.Sprintf("%s/unpair/oob?token=%s", p.base, tok)
 	body := fmt.Sprintf("Follow this link to remove your MFA device pairing:\n%s\n", link)
 	if err := p.email.SendEmail(acct.Email, "MFA device unpairing request", body); err != nil {
@@ -504,21 +517,28 @@ func (p *Portal) handleUnpairOOB(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid or expired link", http.StatusForbidden)
 		return
 	}
-	user, ok := strings.CutPrefix(payload, "unpair:")
-	if !ok {
+	rest, ok := strings.CutPrefix(payload, "unpair:")
+	i := strings.LastIndexByte(rest, ':')
+	gen, err := strconv.ParseUint(rest[i+1:], 10, 64)
+	if !ok || i < 0 || err != nil {
 		http.Error(w, "invalid link", http.StatusForbidden)
 		return
 	}
-	pairing, err := p.idm.Pairing(user)
-	if err != nil || pairing == idm.PairingNone {
+	user := rest[:i]
+	acct, err := p.idm.Lookup(user)
+	if err != nil || acct.Pairing == idm.PairingNone {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return
 	}
-	if pairing == idm.PairingHard {
+	if acct.Pairing == idm.PairingHard {
 		http.Error(w, "hard tokens are unpaired via a support ticket", http.StatusForbidden)
 		return
 	}
-	if err := p.unpair(user); err != nil {
+	if acct.PairingGen != gen {
+		http.Error(w, "link was issued for an earlier pairing", http.StatusForbidden)
+		return
+	}
+	if err := p.unpair(user, acct.Pairing); err != nil {
 		p.adminError(w, err)
 		return
 	}

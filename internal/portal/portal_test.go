@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"openmfa/internal/authwatch"
 	"openmfa/internal/clock"
 	"openmfa/internal/directory"
+	"openmfa/internal/eventstream"
 	"openmfa/internal/httpdigest"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
@@ -31,6 +33,7 @@ type world struct {
 	portal *httptest.Server
 	sms    *smsCap
 	email  *emailCap
+	bus    *eventstream.Bus
 }
 
 type smsCap struct {
@@ -87,7 +90,7 @@ func (e *emailCap) lastBody() string {
 func newWorld(t testing.TB) *world {
 	t.Helper()
 	sim := clock.NewSim(t0)
-	w := &world{sim: sim, sms: &smsCap{}, email: &emailCap{}}
+	w := &world{sim: sim, sms: &smsCap{}, email: &emailCap{}, bus: eventstream.NewBus(nil)}
 	dir := directory.New()
 	w.idm = idm.New(store.OpenMemory(), dir, sim)
 	var err error
@@ -116,6 +119,7 @@ func newWorld(t testing.TB) *world {
 		Clock:      sim,
 		SessionKey: []byte("portal-session-key"),
 		BaseURL:    "https://portal.hpc.example",
+		Events:     w.bus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,6 +512,84 @@ func TestOutOfBandEmailUnpair(t *testing.T) {
 	resp, _ = get(t, anon, w.portal.URL+"/unpair/oob?token="+m[1])
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("replayed oob status = %d", resp.StatusCode)
+	}
+}
+
+var tokenRe = regexp.MustCompile(`token=(\S+)`)
+
+// TestReplayedUnpairLinkAfterRepair pins the emailed link to the pairing it
+// was issued for: followed once, it removes that device; replayed after the
+// user has paired a new one, it is refused and the new device stays.
+func TestReplayedUnpairLinkAfterRepair(t *testing.T) {
+	w := newWorld(t)
+	w.addUser(t, "alice", "pw")
+	c := browser(t)
+	login(t, w, c, "alice", "pw")
+	pairSoft(t, w, c)
+	post(t, c, w.portal.URL+"/unpair/email", nil)
+	m := tokenRe.FindStringSubmatch(w.email.lastBody())
+	if m == nil {
+		t.Fatalf("no token in email body %q", w.email.lastBody())
+	}
+	link := w.portal.URL + "/unpair/oob?token=" + m[1]
+	anon := browser(t)
+	if resp, out := get(t, anon, link); resp.StatusCode != 200 {
+		t.Fatalf("oob unpair = %d %q", resp.StatusCode, out)
+	}
+	w.sim.Advance(31 * time.Second)
+	pairSoft(t, w, c)
+	if resp, out := get(t, anon, link); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("replayed link after re-pair = %d %q, want 403", resp.StatusCode, out)
+	}
+	if p, _ := w.idm.Pairing("alice"); p != idm.PairingSoft || !w.otp.HasToken("alice") {
+		t.Fatalf("replayed link removed the new device: pairing %v, token %v", p, w.otp.HasToken("alice"))
+	}
+}
+
+// TestUnpairIsOnTheBus: every unpair, by code or by link, publishes one
+// enroll event with Result "unpaired", and authwatch counts it.
+func TestUnpairIsOnTheBus(t *testing.T) {
+	w := newWorld(t)
+	sub := w.bus.Subscribe(64)
+	defer sub.Close()
+	w.addUser(t, "alice", "pw")
+	c := browser(t)
+	login(t, w, c, "alice", "pw")
+
+	secret := pairSoft(t, w, c)
+	w.sim.Advance(31 * time.Second)
+	code, _ := otp.TOTP(secret, w.sim.Now(), w.otp.OTPOptions())
+	if resp, out := post(t, c, w.portal.URL+"/unpair/confirm", url.Values{"code": {code}}); resp.StatusCode != 200 {
+		t.Fatalf("unpair by code = %d %q", resp.StatusCode, out)
+	}
+	pairSoft(t, w, c)
+	post(t, c, w.portal.URL+"/unpair/email", nil)
+	m := tokenRe.FindStringSubmatch(w.email.lastBody())
+	if resp, out := get(t, browser(t), w.portal.URL+"/unpair/oob?token="+m[1]); resp.StatusCode != 200 {
+		t.Fatalf("unpair by link = %d %q", resp.StatusCode, out)
+	}
+
+	watch := authwatch.New(authwatch.Config{})
+	unpaired := 0
+	for len(sub.Events()) > 0 {
+		e := <-sub.Events()
+		watch.Ingest(e)
+		if e.Type == eventstream.TypeEnroll && e.Result == "unpaired" {
+			unpaired++
+			if e.User != "alice" || e.Method != string(idm.PairingSoft) {
+				t.Errorf("unpair event = %+v", e)
+			}
+		}
+	}
+	if unpaired != 2 {
+		t.Fatalf("unpair events = %d, want 2 (one by code, one by link)", unpaired)
+	}
+	counted := 0
+	for _, d := range watch.Snapshot().Days {
+		counted += d.Unpairs
+	}
+	if counted != 2 {
+		t.Fatalf("authwatch counted %d unpairs, want 2", counted)
 	}
 }
 

@@ -1,9 +1,14 @@
 package sshwire
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +36,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryFieldsSurviveJSON(t *testing.T) {
+func TestBinaryFieldsRoundTrip(t *testing.T) {
 	client, server := pair(t)
 	defer client.Close()
 	defer server.Close()
@@ -54,21 +59,70 @@ func TestBinaryFieldsSurviveJSON(t *testing.T) {
 func TestRecvOnClosedConn(t *testing.T) {
 	client, server := pair(t)
 	server.Close()
-	if _, err := client.Recv(); err == nil {
-		t.Fatal("Recv on closed peer succeeded")
+	if _, err := client.Recv(); err == nil || !strings.Contains(err.Error(), "connection closed") {
+		t.Fatalf("Recv on closed peer: err = %v, want connection closed", err)
 	}
 }
 
+// memConn is an in-memory net.Conn: Read serves in and then io.EOF (or
+// readErr when set), Write appends to out and counts calls. Only Read,
+// Write and Close are implemented.
+type memConn struct {
+	net.Conn
+	in, out []byte
+	readErr error
+	writes  int
+}
+
+func (c *memConn) Read(p []byte) (int, error) {
+	if len(c.in) == 0 {
+		if c.readErr != nil {
+			return 0, c.readErr
+		}
+		return 0, io.EOF
+	}
+	n := copy(p, c.in)
+	c.in = c.in[n:]
+	return n, nil
+}
+
+func (c *memConn) Write(p []byte) (int, error) {
+	c.writes++
+	c.out = append(c.out, p...)
+	return len(p), nil
+}
+
+func (c *memConn) Close() error { return nil }
+
+// frame prefixes body with the 4-byte big-endian length that declares it.
+func frame(body ...byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
 func TestRecvMalformedFrame(t *testing.T) {
-	a, b := net.Pipe()
-	conn := NewConn(b)
-	defer conn.Close()
-	go func() {
-		a.Write([]byte("this is not json\n"))
-		a.Close()
-	}()
-	if _, err := conn.Recv(); err == nil || !strings.Contains(err.Error(), "decode") {
-		t.Fatalf("err = %v", err)
+	hello := []byte{tagT, 5, 'h', 'e', 'l', 'l', 'o'}
+	withHello := func(rest ...byte) []byte { return frame(slices.Concat(hello, rest)...) }
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"truncated body", frame(hello...)[:6]},
+		{"length overrun", frame(tagT, 50, 'h', 'e', 'l', 'l', 'o')},
+		{"unknown tag", withHello(tagOut + 1)},
+		{"no T", frame(tagUser, 5, 'a', 'l', 'i', 'c', 'e')},
+		{"garbage after valid header", frame([]byte("this is not a frame\n")...)},
+		{"repeated tag", withHello(tagOK, tagOK)},
+		{"tags out of order", withHello(tagOK, tagTTY)},
+		{"empty field", withHello(tagUser, 0)},
+		{"non-minimal length", frame(tagT, 0x85, 0x00, 'h', 'e', 'l', 'l', 'o')},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m Msg
+			err := NewConn(&memConn{in: tc.wire}).RecvInto(&m)
+			if err == nil || !strings.Contains(err.Error(), "decode") {
+				t.Fatalf("err = %v, want a decode error", err)
+			}
+		})
 	}
 }
 
@@ -112,8 +166,8 @@ func TestSequencedConversation(t *testing.T) {
 
 // TestRecvIntoResetsBetweenFrames pins the reuse contract: a field set by
 // one frame must not leak into the next frame decoded into the same Msg
-// (omitempty fields are absent from the wire, so without the reset a
-// stale User/Nonce would survive).
+// (empty fields are absent from the wire, so without the reset a stale
+// User/Nonce would survive).
 func TestRecvIntoResetsBetweenFrames(t *testing.T) {
 	client, server := pair(t)
 	defer client.Close()
@@ -139,7 +193,7 @@ func TestRecvIntoResetsBetweenFrames(t *testing.T) {
 }
 
 // TestLargeFrameRoundTrips sends a frame far larger than NewConn's initial
-// buffer, so the scanner must grow it.
+// buffers, so both sides must grow them.
 func TestLargeFrameRoundTrips(t *testing.T) {
 	client, server := pair(t)
 	defer client.Close()
@@ -155,20 +209,42 @@ func TestLargeFrameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOversizeFrameFails pins the 1 MiB frame cap: a longer line is an
-// error, not a hang or a truncated frame.
+// TestOversizeFrameFails pins the 1 MiB frame cap on both sides: a header
+// declaring a longer body is refused before any body byte is read (none
+// follows here, so reading on would report a truncated frame instead), and
+// Send refuses to write such a frame at all.
 func TestOversizeFrameFails(t *testing.T) {
-	a, b := net.Pipe()
-	conn := NewConn(b)
-	defer conn.Close()
-	go func() {
-		defer a.Close()
-		frame := append([]byte(`{"t":"nonce","banner":"`), strings.Repeat("x", 1024*1024)...)
-		a.Write(append(frame, "\"}\n"...))
-	}()
 	var m Msg
-	if err := conn.RecvInto(&m); err == nil || !strings.Contains(err.Error(), "too long") {
-		t.Fatalf("err = %v, want token too long", err)
+	hdr := binary.BigEndian.AppendUint32(nil, maxFrame+1)
+	if err := NewConn(&memConn{in: hdr}).RecvInto(&m); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("recv err = %v, want too long", err)
+	}
+	mc := &memConn{}
+	err := NewConn(mc).Send(&Msg{T: TNonce, Banner: strings.Repeat("x", maxFrame)})
+	if err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("send err = %v, want too long", err)
+	}
+	if mc.writes != 0 {
+		t.Fatalf("oversize Send made %d writes, want 0", mc.writes)
+	}
+}
+
+// TestDeclaredLengthIsNotAllocated pins that the read buffer follows the
+// bytes a peer sent, not the length it declared: a pre-auth client that
+// sends one 4-byte header for a 1 MiB body and stalls must not pin 1 MiB.
+func TestDeclaredLengthIsNotAllocated(t *testing.T) {
+	mc := &memConn{in: binary.BigEndian.AppendUint32(nil, maxFrame), readErr: os.ErrDeadlineExceeded}
+	conn := NewConn(mc)
+	var m Msg
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := conn.RecvInto(&m)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want the stalled read's deadline error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8192 {
+		t.Fatalf("a 4-byte header declaring %d bytes allocated %d B, want ≤ 8192", maxFrame, got)
 	}
 }
 
