@@ -65,11 +65,13 @@ authwatch-smoke:
 # Flight recorder gate: the chaos-storm acceptance test (every failed
 # login retrievable by trace ID with a complete four-leg span tree),
 # deterministic success sampling across identically seeded runs, the SLO
-# burn-rate / healthz acceptance test, and the torn-tail truncate-at-every-
-# byte recovery sweep — race detector on.
+# burn-rate / healthz acceptance tests, and the whole flight recorder
+# package (tail sampling, the torn-tail truncate-at-every-byte recovery
+# sweep, rotation) over the seglog journal it shares with the incident
+# profiler — race detector on.
 flightrec-smoke:
-	$(GO) test -race -count 1 -run 'TestFlightRecorderUnderChaosStorm|TestSuccessSamplingReproducibleAcrossRuns|TestFailureBurstBurnsSLOAndDegradesHealthz' ./internal/core
-	$(GO) test -race -count 1 -run 'TestTornTailSweep|TestRecoveryAfterRestart' ./internal/flightrec
+	$(GO) test -race -count 1 -run 'TestFlightRecorderUnderChaosStorm|TestSuccessSamplingReproducibleAcrossRuns|TestFailureBurstBurnsSLOAndDegradesHealthz|TestHealthzListsEachCauseOnce' ./internal/core
+	$(GO) test -race -count 1 ./internal/flightrec
 
 # Replication / HA gate: the WAL log-shipping protocol tests (catch-up
 # from ring/segments/snapshot, epoch fencing both directions, MinSync
@@ -88,8 +90,9 @@ repl-smoke:
 # trigger and exactly one debounced incident bundle lands with a CPU delta
 # profile, goroutine dump, metrics snapshot, and the storm's trace IDs),
 # the concurrent diagnostics-endpoint scrape, the incident torn-tail
-# truncate-at-every-byte sweep, the shared segment-log layer, and the
-# offline loganalyze incident reader — race detector on.
+# truncate-at-every-byte sweep, the seglog journal the incident store
+# shares with the flight recorder, and the offline loganalyze incident
+# reader — race detector on.
 prof-smoke:
 	$(GO) test -race -count 1 -run 'TestLoginStormTripsOneIncidentBundle|TestDiagnosticsEndpointsConcurrentScrape' ./internal/core
 	$(GO) test -race -count 1 ./internal/obs/prof ./internal/seglog ./cmd/loganalyze

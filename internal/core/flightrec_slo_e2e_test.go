@@ -407,6 +407,43 @@ func opsKit(t *testing.T) (*ops.Kit, Options) {
 		FlightRec: kit.FlightRec, SLO: kit.SLO, Prof: kit.Prof}
 }
 
+// TestHealthzListsEachCauseOnce wires the portal as the daemons do: the
+// watcher's health folds in the SLO engine's, and both are health checks.
+// An SLO fast burn with no authwatch alert fails both checks with the same
+// message; /healthz must name that one cause on one check line.
+func TestHealthzListsEachCauseOnce(t *testing.T) {
+	leakcheck.Check(t)
+	kit, opts := opsKit(t)
+	inf := newInfra(t, opts)
+	kit.SLO.Evaluate() // baseline sample: nothing decided yet
+	// Rejected decisions straight onto the SLI counter: a burn the
+	// authwatch rules, which read the event bus, never see.
+	kit.Reg.Counter("sshd_auth_total", "result", "reject").Add(20)
+	kit.SLO.Evaluate()
+	if kit.SLO.Health() == nil || kit.Watch.Health() == nil {
+		t.Fatal("the burn did not fail both the SLO and the watcher health checks")
+	}
+
+	resp, err := http.Get(inf.PortalURL() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz = %d, want 503:\n%s", resp.StatusCode, body)
+	}
+	var checks []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "check: ") {
+			checks = append(checks, line)
+		}
+	}
+	if len(checks) != 1 || !strings.HasPrefix(checks[0], "check: slo: fast burn on logins") {
+		t.Fatalf("/healthz check lines = %q, want the one SLO burn once", checks)
+	}
+}
+
 // TestPortalMetricsExpositionIsLintClean fetches the live portal /metrics
 // page — with every family the daemons' ops kit registers (runtime
 // telemetry, SLO gauges, authwatch, flight recorder, profiler) — and runs

@@ -16,15 +16,14 @@
 //     simulation runs keep the same traces
 //
 // Kept bundles are persisted as CRC-framed JSON records in size-capped,
-// rotated flightrec-NNNNNN.seg files (internal/seglog, the crash-safe layer
-// shared with the incident profiler); a torn tail from a crash never
-// yields a half-bundle. Query by trace ID, result class, or minimum
-// duration via Get/List, the /debug/flightrec handler, or
-// `loganalyze -format flightrec` offline.
+// rotated flightrec-NNNNNN.seg files through a seglog.Journal keyed by
+// trace ID, the crash-safe layer shared with the incident profiler; a
+// torn tail from a crash never yields a half-bundle. Query by trace ID,
+// result class, or minimum duration via Get/List, the /debug/flightrec
+// handler, or `loganalyze -format flightrec` offline.
 package flightrec
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -86,9 +85,6 @@ type Policy struct {
 	// finishing during an active alert are kept. Wire it to
 	// authwatch.Watcher.Health or the SLO engine.
 	AlertActive func() bool
-	// SuccessResult is the completion Result string that counts as
-	// success (default "accept"); anything else is the failed class.
-	SuccessResult string
 }
 
 // Config parameterises a Recorder.
@@ -112,32 +108,20 @@ type Config struct {
 	// MaxSegments bounds the retained segment count (default 8); the
 	// oldest segment is deleted, with its bundles, on rotation past it.
 	MaxSegments int
-	// Buffer is the bus subscription depth (default 1024).
-	Buffer int
 	// Obs receives flightrec_* counters (optional).
 	Obs *obs.Registry
 }
 
-// Defaults.
+// Defaults and fixed operating points.
 const (
 	DefaultMaxSegmentSize = 4 << 20
 	DefaultMaxSegments    = 8
-	DefaultBuffer         = 1024
 
-	maxPendingEvents = 64   // events buffered per in-flight trace
-	maxPendingTraces = 4096 // in-flight traces (FIFO evicted)
+	successResult    = "accept" // the completion Result of a success; any other is the failed class
+	busBuffer        = 1024     // bus subscription depth
+	maxPendingEvents = 64       // events buffered per in-flight trace
+	maxPendingTraces = 4096     // in-flight traces (FIFO evicted)
 )
-
-// summary is the in-memory index entry for one persisted bundle.
-type summary struct {
-	Trace    string        `json:"trace"`
-	Time     time.Time     `json:"time"`
-	User     string        `json:"user,omitempty"`
-	Result   string        `json:"result,omitempty"`
-	Reason   string        `json:"reason"`
-	Duration time.Duration `json:"duration,omitempty"`
-	ref      seglog.Ref
-}
 
 // Summary is one persisted bundle's index entry, as reported by List.
 type Summary struct {
@@ -147,6 +131,13 @@ type Summary struct {
 	Result   string        `json:"result,omitempty"`
 	Reason   string        `json:"reason"`
 	Duration time.Duration `json:"duration,omitempty"`
+}
+
+func summarize(b *Bundle, _ int) Summary {
+	return Summary{
+		Trace: b.Trace, Time: b.Time, User: b.User,
+		Result: b.Result, Reason: b.Reason, Duration: b.Duration,
+	}
 }
 
 // Query filters List.
@@ -174,9 +165,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	pending map[string][]eventstream.Event
 	order   []string // pending FIFO
-	index   map[string]*summary
-	bySeq   []*summary // insertion (= persistence) order
-	log     *seglog.Log
+	journal *seglog.Journal[Bundle, Summary]
 
 	kept      map[string]*obs.Counter
 	dropped   *obs.Counter
@@ -203,12 +192,6 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.MaxSegments <= 0 {
 		cfg.MaxSegments = DefaultMaxSegments
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
-	if cfg.Policy.SuccessResult == "" {
-		cfg.Policy.SuccessResult = "accept"
-	}
 	completeOn := map[eventstream.Type]bool{}
 	if len(cfg.CompleteOn) == 0 {
 		completeOn[eventstream.TypeLogin] = true
@@ -220,7 +203,6 @@ func New(cfg Config) (*Recorder, error) {
 	r := &Recorder{
 		cfg:     cfgResolved{Config: cfg, completeOn: completeOn},
 		pending: make(map[string][]eventstream.Event),
-		index:   make(map[string]*summary),
 		done:    make(chan struct{}),
 		kept:    make(map[string]*obs.Counter),
 	}
@@ -241,51 +223,24 @@ func New(cfg Config) (*Recorder, error) {
 	r.recovered = cfg.Obs.Counter("flightrec_recovered_bundles_total")
 	r.torn = cfg.Obs.Counter("flightrec_torn_tails_total")
 
-	// Recovery and rotation live in the shared seglog layer: replay every
-	// committed frame into the index and truncate torn tails. Any segment,
-	// not just the last, can have a torn tail if a crash raced rotation.
-	log, torn, err := seglog.Open(seglog.Options{
-		Dir:            cfg.Dir,
-		Prefix:         segPrefix,
-		MaxSegmentSize: cfg.MaxSegmentSize,
-		MaxSegments:    cfg.MaxSegments,
-	}, func(payload []byte, ref seglog.Ref) error {
-		var b Bundle
-		if err := json.Unmarshal(payload, &b); err != nil {
-			// A committed frame that is not a bundle is foreign; skip it
-			// rather than fail recovery.
-			return nil
-		}
-		r.indexBundle(&b, ref)
-		r.recovered.Inc()
-		return nil
-	})
+	// Recovery, rotation and the trace index live in the shared journal.
+	j, torn, err := seglog.OpenJournal(seglog.Options{
+		Dir: cfg.Dir, Prefix: segPrefix, MaxSegmentSize: cfg.MaxSegmentSize, MaxSegments: cfg.MaxSegments,
+	}, func(b *Bundle) string { return b.Trace }, summarize)
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: %w", err)
 	}
-	r.log = log
+	r.journal = j
+	r.recovered.Add(int64(j.Len()))
 	r.torn.Add(int64(torn))
 
 	if cfg.Bus != nil {
-		r.sub = cfg.Bus.Subscribe(cfg.Buffer)
+		r.sub = cfg.Bus.Subscribe(busBuffer)
 		go r.drain()
 	} else {
 		close(r.done)
 	}
 	return r, nil
-}
-
-func (r *Recorder) indexBundle(b *Bundle, ref seglog.Ref) {
-	s := &summary{
-		Trace: b.Trace, Time: b.Time, User: b.User,
-		Result: b.Result, Reason: b.Reason, Duration: b.Duration,
-		ref: ref,
-	}
-	if _, dup := r.index[b.Trace]; dup {
-		return // first completion wins
-	}
-	r.index[b.Trace] = s
-	r.bySeq = append(r.bySeq, s)
 }
 
 // drain consumes the subscription until it closes. Close drains buffered
@@ -321,7 +276,7 @@ func (r *Recorder) handle(ev eventstream.Event) {
 	if !r.cfg.completeOn[ev.Type] {
 		return
 	}
-	if _, done := r.index[ev.Trace]; done {
+	if r.journal.Has(ev.Trace) {
 		return // first completion wins
 	}
 	r.completeLocked(ev)
@@ -375,7 +330,7 @@ func (r *Recorder) completeLocked(ev eventstream.Event) {
 // order before the deterministic success sample.
 func (r *Recorder) decide(ev eventstream.Event, events []eventstream.Event, dur time.Duration) (string, bool) {
 	p := r.cfg.Policy
-	if ev.Result != p.SuccessResult {
+	if ev.Result != successResult {
 		return ReasonFailed, true
 	}
 	if p.SlowThreshold > 0 && dur >= p.SlowThreshold {
@@ -407,38 +362,17 @@ func sampleHash(user string, t time.Time) uint64 {
 	return h.Sum64()
 }
 
-// persistLocked frames and appends the bundle through the segment log
-// (which rotates and evicts as needed), then indexes it. Caller holds
-// r.mu.
+// persistLocked appends the bundle to the journal, which rotates, evicts
+// and indexes it. Caller holds r.mu.
 func (r *Recorder) persistLocked(b *Bundle) error {
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return err
-	}
-	res, err := r.log.Append(payload)
-	if err != nil {
-		if errors.Is(err, seglog.ErrClosed) {
-			return fmt.Errorf("flightrec: recorder closed")
-		}
-		return err
+	res, err := r.journal.Append(b)
+	if errors.Is(err, seglog.ErrClosed) {
+		return fmt.Errorf("flightrec: recorder closed")
 	}
 	if res.Rotated {
 		r.rotations.Inc()
 	}
-	// Evicted segments take their bundles' index entries with them.
-	for _, old := range res.Evicted {
-		kept := r.bySeq[:0]
-		for _, s := range r.bySeq {
-			if s.ref.Seg == old {
-				delete(r.index, s.Trace)
-				continue
-			}
-			kept = append(kept, s)
-		}
-		r.bySeq = kept
-	}
-	r.indexBundle(b, res.Ref)
-	return nil
+	return err
 }
 
 // Stop closes the subscription, drains what was already buffered, and
@@ -453,7 +387,7 @@ func (r *Recorder) Stop() {
 			r.sub.Close()
 		}
 		<-r.done
-		r.log.Close()
+		r.journal.Close()
 	})
 }
 
@@ -463,21 +397,7 @@ func (r *Recorder) Get(trace string) (*Bundle, error) {
 	if r == nil {
 		return nil, fmt.Errorf("flightrec: no recorder")
 	}
-	r.mu.Lock()
-	s, ok := r.index[trace]
-	r.mu.Unlock()
-	if !ok {
-		return nil, nil
-	}
-	payload, err := r.log.Read(s.ref)
-	if err != nil {
-		return nil, err
-	}
-	var b Bundle
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return nil, fmt.Errorf("flightrec: decode bundle: %w", err)
-	}
-	return &b, nil
+	return r.journal.Get(trace)
 }
 
 // List reports persisted bundle summaries matching q, newest first.
@@ -486,26 +406,9 @@ func (r *Recorder) List(q Query) []Summary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Summary
-	for i := len(r.bySeq) - 1; i >= 0; i-- {
-		s := r.bySeq[i]
-		if q.Class != "" && q.Class != s.Result && q.Class != s.Reason {
-			continue
-		}
-		if s.Duration < q.MinDuration {
-			continue
-		}
-		out = append(out, Summary{
-			Trace: s.Trace, Time: s.Time, User: s.User,
-			Result: s.Result, Reason: s.Reason, Duration: s.Duration,
-		})
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out
+	return r.journal.Summaries(q.Limit, func(s Summary) bool {
+		return (q.Class == "" || q.Class == s.Result || q.Class == s.Reason) && s.Duration >= q.MinDuration
+	})
 }
 
 // Len reports how many bundles are indexed.
@@ -513,7 +416,17 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.index)
+	return r.journal.Len()
+}
+
+// ReadDir reads every committed bundle from a recorder directory (or a
+// single .seg file) in persistence order, without modifying anything
+// (seglog.ReadJournal). It is the offline reader behind
+// `loganalyze -format flightrec`.
+func ReadDir(path string) ([]Bundle, error) {
+	bundles, err := seglog.ReadJournal[Bundle](path, segPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("flightrec: %w", err)
+	}
+	return bundles, nil
 }

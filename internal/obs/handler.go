@@ -6,6 +6,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 )
 
@@ -41,7 +42,7 @@ type HealthCheck func() error
 //
 //	GET /metrics        Prometheus text exposition of reg
 //	GET /healthz        liveness: "ok" plus uptime, or 503 "degraded"
-//	                    listing every failing HealthCheck
+//	                    listing each distinct failing HealthCheck message once
 //	    /debug/pprof/*  the standard net/http/pprof profiles
 //
 // Servers that already own a mux (the otpd admin API, the portal) mount
@@ -55,20 +56,22 @@ func Mount(mux *http.ServeMux, reg *Registry, checks ...HealthCheck) {
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var failing []error
+		// A check may fold another in (authwatch's health includes the SLO
+		// engine's), so one cause can fail two checks: list it once.
+		var failing []string
 		for _, c := range checks {
 			if c == nil {
 				continue
 			}
-			if err := c(); err != nil {
-				failing = append(failing, err)
+			if err := c(); err != nil && !slices.Contains(failing, err.Error()) {
+				failing = append(failing, err.Error())
 			}
 		}
 		if len(failing) > 0 {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintf(w, "degraded uptime=%s\n", time.Since(processStart).Round(time.Second))
-			for _, err := range failing {
-				fmt.Fprintf(w, "check: %v\n", err)
+			for _, msg := range failing {
+				fmt.Fprintf(w, "check: %s\n", msg)
 			}
 			return
 		}

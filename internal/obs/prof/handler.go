@@ -47,7 +47,7 @@ func (e *Engine) handleIndex(w http.ResponseWriter, req *http.Request) {
 	if id == "" {
 		e.mu.Lock()
 		ring := len(e.ring)
-		incidents := e.store.len()
+		incidents := e.incidents.Len()
 		e.mu.Unlock()
 		writeJSON(w, struct {
 			Sampler   statusJSON `json:"sampler"`

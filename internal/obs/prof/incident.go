@@ -2,10 +2,7 @@ package prof
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -137,8 +134,9 @@ func (e *Engine) fire(triggerName, detail string, debounced bool) (*Incident, er
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.seq++
 	inc := &Incident{
-		ID:       fmt.Sprintf("inc-%06d", e.store.nextSeq()),
+		ID:       fmt.Sprintf("inc-%06d", e.seq),
 		Time:     now,
 		Trigger:  triggerName,
 		Detail:   detail,
@@ -148,17 +146,17 @@ func (e *Engine) fire(triggerName, detail string, debounced bool) (*Incident, er
 		Runtime:  readRuntimeStats(),
 	}
 	dump := gbuf.Bytes()
-	if len(dump) > e.cfg.MaxDumpBytes {
-		dump = dump[:e.cfg.MaxDumpBytes]
+	if len(dump) > maxDumpBytes {
+		dump = dump[:maxDumpBytes]
 		inc.GoroutinesTruncated = true
 	}
 	inc.Goroutines = string(dump)
 
-	if err := e.store.put(inc); err != nil {
+	if _, err := e.incidents.Append(inc); err != nil {
 		return nil, fmt.Errorf("prof: persist incident: %w", err)
 	}
 	e.cfg.Obs.Counter("prof_incidents_total", "trigger", triggerName).Inc()
-	e.incidentsG.Set(float64(e.store.len()))
+	e.incidentsG.Set(float64(e.incidents.Len()))
 	return inc, nil
 }
 
@@ -167,87 +165,17 @@ func (e *Engine) List() []Summary {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Summary, len(e.store.order))
-	for i, s := range e.store.order {
-		out[len(out)-1-i] = s.sum
-	}
-	return out
+	// Never nil: the /debug/prof index renders an empty list as [].
+	return append([]Summary{}, e.incidents.Summaries(0, nil)...)
 }
 
-// Get fetches one full incident by ID (nil when unknown). Disk-backed
-// incidents are read back through the checksummed frame.
+// Get fetches one full incident by ID (nil when unknown), read back
+// through its checksummed frame.
 func (e *Engine) Get(id string) (*Incident, error) {
 	if e == nil {
 		return nil, nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.store.get(id)
-}
-
-// Dir reports the incident directory ("" in memory mode).
-func (e *Engine) Dir() string {
-	if e == nil {
-		return ""
-	}
-	return e.cfg.Dir
-}
-
-// memCap bounds memory-mode incident retention.
-const memCap = 64
-
-// stored is one indexed incident: a disk ref or a retained in-memory
-// bundle, never both.
-type stored struct {
-	sum Summary
-	ref seglog.Ref
-	mem *Incident
-}
-
-// incidentStore is the engine's index over persisted incidents; methods
-// are called with Engine.mu held.
-type incidentStore struct {
-	log   *seglog.Log // nil in memory mode
-	seq   uint64      // last issued incident sequence number
-	order []*stored   // persistence order
-	byID  map[string]*stored
-}
-
-func (e *Engine) openStore() error {
-	s := &e.store
-	s.byID = make(map[string]*stored)
-	if e.cfg.Dir == "" {
-		return nil
-	}
-	log, torn, err := seglog.Open(seglog.Options{
-		Dir:            e.cfg.Dir,
-		Prefix:         SegPrefix,
-		MaxSegmentSize: e.cfg.MaxSegmentSize,
-		MaxSegments:    e.cfg.MaxSegments,
-	}, func(payload []byte, ref seglog.Ref) error {
-		var inc Incident
-		if err := json.Unmarshal(payload, &inc); err != nil {
-			// A committed frame that isn't an incident is foreign data;
-			// skip it rather than refuse to start.
-			return nil
-		}
-		st := &stored{sum: summarize(&inc, len(payload)), ref: ref}
-		s.order = append(s.order, st)
-		s.byID[inc.ID] = st
-		if n, ok := incSeq(inc.ID); ok && n > s.seq {
-			s.seq = n
-		}
-		e.recovered.Inc()
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("prof: %w", err)
-	}
-	s.log = log
-	e.tornC.Add(int64(torn))
-	return nil
+	return e.incidents.Get(id)
 }
 
 // incSeq parses the numeric part of an "inc-NNNNNN" ID.
@@ -259,122 +187,20 @@ func incSeq(id string) (uint64, bool) {
 	return n, true
 }
 
-func (s *incidentStore) nextSeq() uint64 {
-	s.seq++
-	return s.seq
-}
-
-func (s *incidentStore) len() int { return len(s.order) }
-
-func (s *incidentStore) put(inc *Incident) error {
-	if s.log == nil {
-		st := &stored{sum: summarize(inc, 0), mem: inc}
-		s.order = append(s.order, st)
-		s.byID[inc.ID] = st
-		if len(s.order) > memCap {
-			drop := s.order[0]
-			s.order = s.order[1:]
-			delete(s.byID, drop.sum.ID)
-		}
-		return nil
-	}
-	payload, err := json.Marshal(inc)
-	if err != nil {
-		return err
-	}
-	res, err := s.log.Append(payload)
-	if err != nil {
-		return err
-	}
-	for _, old := range res.Evicted {
-		kept := s.order[:0]
-		for _, st := range s.order {
-			if st.ref.Seg == old {
-				delete(s.byID, st.sum.ID)
-				continue
-			}
-			kept = append(kept, st)
-		}
-		s.order = kept
-	}
-	st := &stored{sum: summarize(inc, len(payload)), ref: res.Ref}
-	s.order = append(s.order, st)
-	s.byID[inc.ID] = st
-	return nil
-}
-
-func (s *incidentStore) get(id string) (*Incident, error) {
-	st, ok := s.byID[id]
-	if !ok {
-		return nil, nil
-	}
-	if st.mem != nil {
-		return st.mem, nil
-	}
-	payload, err := s.log.Read(st.ref)
-	if err != nil {
-		return nil, err
-	}
-	var inc Incident
-	if err := json.Unmarshal(payload, &inc); err != nil {
-		return nil, err
-	}
-	return &inc, nil
-}
-
-func (s *incidentStore) close() {
-	if s.log != nil {
-		s.log.Close()
-	}
-}
-
 // ReadDir reads incident bundles offline from a directory of
 // incident-NNNNNN.seg segments or from a single .seg file, oldest
-// first. Read-only: torn tails are skipped, never truncated, so it is
-// safe to point at a live daemon's directory or at segments copied off
-// a crashed host.
+// first. Read-only (seglog.ReadJournal): torn tails are skipped, never
+// truncated, so it is safe to point at a live daemon's directory or at
+// segments copied off a crashed host.
 func ReadDir(path string) ([]*Incident, error) {
-	var out []*Incident
-	collect := func(payload []byte, _ seglog.Ref) error {
-		var inc Incident
-		if err := json.Unmarshal(payload, &inc); err != nil {
-			return nil
-		}
-		out = append(out, &inc)
-		return nil
-	}
-	dir, seq, single, err := splitSegPath(path)
+	recs, err := seglog.ReadJournal[Incident](path, SegPrefix)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("prof: %w", err)
 	}
-	if single {
-		if _, err := seglog.ScanSegment(dir, SegPrefix, seq, collect); err != nil {
-			return nil, err
-		}
-	} else if err := seglog.ScanDir(dir, SegPrefix, collect); err != nil {
-		return nil, err
+	out := make([]*Incident, len(recs))
+	for i := range recs {
+		out[i] = &recs[i]
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out, nil
-}
-
-// splitSegPath classifies an offline-reader path: a directory to scan
-// whole, or one incident-NNNNNN.seg file.
-func splitSegPath(path string) (dir string, seq uint64, single bool, err error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", 0, false, fmt.Errorf("prof: %w", err)
-	}
-	if fi.IsDir() {
-		return path, 0, false, nil
-	}
-	dir, name := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	seq, ok := seglog.SegSeq(SegPrefix, name)
-	if !ok {
-		return "", 0, false, fmt.Errorf("prof: %s is not a %sNNNNNN%s segment", path, SegPrefix, seglog.SegSuffix)
-	}
-	return dir, seq, true, nil
 }

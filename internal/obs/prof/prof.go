@@ -37,20 +37,28 @@ import (
 
 	"openmfa/internal/clock"
 	"openmfa/internal/obs"
+	"openmfa/internal/seglog"
 )
 
 // SegPrefix names incident segment files: incident-NNNNNN.seg.
 const SegPrefix = "incident-"
 
+// Incident storage caps.
+const (
+	maxSegmentSize = 64 << 20 // an incident segment rotates past this many bytes
+	maxSegments    = 4        // retained incident segments; the oldest is deleted
+	maxDumpBytes   = 1 << 20  // goroutine dump bytes kept in a bundle; longer dumps are truncated and flagged
+)
+
 // snapshotKinds are the runtime/pprof profiles captured on every sample
 // in addition to the delta CPU profile.
 var snapshotKinds = []string{"heap", "goroutine", "mutex", "block"}
 
-// Config parameterises New. Zero values get conservative defaults; only
-// Dir changes the storage mode (empty keeps incidents in memory only).
+// Config parameterises New. Dir is required; zero values elsewhere get
+// conservative defaults.
 type Config struct {
-	// Dir persists incident bundles as rotated segments. Empty means
-	// memory-only: incidents survive until process exit, not across it.
+	// Dir holds the incident bundles as rotated segments (required;
+	// created if missing).
 	Dir string
 	// Obs receives the prof_* metrics (optional).
 	Obs *obs.Registry
@@ -70,13 +78,6 @@ type Config struct {
 	// window of the previous one (default 10m). Manual fires bypass the
 	// check but still arm it.
 	Debounce time.Duration
-	// MaxSegmentSize rotates incident segments (default 64 MiB).
-	MaxSegmentSize int64
-	// MaxSegments bounds retained incident segments (default 4).
-	MaxSegments int
-	// MaxDumpBytes caps the goroutine dump embedded in a bundle
-	// (default 1 MiB); longer dumps are truncated and flagged.
-	MaxDumpBytes int
 	// TraceIDs, when set, is asked for up to n recent flight-recorder
 	// trace IDs to embed in each incident (wire to flightrec TraceIDs).
 	TraceIDs func(n int) []string
@@ -159,7 +160,8 @@ type Engine struct {
 	triggers  []trigger
 	lastFire  time.Time
 	haveFired bool
-	store     incidentStore
+	seq       uint64 // last issued incident sequence number
+	incidents *seglog.Journal[Incident, Summary]
 	// prevMutex is the process-wide mutex profile fraction New replaced;
 	// restoreMutex is cleared once Stop has put it back.
 	prevMutex    int
@@ -170,9 +172,12 @@ type Engine struct {
 	done     chan struct{}
 }
 
-// New builds an engine and, when cfg.Dir is set, recovers previously
-// persisted incidents (truncating torn tails left by a crash).
+// New builds an engine and recovers the incidents persisted under
+// cfg.Dir (truncating torn tails left by a crash).
 func New(cfg Config) (*Engine, error) {
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("prof: Config.Dir required")
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -187,15 +192,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = 10 * time.Minute
-	}
-	if cfg.MaxSegmentSize <= 0 {
-		cfg.MaxSegmentSize = 64 << 20
-	}
-	if cfg.MaxSegments <= 0 {
-		cfg.MaxSegments = 4
-	}
-	if cfg.MaxDumpBytes <= 0 {
-		cfg.MaxDumpBytes = 1 << 20
 	}
 	e := &Engine{
 		cfg:    cfg,
@@ -217,14 +213,25 @@ func New(cfg Config) (*Engine, error) {
 	if max := cfg.Period / 10; e.cpuDur > max && max > 0 {
 		e.cpuDur = max
 	}
-	if err := e.openStore(); err != nil {
-		return nil, err
+	j, torn, err := seglog.OpenJournal(seglog.Options{
+		Dir: cfg.Dir, Prefix: SegPrefix, MaxSegmentSize: maxSegmentSize, MaxSegments: maxSegments,
+	}, func(inc *Incident) string { return inc.ID }, summarize)
+	if err != nil {
+		return nil, fmt.Errorf("prof: %w", err)
 	}
+	e.incidents = j
+	for _, s := range j.Summaries(0, nil) { // IDs continue past the recovered ones
+		if n, ok := incSeq(s.ID); ok && n > e.seq {
+			e.seq = n
+		}
+	}
+	e.recovered.Add(int64(j.Len()))
+	e.tornC.Add(int64(torn))
 	if cfg.MutexFraction > 0 {
 		e.prevMutex = runtime.SetMutexProfileFraction(cfg.MutexFraction)
 		e.restoreMutex = true
 	}
-	e.incidentsG.Set(float64(e.store.len()))
+	e.incidentsG.Set(float64(j.Len()))
 	return e, nil
 }
 
@@ -330,7 +337,7 @@ func (e *Engine) Stop() {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.store.close()
+	e.incidents.Close()
 	if e.restoreMutex {
 		runtime.SetMutexProfileFraction(e.prevMutex)
 		e.restoreMutex = false

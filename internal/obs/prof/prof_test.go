@@ -41,7 +41,7 @@ func newTestEngine(t *testing.T, dir string, sim *clock.Sim, reg *obs.Registry) 
 func TestCaptureRingAndMetrics(t *testing.T) {
 	sim := clock.NewSim(testT0)
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, "", sim, reg)
+	e := newTestEngine(t, t.TempDir(), sim, reg)
 	for i := 0; i < 5; i++ {
 		c := e.CaptureOnce()
 		if len(c.Profiles["cpu"]) == 0 {
@@ -268,6 +268,14 @@ func b2i(b bool) int {
 	return 0
 }
 
+// TestNewRequiresDir: incidents always persist; there is no memory mode.
+func TestNewRequiresDir(t *testing.T) {
+	if e, err := New(Config{}); err == nil {
+		e.Stop()
+		t.Fatal("New(Config{}) succeeded without a Dir")
+	}
+}
+
 func TestHandlerEndpoints(t *testing.T) {
 	sim := clock.NewSim(testT0)
 	reg := obs.NewRegistry()
@@ -339,6 +347,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestStartStopSampler(t *testing.T) {
 	e, err := New(Config{
+		Dir:         t.TempDir(),
 		Period:      5 * time.Millisecond,
 		CPUDuration: time.Millisecond,
 		Retention:   4,
@@ -374,7 +383,7 @@ func TestNewClampsCPUDuration(t *testing.T) {
 		{0, 0, 250 * time.Millisecond}, // the defaults, 250ms every 30s
 		{time.Second, 0, 100 * time.Millisecond},
 	} {
-		e, err := New(Config{Period: c.period, CPUDuration: c.cpu})
+		e, err := New(Config{Dir: t.TempDir(), Period: c.period, CPUDuration: c.cpu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +399,7 @@ func TestNewClampsCPUDuration(t *testing.T) {
 // clobber whatever a later owner has set since.
 func TestStopRestoresMutexProfileFraction(t *testing.T) {
 	before := runtime.SetMutexProfileFraction(-1)
-	e, err := New(Config{MutexFraction: before + 100})
+	e, err := New(Config{Dir: t.TempDir(), MutexFraction: before + 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,12 @@ import (
 // The kit's fixed operating points. Each used to be a flag on every
 // daemon that nothing ever set away from its default; library callers
 // who need another value set the prof.Config / flightrec.Policy field.
+// The profiler's period, CPU window, ring size and debounce are
+// prof.New's own defaults.
 const (
 	LogRate       = 200                    // identical log lines per second before the rest are sampled out
 	FlightSample  = 0.01                   // share of unremarkable successful traces the flight recorder keeps
 	SlowThreshold = 750 * time.Millisecond // the recorder's slow-trace class and the latency_spike bound
-	ProfPeriod    = 30 * time.Second       // continuous profiler sampling period
-	ProfCPU       = 250 * time.Millisecond // delta CPU profile per sample: under 1% of wall time
-	ProfRetain    = 8                      // captures kept in the in-memory ring
-	ProfDebounce  = 10 * time.Minute       // minimum spacing between trigger-fired incident bundles
 
 	spikeMinSamples = 20              // requests between two profiler ticks before a slow majority is a spike
 	mutexFraction   = 100             // 1 in 100 contention events sampled while the profiler runs
@@ -164,7 +162,6 @@ func Start(f *Flags, cfg Config) (*Kit, error) {
 	if f.ProfDir != "" {
 		eng, err := prof.New(prof.Config{
 			Dir: f.ProfDir, Obs: reg,
-			Period: ProfPeriod, CPUDuration: ProfCPU, Retention: ProfRetain, Debounce: ProfDebounce,
 			MutexFraction: mutexFraction,
 			TraceIDs:      k.recentTraces,
 		})

@@ -84,6 +84,7 @@ func BenchmarkSpanEventOverhead(b *testing.B) {
 func BenchmarkCheckUnderProfiler(b *testing.B) {
 	reg := obs.NewRegistry()
 	e, err := prof.New(prof.Config{
+		Dir:         b.TempDir(),
 		Obs:         reg,
 		Period:      500 * time.Millisecond,
 		CPUDuration: 50 * time.Millisecond,

@@ -145,9 +145,6 @@ type Context struct {
 	// Data is module-shared state (pam_set_data equivalent).
 	Data map[string]any
 
-	// Log, when set, receives a line per module decision.
-	Log func(format string, args ...any)
-
 	// Trace is the connection's trace ID (assigned by sshd). It tags
 	// every structured log line this attempt produces and rides to the
 	// RADIUS back end inside a Proxy-State attribute so one login can be
@@ -157,7 +154,7 @@ type Context struct {
 	// latency histograms plus a per-stack outcome counter.
 	Metrics *obs.Registry
 	// Logger, when set, receives a structured line per module decision
-	// (component=pam), carrying Trace.
+	// and per module diagnostic (component=pam), carrying Trace.
 	Logger *obs.Logger
 	// Spans, when set, records one timing span per module (children of
 	// Span when sshd provided one) plus the token module's RADIUS-RTT
@@ -179,12 +176,6 @@ func (ctx *Context) startSpan(name string) *obs.Span {
 		return ctx.Span.StartChild(name)
 	}
 	return ctx.Spans.Start(ctx.Trace, name)
-}
-
-func (ctx *Context) logf(format string, args ...any) {
-	if ctx.Log != nil {
-		ctx.Log(format, args...)
-	}
 }
 
 func (ctx *Context) now() time.Time {
@@ -288,9 +279,6 @@ func (s *Stack) run(ctx *Context) error {
 			span.End()
 		}
 		act := e.Control.action(res)
-		if ctx.Log != nil {
-			ctx.logf("pam(%s): %s -> %s", s.Service, e.Module.Name(), res)
-		}
 		if ctx.Metrics != nil {
 			ctx.Metrics.Counter("pam_module_result_total",
 				"module", e.Module.Name(), "result", res.String()).Inc()

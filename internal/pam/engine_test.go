@@ -2,8 +2,10 @@ package pam
 
 import (
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
+
+	"openmfa/internal/obs"
 )
 
 // fakeModule returns a fixed result and counts invocations.
@@ -192,13 +194,15 @@ func TestResultString(t *testing.T) {
 }
 
 func TestContextLogging(t *testing.T) {
-	var lines []string
+	var buf strings.Builder
 	s := &Stack{Service: "svc", Entries: []Entry{{Required(), &fakeModule{name: "m1", result: Success}}}}
-	ctx := &Context{User: "u", Log: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }}
+	ctx := &Context{User: "u", Trace: "tr-1", Logger: obs.NewLogger(&buf, obs.LevelInfo)}
 	if err := s.Authenticate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 1 {
-		t.Fatalf("log lines = %v", lines)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "component=pam") ||
+		!strings.Contains(lines[0], "trace=tr-1") || !strings.Contains(lines[0], "module=m1") {
+		t.Fatalf("log lines = %q, want one module decision line", lines)
 	}
 }

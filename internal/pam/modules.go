@@ -101,13 +101,19 @@ func (m *Exempt) Authenticate(ctx *Context) Result {
 	if force, _ := ctx.Data[DataRiskForceMFA].(bool); force {
 		// The risk gate flagged this attempt: exemptions do not apply,
 		// the second factor is mandatory.
-		ctx.logf("pam_mfa_exempt: exemption suppressed for %s (risk policy)", ctx.User)
+		if ctx.Logger != nil {
+			ctx.Logger.Info("exemption suppressed by risk policy", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User)
+		}
 		return Ignore
 	}
 	d := m.List.Check(ctx.User, ctx.RemoteAddr, ctx.now())
 	if d.Exempt {
 		ctx.Data[DataExempt] = true
-		ctx.logf("pam_mfa_exempt: exemption granted to %s from %v", ctx.User, ctx.RemoteAddr)
+		if ctx.Logger != nil {
+			ctx.Logger.Info("exemption granted", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr)
+		}
 		return Success
 	}
 	return Ignore

@@ -59,20 +59,26 @@ func (m *RiskGate) Authenticate(ctx *Context) Result {
 	}
 	switch d.Outcome {
 	case risk.OutcomeDeny:
-		ctx.logf("pam_risk_gate: DENY %s from %v: score %.2f (%v)",
-			ctx.User, ctx.RemoteAddr, d.Score, d.ReasonStrings())
+		if ctx.Logger != nil {
+			ctx.Logger.Warn("risk deny", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr, "risk", d.Detail())
+		}
 		if ctx.Conv != nil {
 			ctx.Conv.Info("login blocked by risk policy (critical)")
 		}
 		return AuthErr
 	case risk.OutcomeStepUp:
-		ctx.logf("pam_risk_gate: force MFA for %s from %v: score %.2f (%v)",
-			ctx.User, ctx.RemoteAddr, d.Score, d.ReasonStrings())
+		if ctx.Logger != nil {
+			ctx.Logger.Info("risk step-up: MFA forced", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr, "risk", d.Detail())
+		}
 		ctx.Data[DataRiskForceMFA] = true
 		return Ignore
 	case risk.OutcomeSkip:
-		ctx.logf("pam_risk_gate: MFA skip for %s from %v: history %d, score %.2f",
-			ctx.User, ctx.RemoteAddr, d.History, d.Score)
+		if ctx.Logger != nil {
+			ctx.Logger.Info("risk skip: MFA waived", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr, "history", d.History, "risk", d.Detail())
+		}
 		ctx.Data[DataRiskSkipMFA] = true
 		return Success
 	default:

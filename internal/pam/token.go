@@ -228,7 +228,10 @@ func (m *Token) Authenticate(ctx *Context) Result {
 		// waive the factor. Challenge without the SMS trigger: a soft or
 		// hard token code still logs its user in, and everyone else
 		// (SMS-paired or unpaired) fails closed at the back end.
-		ctx.logf("pam_mfa_token: pairing lookup failed for %s: %v", ctx.User, err)
+		if ctx.Logger != nil {
+			ctx.Logger.Warn("pairing lookup failed", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "err", err)
+		}
 		return m.challenge(ctx, "unknown")
 	}
 	paired := pairing != "none" && pairing != ""
@@ -276,7 +279,10 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 		// initiate a text message."
 		resp, err := m.exchange(ctx, ctx.User, "", nil)
 		if err != nil {
-			ctx.logf("pam_mfa_token: sms trigger failed: %v", err)
+			if ctx.Logger != nil {
+				ctx.Logger.Warn("sms trigger failed", "component", "pam", "trace", ctx.Trace,
+					"module", m.Name(), "user", ctx.User, "err", err)
+			}
 			return SystemErr
 		}
 		if msg := replyMessage(resp); msg != "" {
@@ -302,7 +308,10 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 	}
 	resp, err := m.exchange(ctx, ctx.User, code, state)
 	if err != nil {
-		ctx.logf("pam_mfa_token: radius exchange failed: %v", err)
+		if ctx.Logger != nil {
+			ctx.Logger.Warn("radius exchange failed", "component", "pam", "trace", ctx.Trace,
+				"module", m.Name(), "user", ctx.User, "err", err)
+		}
 		return SystemErr
 	}
 	switch resp.Code {

@@ -11,7 +11,7 @@
 // written — a torn tail never yields a half record to a reader. The store
 // keeps its own per-shard segment files and uses only the codec and Scan;
 // the flight recorder and the incident profiler use the rotated,
-// size-capped Log below.
+// size-capped Log below through one keyed index of it, Journal.
 //
 // Segments are named <prefix>NNNNNN.seg and rotate by size: when the
 // active segment would exceed MaxSegmentSize a new one is opened, and
@@ -26,7 +26,7 @@
 //     truncates torn tails, opens a fresh active segment for Append.
 //   - ScanDir / ScanSegment: read-only — torn tails are skipped, not
 //     truncated, safe against a live directory or segments copied off a
-//     crashed host (the offline loganalyze readers).
+//     crashed host (ReadJournal, behind the offline loganalyze readers).
 package seglog
 
 import (
