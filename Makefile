@@ -26,12 +26,13 @@ race:
 # Degraded-network gate, seeded and deterministic: the full login storm
 # under 30% datagram loss, 2x duplication, and a partitioned RADIUS
 # backend (TestAuthUnderChaos), plus the per-layer fault regressions
-# (spoofed-datagram discard, faultnet self-tests, directory fail-closed),
-# all with the race detector watching.
+# (spoofed-datagram discard, stale replies on reused RADIUS client
+# sockets, faultnet self-tests, directory fail-closed), all with the race
+# detector watching.
 chaos:
 	$(GO) test -race -count 1 -run 'TestAuthUnderChaos' ./internal/core
 	$(GO) test -race -count 1 ./internal/faultnet ./internal/leakcheck
-	$(GO) test -race -count 1 -run 'TestSpoofedResponseSilentlyDiscarded|TestDeadServerRetransmitBackoff|TestPool' ./internal/radius
+	$(GO) test -race -count 1 -run 'TestSpoofedResponseSilentlyDiscarded|TestDeadServerRetransmitBackoff|TestPool|TestSocketReuse|TestStaleReply|TestDeadServerSocket' ./internal/radius
 	$(GO) test -race -count 1 -run 'TestClientThroughFaultNet' ./internal/directory
 
 # The hot-path concurrency benchmarks: BenchmarkValidateParallel must not
@@ -141,7 +142,9 @@ figures:
 # (FuzzDecodeFrame's own corpus runs as a plain test). The store targets
 # fuzz what it adds on top — the batch payload codec behind that scanner
 # (FuzzDecodeRecord) and full store recovery (FuzzRecoverWAL). sshwire's
-# FuzzDecode drives the frame decoder sshd runs before authentication.
+# FuzzDecode drives the frame decoder sshd runs before authentication;
+# radius's FuzzDecode the datagram decoder every RADIUS hop runs, and
+# FuzzMessageAuthenticator holds the HMAC-MD5 to crypto/hmac's bytes.
 # go fuzz takes one target per invocation.
 # -fuzzminimizetime is capped in executions, not wall time: minimizing a
 # coverage-increasing input re-runs the (file-I/O-heavy) recovery target,
@@ -151,6 +154,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzRecoverWAL$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/store
 	$(GO) test -run xxx -fuzz 'FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/seglog
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/sshwire
+	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/radius
+	$(GO) test -run xxx -fuzz 'FuzzMessageAuthenticator$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/radius
 
 # Coverage gates, 90% statement floors each: the sharded store (with its
 # crashtest harness and the replication protocol exercising it), the

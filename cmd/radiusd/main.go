@@ -69,6 +69,7 @@ func run(ctx context.Context) error {
 	upstreamClient := &radius.Client{
 		Addr: *upstream, Secret: []byte(*upstreamSecret), Timeout: *timeout, Obs: reg,
 	}
+	defer upstreamClient.Close() // after srv.Close: no handler still holds a socket
 	srv := &radius.Server{
 		Secret:  []byte(*secret),
 		Handler: &radius.Proxy{Upstream: upstreamClient},

@@ -605,6 +605,9 @@ func (inf *Infrastructure) Close() error {
 	for _, rs := range inf.radiusServers {
 		rs.Close()
 	}
+	if inf.Pool != nil {
+		inf.Pool.Close()
+	}
 	if inf.dirServer != nil {
 		inf.dirServer.Close()
 	}

@@ -476,8 +476,10 @@ func (s *Server) CheckCtx(ctx context.Context, user, code string) (CheckResult, 
 			User: strings.ToLower(user), Result: class,
 		})
 	}
-	s.logger.Info("check", "component", "otpd", "trace", obs.TraceID(ctx),
-		"user", strings.ToLower(user), "result", class)
+	if s.logger != nil {
+		s.logger.Info("check", "component", "otpd", "trace", obs.TraceID(ctx),
+			"user", strings.ToLower(user), "result", class)
+	}
 	return res, err
 }
 

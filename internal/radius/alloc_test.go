@@ -67,6 +67,33 @@ func TestDecodeFromZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMessageAuthenticatorAllocs gates the Message-Authenticator at its
+// steady-state cost: verification allocates nothing and signing only the
+// attribute value, for secrets inside and beyond the 64-byte HMAC block.
+func TestMessageAuthenticatorAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for _, secret := range [][]byte{[]byte("s3cret"), make([]byte, 200)} {
+		req := sampleRequest()
+		if err := AddMessageAuthenticator(req, secret); err != nil { // size the attribute slice
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(500, func() {
+			if !VerifyMessageAuthenticator(req, secret) {
+				t.Fatal("verify failed")
+			}
+		}); got != 0 {
+			t.Errorf("%d-byte secret: VerifyMessageAuthenticator allocs/op = %.1f, want 0", len(secret), got)
+		}
+		if got := testing.AllocsPerRun(500, func() {
+			if err := AddMessageAuthenticator(req, secret); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("%d-byte secret: AddMessageAuthenticator allocs/op = %.1f, want ≤ 1", len(secret), got)
+		}
+	}
+}
+
 // TestDedupReserveFinishZeroAlloc gates the duplicate table's first-seen
 // path: once the ring and index have reached their steady size, reserving
 // and finishing a fresh request (expiring one old one) allocates nothing.

@@ -32,8 +32,16 @@ const DefaultBackoff = 50 * time.Millisecond
 // server does not sleep for minutes.
 const maxBackoff = 2 * time.Second
 
+// maxIdleConns bounds the connected sockets a Client keeps between
+// exchanges; a burst wider than this dials the difference and closes it
+// afterwards.
+const maxIdleConns = 8
+
 // Client sends Access-Requests to a single RADIUS server with
-// retransmission, and verifies response authenticators.
+// retransmission, and verifies response authenticators. It keeps the
+// connected UDP sockets of exchanges that ended in a verified reply and
+// reuses them, so a steady stream of exchanges dials once; Close releases
+// them.
 type Client struct {
 	// Addr is the server's UDP address ("host:port").
 	Addr string
@@ -57,14 +65,20 @@ type Client struct {
 	Backoff time.Duration
 	// Clock paces backoff sleeps; nil means the real clock.
 	Clock clock.Sleeper
-	// Dial opens the UDP conversation; nil means net.Dial. Chaos tests
-	// inject a faultnet dialer here.
+	// Dial opens a UDP socket to Addr; nil means net.Dial. Chaos tests
+	// inject a faultnet dialer here. Set it before the first exchange:
+	// sockets already kept were dialled with the old hook (Pool.SetDial
+	// drains them).
 	Dial func(network, addr string) (net.Conn, error)
 	// Obs, when set, counts silently discarded datagrams in
 	// radius_client_discards_total{reason=...}.
 	Obs *obs.Registry
 
 	idCounter uint32
+
+	mu   sync.Mutex
+	idle []net.Conn // sockets whose last exchange ended in a verified reply
+	gen  uint64     // bumped by Close; a socket from an older generation is not kept
 }
 
 func (c *Client) timeout() time.Duration {
@@ -139,13 +153,16 @@ func (c *Client) nextID() byte {
 
 // Exchange sends req and waits for a verified response. The request's
 // Identifier is assigned automatically and a Message-Authenticator is
-// added. The same wire bytes are retransmitted on timeout so the server's
-// duplicate cache works as intended.
+// added. The same wire bytes are retransmitted on timeout, from the same
+// socket, so the server's duplicate cache works as intended.
 //
 // Responses that fail to decode, carry the wrong Identifier, or fail
 // authenticator verification are silently discarded and the client keeps
 // waiting out the attempt deadline, per RFC 2865 §3 — a forged datagram
-// must not abort an exchange the genuine server is about to answer.
+// must not abort an exchange the genuine server is about to answer. The
+// same checks discard a late or duplicated reply to an earlier exchange
+// that lands on a reused socket: its Identifier differs, or its Response
+// Authenticator is bound to another request's random authenticator.
 func (c *Client) Exchange(req *Packet) (*Packet, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -160,16 +177,73 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
+	conn, gen, err := c.take()
+	if err != nil {
+		return nil, fmt.Errorf("radius: %w", err)
+	}
+	resp, sockErr, err := c.roundTrip(conn, req, wire)
+	if err != nil || sockErr {
+		// A socket that saw an error or ended in a timeout may hold a
+		// pending ICMP error or a dead peer: never reuse it.
+		conn.Close()
+	} else {
+		c.keep(conn, gen)
+	}
+	return resp, err
+}
+
+// take returns an idle socket, or dials a new one, with the generation it
+// belongs to.
+func (c *Client) take() (net.Conn, uint64, error) {
+	c.mu.Lock()
+	gen := c.gen
+	if n := len(c.idle); n > 0 {
+		conn := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return conn, gen, nil
+	}
+	c.mu.Unlock()
 	dial := c.Dial
 	if dial == nil {
 		dial = net.Dial
 	}
 	conn, err := dial("udp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("radius: %w", err)
-	}
-	defer conn.Close()
+	return conn, gen, err
+}
 
+// keep returns a socket to the idle list after a verified reply, or closes
+// it when the list is full or Close ran since the socket was taken.
+func (c *Client) keep(conn net.Conn, gen uint64) {
+	c.mu.Lock()
+	if gen == c.gen && len(c.idle) < maxIdleConns {
+		c.idle = append(c.idle, conn)
+		conn = nil
+	}
+	c.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
+// Close closes the idle sockets. An exchange in flight closes its own
+// socket when it ends; the Client stays usable and dials afresh.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.gen++
+	c.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
+	return nil
+}
+
+// roundTrip runs the attempt loop on one socket. The bool reports a write
+// or read error other than a timeout, even when a later attempt succeeded.
+func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bool, error) {
 	readBuf := getWireBuf()
 	defer putWireBuf(readBuf)
 	buf := (*readBuf)[:MaxPacketLen]
@@ -188,7 +262,7 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 			deadline := time.Now().Add(c.timeout())
 			for {
 				if err := conn.SetReadDeadline(deadline); err != nil {
-					return nil, err
+					return nil, true, err
 				}
 				n, err := conn.Read(buf)
 				if err != nil {
@@ -215,7 +289,7 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 					c.discard("bad_message_authenticator")
 					continue
 				}
-				return resp, nil
+				return resp, lastErr != nil, nil
 			}
 		}
 		if earlyFail && a < attempts-1 {
@@ -225,9 +299,9 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 		}
 	}
 	if lastErr != nil {
-		return nil, lastErr
+		return nil, true, lastErr
 	}
-	return nil, ErrTimeout
+	return nil, false, ErrTimeout
 }
 
 // verifyRespMA validates a response Message-Authenticator, which is
@@ -310,11 +384,21 @@ func (p *Pool) Servers() []string {
 }
 
 // SetDial installs a dial hook on every member client (chaos tests inject
-// a faultnet dialer). Call before Exchange traffic starts.
+// a faultnet dialer) and drains their idle sockets, so every later
+// exchange dials through the hook. Call before Exchange traffic starts.
 func (p *Pool) SetDial(dial func(network, addr string) (net.Conn, error)) {
 	for _, c := range p.clients {
 		c.Dial = dial
+		c.Close()
 	}
+}
+
+// Close closes every member client's idle sockets.
+func (p *Pool) Close() error {
+	for _, c := range p.clients {
+		c.Close()
+	}
+	return nil
 }
 
 // SetObs attaches a registry to the pool and to every member client, so

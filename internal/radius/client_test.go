@@ -3,6 +3,7 @@ package radius
 import (
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,5 +248,270 @@ func TestPoolFallbackSkipsJustFailedServer(t *testing.T) {
 	}
 	if resp.Code != AccessAccept {
 		t.Fatalf("code = %v", resp.Code)
+	}
+}
+
+// dialCounter is a Dial hook that counts dials and remembers every socket
+// it handed out.
+type dialCounter struct {
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (d *dialCounter) dial(network, addr string) (net.Conn, error) {
+	c, err := net.Dial(network, addr)
+	if err == nil {
+		d.mu.Lock()
+		d.conns = append(d.conns, c)
+		d.mu.Unlock()
+	}
+	return c, err
+}
+
+func (d *dialCounter) count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.conns)
+}
+
+// isClosed reports whether a socket was closed, by the error a write to a
+// closed net.Conn returns.
+func isClosed(c net.Conn) bool {
+	_, err := c.Write([]byte{0})
+	return errors.Is(err, net.ErrClosed)
+}
+
+// TestSocketReuseDialsOnce: a sequential stream of exchanges runs on one
+// connected socket.
+func TestSocketReuseDialsOnce(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	_, addr := startServer(t, secret)
+	var d dialCounter
+	c := &Client{Addr: addr, Secret: secret, Timeout: 2 * time.Second, Dial: d.dial}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		req := NewRequest(0)
+		buildReq("u", "123456", secret)(req)
+		resp, err := c.Exchange(req)
+		if err != nil || resp.Code != AccessAccept {
+			t.Fatalf("exchange %d: %v, %v", i, resp, err)
+		}
+	}
+	if n := d.count(); n != 1 {
+		t.Fatalf("100 sequential exchanges dialled %d sockets, want 1", n)
+	}
+}
+
+// answerTwice runs a fake server that answers every Access-Request with
+// two copies of a genuine, signed Access-Accept, and reports on the
+// returned channel once both copies have been written.
+func answerTwice(t *testing.T, secret []byte) (string, <-chan struct{}) {
+	t.Helper()
+	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	answered := make(chan struct{}, 16)
+	go func() {
+		buf := make([]byte, MaxPacketLen)
+		for {
+			n, client, err := srv.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			req, err := Decode(buf[:n])
+			if err != nil {
+				continue
+			}
+			resp := &Packet{Code: AccessAccept, Identifier: req.Identifier, Authenticator: req.Authenticator}
+			if AddMessageAuthenticator(resp, secret) != nil || SignResponse(resp, req.Authenticator, secret) != nil {
+				continue
+			}
+			wire, _ := resp.Encode()
+			srv.WriteToUDP(wire, client)
+			srv.WriteToUDP(wire, client)
+			answered <- struct{}{}
+		}
+	}()
+	return srv.LocalAddr().String(), answered
+}
+
+// TestStaleReplyOnReusedSocketDiscarded: the second copy of a reply waits
+// in the reused socket's queue when the next exchange starts. It is
+// discarded by Identifier, and when the Identifier happens to repeat (the
+// counter wraps every 256 exchanges) by the Response Authenticator, which
+// is bound to the new request's random authenticator. Each discard is
+// counted, and every exchange still gets its own verified reply.
+func TestStaleReplyOnReusedSocketDiscarded(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	addr, answered := answerTwice(t, secret)
+	reg := obs.NewRegistry()
+	var d dialCounter
+	c := &Client{Addr: addr, Secret: secret, Timeout: 2 * time.Second,
+		Retries: NoRetry, Dial: d.dial, Obs: reg}
+	defer c.Close()
+	exchange := func() {
+		t.Helper()
+		req := NewRequest(0)
+		req.AddString(AttrUserName, "u")
+		resp, err := c.Exchange(req)
+		if err != nil || resp.Code != AccessAccept || resp.Identifier != req.Identifier {
+			t.Fatalf("exchange: %v, %v", resp, err)
+		}
+		<-answered // the duplicate is queued on the socket
+	}
+	discards := func(reason string) int64 {
+		return reg.Counter("radius_client_discards_total", "reason", reason).Value()
+	}
+
+	exchange()
+	exchange()
+	if got := discards("id_mismatch"); got != 1 {
+		t.Fatalf("id_mismatch discards = %d, want 1", got)
+	}
+	atomic.AddUint32(&c.idCounter, ^uint32(0)) // reuse the last Identifier
+	exchange()
+	if got := discards("bad_authenticator"); got != 1 {
+		t.Fatalf("bad_authenticator discards = %d, want 1", got)
+	}
+	if n := d.count(); n != 1 {
+		t.Fatalf("dialled %d sockets, want 1", n)
+	}
+}
+
+// TestDeadServerSocketNotReused: an exchange that ends in an error or a
+// timeout closes its socket instead of keeping it.
+func TestDeadServerSocketNotReused(t *testing.T) {
+	leakcheck.Check(t)
+	silent, _ := silentAddr(t)
+	for _, addr := range []string{deadAddr(t), silent} {
+		var d dialCounter
+		c := &Client{Addr: addr, Secret: []byte("s"), Timeout: 50 * time.Millisecond,
+			Retries: NoRetry, Dial: d.dial}
+		for i := 0; i < 2; i++ {
+			req := NewRequest(0)
+			req.AddString(AttrUserName, "u")
+			if _, err := c.Exchange(req); err == nil {
+				t.Fatalf("%s: exchange succeeded", addr)
+			}
+		}
+		if n := d.count(); n != 2 {
+			t.Fatalf("%s: 2 failed exchanges dialled %d sockets, want 2", addr, n)
+		}
+		for i, conn := range d.conns {
+			if !isClosed(conn) {
+				t.Fatalf("%s: socket %d left open after a failed exchange", addr, i)
+			}
+		}
+		if len(c.idle) != 0 {
+			t.Fatalf("%s: %d idle sockets kept after failures", addr, len(c.idle))
+		}
+	}
+}
+
+// TestSocketReuseBoundedUnderBurst: a burst wider than the idle list keeps
+// at most maxIdleConns sockets and closes the rest.
+func TestSocketReuseBoundedUnderBurst(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	_, addr := startServer(t, secret)
+	var d dialCounter
+	c := &Client{Addr: addr, Secret: secret, Timeout: 2 * time.Second, Dial: d.dial}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4*maxIdleConns; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := NewRequest(0)
+			buildReq("u", "123456", secret)(req)
+			if _, err := c.Exchange(req); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	open := 0
+	for _, conn := range d.conns {
+		if !isClosed(conn) {
+			open++
+		}
+	}
+	if open != len(c.idle) || open > maxIdleConns {
+		t.Fatalf("%d sockets open, %d idle; want idle = open ≤ %d", open, len(c.idle), maxIdleConns)
+	}
+}
+
+// TestPoolCloseAndSetDialDrainIdleSockets: Pool.Close closes the members'
+// idle sockets, and SetDial drains them so the next exchange dials
+// through the new hook.
+func TestPoolCloseAndSetDialDrainIdleSockets(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	_, addr := startServer(t, secret)
+	pool := NewPool([]string{addr}, secret, 2*time.Second, NoRetry)
+	var first, second dialCounter
+	pool.SetDial(first.dial)
+	exchange := func() {
+		t.Helper()
+		if resp, err := pool.Exchange(buildReq("u", "123456", secret)); err != nil || resp.Code != AccessAccept {
+			t.Fatalf("exchange: %v, %v", resp, err)
+		}
+	}
+	exchange()
+	exchange()
+	if first.count() != 1 || isClosed(first.conns[0]) {
+		t.Fatalf("first hook: %d dials, want 1 kept open", first.count())
+	}
+	pool.SetDial(second.dial)
+	if !isClosed(first.conns[0]) {
+		t.Fatal("SetDial left the old hook's idle socket open")
+	}
+	exchange()
+	if second.count() != 1 {
+		t.Fatalf("after SetDial the new hook saw %d dials, want 1", second.count())
+	}
+	pool.Close()
+	if !isClosed(second.conns[0]) {
+		t.Fatal("Pool.Close left an idle socket open")
+	}
+}
+
+// TestCloseDuringExchangeClosesItsSocket: a socket whose exchange was in
+// flight when Close ran is closed when the exchange ends, not kept.
+func TestCloseDuringExchangeClosesItsSocket(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
+		close(entered)
+		<-release
+		return &Packet{Code: AccessAccept}
+	})}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var d dialCounter
+	c := &Client{Addr: srv.Addr().String(), Secret: secret, Timeout: 2 * time.Second,
+		Retries: NoRetry, Dial: d.dial}
+	done := make(chan error)
+	go func() {
+		req := NewRequest(0)
+		req.AddString(AttrUserName, "u")
+		_, err := c.Exchange(req)
+		done <- err
+	}()
+	<-entered
+	c.Close()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(d.conns[0]) || len(c.idle) != 0 {
+		t.Fatalf("socket in flight across Close was kept (%d idle)", len(c.idle))
 	}
 }

@@ -331,7 +331,8 @@ func RevealPassword(hidden, secret []byte, reqAuth [16]byte) (string, error) {
 // blocks; the pool only trims steady-state allocation.
 var wireBufs = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, MaxPacketLen)
+		// Room for a full packet behind the HMAC key-pad block.
+		b := make([]byte, 0, hmacBlock+MaxPacketLen)
 		return &b
 	},
 }
@@ -396,23 +397,57 @@ func zeroMessageAuthenticators(wire []byte) {
 	}
 }
 
+// hmacBlock is MD5's block size, the width of the RFC 2104 key pads.
+const hmacBlock = 64
+
+// messageAuthenticator computes RFC 2104 HMAC-MD5(secret, image) over p's
+// wire image with every Message-Authenticator value zeroed, without a
+// keyed crypto/hmac state: the packet is encoded into a pooled buffer
+// behind its K⊕ipad block, so the inner hash is one md5.Sum, and the outer
+// hash is a second md5.Sum over K⊕opad ‖ inner on the stack. A secret
+// longer than the block is hashed first, as RFC 2104 §2 requires.
+func messageAuthenticator(p *Packet, secret []byte) ([md5.Size]byte, error) {
+	var key [hmacBlock]byte
+	if len(secret) > hmacBlock {
+		sum := md5.Sum(secret)
+		copy(key[:], sum[:])
+	} else {
+		copy(key[:], secret)
+	}
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	inner := (*buf)[:hmacBlock]
+	for i, k := range key {
+		inner[i] = k ^ 0x36
+	}
+	inner, err := p.AppendEncode(inner)
+	if err != nil {
+		return [md5.Size]byte{}, err
+	}
+	zeroMessageAuthenticators(inner[hmacBlock:])
+	var outer [hmacBlock + md5.Size]byte
+	for i, k := range key {
+		outer[i] = k ^ 0x5c
+	}
+	sum := md5.Sum(inner)
+	copy(outer[hmacBlock:], sum[:])
+	return md5.Sum(outer[:]), nil
+}
+
 // AddMessageAuthenticator appends an RFC 2869 §5.14 Message-Authenticator
 // computed over the packet with the attribute itself zeroed. For requests,
 // the packet's own (random) authenticator is in place; for responses,
-// reqAuth must already be substituted by the caller.
+// reqAuth must already be substituted by the caller. The attribute value
+// is the only allocation.
 func AddMessageAuthenticator(p *Packet, secret []byte) error {
 	p.RemoveAll(AttrMessageAuthenticator)
-	p.Add(AttrMessageAuthenticator, make([]byte, 16))
-	buf := getWireBuf()
-	defer putWireBuf(buf)
-	wire, err := p.AppendEncode(*buf)
+	ma := make([]byte, md5.Size)
+	p.Attributes = append(p.Attributes, Attribute{Type: AttrMessageAuthenticator, Value: ma})
+	sum, err := messageAuthenticator(p, secret)
 	if err != nil {
 		return err
 	}
-	mac := hmac.New(md5.New, secret)
-	mac.Write(wire)
-	var sum [md5.Size]byte
-	copy(p.Attributes[len(p.Attributes)-1].Value, mac.Sum(sum[:0]))
+	copy(ma, sum[:])
 	return nil
 }
 
@@ -420,24 +455,18 @@ func AddMessageAuthenticator(p *Packet, secret []byte) error {
 // present; packets without one verify trivially (the attribute is optional
 // for Access-Request). The recomputation zeroes the attribute in a scratch
 // wire image instead of deep-cloning the packet, so verification costs one
-// encode plus one HMAC.
+// encode plus two MD5 passes and allocates nothing.
 func VerifyMessageAuthenticator(p *Packet, secret []byte) bool {
 	got, ok := p.Get(AttrMessageAuthenticator)
 	if !ok {
 		return true
 	}
-	if len(got) != 16 {
+	if len(got) != md5.Size {
 		return false
 	}
-	buf := getWireBuf()
-	defer putWireBuf(buf)
-	wire, err := p.AppendEncode(*buf)
+	want, err := messageAuthenticator(p, secret)
 	if err != nil {
 		return false
 	}
-	zeroMessageAuthenticators(wire)
-	mac := hmac.New(md5.New, secret)
-	mac.Write(wire)
-	var sum [md5.Size]byte
-	return hmac.Equal(mac.Sum(sum[:0]), got)
+	return hmac.Equal(want[:], got)
 }

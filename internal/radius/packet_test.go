@@ -2,6 +2,8 @@ package radius
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/md5"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +202,126 @@ func TestMessageAuthenticator(t *testing.T) {
 	if VerifyMessageAuthenticator(r, secret) {
 		t.Fatal("short MA verified")
 	}
+}
+
+// refMessageAuthenticator is the RFC 2869 §5.14 reference: crypto/hmac's
+// HMAC-MD5 keyed by secret over p's wire image with every
+// Message-Authenticator value zeroed.
+func refMessageAuthenticator(t testing.TB, p *Packet, secret []byte) []byte {
+	t.Helper()
+	q := &Packet{Code: p.Code, Identifier: p.Identifier, Authenticator: p.Authenticator}
+	for _, a := range p.Attributes {
+		if a.Type == AttrMessageAuthenticator {
+			a.Value = make([]byte, len(a.Value))
+		}
+		q.Attributes = append(q.Attributes, a)
+	}
+	wire, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mac := hmac.New(md5.New, secret)
+	mac.Write(wire)
+	return mac.Sum(nil)
+}
+
+// checkMessageAuthenticator signs p and requires the attribute to be
+// byte-equal to the crypto/hmac reference and to verify.
+func checkMessageAuthenticator(t testing.TB, p *Packet, secret []byte) {
+	t.Helper()
+	if err := AddMessageAuthenticator(p, secret); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := p.Get(AttrMessageAuthenticator)
+	if want := refMessageAuthenticator(t, p, secret); !bytes.Equal(got, want) {
+		t.Fatalf("%d-byte secret: Message-Authenticator %x, crypto/hmac %x", len(secret), got, want)
+	}
+	if !VerifyMessageAuthenticator(p, secret) {
+		t.Fatalf("%d-byte secret: own Message-Authenticator failed verification", len(secret))
+	}
+}
+
+// TestMessageAuthenticatorMatchesHMAC pins the two-md5.Sum HMAC to
+// crypto/hmac across the RFC 2104 key cases: shorter than, equal to, and
+// longer than the 64-byte block (hashed first), on a request and on a
+// reply carrying the request authenticator.
+func TestMessageAuthenticatorMatchesHMAC(t *testing.T) {
+	reply := &Packet{Code: AccessChallenge, Identifier: 200, Authenticator: sampleRequest().Authenticator}
+	reply.Add(AttrState, []byte("challenge-1"))
+	for i := 0; i < 8; i++ {
+		reply.AddString(AttrReplyMessage, "an SMS with your code has been sent")
+	}
+	for _, n := range []int{1, 16, 64, 65, 200} {
+		secret := make([]byte, n)
+		for i := range secret {
+			secret[i] = byte(i*31 + n)
+		}
+		checkMessageAuthenticator(t, sampleRequest(), secret)
+		checkMessageAuthenticator(t, reply, secret)
+	}
+}
+
+// FuzzMessageAuthenticator extends the table to arbitrary secrets and
+// packets: every Message-Authenticator byte equals crypto/hmac's, and a
+// flipped packet byte fails verification.
+func FuzzMessageAuthenticator(f *testing.F) {
+	for _, n := range []int{1, 16, 64, 65, 200} {
+		f.Add(bytes.Repeat([]byte{0xa5}, n), byte(1), []byte("alice"), []byte("tr-0123456789abcdef"))
+	}
+	f.Fuzz(func(t *testing.T, secret []byte, code byte, user, state []byte) {
+		if len(user) > 253 {
+			user = user[:253]
+		}
+		if len(state) > 253 {
+			state = state[:253]
+		}
+		p := NewRequest(code)
+		p.Code = Code(code)
+		p.Add(AttrUserName, user)
+		p.Add(AttrState, state)
+		checkMessageAuthenticator(t, p, secret)
+		p.Attributes[0].Value = append(p.Attributes[0].Value, 'x')
+		if VerifyMessageAuthenticator(p, secret) {
+			t.Fatal("tampered packet verified")
+		}
+	})
+}
+
+// FuzzDecode throws arbitrary bytes at the decoder every RADIUS server and
+// client runs on each datagram. Any input decodes or errors without
+// panicking; the reusing decoder agrees with Decode; and what decodes is
+// canonical: it re-encodes to exactly the length-field prefix it came
+// from (bytes past the length are padding, RFC 2865 §3).
+func FuzzDecode(f *testing.F) {
+	for _, p := range []*Packet{sampleRequest(), {Code: AccessReject, Identifier: 9}} {
+		wire, err := p.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+		f.Add(append(wire, 0, 0, 0))
+	}
+	var reused Packet
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Decode(data)
+		if rerr := reused.DecodeFrom(data); (rerr == nil) != (err == nil) {
+			t.Fatalf("Decode err %v, DecodeFrom err %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		out, err := p.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		n := int(data[2])<<8 | int(data[3])
+		if !bytes.Equal(out, data[:n]) {
+			t.Fatalf("decode→encode not canonical:\n in  %x\n out %x", data[:n], out)
+		}
+		if again, err := reused.AppendEncode(nil); err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("DecodeFrom re-encodes to %x, %v; want %x", again, err, out)
+		}
+	})
 }
 
 func TestCodeString(t *testing.T) {

@@ -30,6 +30,7 @@ type Request struct {
 	Packet *Packet
 	Addr   net.Addr
 	secret []byte
+	trace  string
 }
 
 // Username returns the User-Name attribute.
@@ -51,13 +52,16 @@ func (r *Request) State() []byte {
 	return v
 }
 
-// Trace returns the trace ID the NAS attached via Proxy-State, or "".
-// Proxy hops append their own (binary) Proxy-State values, so only the
-// first value that looks like a trace ID counts.
-func (r *Request) Trace() string {
-	for _, v := range r.Packet.GetAll(AttrProxyState) {
-		if s := string(v); obs.ValidTraceID(s) {
-			return s
+// Trace returns the trace ID the NAS attached via Proxy-State, or "". The
+// server resolves it once per request, before the handler runs.
+func (r *Request) Trace() string { return r.trace }
+
+// traceOf returns the first Proxy-State value of p that looks like a trace
+// ID: proxy hops append their own (binary) Proxy-State values.
+func traceOf(p *Packet) string {
+	for _, a := range p.Attributes {
+		if a.Type == AttrProxyState && obs.ValidTraceID(string(a.Value)) {
+			return string(a.Value)
 		}
 	}
 	return ""
@@ -244,8 +248,10 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 			Duration: time.Since(start),
 		})
 	}
-	s.Logger.Info("request", "component", "radius", "trace", trace,
-		"user", req.GetString(AttrUserName), "result", result)
+	if s.Logger != nil {
+		s.Logger.Info("request", "component", "radius", "trace", trace,
+			"user", req.GetString(AttrUserName), "result", result)
+	}
 	s.dedup.finish(seq, replyWire)
 	if replyWire != nil {
 		if _, err := conn.WriteTo(replyWire, src); err != nil {
@@ -258,9 +264,8 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 // the request is dropped or the reply cannot be built), the outcome class
 // for metrics, and the request's trace ID for logging.
 func (s *Server) respond(req *Packet, src net.Addr) (wire []byte, result, trace string) {
-	r := &Request{Packet: req, Addr: src, secret: s.Secret}
-	trace = r.Trace()
-	resp := s.Handler.ServeRADIUS(r)
+	trace = traceOf(req)
+	resp := s.Handler.ServeRADIUS(&Request{Packet: req, Addr: src, secret: s.Secret, trace: trace})
 	if resp == nil {
 		return nil, "drop", trace
 	}
@@ -275,8 +280,10 @@ func (s *Server) respond(req *Packet, src net.Addr) (wire []byte, result, trace 
 	resp.Identifier = req.Identifier
 	// RFC 2865 §5.33: Proxy-State attributes from the request are copied
 	// unmodified into the reply. This also returns the trace ID to the NAS.
-	for _, v := range req.GetAll(AttrProxyState) {
-		resp.Add(AttrProxyState, v)
+	for _, a := range req.Attributes {
+		if a.Type == AttrProxyState {
+			resp.Add(AttrProxyState, a.Value)
+		}
 	}
 	// Responses carry a Message-Authenticator when the request did.
 	if _, hadMA := req.Get(AttrMessageAuthenticator); hadMA {

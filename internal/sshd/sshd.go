@@ -408,8 +408,10 @@ func (s *Server) serveConn(raw net.Conn) {
 		s.Obs.Histogram("sshd_auth_duration_seconds", nil).ObserveSince(authStart)
 		s.Obs.Counter("sshd_auth_total", "result", result).Inc()
 	}
-	s.Logger.Info("auth", "component", "sshd", "trace", trace,
-		"user", user, "addr", addr, "result", result)
+	if s.Logger != nil {
+		s.Logger.Info("auth", "component", "sshd", "trace", trace,
+			"user", user, "addr", addr, "result", result)
+	}
 	if s.Events != nil {
 		mfaUsed, _ := lastCtx.Data[pam.DataMFAUsed].(bool)
 		method, _ := lastCtx.Data[pam.DataMFAMethod].(string)
