@@ -144,7 +144,8 @@ figures:
 # (FuzzDecodeRecord) and full store recovery (FuzzRecoverWAL). sshwire's
 # FuzzDecode drives the frame decoder sshd runs before authentication;
 # radius's FuzzDecode the datagram decoder every RADIUS hop runs, and
-# FuzzMessageAuthenticator holds the HMAC-MD5 to crypto/hmac's bytes.
+# FuzzMessageAuthenticator holds the HMAC-MD5 to crypto/hmac's bytes, as
+# otp's FuzzGeneratorMatchesHMAC holds the TOTP HMACs.
 # go fuzz takes one target per invocation.
 # -fuzzminimizetime is capped in executions, not wall time: minimizing a
 # coverage-increasing input re-runs the (file-I/O-heavy) recovery target,
@@ -156,6 +157,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/sshwire
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/radius
 	$(GO) test -run xxx -fuzz 'FuzzMessageAuthenticator$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/radius
+	$(GO) test -run xxx -fuzz 'FuzzGeneratorMatchesHMAC$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/otp
 
 # Coverage gates, 90% statement floors each: the sharded store (with its
 # crashtest harness and the replication protocol exercising it), the

@@ -140,6 +140,20 @@ func (d *Dir) Lookup(dn string) (*Entry, error) {
 	return e.clone(), nil
 }
 
+// Attr returns the first value of one attribute of the entry at dn (""
+// when the entry lacks it), reading it under the read lock instead of
+// copying the whole entry as Lookup does.
+func (d *Dir) Attr(dn, attr string) (string, error) {
+	ndn := NormalizeDN(dn)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	e, ok := d.entries[ndn]
+	if !ok {
+		return "", ErrNoEntry
+	}
+	return e.Get(attr), nil
+}
+
 // inScope reports whether dn falls within scope of base (both normalized).
 func inScope(dn, base string, scope Scope) bool {
 	if base == "" {

@@ -101,6 +101,29 @@ func TestLookupReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestAttrMatchesLookup: Attr reads what Lookup's copy would show, for a
+// present attribute, an absent one and an absent entry.
+func TestAttrMatchesLookup(t *testing.T) {
+	d := seed(t)
+	for _, c := range []struct{ dn, attr string }{
+		{UserDN("storm"), "mfaPairing"},
+		{" UID=Storm , ou=people,dc=hpc,dc=example", "MFAPAIRING"},
+		{UserDN("storm"), "telephoneNumber"},
+		{"ou=people,dc=hpc,dc=example", "mfapairing"},
+	} {
+		e, err := d.Lookup(c.dn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := d.Attr(c.dn, c.attr); err != nil || got != e.Get(c.attr) {
+			t.Errorf("Attr(%q, %q) = %q, %v; Lookup shows %q", c.dn, c.attr, got, err, e.Get(c.attr))
+		}
+	}
+	if _, err := d.Attr(UserDN("ghost"), "mfapairing"); err != ErrNoEntry {
+		t.Errorf("Attr on a missing entry: err = %v, want ErrNoEntry", err)
+	}
+}
+
 func mustFilter(t *testing.T, s string) Filter {
 	t.Helper()
 	f, err := ParseFilter(s)

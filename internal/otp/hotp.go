@@ -10,11 +10,11 @@
 package otp
 
 import (
-	"crypto/hmac"
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/sha512"
 	"crypto/subtle"
+	"encoding"
 	"encoding/base32"
 	"encoding/binary"
 	"errors"
@@ -22,6 +22,7 @@ import (
 	"hash"
 	"math"
 	"strings"
+	"sync"
 )
 
 // Algorithm selects the HMAC hash for HOTP/TOTP computation.
@@ -63,16 +64,14 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-func (a Algorithm) newHash() func() hash.Hash {
+func (a Algorithm) newHash() hash.Hash {
 	switch a {
 	case SHA1:
-		return sha1.New
+		return sha1.New()
 	case SHA256:
-		return sha256.New
-	case SHA512:
-		return sha512.New
+		return sha256.New()
 	default:
-		panic(fmt.Sprintf("otp: invalid algorithm %d", int(a)))
+		return sha512.New()
 	}
 }
 
@@ -121,38 +120,125 @@ var pow10 = [...]uint32{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 1000
 // ErrInvalidDigits is returned for unsupported code lengths.
 var ErrInvalidDigits = errors.New("otp: digits must be between 6 and 9")
 
-// Generator computes HOTP codes for one secret without re-keying the HMAC
-// per code: the keyed state is built once in NewGenerator and Reset between
-// counters, so a drift-window scan costs one key schedule total instead of
-// one per candidate, and the per-code path performs no heap allocation.
+// Generator computes HOTP codes for one secret. Keying hashes the RFC 2104
+// K⊕ipad and K⊕opad blocks once and saves both hash states; each code
+// restores them, so it costs two hash compressions and no allocation. The
+// hash comes from a per-algorithm pool, so the window scans below
+// (ValidateHOTP, ValidateTOTP, Resync), which keep their Generator on the
+// stack, allocate nothing either.
 type Generator struct {
-	mac    hash.Hash
+	alg    Algorithm
 	digits Digits
-	ctr    [8]byte
-	sum    [sha512.Size]byte
+	mac    *padStates
+}
+
+// padStates is one hash plus its two saved keyed states. Every buffer the
+// hash reads or writes lives here, not on the caller's stack, because a
+// slice handed to an interface method escapes.
+type padStates struct {
+	h            hash.Hash
+	inner, outer []byte                 // marshaled states after K⊕ipad / K⊕opad
+	scratch      [sha512.BlockSize]byte // pad block, counter, digests
+}
+
+// padPools recycles padStates per algorithm.
+var padPools = [...]sync.Pool{
+	SHA1:   {New: func() any { return &padStates{h: SHA1.newHash()} }},
+	SHA256: {New: func() any { return &padStates{h: SHA256.newHash()} }},
+	SHA512: {New: func() any { return &padStates{h: SHA512.newHash()} }},
 }
 
 // NewGenerator builds a reusable code generator. A Generator is not safe
 // for concurrent use.
 func NewGenerator(secret []byte, digits Digits, alg Algorithm) (*Generator, error) {
+	g := new(Generator)
+	if err := g.init(secret, digits, alg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// init keys g. A caller that keeps g on its stack calls release when done.
+func (g *Generator) init(secret []byte, digits Digits, alg Algorithm) error {
 	if !digits.Valid() {
-		return nil, ErrInvalidDigits
+		return ErrInvalidDigits
 	}
 	switch alg {
 	case SHA1, SHA256, SHA512:
 	default:
-		return nil, fmt.Errorf("otp: unknown algorithm %v", alg)
+		return fmt.Errorf("otp: unknown algorithm %v", alg)
 	}
-	return &Generator{mac: hmac.New(alg.newHash(), secret), digits: digits}, nil
+	m := padPools[alg].Get().(*padStates)
+	bs := m.h.BlockSize()
+	pad := m.scratch[:bs]
+	clear(pad)
+	if len(secret) > bs {
+		// RFC 2104 §2: a key longer than the block is hashed first.
+		m.h.Reset()
+		m.h.Write(secret)
+		m.h.Sum(pad[:0])
+	} else {
+		copy(pad, secret)
+	}
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	m.inner = m.save(m.inner[:0], pad)
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	m.outer = m.save(m.outer[:0], pad)
+	clear(pad)
+	*g = Generator{alg: alg, digits: digits, mac: m}
+	return nil
+}
+
+// release wipes g's key-derived states and returns its hashing state to
+// the pool; g must not be used after.
+func (g *Generator) release() {
+	clear(g.mac.inner)
+	clear(g.mac.outer)
+	padPools[g.alg].Put(g.mac)
+	g.mac = nil
+}
+
+// save hashes one pad block and appends the resulting state to dst.
+// AppendBinary (Go 1.24) writes into dst; older toolchains fall back to
+// MarshalBinary, which allocates.
+func (m *padStates) save(dst, pad []byte) []byte {
+	m.h.Reset()
+	m.h.Write(pad)
+	var b []byte
+	var err error
+	if a, ok := m.h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		b, err = a.AppendBinary(dst)
+	} else if b, err = m.h.(encoding.BinaryMarshaler).MarshalBinary(); err == nil {
+		b = append(dst, b...)
+	}
+	if err != nil {
+		panic("otp: hash state not marshalable: " + err.Error()) // every crypto/sha* digest is
+	}
+	return b
+}
+
+// restore resets the hash to a state save produced.
+func (m *padStates) restore(state []byte) {
+	if err := m.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("otp: restoring a saved hash state: " + err.Error()) // save made it from this hash
+	}
 }
 
 // Value computes the truncated RFC 4226 §5.3 value (already reduced modulo
 // 10^digits) for counter.
 func (g *Generator) Value(counter uint64) uint32 {
-	g.mac.Reset()
-	binary.BigEndian.PutUint64(g.ctr[:], counter)
-	g.mac.Write(g.ctr[:])
-	sum := g.mac.Sum(g.sum[:0])
+	m := g.mac
+	binary.BigEndian.PutUint64(m.scratch[:8], counter)
+	m.restore(m.inner)
+	m.h.Write(m.scratch[:8])
+	sum := m.h.Sum(m.scratch[:0])
+	m.restore(m.outer)
+	m.h.Write(sum)
+	sum = m.h.Sum(m.scratch[:0])
 	offset := sum[len(sum)-1] & 0x0f
 	code := binary.BigEndian.Uint32(sum[offset:offset+4]) & 0x7fffffff
 	return code % pow10[g.digits]
@@ -174,10 +260,11 @@ func (g *Generator) Code(counter uint64) string {
 // HOTP computes the RFC 4226 HMAC-based one-time password for the given
 // secret key and moving counter.
 func HOTP(secret []byte, counter uint64, digits Digits, alg Algorithm) (string, error) {
-	g, err := NewGenerator(secret, digits, alg)
-	if err != nil {
+	var g Generator
+	if err := g.init(secret, digits, alg); err != nil {
 		return "", err
 	}
+	defer g.release()
 	return g.Code(counter), nil
 }
 
@@ -190,10 +277,11 @@ func ValidateHOTP(secret []byte, code string, counter uint64, window int, digits
 	if window < 0 {
 		window = 0
 	}
-	g, err := NewGenerator(secret, digits, alg)
-	if err != nil {
+	var g Generator
+	if err := g.init(secret, digits, alg); err != nil {
 		return 0, false
 	}
+	defer g.release()
 	end := counter + uint64(window)
 	if end < counter {
 		end = math.MaxUint64

@@ -436,3 +436,35 @@ func BenchmarkValidateTOTPWorstCaseDrift(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidateTOTPHit is the common login: the code matches the
+// centre step, so one HMAC is computed.
+func BenchmarkValidateTOTPHit(b *testing.B) {
+	secret := []byte("12345678901234567890")
+	o := DefaultTOTPOptions()
+	server := time.Unix(1475000000, 0)
+	code, _ := TOTP(secret, server, o)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ValidateTOTP(secret, code, server, o); !ok {
+			b.Fatal("rejected")
+		}
+	}
+}
+
+// BenchmarkValidateTOTPMiss is the guessing path: a wrong code scans all
+// 21 steps of the ±300 s window, the cost brute force pays per attempt.
+func BenchmarkValidateTOTPMiss(b *testing.B) {
+	secret := []byte("12345678901234567890")
+	o := DefaultTOTPOptions()
+	server := time.Unix(1475000000, 0)
+	miss := "00000" // five digits never equal a six-digit code
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ValidateTOTP(secret, miss, server, o); ok {
+			b.Fatal("accepted")
+		}
+	}
+}

@@ -90,10 +90,11 @@ func ValidateTOTP(secret []byte, code string, t time.Time, o TOTPOptions) (uint6
 	if !ok {
 		return 0, false
 	}
-	g, err := NewGenerator(secret, o.Digits, o.Algorithm)
-	if err != nil {
+	var g Generator
+	if err := g.init(secret, o.Digits, o.Algorithm); err != nil {
 		return 0, false
 	}
+	defer g.release()
 	steps := o.skewSteps()
 
 	lo := uint64(0)
@@ -110,7 +111,7 @@ func ValidateTOTP(secret []byte, code string, t time.Time, o TOTPOptions) (uint6
 	}
 	// Check the centre first (the common case), then spiral outwards so
 	// that small drifts validate fastest. One Generator serves the whole
-	// scan: the HMAC is keyed once, Reset per candidate.
+	// scan: the pad blocks are hashed once, not per candidate.
 	if match(center) {
 		return center, true
 	}
@@ -134,10 +135,11 @@ func Resync(secret []byte, code1, code2 string, t time.Time, searchSteps uint64,
 	if !ok {
 		return 0, false
 	}
-	g, err := NewGenerator(secret, o.Digits, o.Algorithm)
-	if err != nil {
+	var g Generator
+	if err := g.init(secret, o.Digits, o.Algorithm); err != nil {
 		return 0, false
 	}
+	defer g.release()
 	lo := uint64(0)
 	if center > searchSteps {
 		lo = center - searchSteps

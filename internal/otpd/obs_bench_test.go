@@ -97,13 +97,20 @@ func BenchmarkCheckUnderProfiler(b *testing.B) {
 	benchCheck(b, newBenchServer(b, reg, nil, nil))
 }
 
-// TestCheckObsAllocs gates what each observability layer adds to the
-// deterministic-failure Check, counted in allocations per call: the
-// metrics registry adds none (pre-resolved handles, atomics only), and the
-// span store plus the event bus with a drained subscriber add at most
-// four (the span, its attributes and the published event). A layer that
-// gains one allocation fails here; its time cost is the benchmark's
-// obs.overhead_* row.
+// maxBareCheckAllocs is the ceiling on a deterministic-failure Check with
+// no observability attached, as measured: the store's copies of the
+// record out and in, the key it keeps, the record handed back, its JSON
+// encoding, the audit detail and the MAC string. The record decode, the
+// HMAC keyings and the audit formatting cost nothing per call.
+const maxBareCheckAllocs = 7
+
+// TestCheckObsAllocs gates the deterministic-failure Check, counted in
+// allocations per call: bare, at most maxBareCheckAllocs; the metrics
+// registry adds none (pre-resolved handles, atomics only), and the span
+// store plus the event bus with a drained subscriber add at most four (the
+// span, its attributes and the published event). A layer that gains one
+// allocation fails here; its time cost is the benchmark's obs.overhead_*
+// row.
 func TestCheckObsAllocs(t *testing.T) {
 	skipUnderRace(t)
 	allocs := func(srv *Server) float64 {
@@ -112,7 +119,7 @@ func TestCheckObsAllocs(t *testing.T) {
 				t.Fatalf("check = %+v, %v (want deterministic failure)", res, err)
 			}
 		}
-		check() // warm the secret cache
+		check() // warm the token cache
 		return testing.AllocsPerRun(500, check)
 	}
 	bus := eventstream.NewBus(nil)
@@ -120,6 +127,9 @@ func TestCheckObsAllocs(t *testing.T) {
 	bare := allocs(newBenchServer(t, nil, nil, nil))
 	metrics := allocs(newBenchServer(t, obs.NewRegistry(), nil, nil))
 	full := allocs(newBenchServer(t, obs.NewRegistry(), obs.NewSpanStore(1<<14), bus))
+	if bare > maxBareCheckAllocs {
+		t.Errorf("bare check: %.0f allocs/op, ceiling %d", bare, maxBareCheckAllocs)
+	}
 	for _, c := range []struct {
 		name      string
 		base, arm float64

@@ -104,10 +104,11 @@ type Server struct {
 	// assignments for the same serial).
 	serials *syncutil.StripedMutex
 
-	// secrets caches decrypted token secrets so the validation hot path
-	// skips the AES-GCM unseal; entries are keyed to the sealed
-	// ciphertext and explicitly invalidated on enrolment changes.
-	secrets *secretCache
+	// tokens caches each user's token record, decoded, with its secret
+	// unsealed, so the validation hot path skips the JSON decode and the
+	// AES-GCM unseal; an entry hits only while the stored bytes are
+	// byte-identical to the ones it holds.
+	tokens *tokenCache
 
 	met    otpdMetrics
 	logger *obs.Logger
@@ -191,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 		audit:   NewAudit(auditKey, clk.Now),
 		users:   syncutil.NewStriped(0),
 		serials: syncutil.NewStriped(0),
-		secrets: newSecretCache(),
+		tokens:  newTokenCache(),
 		met:     newOtpdMetrics(cfg.Obs),
 		logger:  cfg.Logger,
 		spans:   cfg.Spans,
@@ -292,7 +293,6 @@ func (s *Server) initGenerated(user string, typ TokenType, phone, serial string)
 	if err := s.saveRecord(r); err != nil {
 		return nil, err
 	}
-	s.secrets.invalidate(user)
 	key := otp.Key{Issuer: s.issuer, Account: user, Secret: secret, Options: s.opts}
 	s.audit.Record("init", user, "type="+string(typ), true)
 	s.publish(eventstream.Event{
@@ -337,7 +337,6 @@ func (s *Server) AssignHardToken(user, serial string) (*Enrollment, error) {
 	if err := s.saveRecord(r); err != nil {
 		return nil, err
 	}
-	s.secrets.invalidate(user)
 	if err := s.db.Delete(hardInvKey(serial)); err != nil {
 		return nil, err
 	}
@@ -397,7 +396,7 @@ func (s *Server) RemoveToken(user string) error {
 	if err := s.db.Delete(tokenKey(user)); err != nil {
 		return err
 	}
-	s.secrets.invalidate(user)
+	s.tokens.invalidate(user)
 	s.audit.Record("remove", user, "", true)
 	return nil
 }

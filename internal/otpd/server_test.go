@@ -2,6 +2,9 @@ package otpd
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -481,6 +484,78 @@ func TestAuditChain(t *testing.T) {
 	a.mu.Unlock()
 	if bad := a.Verify(); bad != 2 {
 		t.Fatalf("Verify after tamper = %d, want 2", bad)
+	}
+
+	// Past maxAuditEntries the oldest entries drop: Seq keeps counting,
+	// the chain verifies from the dropped entry's MAC, and tampering with
+	// any kept entry, or with that anchor, is still detected.
+	w := NewAudit([]byte("audit-key"), sim.Now)
+	const extra = 3
+	for i := 0; i < maxAuditEntries+extra; i++ {
+		w.Record("check", "u", fmt.Sprintf("n=%d", i), i%2 == 0)
+	}
+	es := w.Entries()
+	if len(es) != maxAuditEntries || w.Len() != maxAuditEntries {
+		t.Fatalf("kept %d entries (Len %d), want %d", len(es), w.Len(), maxAuditEntries)
+	}
+	if es[0].Seq != extra+1 || es[len(es)-1].Seq != maxAuditEntries+extra {
+		t.Fatalf("kept Seq %d..%d, want %d..%d", es[0].Seq, es[len(es)-1].Seq, extra+1, maxAuditEntries+extra)
+	}
+	if bad := w.Verify(); bad != 0 {
+		t.Fatalf("wrapped chain broken at %d", bad)
+	}
+	for _, pos := range []int{1, 2, maxAuditEntries - extra, maxAuditEntries} {
+		w.mu.Lock()
+		e := w.at(pos - 1)
+		saved := e.Detail
+		e.Detail = "forged"
+		w.mu.Unlock()
+		if bad := w.Verify(); bad != pos {
+			t.Errorf("Verify after tampering kept entry %d = %d", pos, bad)
+		}
+		w.mu.Lock()
+		e.Detail = saved
+		w.mu.Unlock()
+	}
+	w.mu.Lock()
+	w.anchor = es[1].MAC
+	w.mu.Unlock()
+	if bad := w.Verify(); bad != 1 {
+		t.Fatalf("Verify with a forged anchor = %d, want 1", bad)
+	}
+}
+
+// TestAuditMACsMatchFprintfChain holds the audit MACs to the formula the
+// chain has always used — HMAC-SHA256 over
+// fmt "%d|%d|%s|%s|%s|%t|" of the entry, then the previous MAC — so a
+// trail exported before and after any change verifies the same way.
+func TestAuditMACsMatchFprintfChain(t *testing.T) {
+	key := []byte("golden-audit-key")
+	now := t0
+	a := NewAudit(key, func() time.Time { return now })
+	steps := []struct {
+		action, user, detail string
+		success              bool
+	}{
+		{"init", "alice", "type=soft", true},
+		{"check", "alice", "", true},
+		{"check", "alice", "fail_count=1", false},
+		{"import_hard", "", "serial=FT-0001", true},
+		{"sms", "bob|x", "otpd: sms send: gateway down", false},
+		{"check", "ünïcode", "fail_count=20", false},
+		{"", "", "", false},
+	}
+	var prev []byte
+	for i, st := range steps {
+		now = now.Add(time.Duration(i) * 1234567 * time.Nanosecond)
+		a.Record(st.action, st.user, st.detail, st.success)
+		h := hmac.New(sha256.New, key)
+		fmt.Fprintf(h, "%d|%d|%s|%s|%s|%t|", i+1, now.UTC().UnixNano(), st.action, st.user, st.detail, st.success)
+		h.Write(prev)
+		prev = h.Sum(nil)
+		if got := a.Entries()[i].MAC; got != hex.EncodeToString(prev) {
+			t.Fatalf("entry %d MAC %s, formula %x", i+1, got, prev)
+		}
 	}
 }
 

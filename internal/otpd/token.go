@@ -100,6 +100,8 @@ var (
 	ErrBadStatic = errors.New("otpd: static code must be six digits")
 )
 
+// loadRecord reads user's token record (user lowercased). A record whose
+// stored bytes are the ones the token cache holds is not decoded again.
 func (s *Server) loadRecord(user string) (*record, error) {
 	b, err := s.db.Get(tokenKey(user))
 	if errors.Is(err, store.ErrNotFound) {
@@ -108,19 +110,29 @@ func (s *Server) loadRecord(user string) (*record, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r, ok := s.tokens.lookup(user, b); ok {
+		return &r, nil
+	}
 	var r record
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("otpd: corrupt record for %s: %w", user, err)
 	}
+	s.tokens.store(user, b, &r)
 	return &r, nil
 }
 
+// saveRecord writes r and caches the bytes it wrote, so the next load
+// of the record does not decode it.
 func (s *Server) saveRecord(r *record) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	return s.writes.Put(tokenKey(r.User), b)
+	if err := s.writes.Put(tokenKey(r.User), b); err != nil {
+		return err
+	}
+	s.tokens.store(r.User, b, r)
+	return nil
 }
 
 func (s *Server) sealSecret(user string, secret []byte) []byte {

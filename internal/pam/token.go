@@ -179,13 +179,9 @@ type LocalPairing struct {
 
 // Pairing implements PairingLookup.
 func (d LocalPairing) Pairing(user string) (string, error) {
-	e, err := d.Dir.Lookup(directory.UserDN(user))
-	if err != nil {
+	p, err := d.Dir.Attr(directory.UserDN(user), "mfapairing")
+	if err != nil || p == "" {
 		return "none", nil
-	}
-	p := e.Get("mfapairing")
-	if p == "" {
-		p = "none"
 	}
 	return p, nil
 }

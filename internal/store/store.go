@@ -4,10 +4,10 @@
 // compaction.
 //
 // The OTP back end keeps token records here (with secrets already sealed by
-// cryptoutil.Box before they arrive), the IDM keeps account records, and
-// the audit log keeps its HMAC chain head. The store offers the operations
-// those components need — Put/Get/Delete, prefix scans, and atomic batches
-// — with crash recovery via parallel WAL replay.
+// cryptoutil.Box before they arrive) and the IDM keeps account records;
+// otpd's HMAC-chained audit log is in memory only. The store offers the
+// operations those components need — Put/Get/Delete, prefix scans, and
+// atomic batches — with crash recovery via parallel WAL replay.
 //
 // Keys hash to one of N shards (N a power of two, fixed when the directory
 // is created), each with its own RWMutex, map, WAL segment, and snapshot,
