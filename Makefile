@@ -27,13 +27,13 @@ race:
 # under 30% datagram loss, 2x duplication, and a partitioned RADIUS
 # backend (TestAuthUnderChaos), plus the per-layer fault regressions
 # (spoofed-datagram discard, stale replies on reused RADIUS client
-# sockets, faultnet self-tests, directory fail-closed), all with the race
-# detector watching.
+# sockets, faultnet self-tests, a pairing-lookup outage failing closed in
+# every enforcement mode but off), all with the race detector watching.
 chaos:
 	$(GO) test -race -count 1 -run 'TestAuthUnderChaos' ./internal/core
 	$(GO) test -race -count 1 ./internal/faultnet ./internal/leakcheck
 	$(GO) test -race -count 1 -run 'TestSpoofedResponseSilentlyDiscarded|TestDeadServerRetransmitBackoff|TestPool|TestSocketReuse|TestStaleReply|TestDeadServerSocket' ./internal/radius
-	$(GO) test -race -count 1 -run 'TestClientThroughFaultNet' ./internal/directory
+	$(GO) test -race -count 1 -run 'TestPairingOutageFailsClosed' ./internal/pam
 
 # The hot-path concurrency benchmarks: BenchmarkValidateParallel must not
 # collapse as GOMAXPROCS grows (per-user lock striping), and

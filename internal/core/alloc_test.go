@@ -18,8 +18,10 @@ import (
 // a Message-Authenticator without a keyed crypto/hmac state and log lines
 // that box nothing without a Logger took it to 153; an otpd check that
 // neither keys a fresh HMAC nor decodes a record it wrote itself, and a
-// pairing lookup that reads one directory attribute, took it to 112.
-const maxLoginAllocs = 114 // 112 measured × 1.02
+// pairing lookup that reads one directory attribute, took it to 112; a
+// directory keyed by uid rather than by a built and normalised DN took it
+// to 108.
+const maxLoginAllocs = 110 // 108 measured × 1.02
 
 // TestLoginAllocsRatchet counts every allocation one whole login makes,
 // client and servers together: password + soft TOTP over sshd.Dial on

@@ -223,7 +223,6 @@ type Infrastructure struct {
 	ReplFollower *repl.Follower
 
 	radiusServers []*radius.Server
-	dirServer     *directory.Server
 	adminHTTP     *http.Server
 	portalHTTP    *http.Server
 	adminAddr     string
@@ -404,12 +403,6 @@ func New(opts Options) (*Infrastructure, error) {
 		inf.Pool.SetDial(opts.FaultNet.Dial)
 	}
 
-	// Directory service (network form, for components that want it).
-	inf.dirServer = directory.NewServer(inf.Dir)
-	if err := inf.dirServer.ListenAndServe("127.0.0.1:0"); err != nil {
-		return fail(err)
-	}
-
 	// Enforcement mode + PAM stack.
 	mode := opts.Mode
 	if mode == "" {
@@ -523,9 +516,6 @@ func (inf *Infrastructure) PortalURL() string { return "http://" + inf.portalAdd
 // AdminURL is the otpd admin API base URL.
 func (inf *Infrastructure) AdminURL() string { return "http://" + inf.adminAddr }
 
-// DirAddr is the directory service address.
-func (inf *Infrastructure) DirAddr() string { return inf.dirServer.Addr().String() }
-
 // RadiusAddrs lists the RADIUS farm addresses.
 func (inf *Infrastructure) RadiusAddrs() []string { return inf.Pool.Servers() }
 
@@ -607,9 +597,6 @@ func (inf *Infrastructure) Close() error {
 	}
 	if inf.Pool != nil {
 		inf.Pool.Close()
-	}
-	if inf.dirServer != nil {
-		inf.dirServer.Close()
 	}
 	if inf.adminHTTP != nil {
 		inf.adminHTTP.Close()

@@ -129,6 +129,35 @@ func TestModeSwitchDuringProduction(t *testing.T) {
 	}
 }
 
+// TestPairingLookupKeepsAccountsApart: the accounts "a,b" and "a, b" are
+// distinct in idm, so each reads its own pairing type. Unpairing one must
+// never waive the other's second factor in paired mode.
+func TestPairingLookupKeepsAccountsApart(t *testing.T) {
+	inf := newInfra(t, Options{Mode: pam.ModePaired})
+	for _, u := range []string{"a,b", "a, b"} {
+		if _, err := inf.CreateUser(u, "", "pw", idm.ClassUser); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := inf.PairSoft("a,b"); err != nil {
+		t.Fatal(err)
+	}
+	lookup := pam.LocalPairing{Dir: inf.Dir}
+	check := func(when string, want map[string]string) {
+		t.Helper()
+		for u, w := range want {
+			if p, err := lookup.Pairing(u); err != nil || p != w {
+				t.Errorf("%s: Pairing(%q) = %q, %v; want %q", when, u, p, err, w)
+			}
+		}
+	}
+	check("after pairing a,b", map[string]string{"a,b": "soft", "a, b": "none"})
+	if err := inf.IDM.SetPairing("a, b", idm.PairingNone); err != nil {
+		t.Fatal(err)
+	}
+	check("after unpairing a, b", map[string]string{"a,b": "soft", "a, b": "none"})
+}
+
 func TestHardTokenLifecycleViaFacade(t *testing.T) {
 	inf := newInfra(t, Options{})
 	sim := inf.Clock.(*clock.Sim)

@@ -1,232 +1,95 @@
+// Package directory implements the LDAP-substitute identity directory
+// (§3.1: LinOTP "extends an existing identity management database reserved
+// for Lightweight Directory Access Protocol (LDAP) queries"; §3.4: "The
+// token module queries for existing LDAP entries on the authenticating user
+// to distinguish between possible authentication routes").
+//
+// The directory holds one entry per user, keyed by the uid it shares with
+// the OTP database. The uid is normalised exactly as internal/idm keys its
+// accounts (lowercased, nothing else), so two distinct accounts never share
+// an entry. Attribute names are case-insensitive and attributes are
+// multi-valued. The one read is Attr: the PAM token module's pairing-type
+// query.
 package directory
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
-)
-
-// Entry is a directory entry: a DN plus multi-valued attributes. Attribute
-// names are stored lowercase.
-type Entry struct {
-	DN    string              `json:"dn"`
-	Attrs map[string][]string `json:"attrs"`
-}
-
-// Get returns the first value of attr ("" when absent).
-func (e *Entry) Get(attr string) string {
-	v := e.Attrs[strings.ToLower(attr)]
-	if len(v) == 0 {
-		return ""
-	}
-	return v[0]
-}
-
-// clone deep-copies the entry.
-func (e *Entry) clone() *Entry {
-	out := &Entry{DN: e.DN, Attrs: make(map[string][]string, len(e.Attrs))}
-	for k, v := range e.Attrs {
-		vv := make([]string, len(v))
-		copy(vv, v)
-		out.Attrs[k] = vv
-	}
-	return out
-}
-
-// NormalizeDN lowercases and strips spaces around RDN components.
-func NormalizeDN(dn string) string {
-	parts := strings.Split(dn, ",")
-	for i, p := range parts {
-		parts[i] = strings.ToLower(strings.TrimSpace(p))
-	}
-	return strings.Join(parts, ",")
-}
-
-// Scope controls how much of the subtree a search covers.
-type Scope int
-
-// Search scopes, mirroring LDAP's base/one/sub.
-const (
-	ScopeBase Scope = iota
-	ScopeOne
-	ScopeSub
 )
 
 // Directory errors.
 var (
 	ErrExists  = errors.New("directory: entry already exists")
 	ErrNoEntry = errors.New("directory: no such entry")
-	ErrBadDN   = errors.New("directory: malformed DN")
+	ErrBadUID  = errors.New("directory: empty uid")
 )
 
 // Dir is the in-memory directory, safe for concurrent use.
 type Dir struct {
 	mu      sync.RWMutex
-	entries map[string]*Entry // keyed by normalized DN
+	entries map[string]map[string][]string // uid → lowercase attr → values
 }
 
 // New creates an empty directory.
 func New() *Dir {
-	return &Dir{entries: make(map[string]*Entry)}
+	return &Dir{entries: make(map[string]map[string][]string)}
 }
 
-// Add inserts an entry. Attribute names are normalised to lowercase.
-func (d *Dir) Add(dn string, attrs map[string][]string) error {
-	ndn := NormalizeDN(dn)
-	if ndn == "" {
-		return ErrBadDN
+// Add inserts the entry for uid. Attribute names are normalised to
+// lowercase; the values are copied.
+func (d *Dir) Add(uid string, attrs map[string][]string) error {
+	uid = strings.ToLower(uid)
+	if uid == "" {
+		return ErrBadUID
 	}
-	e := &Entry{DN: ndn, Attrs: make(map[string][]string, len(attrs))}
-	for k, v := range attrs {
-		vv := make([]string, len(v))
-		copy(vv, v)
-		e.Attrs[strings.ToLower(k)] = vv
-	}
+	e := make(map[string][]string, len(attrs))
+	setAttrs(e, attrs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.entries[ndn]; ok {
+	if _, ok := d.entries[uid]; ok {
 		return ErrExists
 	}
-	d.entries[ndn] = e
+	d.entries[uid] = e
 	return nil
 }
 
-// Modify replaces the listed attributes on an existing entry. A nil or
-// empty value slice deletes the attribute.
-func (d *Dir) Modify(dn string, changes map[string][]string) error {
-	ndn := NormalizeDN(dn)
+// Modify replaces the listed attributes on uid's entry. A nil or empty
+// value slice deletes the attribute.
+func (d *Dir) Modify(uid string, changes map[string][]string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[ndn]
+	e, ok := d.entries[strings.ToLower(uid)]
 	if !ok {
 		return ErrNoEntry
 	}
-	for k, v := range changes {
+	setAttrs(e, changes)
+	return nil
+}
+
+// setAttrs writes copies of attrs into e, deleting empty ones.
+func setAttrs(e, attrs map[string][]string) {
+	for k, v := range attrs {
 		k = strings.ToLower(k)
 		if len(v) == 0 {
-			delete(e.Attrs, k)
+			delete(e, k)
 			continue
 		}
-		vv := make([]string, len(v))
-		copy(vv, v)
-		e.Attrs[k] = vv
+		e[k] = append([]string(nil), v...)
 	}
-	return nil
 }
 
-// Delete removes an entry.
-func (d *Dir) Delete(dn string) error {
-	ndn := NormalizeDN(dn)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.entries[ndn]; !ok {
-		return ErrNoEntry
-	}
-	delete(d.entries, ndn)
-	return nil
-}
-
-// Lookup fetches one entry by DN.
-func (d *Dir) Lookup(dn string) (*Entry, error) {
-	ndn := NormalizeDN(dn)
+// Attr returns the first value of one attribute of uid's entry ("" when
+// the entry lacks it).
+func (d *Dir) Attr(uid, attr string) (string, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, ok := d.entries[ndn]
-	if !ok {
-		return nil, ErrNoEntry
-	}
-	return e.clone(), nil
-}
-
-// Attr returns the first value of one attribute of the entry at dn (""
-// when the entry lacks it), reading it under the read lock instead of
-// copying the whole entry as Lookup does.
-func (d *Dir) Attr(dn, attr string) (string, error) {
-	ndn := NormalizeDN(dn)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	e, ok := d.entries[ndn]
+	e, ok := d.entries[strings.ToLower(uid)]
 	if !ok {
 		return "", ErrNoEntry
 	}
-	return e.Get(attr), nil
-}
-
-// inScope reports whether dn falls within scope of base (both normalized).
-func inScope(dn, base string, scope Scope) bool {
-	if base == "" {
-		switch scope {
-		case ScopeBase:
-			return dn == ""
-		case ScopeOne:
-			return !strings.Contains(dn, ",")
-		default:
-			return true
-		}
+	if v := e[strings.ToLower(attr)]; len(v) > 0 {
+		return v[0], nil
 	}
-	switch scope {
-	case ScopeBase:
-		return dn == base
-	case ScopeOne:
-		if !strings.HasSuffix(dn, ","+base) {
-			return false
-		}
-		rel := strings.TrimSuffix(dn, ","+base)
-		return !strings.Contains(rel, ",")
-	default: // ScopeSub
-		return dn == base || strings.HasSuffix(dn, ","+base)
-	}
+	return "", nil
 }
-
-// Search returns entries under base (per scope) matching filter, sorted by
-// DN. If attrs is non-empty, returned entries carry only those attributes.
-func (d *Dir) Search(base string, scope Scope, filter Filter, attrs []string) []*Entry {
-	nbase := NormalizeDN(base)
-	if base == "" {
-		nbase = ""
-	}
-	d.mu.RLock()
-	var out []*Entry
-	for dn, e := range d.entries {
-		if !inScope(dn, nbase, scope) {
-			continue
-		}
-		if filter != nil && !filter.Matches(e) {
-			continue
-		}
-		out = append(out, e.clone())
-	}
-	d.mu.RUnlock()
-	if len(attrs) > 0 {
-		want := make(map[string]bool, len(attrs))
-		for _, a := range attrs {
-			want[strings.ToLower(a)] = true
-		}
-		for _, e := range out {
-			for k := range e.Attrs {
-				if !want[k] {
-					delete(e.Attrs, k)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DN < out[j].DN })
-	return out
-}
-
-// Len reports the number of entries.
-func (d *Dir) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.entries)
-}
-
-// UserDN builds the conventional DN for a user account in this deployment.
-func UserDN(uid string) string {
-	return fmt.Sprintf("uid=%s,ou=people,dc=hpc,dc=example", strings.ToLower(uid))
-}
-
-// PeopleBase is the search base for user entries.
-const PeopleBase = "ou=people,dc=hpc,dc=example"

@@ -97,16 +97,42 @@ func New(db *store.Store, dir *directory.Dir, clk clock.Clock) *IDM {
 	idm := &IDM{db: db, dir: dir, clk: clk, nextUID: 1000,
 		verifyCache: make(map[[32]byte]bool)}
 	copy(idm.cacheSalt[:], cryptoutil.RandomBytes(16))
-	// Resume the uid sequence after a restart. The store was just opened,
-	// so the only possible Scan error is ErrClosed — nothing to resume then.
+	// Resume the uid sequence after a restart, and rebuild the in-memory
+	// directory so PAM reads every account's pairing, not "none". The
+	// store was just opened, so the only possible Scan error is ErrClosed
+	// — nothing to resume then.
 	kvs, _ := db.Scan("acct/")
 	for _, kv := range kvs {
 		var a Account
-		if json.Unmarshal(kv.Value, &a) == nil && a.UID >= idm.nextUID {
+		if json.Unmarshal(kv.Value, &a) != nil {
+			continue
+		}
+		if a.UID >= idm.nextUID {
 			idm.nextUID = a.UID + 1
 		}
+		// A stored account has a non-empty name, so Add cannot fail.
+		_ = idm.mirror(&a)
 	}
 	return idm
+}
+
+// mirror adds a's directory entry, the one PAM's pairing lookup reads. An
+// entry already there is kept.
+func (m *IDM) mirror(a *Account) error {
+	if m.dir == nil {
+		return nil
+	}
+	err := m.dir.Add(a.Username, map[string][]string{
+		"uid":         {a.Username},
+		"uidnumber":   {fmt.Sprint(a.UID)},
+		"mail":        {a.Email},
+		"objectclass": {"person", string(a.Class)},
+		"mfapairing":  {string(a.Pairing)},
+	})
+	if errors.Is(err, directory.ErrExists) {
+		return nil
+	}
+	return err
 }
 
 func acctKey(username string) string { return "acct/" + strings.ToLower(username) }
@@ -135,17 +161,8 @@ func (m *IDM) Create(username, email, password string, class AccountClass) (*Acc
 	if err := m.save(a); err != nil {
 		return nil, err
 	}
-	if m.dir != nil {
-		err := m.dir.Add(directory.UserDN(username), map[string][]string{
-			"uid":         {username},
-			"uidnumber":   {fmt.Sprint(a.UID)},
-			"mail":        {email},
-			"objectclass": {"person", string(class)},
-			"mfapairing":  {string(PairingNone)},
-		})
-		if err != nil && !errors.Is(err, directory.ErrExists) {
-			return nil, err
-		}
+	if err := m.mirror(a); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -283,7 +300,7 @@ func (m *IDM) SetPairing(username string, p PairingStatus) error {
 		return err
 	}
 	if m.dir != nil {
-		err := m.dir.Modify(directory.UserDN(username), map[string][]string{
+		err := m.dir.Modify(a.Username, map[string][]string{
 			"mfapairing": {string(p)},
 		})
 		if err != nil && !errors.Is(err, directory.ErrNoEntry) {

@@ -35,12 +35,12 @@ func TestCreateAndLookup(t *testing.T) {
 		t.Fatalf("lookup: %+v, %v", got, err)
 	}
 	// Directory entry mirrored.
-	e, err := dir.Lookup(directory.UserDN("cproctor"))
+	p, err := dir.Attr("cproctor", "mfapairing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Get("mfapairing") != "none" || e.Get("uid") != "cproctor" {
-		t.Fatalf("dir entry = %+v", e)
+	if uid, _ := dir.Attr("cproctor", "uid"); p != "none" || uid != "cproctor" {
+		t.Fatalf("dir entry: mfapairing %q, uid %q", p, uid)
 	}
 	// Duplicates and empties rejected.
 	if _, err := m.Create("cproctor", "x", "y", ClassUser); err != ErrExists {
@@ -123,6 +123,26 @@ func TestPublicKeys(t *testing.T) {
 	}
 }
 
+// TestDirectoryRebuiltAfterRestart: an IDM reopened on its store mirrors
+// every account into the fresh directory with its current pairing, so a
+// restart does not make paired users read "none".
+func TestDirectoryRebuiltAfterRestart(t *testing.T) {
+	db := store.OpenMemory()
+	m := New(db, directory.New(), clock.NewSim(t0))
+	m.Create("storm", "", "p", ClassStaff)
+	m.Create("hanlon", "", "p", ClassStaff)
+	if err := m.SetPairing("storm", PairingSMS); err != nil {
+		t.Fatal(err)
+	}
+	dir := directory.New()
+	New(db, dir, clock.NewSim(t0))
+	for user, want := range map[string]string{"storm": "sms", "hanlon": "none"} {
+		if p, err := dir.Attr(user, "mfapairing"); err != nil || p != want {
+			t.Errorf("after restart: %s mfapairing = %q, %v; want %q", user, p, err, want)
+		}
+	}
+}
+
 func TestSetPairingMirrorsDirectory(t *testing.T) {
 	m, dir := newIDM(t)
 	m.Create("storm", "", "p", ClassStaff)
@@ -133,14 +153,12 @@ func TestSetPairingMirrorsDirectory(t *testing.T) {
 	if err != nil || p != PairingSMS {
 		t.Fatalf("pairing = %v, %v", p, err)
 	}
-	e, _ := dir.Lookup(directory.UserDN("storm"))
-	if e.Get("mfapairing") != "sms" {
-		t.Fatalf("dir mfapairing = %q", e.Get("mfapairing"))
+	if dp, _ := dir.Attr("storm", "mfapairing"); dp != "sms" {
+		t.Fatalf("dir mfapairing = %q", dp)
 	}
 	// Unpair.
 	m.SetPairing("storm", PairingNone)
-	e, _ = dir.Lookup(directory.UserDN("storm"))
-	if e.Get("mfapairing") != "none" {
+	if dp, _ := dir.Attr("storm", "mfapairing"); dp != "none" {
 		t.Fatal("unpair not mirrored")
 	}
 	if err := m.SetPairing("ghost", PairingSoft); err != ErrNoUser {

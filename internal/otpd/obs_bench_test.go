@@ -143,3 +143,38 @@ func TestCheckObsAllocs(t *testing.T) {
 		}
 	}
 }
+
+// maxBareTriggerAllocs is the ceiling on a suppressed TriggerSMS (a code
+// is still active) with no observability and no Logger attached, as
+// measured: the store's copy of the record and the record handed back.
+// The log line's arguments are boxed only when a Logger is set.
+const maxBareTriggerAllocs = 2
+
+// TestTriggerSMSBareAllocs gates the suppressed SMS trigger, the call a
+// user's second login within the code's lifetime makes, in allocations per
+// call.
+func TestTriggerSMSBareAllocs(t *testing.T) {
+	skipUnderRace(t)
+	srv, err := New(Config{
+		DB:            store.OpenMemory(),
+		EncryptionKey: make([]byte, 32),
+		SMS:           SMSSenderFunc(func(phone, body string) error { return nil }),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.InitSMSToken("bench", "+15125550100"); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _, err := srv.TriggerSMS("bench"); !sent || err != nil {
+		t.Fatalf("first trigger: sent %v, %v", sent, err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		if sent, _, err := srv.TriggerSMS("bench"); sent || err != nil {
+			t.Fatalf("trigger: sent %v, %v (want suppressed)", sent, err)
+		}
+	})
+	if got > maxBareTriggerAllocs {
+		t.Errorf("suppressed trigger: %.0f allocs/op, ceiling %d", got, maxBareTriggerAllocs)
+	}
+}

@@ -600,8 +600,10 @@ func (s *Server) TriggerSMSCtx(ctx context.Context, user string) (bool, string, 
 			User: strings.ToLower(user), Result: "sent",
 		})
 	}
-	s.logger.Info("sms trigger", "component", "otpd", "trace", obs.TraceID(ctx),
-		"user", strings.ToLower(user), "result", class)
+	if s.logger != nil {
+		s.logger.Info("sms trigger", "component", "otpd", "trace", obs.TraceID(ctx),
+			"user", strings.ToLower(user), "result", class)
+	}
 	return sent, msg, err
 }
 

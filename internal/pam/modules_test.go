@@ -652,27 +652,13 @@ func TestPairingOutageFailsClosed(t *testing.T) {
 
 func TestDirectoryPairingLookup(t *testing.T) {
 	d := directory.New()
-	d.Add(directory.UserDN("u"), map[string][]string{"uid": {"u"}, "mfapairing": {"sms"}})
-	srv := directory.NewServer(d)
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dp := DirectoryPairing{Client: &directory.Client{Addr: srv.Addr().String()}}
-	p, err := dp.Pairing("u")
-	if err != nil || p != "sms" {
-		t.Fatalf("Pairing = %q, %v", p, err)
-	}
-	p, err = dp.Pairing("ghost")
-	if err != nil || p != "none" {
-		t.Fatalf("ghost Pairing = %q, %v", p, err)
-	}
+	d.Add("u", map[string][]string{"uid": {"u"}, "mfapairing": {"sms"}})
+	d.Add("v", map[string][]string{"uid": {"v"}})
 	lp := LocalPairing{Dir: d}
-	if p, _ := lp.Pairing("u"); p != "sms" {
-		t.Fatal("LocalPairing mismatch")
-	}
-	if p, _ := lp.Pairing("ghost"); p != "none" {
-		t.Fatal("LocalPairing ghost mismatch")
+	for user, want := range map[string]string{"u": "sms", "U": "sms", "v": "none", "ghost": "none"} {
+		if p, err := lp.Pairing(user); err != nil || p != want {
+			t.Errorf("Pairing(%q) = %q, %v; want %q", user, p, err, want)
+		}
 	}
 }
 

@@ -149,37 +149,16 @@ type PairingLookup interface {
 	Pairing(user string) (string, error)
 }
 
-// DirectoryPairing adapts a directory client to PairingLookup.
-type DirectoryPairing struct {
-	Client *directory.Client
-}
-
-// Pairing implements PairingLookup via an LDAP-style search.
-func (d DirectoryPairing) Pairing(user string) (string, error) {
-	entries, err := d.Client.Search(directory.PeopleBase, directory.ScopeSub,
-		"(uid="+user+")", []string{"mfapairing"})
-	if err != nil {
-		return "", err
-	}
-	if len(entries) == 0 {
-		return "none", nil
-	}
-	p := entries[0].Get("mfapairing")
-	if p == "" {
-		p = "none"
-	}
-	return p, nil
-}
-
-// LocalPairing adapts an in-process directory (no network hop) for
-// simulations that bypass TCP.
+// LocalPairing is the deployment's pairing lookup: it reads the user's
+// mfapairing attribute from the in-process directory that internal/idm
+// mirrors. A user without an entry or without the attribute reads "none".
 type LocalPairing struct {
 	Dir *directory.Dir
 }
 
 // Pairing implements PairingLookup.
 func (d LocalPairing) Pairing(user string) (string, error) {
-	p, err := d.Dir.Attr(directory.UserDN(user), "mfapairing")
+	p, err := d.Dir.Attr(user, "mfapairing")
 	if err != nil || p == "" {
 		return "none", nil
 	}
