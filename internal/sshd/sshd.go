@@ -209,10 +209,12 @@ func (s *Server) ListenAndServe(addr string) error {
 			}
 			if max := s.maxConns(); max > 0 && len(s.conns) >= max {
 				s.mu.Unlock()
-				conn.Close()
+				// Count before closing, so a peer that sees the close
+				// also sees the rejection counted.
 				if s.Obs != nil {
 					s.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Inc()
 				}
+				conn.Close()
 				s.Logger.Warn("connection rejected at capacity",
 					"component", "sshd", "max_conns", max)
 				continue
