@@ -25,9 +25,7 @@ import (
 	"os"
 	"time"
 
-	"openmfa/internal/authwatch"
 	"openmfa/internal/eventstream"
-	"openmfa/internal/metrics"
 	"openmfa/internal/rollout"
 )
 
@@ -45,7 +43,6 @@ type options struct {
 	users, riskUsers, riskDays, fig, table         int
 	seed                                           int64
 	costs, analysis, experiments, all, quiet, risk bool
-	authWatch                                      bool
 	eventsOut                                      string
 }
 
@@ -63,7 +60,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.risk, "risk", false, "run the adaptive-MFA attack-mix evaluation (engine off vs on) instead of the rollout simulation")
 	fs.IntVar(&o.riskUsers, "risk-users", 24, "accounts per risk scenario")
 	fs.IntVar(&o.riskDays, "risk-days", 8, "days per risk scenario")
-	fs.BoolVar(&o.authWatch, "authwatch", false, "stream events through the live authwatch aggregator and cross-check it against the simulator's reference aggregates (non-zero exit on mismatch)")
 	fs.StringVar(&o.eventsOut, "events-out", "", "write the run's auth-event stream as JSONL to this file (readable by loganalyze -format jsonl)")
 	return fs
 }
@@ -153,42 +149,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Streaming consumers: the live authwatch aggregator (cross-checked
-	// against the simulator's reference aggregates after the run) and/or
-	// a JSONL event dump. Neither changes the simulation's randomness or
-	// its stdout report.
+	// The JSONL event dump is a second subscriber on the run's bus; it
+	// changes neither the simulation's randomness nor its stdout report.
 	var (
-		bus   *eventstream.Bus
-		watch *authwatch.Watcher
-		dump  *eventDump
+		bus  *eventstream.Bus
+		dump *eventDump
 	)
-	if o.authWatch || o.eventsOut != "" {
-		bus = eventstream.NewBus(nil)
-	}
-	if o.authWatch {
-		watch = authwatch.New(authwatch.Config{})
-		// The watcher keeps pace easily (map updates vs live RADIUS round
-		// trips), but a deep buffer makes drops structurally impossible on
-		// a stalled scheduler too: parity demands every event.
-		watch.Attach(bus, 1<<16)
-		defer watch.Stop()
-	}
 	if o.eventsOut != "" {
+		bus = eventstream.NewBus(nil)
 		var err error
 		if dump, err = startDump(bus, o.eventsOut); err != nil {
 			return err
 		}
 	}
 
-	// Both modes end the same way: drain the dump, cross-check the
-	// watcher, then print the report — a mismatch still prints it, and
-	// fails the run afterwards.
 	start := time.Now()
-	var (
-		report   func()
-		daily    *metrics.Daily
-		smsTotal int
-	)
+	var report func()
 	if o.risk {
 		res, err := rollout.RunRiskEval(rollout.RiskEvalConfig{
 			Users: o.riskUsers, Days: o.riskDays, Seed: o.seed, Events: bus, Logf: logf,
@@ -196,14 +172,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		daily, smsTotal = res.Metrics, res.SMSTotal
 		report = func() { fmt.Fprintln(stdout, res.Report()) }
 	} else {
 		res, err := rollout.Run(rollout.Config{Users: o.users, Seed: o.seed, Events: bus, Logf: logf})
 		if err != nil {
 			return err
 		}
-		daily, smsTotal = res.Metrics, res.SMSMessages
 		report = func() {
 			logf("%s", res.ObservabilityReport())
 			printRollout(stdout, &o, res)
@@ -217,17 +191,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		logf("rollout: event stream written to %s (%d dropped)", dump.path, dropped)
 	}
-	var mismatch error
-	if watch != nil {
-		watch.Stop() // drains the subscription before we compare
-		var summary string
-		if summary, mismatch = rollout.CrossCheck(daily, smsTotal, watch); mismatch == nil {
-			logf("%s", summary)
-		}
-	}
 	logf("rollout: run finished in %s\n", time.Since(start).Round(time.Millisecond))
 	report()
-	return mismatch
+	return nil
 }
 
 // printRollout prints the selected figures and tables of a rollout run.

@@ -16,7 +16,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	var got []string
 	newFlags(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"all", "analysis", "authwatch", "costs", "events-out", "experiments", "fig",
+	want := []string{"all", "analysis", "costs", "events-out", "experiments", "fig",
 		"q", "risk", "risk-days", "risk-users", "seed", "table", "users"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rollout flags = %v\nwant %v", got, want)
@@ -58,28 +58,26 @@ func TestRejectsBadSelectionsBeforeRunning(t *testing.T) {
 }
 
 // The adaptive-MFA evaluation on its smallest configuration, as `make
-// risk-smoke` and the verify notes drive it: exact streaming parity (a
-// mismatch is a non-nil error, exit 1), the report on stdout, nothing left
-// running.
-func TestRiskEvalWithAuthwatchParity(t *testing.T) {
+// risk-smoke` and the verify notes drive it: the report on stdout, -q
+// leaving it byte-identical with stderr silent, nothing left running.
+func TestRiskEvalRun(t *testing.T) {
 	leakcheck.Check(t)
 	var stdout, stderr bytes.Buffer
-	if err := run(strings.Fields("-risk -authwatch -risk-users 8 -risk-days 5 -seed 7"), &stdout, &stderr); err != nil {
+	if err := run(strings.Fields("-risk -risk-users 8 -risk-days 5 -seed 7"), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\n%s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "FIGURE R2") {
 		t.Errorf("stdout has no report:\n%s", stdout.String())
 	}
-	if !strings.Contains(stderr.String(), "(0 dropped)") || !strings.Contains(stderr.String(), "match the simulator's reference") {
-		t.Errorf("stderr has no parity summary:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), "rollout: run finished") {
+		t.Errorf("stderr has no progress lines:\n%s", stderr.String())
 	}
 
-	// -q silences stderr and leaves stdout byte-identical.
 	var quiet, quietErr bytes.Buffer
 	if err := run(strings.Fields("-risk -q -risk-users 8 -risk-days 5 -seed 7"), &quiet, &quietErr); err != nil {
 		t.Fatal(err)
 	}
 	if quietErr.Len() != 0 || quiet.String() != stdout.String() {
-		t.Errorf("-q run: stderr %q; stdout equal to the -authwatch run: %v", quietErr.String(), quiet.String() == stdout.String())
+		t.Errorf("-q run: stderr %q; stdout equal to the verbose run: %v", quietErr.String(), quiet.String() == stdout.String())
 	}
 }

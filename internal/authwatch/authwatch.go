@@ -96,8 +96,8 @@ type Config struct {
 	ExtraHealth []obs.HealthCheck
 }
 
-// maxDayBuckets bounds the daily map (oldest evicted beyond this).
-const maxDayBuckets = 1000
+// MaxDayBuckets bounds the daily map: beyond it the oldest day is evicted.
+const MaxDayBuckets = 1000
 
 type dayBucket struct {
 	trafficAll, trafficExternal, trafficExtMFA int
@@ -180,7 +180,7 @@ func (w *Watcher) day(t time.Time) *dayBucket {
 	if !ok {
 		b = &dayBucket{mfaUsers: make(map[string]struct{})}
 		w.days[k] = b
-		if len(w.days) > maxDayBuckets {
+		if len(w.days) > MaxDayBuckets {
 			oldest := int64(1<<63 - 1)
 			for dk := range w.days {
 				if dk < oldest {

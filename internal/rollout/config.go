@@ -41,12 +41,12 @@ type Config struct {
 	Announce, Phase2, Phase3 time.Time
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// Events, when set, is the deployment's analytics bus: one login
-	// event per attempt (stamped on the scheduled simulation day, so
-	// streaming day buckets aggregate exactly like the reference series)
-	// plus whatever the components publish (SMS, lockouts, enrolments,
-	// RADIUS decisions). The bus consumes no randomness, so a run's
-	// figures are identical with or without it.
+	// Events is the deployment's analytics bus: one login event per
+	// attempt (stamped on the scheduled simulation day) plus whatever the
+	// components publish (SMS, lockouts, enrolments, RADIUS decisions).
+	// Run folds it with an authwatch.Watcher into the login series of
+	// Figures 3 and 4; nil gives the run a bus of its own. The bus
+	// consumes no randomness, so further subscribers change no figure.
 	Events *eventstream.Bus
 }
 
@@ -99,6 +99,4 @@ const (
 	SeriesTicketsTotal    = "tickets_total"    // Figure 5
 	SeriesTicketsMFA      = "tickets_mfa"      // Figure 5
 	SeriesPairingsNew     = "pairings_new"     // Figure 6
-	SeriesLoginFailures   = "login_failures"   // supplementary
-	SeriesDeniedUnpaired  = "denied_unpaired"  // supplementary
 )

@@ -66,10 +66,10 @@ func deploy(start time.Time, events *eventstream.Bus, mode pam.Mode, exempt []st
 // conversation meets the Figure 1 stack, the outcome feeds the risk engine
 // as sshd's wiring does, and sshd's login event is published — stamped on
 // the scheduled day. Per-user replay spacing can nudge at past midnight,
-// but the reference aggregates attribute every login to the day it was
-// scheduled, and the streaming aggregator must bucket identically. opened,
-// when set, runs for a granted login before the event goes out and fills in
-// the session's TTY and shell. Publishing draws no randomness.
+// but the figures attribute every login to the day it was scheduled, and
+// the watcher buckets events by their stamp. opened, when set, runs for a
+// granted login before the event goes out and fills in the session's TTY
+// and shell. Publishing draws no randomness.
 func (d *deployment) login(day, at time.Time, user string, ip net.IP, conv *deviceConv, opened func(*eventstream.Event)) bool {
 	d.clk.Set(at)
 	if conv.handset != nil {

@@ -40,7 +40,6 @@ import (
 
 	"openmfa/internal/eventstream"
 	"openmfa/internal/idm"
-	"openmfa/internal/metrics"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
 	"openmfa/internal/pam"
@@ -60,8 +59,8 @@ type RiskEvalConfig struct {
 	Start time.Time
 	// Events, when set, receives the on-arm event stream live (login
 	// results, otpd SMS/enrol events, and the engine's TypeRisk
-	// decisions), for authwatch parity checks and JSONL dumps. The bus
-	// consumes no randomness: results are identical with or without it.
+	// decisions), for JSONL dumps and offline replay. The bus consumes no
+	// randomness: results are identical with or without it.
 	Events *eventstream.Bus
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -108,16 +107,10 @@ type RiskScenarioResult struct {
 	Off, On     RiskArmStats
 }
 
-// RiskEvalResult carries everything the report and CrossCheck need.
+// RiskEvalResult carries everything the report needs.
 type RiskEvalResult struct {
 	Config    RiskEvalConfig
 	Scenarios []RiskScenarioResult
-	// Metrics holds the on-arm daily login series across all scenarios,
-	// under the rollout simulator's series names (user names are
-	// scenario-prefixed, so merging the scenarios' days is collision-free).
-	Metrics *metrics.Daily
-	// SMSTotal is the on-arm SMS volume across all scenarios.
-	SMSTotal int
 }
 
 // warmupDays is the per-account history imported before day 0 (production
@@ -480,16 +473,10 @@ func (arm *riskArm) code(a *rattempt, at time.Time, conv *deviceConv) (string, e
 	}
 }
 
-// run replays the schedule through the arm's stack. ref, when set,
-// receives every outcome's contribution to the reference daily series —
-// the ones the rollout simulator counts, so one CrossCheck serves both.
-func (arm *riskArm) run(start time.Time, sched []rattempt, ref *metrics.Daily) RiskArmStats {
+// run replays the schedule through the arm's stack and tallies the
+// outcomes by principal: legitimate users against attackers.
+func (arm *riskArm) run(start time.Time, sched []rattempt) RiskArmStats {
 	var stats RiskArmStats
-	type dayUser struct {
-		day  int
-		user string
-	}
-	mfaSeen := make(map[dayUser]bool) // already counted in SeriesUniqueMFAUsers
 	for i := range sched {
 		a := &sched[i]
 		date := start.AddDate(0, 0, a.day)
@@ -522,21 +509,6 @@ func (arm *riskArm) run(start time.Time, sched []rattempt, ref *metrics.Daily) R
 				stats.LegitPrompts++
 			}
 		}
-		switch {
-		case ref == nil:
-		case !granted:
-			ref.Add(date, SeriesLoginFailures, 1)
-		default:
-			ref.Add(date, SeriesTrafficAll, 1)
-			ref.Add(date, SeriesTrafficExternal, 1) // every evaluation source is outside 10.128/16
-			if conv.tokenOK {
-				ref.Add(date, SeriesTrafficExtMFA, 1)
-				if k := (dayUser{a.day, a.p.name}); !mfaSeen[k] {
-					mfaSeen[k] = true
-					ref.Add(date, SeriesUniqueMFAUsers, 1)
-				}
-			}
-		}
 	}
 	stats.SMS = arm.inf.SMS.Cost().Messages
 	if arm.engine != nil {
@@ -553,10 +525,7 @@ func (arm *riskArm) run(start time.Time, sched []rattempt, ref *metrics.Daily) R
 // and returns the comparative result. Deterministic per config.
 func RunRiskEval(cfg RiskEvalConfig) (*RiskEvalResult, error) {
 	cfg = cfg.withDefaults()
-	res := &RiskEvalResult{
-		Config:  cfg,
-		Metrics: metrics.NewDaily(cfg.Start, cfg.Start.AddDate(0, 0, cfg.Days-1)),
-	}
+	res := &RiskEvalResult{Config: cfg}
 
 	scenarios := []struct {
 		name, desc string
@@ -580,10 +549,9 @@ func RunRiskEval(cfg RiskEvalConfig) (*RiskEvalResult, error) {
 				return nil, fmt.Errorf("riskeval %s: %w", sc.name, err)
 			}
 			if on {
-				sr.On = arm.run(cfg.Start, sched, res.Metrics)
-				res.SMSTotal += sr.On.SMS
+				sr.On = arm.run(cfg.Start, sched)
 			} else {
-				sr.Off = arm.run(cfg.Start, sched, nil)
+				sr.Off = arm.run(cfg.Start, sched)
 			}
 			arm.inf.Close()
 		}

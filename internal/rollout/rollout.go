@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openmfa/internal/authlog"
+	"openmfa/internal/authwatch"
 	"openmfa/internal/cryptoutil"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/idm"
@@ -31,7 +32,8 @@ type Result struct {
 	// Analysis is the §4.1 report over the simulated auth log.
 	Analysis *loganalysis.Report
 	// MFALogins / TotalLogins summarise the run ("over half a million
-	// successful log ins" in the paper's production year).
+	// successful log ins" in the paper's production year): the sums of
+	// SeriesTrafficExtMFA and SeriesTrafficAll.
 	MFALogins   int
 	TotalLogins int
 	// Obs is the run's metrics registry: every simulated login records
@@ -69,9 +71,10 @@ type sim struct {
 	people  []*person
 	*deployment
 
-	mfaLogins   int
-	totalLogins int
-	lastLogin   map[string]time.Time // per-user spacing for replay safety
+	// watch folds the run's bus into the login series of Figures 3 and 4,
+	// as the daemons' /debug/authwatch does.
+	watch     *authwatch.Watcher
+	lastLogin map[string]time.Time // per-user spacing for replay safety
 }
 
 // Run executes the simulation and returns the collected evaluation data.
@@ -81,8 +84,23 @@ func Run(cfg Config) (*Result, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		metrics:   metrics.NewDaily(cfg.Start, cfg.End),
+		watch:     authwatch.New(authwatch.Config{}),
 		lastLogin: make(map[string]time.Time),
 	}
+	// One bucket stays spare for the last day's events that land past
+	// midnight; past the bound the watcher would evict day 0 silently.
+	if s.metrics.Days >= authwatch.MaxDayBuckets {
+		return nil, fmt.Errorf("rollout: %d-day calendar; the login series hold at most %d days",
+			s.metrics.Days, authwatch.MaxDayBuckets-1)
+	}
+	if cfg.Events == nil {
+		cfg.Events = eventstream.NewBus(nil)
+	}
+	// The watcher keeps pace easily (map updates vs live RADIUS round
+	// trips); the deep buffer makes a drop, which Run refuses, structurally
+	// impossible on a stalled scheduler too.
+	s.watch.Attach(cfg.Events, 1<<16)
+	defer s.watch.Stop()
 	s.buildPopulation()
 
 	// Gateways and community automation keep a standing whitelist entry.
@@ -102,11 +120,15 @@ func Run(cfg Config) (*Result, error) {
 	for d := 0; d < s.metrics.Days; d++ {
 		s.runDay(d)
 		if d%30 == 29 && cfg.Logf != nil {
-			cfg.Logf("rollout: %s done (%d/%d days, %d logins so far)",
-				s.metrics.Date(d).Format("2006-01-02"), d+1, s.metrics.Days, s.totalLogins)
+			cfg.Logf("rollout: %s done (%d/%d days)",
+				s.metrics.Date(d).Format("2006-01-02"), d+1, s.metrics.Days)
 		}
 	}
 
+	s.watch.Stop()
+	if err := s.copyLoginSeries(); err != nil {
+		return nil, err
+	}
 	return s.assemble(), nil
 }
 
@@ -186,31 +208,12 @@ func (s *sim) runDay(d int) {
 	}
 	sort.Slice(plan, func(i, j int) bool { return plan[i].offset < plan[j].offset })
 
-	mfaUsers := make(map[string]bool)
 	failures := 0
 	for _, l := range plan {
-		ok, usedMFA := s.doLogin(l.p, date, l.offset, l.internal)
-		if !ok {
+		if !s.doLogin(l.p, date, l.offset, l.internal) {
 			failures++
-			if !l.p.paired && !l.internal {
-				s.metrics.Add(date, SeriesDeniedUnpaired, 1)
-			}
-			continue
-		}
-		s.totalLogins++
-		s.metrics.Add(date, SeriesTrafficAll, 1)
-		if !l.internal {
-			s.metrics.Add(date, SeriesTrafficExternal, 1)
-			if usedMFA {
-				s.metrics.Add(date, SeriesTrafficExtMFA, 1)
-				mfaUsers[l.p.name] = true
-				s.mfaLogins++
-			}
 		}
 	}
-	s.metrics.Set(date, SeriesUniqueMFAUsers, float64(len(mfaUsers)))
-	s.metrics.Set(date, SeriesLoginFailures, float64(failures))
-
 	s.tickets(date, newPairings, failures)
 }
 
@@ -245,9 +248,9 @@ func (s *sim) pair(p *person) bool {
 	return p.paired
 }
 
-// doLogin pushes one login through the PAM stack. Returns (granted,
-// usedMFA).
-func (s *sim) doLogin(p *person, date time.Time, offset time.Duration, internal bool) (bool, bool) {
+// doLogin pushes one login through the PAM stack and reports whether it
+// was granted.
+func (s *sim) doLogin(p *person, date time.Time, offset time.Duration, internal bool) bool {
 	at := date.Add(offset)
 	// Per-user spacing: a TOTP code is consumed on success, so devices
 	// are never asked for two logins inside one 30 s step.
@@ -287,7 +290,7 @@ func (s *sim) doLogin(p *person, date time.Time, offset time.Duration, internal 
 			TTY: ev.TTY, Shell: p.shell,
 		})
 	})
-	return granted, granted && conv.tokenOK
+	return granted
 }
 
 // deviceCode is what the person's device shows right now.
@@ -338,6 +341,35 @@ func (s *sim) tickets(date time.Time, newPairings, failures int) {
 	s.metrics.Set(date, SeriesTicketsTotal, total+mfa)
 }
 
+// copyLoginSeries copies the drained watcher's day buckets into the login
+// series of Figures 3 and 4. A dropped event, or login activity dated
+// outside the calendar, means the stream is not the run's: the figures
+// would be wrong, so the run fails.
+func (s *sim) copyLoginSeries() error {
+	snap := s.watch.Snapshot()
+	first, last := s.metrics.Date(0), s.metrics.Date(s.metrics.Days-1)
+	if snap.Dropped > 0 {
+		return fmt.Errorf("rollout: the login series subscription dropped %d events", snap.Dropped)
+	}
+	for _, ds := range snap.Days {
+		date, err := time.Parse("2006-01-02", ds.Date)
+		if err != nil {
+			return err
+		}
+		if date.Before(first) || date.After(last) {
+			if ds.TrafficAll > 0 || ds.LoginFailures > 0 {
+				return fmt.Errorf("rollout: login activity on %s, outside the simulated calendar", ds.Date)
+			}
+			continue
+		}
+		s.metrics.Set(date, SeriesTrafficAll, float64(ds.TrafficAll))
+		s.metrics.Set(date, SeriesTrafficExternal, float64(ds.TrafficExt))
+		s.metrics.Set(date, SeriesTrafficExtMFA, float64(ds.TrafficExtMFA))
+		s.metrics.Set(date, SeriesUniqueMFAUsers, float64(ds.UniqueMFAUsers))
+	}
+	return nil
+}
+
 // assemble builds the Result.
 func (s *sim) assemble() *Result {
 	counts := map[string]int{}
@@ -359,8 +391,8 @@ func (s *sim) assemble() *Result {
 		Table1:      table1,
 		SMSMessages: s.inf.SMS.Cost().Messages,
 		Analysis:    analysis,
-		MFALogins:   s.mfaLogins,
-		TotalLogins: s.totalLogins,
+		MFALogins:   int(s.metrics.Sum(SeriesTrafficExtMFA)),
+		TotalLogins: int(s.metrics.Sum(SeriesTrafficAll)),
 		Obs:         s.inf.Obs,
 	}
 }

@@ -1,10 +1,14 @@
 package rollout
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"openmfa/internal/eventstream"
+	"openmfa/internal/leakcheck"
 	"openmfa/internal/otpd"
 )
 
@@ -233,6 +237,11 @@ func TestSection41LogAnalysis(t *testing.T) {
 	}
 }
 
+// Two runs of one config give the same figures, and a caller's bus with a
+// further subscriber on it (as cmd/rollout -events-out adds) changes none
+// of them: publishing draws no randomness, and the watcher's copy is the
+// only thing that fills the login series. The subscriber sees every token
+// text the SMS gateway bills.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two extra short runs")
@@ -243,21 +252,70 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	bus := eventstream.NewBus(nil)
+	sub := bus.Subscribe(1 << 16)
+	texts := make(chan int)
+	go func() {
+		n := 0
+		for e := range sub.Events() {
+			if e.Type == eventstream.TypeSMS && e.Result == "sent" {
+				n++
+			}
+		}
+		texts <- n
+	}()
+	cfg.Events = bus
 	b, err := Run(cfg)
+	sub.Close()
+	n := <-texts
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n == 0 || n != b.SMSMessages || sub.Dropped() != 0 {
+		t.Errorf("the caller's subscriber saw %d token texts (%d dropped); the gateway billed %d",
+			n, sub.Dropped(), b.SMSMessages)
+	}
+
 	if a.TotalLogins != b.TotalLogins || a.MFALogins != b.MFALogins {
 		t.Fatalf("runs diverged: %d/%d vs %d/%d",
 			a.TotalLogins, a.MFALogins, b.TotalLogins, b.MFALogins)
 	}
-	for _, s := range []string{SeriesPairingsNew, SeriesTrafficExternal, SeriesUniqueMFAUsers} {
-		sa, sb := a.Metrics.Series(s), b.Metrics.Series(s)
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("series %s diverged at day %d: %v vs %v", s, i, sa[i], sb[i])
-			}
+	if a.TotalLogins == 0 || a.MFALogins == 0 {
+		t.Fatalf("no logins counted: %d total, %d MFA", a.TotalLogins, a.MFALogins)
+	}
+	names := a.Metrics.Names()
+	if !reflect.DeepEqual(names, b.Metrics.Names()) {
+		t.Fatalf("series %v vs %v", names, b.Metrics.Names())
+	}
+	for _, s := range names {
+		if sa, sb := a.Metrics.Series(s), b.Metrics.Series(s); !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("series %s diverged:\n%v\n%v", s, sa, sb)
 		}
+	}
+}
+
+// A login on the bus dated outside the calendar means the stream is not
+// the run's own; Run names the day instead of rendering figures from it.
+// A calendar the watcher cannot hold is refused before anything starts.
+func TestRunRefusesStreamOutsideCalendar(t *testing.T) {
+	leakcheck.Check(t)
+	bus := eventstream.NewBus(nil)
+	_, err := Run(Config{Users: 20, Seed: 3, Start: day("2016-09-01"), End: day("2016-09-30"),
+		Events: bus,
+		Logf: func(string, ...any) { // fires after day 30, the last
+			bus.Publish(eventstream.Event{
+				Time: day("2020-01-01"), Type: eventstream.TypeLogin, Component: "sshd",
+				User: "ghost", Addr: "73.1.1.1", Result: "accept",
+			})
+		}})
+	if err == nil || !strings.Contains(err.Error(), "2020-01-01") {
+		t.Fatalf("Run = %v, want an error naming 2020-01-01", err)
+	}
+
+	_, err = Run(Config{Start: day("2016-01-01"), End: day("2018-12-31")})
+	if err == nil || !strings.Contains(err.Error(), "1096-day calendar") {
+		t.Fatalf("Run over three years = %v, want a refusal", err)
 	}
 }
 
