@@ -213,9 +213,10 @@ func BenchmarkRadiusRetransmitStorm(b *testing.B) {
 	var handled int64
 	srv := &radius.Server{
 		Secret: secret,
-		Handler: radius.HandlerFunc(func(*radius.Request) *radius.Packet {
+		Handler: radius.HandlerFunc(func(reply *radius.Packet, _ *radius.Request) bool {
 			atomic.AddInt64(&handled, 1)
-			return &radius.Packet{Code: radius.AccessAccept}
+			reply.Code = radius.AccessAccept
+			return true
 		}),
 	}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
@@ -333,8 +334,9 @@ func BenchmarkAblationProxyChain(b *testing.B) {
 		b.Run(fmt.Sprintf("%d-hops", hops), func(b *testing.B) {
 			secret := []byte("hop-secret")
 			terminal := &radius.Server{Secret: secret,
-				Handler: radius.HandlerFunc(func(*radius.Request) *radius.Packet {
-					return &radius.Packet{Code: radius.AccessAccept}
+				Handler: radius.HandlerFunc(func(reply *radius.Packet, _ *radius.Request) bool {
+					reply.Code = radius.AccessAccept
+					return true
 				})}
 			if err := terminal.ListenAndServe("127.0.0.1:0"); err != nil {
 				b.Fatal(err)

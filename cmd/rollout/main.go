@@ -164,36 +164,52 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	var report func()
-	if o.risk {
-		res, err := rollout.RunRiskEval(rollout.RiskEvalConfig{
-			Users: o.riskUsers, Days: o.riskDays, Seed: o.seed, Events: bus, Logf: logf,
-		})
-		if err != nil {
-			return err
+	report, err := simulate(&o, bus, logf, stdout)
+	if dump != nil {
+		// Closed on every path: only close flushes the file and ends its
+		// writer goroutine.
+		dropped, cerr := dump.close()
+		if err == nil {
+			err = cerr
 		}
-		report = func() { fmt.Fprintln(stdout, res.Report()) }
-	} else {
-		res, err := rollout.Run(rollout.Config{Users: o.users, Seed: o.seed, Events: bus, Logf: logf})
-		if err != nil {
-			return err
-		}
-		report = func() {
-			logf("%s", res.ObservabilityReport())
-			printRollout(stdout, &o, res)
+		if cerr == nil {
+			logf("rollout: event stream written to %s (%d dropped)", dump.path, dropped)
 		}
 	}
-
-	if dump != nil {
-		dropped, err := dump.close()
-		if err != nil {
-			return err
-		}
-		logf("rollout: event stream written to %s (%d dropped)", dump.path, dropped)
+	if err != nil {
+		return err
 	}
 	logf("rollout: run finished in %s\n", time.Since(start).Round(time.Millisecond))
 	report()
 	return nil
+}
+
+// The simulations run behind these variables so a test can make one fail.
+var (
+	runRollout  = rollout.Run
+	runRiskEval = rollout.RunRiskEval
+)
+
+// simulate runs the selected simulation, publishing on bus, and returns
+// the function that prints its report.
+func simulate(o *options, bus *eventstream.Bus, logf func(string, ...any), stdout io.Writer) (func(), error) {
+	if o.risk {
+		res, err := runRiskEval(rollout.RiskEvalConfig{
+			Users: o.riskUsers, Days: o.riskDays, Seed: o.seed, Events: bus, Logf: logf,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func() { fmt.Fprintln(stdout, res.Report()) }, nil
+	}
+	res, err := runRollout(rollout.Config{Users: o.users, Seed: o.seed, Events: bus, Logf: logf})
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		logf("%s", res.ObservabilityReport())
+		printRollout(stdout, o, res)
+	}, nil
 }
 
 // printRollout prints the selected figures and tables of a rollout run.

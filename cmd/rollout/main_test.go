@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"openmfa/internal/eventstream"
 	"openmfa/internal/leakcheck"
+	"openmfa/internal/rollout"
 )
 
 // TestFlagSurface pins the flag names, so a re-added knob fails here
@@ -79,5 +85,39 @@ func TestRiskEvalRun(t *testing.T) {
 	}
 	if quietErr.Len() != 0 || quiet.String() != stdout.String() {
 		t.Errorf("-q run: stderr %q; stdout equal to the verbose run: %v", quietErr.String(), quiet.String() == stdout.String())
+	}
+}
+
+// TestFailedRunClosesEventDump: when the simulation fails with -events-out
+// set, run still closes the dump, so the events published before the
+// failure reach the file and the writer goroutine ends.
+func TestFailedRunClosesEventDump(t *testing.T) {
+	leakcheck.Check(t)
+	failure := errors.New("simulation failed")
+	publishThenFail := func(bus *eventstream.Bus) error {
+		bus.Publish(eventstream.Event{Type: eventstream.TypeMFA, User: "alice", Result: "accept"})
+		return failure
+	}
+	savedRollout, savedRisk := runRollout, runRiskEval
+	t.Cleanup(func() { runRollout, runRiskEval = savedRollout, savedRisk })
+	runRollout = func(cfg rollout.Config) (*rollout.Result, error) {
+		return nil, publishThenFail(cfg.Events)
+	}
+	runRiskEval = func(cfg rollout.RiskEvalConfig) (*rollout.RiskEvalResult, error) {
+		return nil, publishThenFail(cfg.Events)
+	}
+	for _, mode := range []string{"", "-risk"} {
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		args := append(strings.Fields(mode), "-q", "-events-out", path)
+		if err := run(args, io.Discard, io.Discard); !errors.Is(err, failure) {
+			t.Fatalf("run %q = %v, want the simulation's error", mode, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), `"alice"`) {
+			t.Errorf("run %q: events-out file %q lacks the event published before the failure", mode, b)
+		}
 	}
 }

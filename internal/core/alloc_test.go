@@ -20,8 +20,9 @@ import (
 // neither keys a fresh HMAC nor decodes a record it wrote itself, and a
 // pairing lookup that reads one directory attribute, took it to 112; a
 // directory keyed by uid rather than by a built and normalised DN took it
-// to 108.
-const maxLoginAllocs = 110 // 108 measured × 1.02
+// to 108; RADIUS packets built and read in one buffer each, in pooled
+// scratch, took it to 81.
+const maxLoginAllocs = 82 // 81 measured × 1.02
 
 // TestLoginAllocsRatchet counts every allocation one whole login makes,
 // client and servers together: password + soft TOTP over sshd.Dial on

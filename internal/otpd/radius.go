@@ -25,15 +25,15 @@ type RadiusHandler struct {
 	OTP *Server
 }
 
-// ServeRADIUS implements radius.Handler.
-func (h *RadiusHandler) ServeRADIUS(req *radius.Request) *radius.Packet {
+// ServeRADIUS implements radius.Handler: it fills the server's reply.
+func (h *RadiusHandler) ServeRADIUS(reply *radius.Packet, req *radius.Request) bool {
 	user := req.Username()
 	if user == "" {
-		return reject("missing user name")
+		return reject(reply, "missing user name")
 	}
 	code, err := req.Password()
 	if err != nil {
-		return reject("undecodable password attribute")
+		return reject(reply, "undecodable password attribute")
 	}
 	// The NAS's trace ID rides in on Proxy-State; rehydrate it into a
 	// context so otpd's log lines join the same trace.
@@ -41,46 +41,45 @@ func (h *RadiusHandler) ServeRADIUS(req *radius.Request) *radius.Packet {
 
 	if code == "" {
 		// Null request: SMS trigger (§3.4 Figure 2).
-		sent, msg, err := h.OTP.TriggerSMSCtx(ctx, user)
+		_, msg, err := h.OTP.TriggerSMSCtx(ctx, user)
 		switch {
 		case errors.Is(err, ErrNotSMS), errors.Is(err, ErrNoToken):
 			// Not an SMS user: prompt for the device code directly.
-			return challenge("enter your token code")
+			return challenge(reply, "enter your token code")
 		case errors.Is(err, ErrLockedOut):
-			return reject("token deactivated; contact support")
+			return reject(reply, "token deactivated; contact support")
 		case err != nil:
-			return reject("token service unavailable")
+			return reject(reply, "token service unavailable")
 		}
-		_ = sent
-		return challenge(msg)
+		return challenge(reply, msg)
 	}
 
 	res, err := h.OTP.CheckCtx(ctx, user, code)
 	switch {
 	case errors.Is(err, ErrNoToken):
-		return reject("no token paired")
+		return reject(reply, "no token paired")
 	case errors.Is(err, ErrLockedOut):
-		return reject("token deactivated; contact support")
+		return reject(reply, "token deactivated; contact support")
 	case err != nil:
-		return reject("token service unavailable")
+		return reject(reply, "token service unavailable")
 	}
 	if !res.OK {
-		return reject(res.Message)
+		return reject(reply, res.Message)
 	}
-	out := &radius.Packet{Code: radius.AccessAccept}
-	out.AddString(radius.AttrReplyMessage, res.Message)
-	return out
+	reply.Code = radius.AccessAccept
+	reply.AddString(radius.AttrReplyMessage, res.Message)
+	return true
 }
 
-func reject(msg string) *radius.Packet {
-	p := &radius.Packet{Code: radius.AccessReject}
-	p.AddString(radius.AttrReplyMessage, msg)
-	return p
+func reject(reply *radius.Packet, msg string) bool {
+	reply.Code = radius.AccessReject
+	reply.AddString(radius.AttrReplyMessage, msg)
+	return true
 }
 
-func challenge(msg string) *radius.Packet {
-	p := &radius.Packet{Code: radius.AccessChallenge}
-	p.Add(radius.AttrState, []byte("otpd-challenge"))
-	p.AddString(radius.AttrReplyMessage, msg)
-	return p
+func challenge(reply *radius.Packet, msg string) bool {
+	reply.Code = radius.AccessChallenge
+	reply.AddString(radius.AttrState, "otpd-challenge")
+	reply.AddString(radius.AttrReplyMessage, msg)
+	return true
 }

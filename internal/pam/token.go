@@ -325,10 +325,8 @@ func (m *Token) exchange(ctx *Context, user, code string, state []byte) (*radius
 	defer span.End()
 	return m.Radius.Exchange(func(req *radius.Packet) {
 		req.AddString(radius.AttrUserName, user)
-		hidden, err := radius.HidePassword(code, m.Radius.Secret(), req.Authenticator)
-		if err == nil {
-			req.Add(radius.AttrUserPassword, hidden)
-		}
+		// A code over 128 bytes cannot be hidden; it is left out.
+		_ = req.AddPassword(code, m.Radius.Secret())
 		if state != nil {
 			req.Add(radius.AttrState, state)
 		}
@@ -341,13 +339,22 @@ func (m *Token) exchange(ctx *Context, user, code string, state []byte) (*radius
 	})
 }
 
+// replyMessage joins the reply's Reply-Message lines with newlines,
+// reading them in place.
 func replyMessage(p *radius.Packet) string {
-	parts := p.GetAll(radius.AttrReplyMessage)
-	out := make([]string, len(parts))
-	for i, b := range parts {
-		out[i] = string(b)
-	}
-	return strings.Join(out, "\n")
+	var b strings.Builder
+	lines := 0
+	p.Range(func(typ byte, v []byte) bool {
+		if typ == radius.AttrReplyMessage {
+			if lines > 0 {
+				b.WriteByte('\n')
+			}
+			b.Write(v)
+			lines++
+		}
+		return true
+	})
+	return b.String()
 }
 
 func endOfDay(t time.Time) time.Time {

@@ -3,6 +3,7 @@ package radius
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -68,13 +69,13 @@ func TestDecodeFromZeroAlloc(t *testing.T) {
 }
 
 // TestMessageAuthenticatorAllocs gates the Message-Authenticator at its
-// steady-state cost: verification allocates nothing and signing only the
-// attribute value, for secrets inside and beyond the 64-byte HMAC block.
+// steady-state cost: verifying and filling the reserved slot allocate
+// nothing, for secrets inside and beyond the 64-byte HMAC block.
 func TestMessageAuthenticatorAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, secret := range [][]byte{[]byte("s3cret"), make([]byte, 200)} {
 		req := sampleRequest()
-		if err := AddMessageAuthenticator(req, secret); err != nil { // size the attribute slice
+		if err := AddMessageAuthenticator(req, secret); err != nil {
 			t.Fatal(err)
 		}
 		if got := testing.AllocsPerRun(500, func() {
@@ -88,8 +89,8 @@ func TestMessageAuthenticatorAllocs(t *testing.T) {
 			if err := AddMessageAuthenticator(req, secret); err != nil {
 				t.Fatal(err)
 			}
-		}); got > 1 {
-			t.Errorf("%d-byte secret: AddMessageAuthenticator allocs/op = %.1f, want ≤ 1", len(secret), got)
+		}); got != 0 {
+			t.Errorf("%d-byte secret: AddMessageAuthenticator allocs/op = %.1f, want 0", len(secret), got)
 		}
 	}
 }
@@ -158,13 +159,8 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 			reused.Authenticator != want.Authenticator {
 			t.Fatalf("header mismatch: %+v vs %+v", reused, want)
 		}
-		if len(reused.Attributes) != len(want.Attributes) {
-			t.Fatalf("attr count %d != %d", len(reused.Attributes), len(want.Attributes))
-		}
-		for i, a := range want.Attributes {
-			if reused.Attributes[i].Type != a.Type || string(reused.Attributes[i].Value) != string(a.Value) {
-				t.Fatalf("attr %d mismatch", i)
-			}
+		if got, want := attrsOf(&reused), attrsOf(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("attributes %q, want %q", got, want)
 		}
 	}
 }
@@ -184,7 +180,7 @@ func TestEmptySecretRejected(t *testing.T) {
 		t.Errorf("RevealPassword(nil secret) err = %v, want ErrEmptySecret", err)
 	}
 
-	srv := &Server{Handler: HandlerFunc(func(*Request) *Packet { return nil })}
+	srv := &Server{Handler: HandlerFunc(func(*Packet, *Request) bool { return false })}
 	if err := srv.ListenAndServe("127.0.0.1:0"); !errors.Is(err, ErrEmptySecret) {
 		t.Errorf("secretless ListenAndServe err = %v, want ErrEmptySecret", err)
 		srv.Close()
@@ -223,5 +219,112 @@ func TestHidePasswordRoundTripLongSecret(t *testing.T) {
 		if got != want {
 			t.Errorf("round trip %q: got %q", pw, got)
 		}
+	}
+}
+
+// loopConn joins a Client and a Server with no socket and no goroutine
+// between them: as the client's net.Conn, Write hands each datagram to the
+// server's handle on the calling goroutine; as the server's
+// net.PacketConn, WriteTo keeps the reply for the client's next Read.
+type loopConn struct {
+	srv   *Server
+	reply [MaxPacketLen]byte
+	n     int
+}
+
+var loopAddr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1812}
+
+func (c *loopConn) Write(b []byte) (int, error) {
+	d := datagrams.Get().(*datagram)
+	defer releaseDatagram(d)
+	c.srv.handle(c, d, copy(d.in.buf[:], b), loopAddr)
+	return len(b), nil
+}
+
+func (c *loopConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	c.n = copy(c.reply[:], b)
+	return len(b), nil
+}
+
+func (c *loopConn) Read(b []byte) (int, error)             { return copy(b, c.reply[:c.n]), nil }
+func (c *loopConn) ReadFrom([]byte) (int, net.Addr, error) { return 0, nil, net.ErrClosed }
+func (c *loopConn) Close() error                           { return nil }
+func (c *loopConn) LocalAddr() net.Addr                    { return loopAddr }
+func (c *loopConn) RemoteAddr() net.Addr                   { return loopAddr }
+func (c *loopConn) SetDeadline(time.Time) error            { return nil }
+func (c *loopConn) SetReadDeadline(time.Time) error        { return nil }
+func (c *loopConn) SetWriteDeadline(time.Time) error       { return nil }
+
+// Ceilings of TestExchangeAllocs, the counts measured when it was written.
+const (
+	// The reply Exchange returns: its Packet and its copy of the datagram.
+	maxClientExchangeAllocs = 2
+	// The trace ID and the user name as strings, the revealed password,
+	// and the duplicate cache's copy of the reply.
+	maxServerExchangeAllocs = 4
+)
+
+// TestExchangeAllocs gates the RADIUS hop's allocations per exchange, client
+// and server apart: one Pool.Exchange of a login's request (User-Name,
+// hidden password, trace ID in Proxy-State) against an in-process Server
+// whose fixed handler reads the user and password and accepts. The
+// socket reads and the server's per-datagram goroutine are left out
+// (loopConn); TestLoginAllocsRatchet counts them with the rest of a login.
+func TestExchangeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	secret := []byte("s3cret")
+	now := time.Unix(1000, 0)
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
+		if pw, err := req.Password(); err != nil || pw != "123456" || req.Username() != "alice" {
+			t.Errorf("handler saw %q, %q, %v", req.Username(), pw, err)
+		}
+		reply.Code = AccessAccept
+		reply.AddString(AttrReplyMessage, "ok")
+		return true
+	})}
+	// One reservation expires per exchange, so the cache holds steady.
+	srv.dedup = newDedupTable(dedupWindow, maxDedupEntries, func() time.Time {
+		now = now.Add(dedupWindow)
+		return now
+	})
+	conn := &loopConn{srv: srv}
+	pool := NewPool([]string{"loop"}, secret, time.Second, NoRetry)
+	pool.SetDial(func(string, string) (net.Conn, error) { return conn, nil })
+	build := func(req *Packet) {
+		req.AddString(AttrUserName, "alice")
+		req.AddPassword("123456", secret)
+		req.AddString(AttrProxyState, "0123456789abcdef")
+	}
+	exchange := func() {
+		resp, err := pool.Exchange(build)
+		if err != nil || resp.Code != AccessAccept {
+			t.Fatalf("exchange: %v, %v", resp, err)
+		}
+	}
+	// The server alone: a request sealed in pooled scratch as the client
+	// seals it (no allocation), then handled.
+	client := &Client{Secret: secret}
+	scratch := getPacketBuf()
+	defer packetBufs.Put(scratch)
+	serve := func() {
+		req := &scratch.pkt
+		req.startRequest(0, scratch.buf[:0])
+		build(req)
+		wire, err := client.seal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(wire)
+	}
+	exchange()
+	serve()
+	total := testing.AllocsPerRun(500, exchange)
+	server := testing.AllocsPerRun(500, serve)
+	t.Logf("allocs per exchange: client %.0f, server %.0f", total-server, server)
+	if total-server > maxClientExchangeAllocs {
+		t.Errorf("client allocs per exchange = %.0f, ceiling %d", total-server, maxClientExchangeAllocs)
+	}
+	if server > maxServerExchangeAllocs {
+		t.Errorf("server allocs per exchange = %.0f, ceiling %d", server, maxServerExchangeAllocs)
 	}
 }

@@ -152,28 +152,24 @@ func (c *Client) nextID() byte {
 }
 
 // Exchange sends req and waits for a verified response. The request's
-// Identifier is assigned automatically and a Message-Authenticator is
-// added. The same wire bytes are retransmitted on timeout, from the same
-// socket, so the server's duplicate cache works as intended.
+// Identifier is assigned automatically and its Message-Authenticator slot
+// is filled. The same wire bytes are retransmitted on timeout, from the
+// same socket, so the server's duplicate cache works as intended. The
+// returned reply owns a copy of its datagram's bytes.
 //
-// Responses that fail to decode, carry the wrong Identifier, or fail
-// authenticator verification are silently discarded and the client keeps
-// waiting out the attempt deadline, per RFC 2865 §3 — a forged datagram
-// must not abort an exchange the genuine server is about to answer. The
-// same checks discard a late or duplicated reply to an earlier exchange
-// that lands on a reused socket: its Identifier differs, or its Response
-// Authenticator is bound to another request's random authenticator.
+// Responses that fail to decode, carry the wrong Identifier, fail
+// authenticator verification, or carry no valid Message-Authenticator are
+// silently discarded and the client keeps waiting out the attempt
+// deadline, per RFC 2865 §3 — a forged datagram must not abort an
+// exchange the genuine server is about to answer. The same checks discard
+// a late or duplicated reply to an earlier exchange that lands on a
+// reused socket: its Identifier differs, or its Response Authenticator is
+// bound to another request's random authenticator.
 func (c *Client) Exchange(req *Packet) (*Packet, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	req.Identifier = c.nextID()
-	if err := AddMessageAuthenticator(req, c.Secret); err != nil {
-		return nil, err
-	}
-	wireBuf := getWireBuf()
-	defer putWireBuf(wireBuf)
-	wire, err := req.AppendEncode(*wireBuf)
+	wire, err := c.seal(req)
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +186,16 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 		c.keep(conn, gen)
 	}
 	return resp, err
+}
+
+// seal assigns req's Identifier, fills its Message-Authenticator and
+// returns its wire image, which views req's buffer.
+func (c *Client) seal(req *Packet) ([]byte, error) {
+	req.Identifier = c.nextID()
+	if err := AddMessageAuthenticator(req, c.Secret); err != nil {
+		return nil, err
+	}
+	return req.image(), nil
 }
 
 // take returns an idle socket, or dials a new one, with the generation it
@@ -243,10 +249,12 @@ func (c *Client) Close() error {
 
 // roundTrip runs the attempt loop on one socket. The bool reports a write
 // or read error other than a timeout, even when a later attempt succeeded.
+// Each datagram is read and checked in pooled scratch; only the verified
+// reply is copied out.
 func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bool, error) {
-	readBuf := getWireBuf()
-	defer putWireBuf(readBuf)
-	buf := (*readBuf)[:MaxPacketLen]
+	scratch := getPacketBuf()
+	defer packetBufs.Put(scratch)
+	resp := &scratch.pkt
 	attempts := 1 + c.retries()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -264,7 +272,7 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 				if err := conn.SetReadDeadline(deadline); err != nil {
 					return nil, true, err
 				}
-				n, err := conn.Read(buf)
+				n, err := conn.Read(scratch.buf[:])
 				if err != nil {
 					if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 						earlyFail = true
@@ -272,24 +280,11 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 					}
 					break // retransmit
 				}
-				resp, err := Decode(buf[:n])
-				if err != nil {
-					c.discard("malformed")
+				if reason := c.check(resp, scratch.buf[:n], req); reason != "" {
+					c.discard(reason)
 					continue
 				}
-				if resp.Identifier != req.Identifier {
-					c.discard("id_mismatch")
-					continue
-				}
-				if !VerifyResponse(resp, req.Authenticator, c.Secret) {
-					c.discard("bad_authenticator")
-					continue
-				}
-				if !c.verifyRespMA(resp, req.Authenticator) {
-					c.discard("bad_message_authenticator")
-					continue
-				}
-				return resp, lastErr != nil, nil
+				return resp.clone(), lastErr != nil, nil
 			}
 		}
 		if earlyFail && a < attempts-1 {
@@ -304,19 +299,26 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 	return nil, false, ErrTimeout
 }
 
-// verifyRespMA validates a response Message-Authenticator, which is
-// computed with the *request* authenticator in the header field. The swap
-// happens in place: VerifyMessageAuthenticator encodes into a scratch
-// image, so no clone of the packet is needed.
-func (c *Client) verifyRespMA(resp *Packet, reqAuth [16]byte) bool {
-	if _, ok := resp.Get(AttrMessageAuthenticator); !ok {
-		return true
+// check decodes datagram into resp and verifies it as the reply to req.
+// It returns "" for a verified reply, or the reason to discard it. A
+// reply's Message-Authenticator is computed with the request's
+// authenticator in the header field.
+func (c *Client) check(resp *Packet, datagram []byte, req *Packet) string {
+	switch {
+	case resp.DecodeFrom(datagram) != nil:
+		return "malformed"
+	case resp.Identifier != req.Identifier:
+		return "id_mismatch"
+	case !VerifyResponse(resp, req.Authenticator, c.Secret):
+		return "bad_authenticator"
 	}
-	save := resp.Authenticator
-	resp.Authenticator = reqAuth
-	ok := VerifyMessageAuthenticator(resp, c.Secret)
-	resp.Authenticator = save
-	return ok
+	if _, ok := resp.Get(AttrMessageAuthenticator); !ok {
+		return "missing_message_authenticator"
+	}
+	if !verifyMessageAuthenticator(resp, &req.Authenticator, c.Secret) {
+		return "bad_message_authenticator"
+	}
+	return ""
 }
 
 // Pool is a round-robin failover client over several RADIUS servers: "API
@@ -431,11 +433,13 @@ func (p *Pool) markDown(idx int) {
 	p.mu.Unlock()
 }
 
-// Exchange sends req via the next healthy server, failing over on timeout.
-// Each failover re-randomises the request authenticator and re-hides
-// password attributes via the rebuild callback, because hiding is bound to
-// the authenticator. rebuild is called with a fresh request skeleton
-// (Code/Authenticator set) and must populate attributes.
+// Exchange sends a request via the next healthy server, failing over on
+// timeout. Each failover re-randomises the request authenticator and
+// re-hides password attributes via the rebuild callback, because hiding
+// is bound to the authenticator. rebuild is called with a fresh request
+// (Code/Authenticator set) built in pooled scratch and must populate its
+// attributes; the request is valid only until Exchange returns. The reply
+// owns its bytes.
 func (p *Pool) Exchange(rebuild func(req *Packet)) (*Packet, error) {
 	start := time.Now()
 	resp, err := p.exchange(rebuild)
@@ -455,6 +459,9 @@ func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
 	if n == 0 {
 		return nil, ErrAllDown
 	}
+	scratch := getPacketBuf()
+	defer packetBufs.Put(scratch)
+	req := &scratch.pkt
 	var lastErr error = ErrAllDown
 	lastFailed := -1
 	for attempt := 0; attempt < n; attempt++ {
@@ -472,7 +479,7 @@ func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
 				idx = (idx + 1) % n
 			}
 		}
-		req := NewRequest(0)
+		req.startRequest(0, scratch.buf[:0])
 		rebuild(req)
 		resp, err := p.clients[idx].Exchange(req)
 		if err == nil {
@@ -487,3 +494,15 @@ func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
 	}
 	return nil, lastErr
 }
+
+// packetBuf is pooled scratch for one packet: a Packet and the array its
+// image lives in. Getting one never blocks; the pool only trims
+// steady-state allocation.
+type packetBuf struct {
+	pkt Packet
+	buf [MaxPacketLen]byte
+}
+
+var packetBufs = sync.Pool{New: func() any { return new(packetBuf) }}
+
+func getPacketBuf() *packetBuf { return packetBufs.Get().(*packetBuf) }

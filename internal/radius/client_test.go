@@ -2,6 +2,7 @@ package radius
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -112,6 +113,110 @@ func TestSpoofedResponseSilentlyDiscarded(t *testing.T) {
 	}
 }
 
+// TestReplyWithoutMessageAuthenticatorDiscarded: a reply whose Response
+// Authenticator is correct but which carries no Message-Authenticator is
+// discarded, so the exchange times out rather than trusting it.
+func TestReplyWithoutMessageAuthenticatorDiscarded(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go func() {
+		buf := make([]byte, MaxPacketLen)
+		n, client, err := srv.ReadFromUDP(buf)
+		if err != nil {
+			return
+		}
+		req, err := Decode(buf[:n])
+		if err != nil {
+			return
+		}
+		unsigned := &Packet{Code: AccessAccept, Identifier: req.Identifier}
+		if SignResponse(unsigned, req.Authenticator, secret) != nil {
+			return
+		}
+		wire, _ := unsigned.Encode()
+		srv.WriteToUDP(wire, client)
+	}()
+
+	reg := obs.NewRegistry()
+	c := &Client{Addr: srv.LocalAddr().String(), Secret: secret,
+		Timeout: 300 * time.Millisecond, Retries: NoRetry, Obs: reg}
+	req := NewRequest(0)
+	req.AddString(AttrUserName, "u")
+	if resp, err := c.Exchange(req); err != ErrTimeout {
+		t.Fatalf("exchange = %v, %v; want ErrTimeout", resp, err)
+	}
+	if v := reg.Counter("radius_client_discards_total", "reason", "missing_message_authenticator").Value(); v != 1 {
+		t.Fatalf("missing_message_authenticator discards = %d, want 1", v)
+	}
+}
+
+// TestConcurrentRepliesOwnTheirBytes runs concurrent exchanges through one
+// Pool, each with its own user name and State, and checks every reply
+// only after all of them have finished: each must still carry its own
+// State and Reply-Message. It pins two rules: a reply owns its bytes (no
+// later exchange's pooled scratch shows through it), and the server's
+// request and reply views die when the handler returns (what a reply
+// echoes is copied into it). Run under -race it also catches a shared
+// buffer written by two exchanges at once.
+func TestConcurrentRepliesOwnTheirBytes(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("s")
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
+		reply.Code = AccessChallenge
+		reply.Add(AttrState, req.State())
+		reply.AddString(AttrReplyMessage, "hello "+req.Username())
+		return true
+	})}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := NewPool([]string{srv.Addr().String()}, secret, 2*time.Second, 0)
+	defer pool.Close()
+
+	type sent struct {
+		user, state string
+		resp        *Packet
+	}
+	const workers, rounds = 8, 25
+	results := make([][]sent, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				user, state := fmt.Sprintf("user-%d-%d", w, r), fmt.Sprintf("state-%d-%d", w, r)
+				resp, err := pool.Exchange(func(req *Packet) {
+					req.AddString(AttrUserName, user)
+					req.AddString(AttrState, state)
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[w] = append(results[w], sent{user, state, resp})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, rs := range results {
+		for _, r := range rs {
+			if got := r.resp.GetString(AttrState); got != r.state {
+				t.Errorf("%s: reply State %q, want %q", r.user, got, r.state)
+			}
+			if got, want := r.resp.GetString(AttrReplyMessage), "hello "+r.user; got != want {
+				t.Errorf("%s: reply Reply-Message %q, want %q", r.user, got, want)
+			}
+		}
+	}
+}
+
 // TestDeadServerRetransmitBackoff is the regression test for the hot loop:
 // against a dead server every attempt fails with ECONNREFUSED in
 // microseconds, so the whole retry budget used to burn instantly.
@@ -188,8 +293,9 @@ func TestConfigValidation(t *testing.T) {
 func TestPoolCooldownExpiresMidExchange(t *testing.T) {
 	leakcheck.Check(t)
 	secret := []byte("s")
-	live := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
-		return &Packet{Code: AccessAccept}
+	live := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		reply.Code = AccessAccept
+		return true
 	})}
 	if err := live.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -223,8 +329,9 @@ func TestPoolCooldownExpiresMidExchange(t *testing.T) {
 func TestPoolFallbackSkipsJustFailedServer(t *testing.T) {
 	leakcheck.Check(t)
 	secret := []byte("s")
-	live := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
-		return &Packet{Code: AccessAccept}
+	live := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		reply.Code = AccessAccept
+		return true
 	})}
 	if err := live.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -486,10 +593,11 @@ func TestCloseDuringExchangeClosesItsSocket(t *testing.T) {
 	leakcheck.Check(t)
 	secret := []byte("s")
 	entered, release := make(chan struct{}), make(chan struct{})
-	srv := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
 		close(entered)
 		<-release
-		return &Packet{Code: AccessAccept}
+		reply.Code = AccessAccept
+		return true
 	})}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

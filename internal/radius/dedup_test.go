@@ -497,12 +497,12 @@ func TestRetransmitStormHandlerRunsOnce(t *testing.T) {
 	var handled int32
 	srv := &Server{
 		Secret: secret,
-		Handler: HandlerFunc(func(req *Request) *Packet {
+		Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
 			atomic.AddInt32(&handled, 1)
 			time.Sleep(50 * time.Millisecond) // keep the original in flight
-			out := &Packet{Code: AccessAccept}
-			out.AddString(AttrReplyMessage, "once")
-			return out
+			reply.Code = AccessAccept
+			reply.AddString(AttrReplyMessage, "once")
+			return true
 		}),
 	}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
@@ -572,9 +572,10 @@ func TestRetransmitAfterReplyReplaysCachedResponse(t *testing.T) {
 	var handled int32
 	srv := &Server{
 		Secret: secret,
-		Handler: HandlerFunc(func(req *Request) *Packet {
+		Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
 			atomic.AddInt32(&handled, 1)
-			return &Packet{Code: AccessReject}
+			reply.Code = AccessReject
+			return true
 		}),
 	}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/md5"
+	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -78,21 +80,55 @@ func TestEncodeAttrTooLong(t *testing.T) {
 	}
 }
 
-func TestGetAllAndRemoveAll(t *testing.T) {
+// tlv is one attribute as a test compares it.
+type tlv struct {
+	typ byte
+	val string
+}
+
+// attrsOf lists p's attributes in wire order.
+func attrsOf(p *Packet) []tlv {
+	var out []tlv
+	p.Range(func(typ byte, v []byte) bool {
+		out = append(out, tlv{typ, string(v)})
+		return true
+	})
+	return out
+}
+
+// wireOf hand-builds a packet image from its header and attributes, so a
+// test can place (or leave out) the Message-Authenticator anywhere.
+func wireOf(code Code, id byte, auth [16]byte, attrs ...tlv) []byte {
+	wire := append([]byte{byte(code), id, 0, 0}, auth[:]...)
+	for _, a := range attrs {
+		wire = append(append(wire, a.typ, byte(2+len(a.val))), a.val...)
+	}
+	wire[2], wire[3] = byte(len(wire)>>8), byte(len(wire))
+	return wire
+}
+
+// TestRangeVisitsAttributesInOrder: a built packet lists the reserved
+// Message-Authenticator first, then its attributes in the order they were
+// added, repeats included; Range stops when fn returns false.
+func TestRangeVisitsAttributesInOrder(t *testing.T) {
 	p := NewRequest(1)
 	p.AddString(AttrReplyMessage, "line 1")
 	p.AddString(AttrUserName, "u")
 	p.AddString(AttrReplyMessage, "line 2")
-	all := p.GetAll(AttrReplyMessage)
-	if len(all) != 2 || string(all[0]) != "line 1" || string(all[1]) != "line 2" {
-		t.Fatalf("GetAll = %q", all)
+	want := []tlv{
+		{AttrMessageAuthenticator, string(make([]byte, 16))},
+		{AttrReplyMessage, "line 1"}, {AttrUserName, "u"}, {AttrReplyMessage, "line 2"},
 	}
-	p.RemoveAll(AttrReplyMessage)
-	if _, ok := p.Get(AttrReplyMessage); ok {
-		t.Fatal("RemoveAll left attributes behind")
+	if got := attrsOf(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Range = %q, want %q", got, want)
 	}
-	if p.GetString(AttrUserName) != "u" {
-		t.Fatal("RemoveAll removed unrelated attribute")
+	visited := 0
+	p.Range(func(byte, []byte) bool { visited++; return visited < 2 })
+	if visited != 2 {
+		t.Fatalf("Range visited %d attributes after fn returned false at 2", visited)
+	}
+	if p.GetString(AttrReplyMessage) != "line 1" {
+		t.Fatal("Get did not return the first of a repeated attribute")
 	}
 }
 
@@ -154,11 +190,12 @@ func TestResponseAuthenticatorVerify(t *testing.T) {
 		t.Fatal("signed response failed verification")
 	}
 	// Tampering with an attribute must break verification.
-	resp.Attributes[0].Value[0] ^= 1
+	msg, _ := resp.Get(AttrReplyMessage)
+	msg[0] ^= 1
 	if VerifyResponse(resp, req.Authenticator, secret) {
 		t.Fatal("tampered response verified")
 	}
-	resp.Attributes[0].Value[0] ^= 1
+	msg[0] ^= 1
 	// Wrong secret must fail.
 	if VerifyResponse(resp, req.Authenticator, []byte("other")) {
 		t.Fatal("response verified under wrong secret")
@@ -182,25 +219,44 @@ func TestMessageAuthenticator(t *testing.T) {
 		t.Fatal("decoded MA failed verification")
 	}
 	// Tamper.
-	got.Attributes[0].Value[0] ^= 1
+	name, _ := got.Get(AttrUserName)
+	name[0] ^= 1
 	if VerifyMessageAuthenticator(got, secret) {
 		t.Fatal("tampered packet verified")
 	}
 	// Wrong secret.
-	got.Attributes[0].Value[0] ^= 1
+	name[0] ^= 1
 	if VerifyMessageAuthenticator(got, []byte("wrong")) {
 		t.Fatal("wrong secret verified")
 	}
-	// Absent MA verifies trivially.
-	q := NewRequest(4)
-	if !VerifyMessageAuthenticator(q, secret) {
-		t.Fatal("packet without MA should verify")
+	// An absent MA fails: it is mandatory.
+	bare, err := Decode(wireOf(AccessRequest, 4, p.Authenticator, tlv{AttrUserName, "storm"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if VerifyMessageAuthenticator(bare, secret) {
+		t.Fatal("packet without MA verified")
 	}
 	// Malformed MA length fails.
-	r := NewRequest(5)
-	r.Add(AttrMessageAuthenticator, []byte{1, 2, 3})
-	if VerifyMessageAuthenticator(r, secret) {
+	short, err := Decode(wireOf(AccessRequest, 5, p.Authenticator, tlv{AttrMessageAuthenticator, "abc"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if VerifyMessageAuthenticator(short, secret) {
 		t.Fatal("short MA verified")
+	}
+	// A received MA verifies wherever it sits, not only first.
+	last := wireOf(AccessRequest, 6, p.Authenticator,
+		tlv{AttrUserName, "storm"}, tlv{AttrMessageAuthenticator, string(make([]byte, 16))})
+	mac := hmac.New(md5.New, secret)
+	mac.Write(last)
+	copy(last[len(last)-16:], mac.Sum(nil))
+	lastPkt, err := Decode(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyMessageAuthenticator(lastPkt, secret) {
+		t.Fatal("MA in last position failed verification")
 	}
 }
 
@@ -209,20 +265,41 @@ func TestMessageAuthenticator(t *testing.T) {
 // Message-Authenticator value zeroed.
 func refMessageAuthenticator(t testing.TB, p *Packet, secret []byte) []byte {
 	t.Helper()
-	q := &Packet{Code: p.Code, Identifier: p.Identifier, Authenticator: p.Authenticator}
-	for _, a := range p.Attributes {
-		if a.Type == AttrMessageAuthenticator {
-			a.Value = make([]byte, len(a.Value))
-		}
-		q.Attributes = append(q.Attributes, a)
-	}
-	wire, err := q.Encode()
+	wire, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return refHMAC(wire, nil, secret)
+}
+
+// refHMAC is crypto/hmac's HMAC-MD5 keyed by secret over a copy of wire
+// with every Message-Authenticator value zeroed and, when reqAuth is set,
+// the request authenticator in the header (a reply's MA covers it).
+func refHMAC(wire []byte, reqAuth *[16]byte, secret []byte) []byte {
+	wire = bytes.Clone(wire)
+	if reqAuth != nil {
+		copy(wire[4:20], reqAuth[:])
+	}
+	for off := headerLen; off < len(wire); off += int(wire[off+1]) {
+		if wire[off] == AttrMessageAuthenticator {
+			clear(wire[off+2 : off+int(wire[off+1])])
+		}
 	}
 	mac := hmac.New(md5.New, secret)
 	mac.Write(wire)
 	return mac.Sum(nil)
+}
+
+// checkSealed requires a sealed image to carry the Message-Authenticator
+// as its first attribute, byte-equal to crypto/hmac's.
+func checkSealed(t testing.TB, wire []byte, reqAuth *[16]byte, secret []byte) {
+	t.Helper()
+	if len(wire) < maEnd || wire[headerLen] != AttrMessageAuthenticator || wire[headerLen+1] != 18 {
+		t.Fatalf("first attribute is not a Message-Authenticator: %x", wire)
+	}
+	if want := refHMAC(wire, reqAuth, secret); !bytes.Equal(wire[headerLen+2:maEnd], want) {
+		t.Fatalf("%d-byte secret: Message-Authenticator %x, crypto/hmac %x", len(secret), wire[headerLen+2:maEnd], want)
+	}
 }
 
 // checkMessageAuthenticator signs p and requires the attribute to be
@@ -239,9 +316,14 @@ func checkMessageAuthenticator(t testing.TB, p *Packet, secret []byte) {
 	if !VerifyMessageAuthenticator(p, secret) {
 		t.Fatalf("%d-byte secret: own Message-Authenticator failed verification", len(secret))
 	}
+	wire, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSealed(t, wire, nil, secret)
 }
 
-// TestMessageAuthenticatorMatchesHMAC pins the two-md5.Sum HMAC to
+// TestMessageAuthenticatorMatchesHMAC pins the streamed HMAC-MD5 to
 // crypto/hmac across the RFC 2104 key cases: shorter than, equal to, and
 // longer than the 64-byte block (hashed first), on a request and on a
 // reply carrying the request authenticator.
@@ -263,7 +345,9 @@ func TestMessageAuthenticatorMatchesHMAC(t *testing.T) {
 
 // FuzzMessageAuthenticator extends the table to arbitrary secrets and
 // packets: every Message-Authenticator byte equals crypto/hmac's, and a
-// flipped packet byte fails verification.
+// changed packet fails verification. Every packet the client's request
+// path and the server's reply path build carries the Message-Authenticator
+// as its first attribute, byte-equal to crypto/hmac's.
 func FuzzMessageAuthenticator(f *testing.F) {
 	for _, n := range []int{1, 16, 64, 65, 200} {
 		f.Add(bytes.Repeat([]byte{0xa5}, n), byte(1), []byte("alice"), []byte("tr-0123456789abcdef"))
@@ -280,9 +364,41 @@ func FuzzMessageAuthenticator(f *testing.F) {
 		p.Add(AttrUserName, user)
 		p.Add(AttrState, state)
 		checkMessageAuthenticator(t, p, secret)
-		p.Attributes[0].Value = append(p.Attributes[0].Value, 'x')
+		p.AddString(AttrUserName, "x")
 		if VerifyMessageAuthenticator(p, secret) {
 			t.Fatal("tampered packet verified")
+		}
+
+		// The client's request path: a pooled request, sealed as
+		// Client.Exchange seals it.
+		b := getPacketBuf()
+		defer packetBufs.Put(b)
+		req := &b.pkt
+		req.startRequest(0, b.buf[:0])
+		req.Add(AttrUserName, user)
+		req.Add(AttrProxyState, state)
+		wire, err := (&Client{Secret: secret}).seal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSealed(t, wire, nil, secret)
+
+		// The server's reply path, Proxy-State echo included.
+		srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+			reply.Code = Code(code)
+			reply.Add(AttrState, state)
+			reply.Add(AttrReplyMessage, user)
+			return true
+		})}
+		d := new(datagram)
+		if err := d.in.pkt.DecodeFrom(d.in.buf[:copy(d.in.buf[:], wire)]); err != nil {
+			t.Fatal(err)
+		}
+		out, _ := srv.respond(d, &net.UDPAddr{})
+		checkSealed(t, out, &req.Authenticator, secret)
+		resp, err := Decode(out)
+		if err != nil || !VerifyResponse(resp, req.Authenticator, secret) {
+			t.Fatalf("reply %x does not verify: %v", out, err)
 		}
 	})
 }
@@ -354,16 +470,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(got.Attributes) != len(p.Attributes) {
-			return false
-		}
-		for i := range got.Attributes {
-			if got.Attributes[i].Type != p.Attributes[i].Type ||
-				!bytes.Equal(got.Attributes[i].Value, p.Attributes[i].Value) {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(attrsOf(got), attrsOf(p))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

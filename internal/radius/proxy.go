@@ -20,29 +20,30 @@ type Proxy struct {
 }
 
 // ServeRADIUS implements Handler.
-func (p *Proxy) ServeRADIUS(req *Request) *Packet {
+func (p *Proxy) ServeRADIUS(reply *Packet, req *Request) bool {
 	fwd := NewRequest(0)
-	fwd.Code = AccessRequest
-
 	// Copy attributes; User-Password must be re-hidden under the
 	// upstream secret and the new authenticator.
-	for _, a := range req.Packet.Attributes {
-		switch a.Type {
+	hidden := true
+	req.Packet.Range(func(typ byte, v []byte) bool {
+		switch typ {
 		case AttrUserPassword:
 			pw, err := req.Password()
-			if err != nil {
-				return &Packet{Code: AccessReject}
+			if err == nil {
+				err = fwd.AddPassword(pw, p.Upstream.Secret)
 			}
-			hidden, err := HidePassword(pw, p.Upstream.Secret, fwd.Authenticator)
-			if err != nil {
-				return &Packet{Code: AccessReject}
-			}
-			fwd.Add(AttrUserPassword, hidden)
+			hidden = err == nil
+			return hidden
 		case AttrMessageAuthenticator:
-			// Recomputed by the upstream client.
+			// The upstream client fills fwd's own.
 		default:
-			fwd.Add(a.Type, a.Value)
+			fwd.Add(typ, v)
 		}
+		return true
+	})
+	if !hidden {
+		reply.Code = AccessReject
+		return true
 	}
 	var ps [4]byte
 	binary.BigEndian.PutUint32(ps[:], atomic.AddUint32(&p.counter, 1))
@@ -50,14 +51,14 @@ func (p *Proxy) ServeRADIUS(req *Request) *Packet {
 
 	resp, err := p.Upstream.Exchange(fwd)
 	if err != nil {
-		return nil // drop; the NAS will retransmit and fail over
+		return false // drop; the NAS will retransmit and fail over
 	}
-	out := &Packet{Code: resp.Code}
-	for _, a := range resp.Attributes {
-		if a.Type == AttrProxyState || a.Type == AttrMessageAuthenticator {
-			continue
+	reply.Code = resp.Code
+	resp.Range(func(typ byte, v []byte) bool {
+		if typ != AttrProxyState && typ != AttrMessageAuthenticator {
+			reply.Add(typ, v)
 		}
-		out.Add(a.Type, a.Value)
-	}
-	return out
+		return true
+	})
+	return true
 }

@@ -10,31 +10,41 @@ import (
 	"openmfa/internal/obs"
 )
 
-// Handler processes a decoded Access-Request and returns a reply packet
-// (Access-Accept, Access-Reject, or Access-Challenge). The returned packet
-// needs only Code and Attributes set; the server fills Identifier and the
-// response authenticator. Returning nil drops the request silently.
+// Handler answers a decoded Access-Request by filling reply, which the
+// server owns: set reply.Code and add attributes. The server then sets
+// the Identifier, echoes the request's Proxy-State attributes and signs
+// the reply (Message-Authenticator first, then the Response
+// Authenticator). Returning false drops the request silently. req, reply
+// and every value read from either are valid only during the call.
 type Handler interface {
-	ServeRADIUS(req *Request) *Packet
+	ServeRADIUS(reply *Packet, req *Request) bool
 }
 
 // HandlerFunc adapts a function to Handler.
-type HandlerFunc func(req *Request) *Packet
+type HandlerFunc func(reply *Packet, req *Request) bool
 
 // ServeRADIUS calls f.
-func (f HandlerFunc) ServeRADIUS(req *Request) *Packet { return f(req) }
+func (f HandlerFunc) ServeRADIUS(reply *Packet, req *Request) bool { return f(reply, req) }
 
 // Request bundles a decoded packet with its origin and convenience
-// accessors for the fields the OTP flow uses.
+// accessors for the fields the OTP flow uses. It views the received
+// datagram and is valid only during the handler call.
 type Request struct {
 	Packet *Packet
 	Addr   net.Addr
 	secret []byte
 	trace  string
+	user   string
 }
 
-// Username returns the User-Name attribute.
-func (r *Request) Username() string { return r.Packet.GetString(AttrUserName) }
+// Username returns the User-Name attribute. The string is built once per
+// request and shared with the server's log line and event.
+func (r *Request) Username() string {
+	if r.user == "" {
+		r.user = r.Packet.GetString(AttrUserName)
+	}
+	return r.user
+}
 
 // Password reveals the User-Password attribute (the token code in this
 // infrastructure). A missing attribute yields "".
@@ -47,6 +57,7 @@ func (r *Request) Password() (string, error) {
 }
 
 // State returns the State attribute linking a challenge to its response.
+// It views the request.
 func (r *Request) State() []byte {
 	v, _ := r.Packet.Get(AttrState)
 	return v
@@ -58,13 +69,15 @@ func (r *Request) Trace() string { return r.trace }
 
 // traceOf returns the first Proxy-State value of p that looks like a trace
 // ID: proxy hops append their own (binary) Proxy-State values.
-func traceOf(p *Packet) string {
-	for _, a := range p.Attributes {
-		if a.Type == AttrProxyState && obs.ValidTraceID(string(a.Value)) {
-			return string(a.Value)
+func traceOf(p *Packet) (trace string) {
+	p.Range(func(typ byte, v []byte) bool {
+		if typ == AttrProxyState && obs.ValidTraceID(string(v)) {
+			trace = string(v)
+			return false
 		}
-	}
-	return ""
+		return true
+	})
+	return trace
 }
 
 // Server is a UDP RADIUS server.
@@ -76,8 +89,9 @@ type Server struct {
 	Handler Handler
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// Obs, when set, receives request/outcome counters and per-exchange
-	// latency histograms.
+	// Obs, when set, receives request/outcome counters, per-exchange
+	// latency histograms, and radius_server_discards_total{reason=...}
+	// for datagrams dropped before handling.
 	Obs *obs.Registry
 	// Logger, when set, receives a structured line per request
 	// (component=radius) carrying the propagated trace ID.
@@ -177,40 +191,72 @@ func (s *Server) Addr() net.Addr {
 	return s.conn.LocalAddr()
 }
 
+// datagram is the pooled scratch of one received datagram: its bytes, the
+// request that views them, and the reply the handler fills. Nothing in it
+// outlives the datagram's handling; the duplicate cache keeps its own copy
+// of the reply.
+type datagram struct {
+	in, out packetBuf
+	req     Request
+}
+
+var datagrams = sync.Pool{New: func() any { return new(datagram) }}
+
+// releaseDatagram returns d to the pool, dropping what its request
+// points at outside it.
+func releaseDatagram(d *datagram) {
+	d.req = Request{}
+	datagrams.Put(d)
+}
+
 func (s *Server) serve(conn net.PacketConn) {
 	defer s.wg.Done()
-	buf := make([]byte, MaxPacketLen)
 	for {
-		n, src, err := conn.ReadFrom(buf)
+		d := datagrams.Get().(*datagram)
+		n, src, err := conn.ReadFrom(d.in.buf[:])
 		if err != nil {
+			releaseDatagram(d)
 			return // closed
 		}
-		// Hand the datagram to its handler goroutine in a pooled buffer:
-		// handlePacket copies what it keeps (DecodeFrom owns its value
-		// storage), so the buffer is recycled as soon as handling returns.
-		bp := getWireBuf()
-		pkt := append(*bp, buf[:n]...)
+		// One goroutine per datagram: a duplicate waiting on its
+		// original never holds up a fresh request.
 		s.wg.Add(1)
-		go func(bp *[]byte, pkt []byte, src net.Addr) {
+		go func() {
 			defer s.wg.Done()
-			defer putWireBuf(bp)
-			s.handlePacket(conn, pkt, src)
-		}(bp, pkt, src)
+			defer releaseDatagram(d)
+			s.handle(conn, d, n, src)
+		}()
 	}
 }
 
-func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
-	req, err := Decode(wire)
-	if err != nil {
-		s.logf("radius: drop malformed packet from %s: %v", src, err)
+// discard drops a datagram before any handling, counting it in
+// radius_server_discards_total{reason}.
+func (s *Server) discard(reason string, src net.Addr) {
+	s.logf("radius: discard datagram from %s: %s", src, reason)
+	if s.Obs != nil {
+		s.Obs.Counter("radius_server_discards_total", "reason", reason).Inc()
+	}
+}
+
+// handle answers the n-byte datagram in d from src. An Access-Request
+// without a valid Message-Authenticator is discarded before it reaches the
+// duplicate cache or the handler (RFC 2869 §5.14, CVE-2024-3596).
+func (s *Server) handle(conn net.PacketConn, d *datagram, n int, src net.Addr) {
+	req := &d.in.pkt
+	if err := req.DecodeFrom(d.in.buf[:n]); err != nil {
+		s.discard("malformed", src)
 		return
 	}
 	if req.Code != AccessRequest {
-		s.logf("radius: drop %s from %s", req.Code, src)
+		s.discard("not_request", src)
+		return
+	}
+	if _, ok := req.Get(AttrMessageAuthenticator); !ok {
+		s.discard("missing_message_authenticator", src)
 		return
 	}
 	if !VerifyMessageAuthenticator(req, s.Secret) {
-		s.logf("radius: drop request with bad Message-Authenticator from %s", src)
+		s.discard("bad_message_authenticator", src)
 		return
 	}
 
@@ -231,7 +277,7 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 	// We own the reservation: evaluate once and publish the reply (nil on
 	// drop/error) so concurrent duplicates unblock.
 	start := time.Now()
-	replyWire, result, trace := s.respond(req, src)
+	replyWire, result := s.respond(d, src)
 	s.mDuration.ObserveSince(start)
 	if c, ok := s.mResults[result]; ok {
 		c.Inc()
@@ -243,16 +289,20 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 		}
 		s.Events.Publish(eventstream.Event{
 			Time: now(), Type: eventstream.TypeRadius, Component: "radius",
-			Trace: trace, User: req.GetString(AttrUserName),
+			Trace: d.req.trace, User: d.req.Username(),
 			Addr: src.String(), Result: result,
 			Duration: time.Since(start),
 		})
 	}
 	if s.Logger != nil {
-		s.Logger.Info("request", "component", "radius", "trace", trace,
-			"user", req.GetString(AttrUserName), "result", result)
+		s.Logger.Info("request", "component", "radius", "trace", d.req.trace,
+			"user", d.req.Username(), "result", result)
 	}
-	s.dedup.finish(seq, replyWire)
+	var kept []byte
+	if replyWire != nil {
+		kept = append([]byte(nil), replyWire...)
+	}
+	s.dedup.finish(seq, kept)
 	if replyWire != nil {
 		if _, err := conn.WriteTo(replyWire, src); err != nil {
 			s.logf("radius: write to %s: %v", src, err)
@@ -260,16 +310,19 @@ func (s *Server) handlePacket(conn net.PacketConn, wire []byte, src net.Addr) {
 	}
 }
 
-// respond runs the handler and returns the signed, encoded reply (nil if
-// the request is dropped or the reply cannot be built), the outcome class
-// for metrics, and the request's trace ID for logging.
-func (s *Server) respond(req *Packet, src net.Addr) (wire []byte, result, trace string) {
-	trace = traceOf(req)
-	resp := s.Handler.ServeRADIUS(&Request{Packet: req, Addr: src, secret: s.Secret, trace: trace})
-	if resp == nil {
-		return nil, "drop", trace
+// respond runs the handler on d's request and returns the signed reply
+// image in d's scratch (nil if the request is dropped or the reply cannot
+// be built) and the outcome class for metrics.
+func (s *Server) respond(d *datagram, src net.Addr) (wire []byte, result string) {
+	req := &d.in.pkt
+	d.req = Request{Packet: req, Addr: src, secret: s.Secret, trace: traceOf(req)}
+	reply := &d.out.pkt
+	*reply = Packet{}
+	reply.reset(d.out.buf[:0])
+	if !s.Handler.ServeRADIUS(reply, &d.req) {
+		return nil, "drop"
 	}
-	switch resp.Code {
+	switch reply.Code {
 	case AccessAccept:
 		result = "accept"
 	case AccessChallenge:
@@ -277,34 +330,28 @@ func (s *Server) respond(req *Packet, src net.Addr) (wire []byte, result, trace 
 	default:
 		result = "reject"
 	}
-	resp.Identifier = req.Identifier
+	reply.Identifier = req.Identifier
 	// RFC 2865 §5.33: Proxy-State attributes from the request are copied
 	// unmodified into the reply. This also returns the trace ID to the NAS.
-	for _, a := range req.Attributes {
-		if a.Type == AttrProxyState {
-			resp.Add(AttrProxyState, a.Value)
+	req.Range(func(typ byte, v []byte) bool {
+		if typ == AttrProxyState {
+			reply.Add(AttrProxyState, v)
 		}
+		return true
+	})
+	// Sign over the reply's own image: the Message-Authenticator slot
+	// first, computed with the request authenticator in the header, then
+	// the Response Authenticator.
+	reply.Authenticator = req.Authenticator
+	err := AddMessageAuthenticator(reply, s.Secret)
+	if err == nil {
+		err = SignResponse(reply, req.Authenticator, s.Secret)
 	}
-	// Responses carry a Message-Authenticator when the request did.
-	if _, hadMA := req.Get(AttrMessageAuthenticator); hadMA {
-		save := resp.Authenticator
-		resp.Authenticator = req.Authenticator
-		if err := AddMessageAuthenticator(resp, s.Secret); err != nil {
-			s.logf("radius: sign response: %v", err)
-			return nil, "drop", trace
-		}
-		resp.Authenticator = save
-	}
-	if err := SignResponse(resp, req.Authenticator, s.Secret); err != nil {
-		s.logf("radius: sign response: %v", err)
-		return nil, "drop", trace
-	}
-	replyWire, err := resp.Encode()
 	if err != nil {
-		s.logf("radius: encode response: %v", err)
-		return nil, "drop", trace
+		s.logf("radius: sign response: %v", err)
+		return nil, "drop"
 	}
-	return replyWire, result, trace
+	return reply.image(), result
 }
 
 // Close stops the server and waits for in-flight handlers.

@@ -16,24 +16,26 @@ func startServer(t *testing.T, secret []byte) (*Server, string) {
 	var handled int32
 	srv := &Server{
 		Secret: secret,
-		Handler: HandlerFunc(func(req *Request) *Packet {
+		Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
 			atomic.AddInt32(&handled, 1)
 			pw, err := req.Password()
 			if err != nil {
-				return &Packet{Code: AccessReject}
+				reply.Code = AccessReject
+				return true
 			}
 			switch pw {
 			case "123456":
-				out := &Packet{Code: AccessAccept}
-				out.AddString(AttrReplyMessage, "ok")
-				return out
+				reply.Code = AccessAccept
+				reply.AddString(AttrReplyMessage, "ok")
+				return true
 			case "":
-				out := &Packet{Code: AccessChallenge}
-				out.Add(AttrState, []byte("challenge-1"))
-				out.AddString(AttrReplyMessage, "enter token")
-				return out
+				reply.Code = AccessChallenge
+				reply.Add(AttrState, []byte("challenge-1"))
+				reply.AddString(AttrReplyMessage, "enter token")
+				return true
 			default:
-				return &Packet{Code: AccessReject}
+				reply.Code = AccessReject
+				return true
 			}
 		}),
 	}
@@ -138,9 +140,10 @@ func TestDuplicateRetransmissionAnsweredFromCache(t *testing.T) {
 	var calls int32
 	srv := &Server{
 		Secret: secret,
-		Handler: HandlerFunc(func(req *Request) *Packet {
+		Handler: HandlerFunc(func(reply *Packet, req *Request) bool {
 			atomic.AddInt32(&calls, 1)
-			return &Packet{Code: AccessAccept}
+			reply.Code = AccessAccept
+			return true
 		}),
 	}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
@@ -178,9 +181,9 @@ func TestDuplicateRetransmissionAnsweredFromCache(t *testing.T) {
 
 func TestServerIgnoresNonRequests(t *testing.T) {
 	secret := []byte("s")
-	srv := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
 		t.Error("handler called for non-request packet")
-		return nil
+		return false
 	})}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -202,9 +205,10 @@ func TestPoolRoundRobin(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		i := i
-		srvs[i] = &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
+		srvs[i] = &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
 			atomic.AddInt32(&hits[i], 1)
-			return &Packet{Code: AccessAccept}
+			reply.Code = AccessAccept
+			return true
 		})}
 		if err := srvs[i].ListenAndServe("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
@@ -230,8 +234,9 @@ func TestPoolRoundRobin(t *testing.T) {
 
 func TestPoolFailover(t *testing.T) {
 	secret := []byte("s")
-	live := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
-		return &Packet{Code: AccessAccept}
+	live := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		reply.Code = AccessAccept
+		return true
 	})}
 	if err := live.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -324,8 +329,9 @@ func TestProxyChaining(t *testing.T) {
 
 func BenchmarkRoundTrip(b *testing.B) {
 	secret := []byte("s")
-	srv := &Server{Secret: secret, Handler: HandlerFunc(func(*Request) *Packet {
-		return &Packet{Code: AccessAccept}
+	srv := &Server{Secret: secret, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		reply.Code = AccessAccept
+		return true
 	})}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
@@ -339,6 +345,54 @@ func BenchmarkRoundTrip(b *testing.B) {
 		req.AddString(AttrUserName, "u")
 		if _, err := c.Exchange(req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestUnsignedRequestDiscarded: an Access-Request without a valid
+// Message-Authenticator gets no reply and never reaches the handler,
+// whether the attribute is missing or carries the wrong value (the
+// Blast-RADIUS precondition, CVE-2024-3596). Each discard is counted by
+// reason.
+func TestUnsignedRequestDiscarded(t *testing.T) {
+	secret := []byte("s")
+	reg := obs.NewRegistry()
+	var calls int32
+	srv := &Server{Secret: secret, Obs: reg, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		atomic.AddInt32(&calls, 1)
+		reply.Code = AccessAccept
+		return true
+	})}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	auth := [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	unsigned := wireOf(AccessRequest, 1, auth, tlv{AttrUserName, "u"})
+	forged := wireOf(AccessRequest, 2, auth,
+		tlv{AttrMessageAuthenticator, string(make([]byte, 16))}, tlv{AttrUserName, "u"})
+	buf := make([]byte, MaxPacketLen)
+	for _, wire := range [][]byte{unsigned, forged} {
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if n, err := conn.Read(buf); err == nil {
+			t.Fatalf("request %x answered with %x", wire, buf[:n])
+		}
+	}
+	if got := atomic.LoadInt32(&calls); got != 0 {
+		t.Fatalf("handler ran %d times for unsigned requests", got)
+	}
+	for _, reason := range []string{"missing_message_authenticator", "bad_message_authenticator"} {
+		if got := reg.Counter("radius_server_discards_total", "reason", reason).Value(); got != 1 {
+			t.Errorf("radius_server_discards_total{reason=%q} = %d, want 1", reason, got)
 		}
 	}
 }
