@@ -56,8 +56,9 @@ func BenchmarkFig3UniqueMFAUsers(b *testing.B) {
 	m := res.Metrics
 	pre, post := 0.0, 0.0
 	for dIdx := 0; dIdx < 5; dIdx++ {
-		pre += m.Get(day("2016-08-29").AddDate(0, 0, dIdx), rollout.SeriesUniqueMFAUsers)
-		post += m.Get(day("2016-09-07").AddDate(0, 0, dIdx), rollout.SeriesUniqueMFAUsers)
+		x, _ := m.Get(day("2016-08-29").AddDate(0, 0, dIdx), rollout.SeriesUniqueMFAUsers)
+		y, _ := m.Get(day("2016-09-07").AddDate(0, 0, dIdx), rollout.SeriesUniqueMFAUsers)
+		pre, post = pre+x, post+y
 	}
 	if pre > 0 {
 		b.ReportMetric(post/pre, "phase2-jump-x")

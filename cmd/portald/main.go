@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"openmfa/internal/cryptoutil"
-	"openmfa/internal/directory"
 	"openmfa/internal/idm"
 	"openmfa/internal/obs"
 	"openmfa/internal/obs/slo"
@@ -75,7 +74,7 @@ func run(ctx context.Context) error {
 	}
 	defer kit.Stop()
 
-	users := idm.New(db, directory.New(), nil)
+	users := idm.New(db, nil)
 	if *demo {
 		if _, err := users.Create("demo", "demo@hpc.example", "demo-pass", idm.ClassUser); err != nil {
 			log.Printf("portald: demo account: %v", err)

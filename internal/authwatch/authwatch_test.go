@@ -76,10 +76,10 @@ func TestWatcherDailyAggregation(t *testing.T) {
 	if daily == nil {
 		t.Fatal("Daily() = nil")
 	}
-	if got := daily.Get(base, "traffic_ext_mfa"); got != 3 {
+	if got, _ := daily.Get(base, "traffic_ext_mfa"); got != 3 {
 		t.Errorf("Daily traffic_ext_mfa = %v, want 3", got)
 	}
-	if got := daily.Get(base, "unique_mfa_users"); got != 2 {
+	if got, _ := daily.Get(base, "unique_mfa_users"); got != 2 {
 		t.Errorf("Daily unique_mfa_users = %v, want 2", got)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"openmfa/internal/authwatch"
 	"openmfa/internal/clock"
 	"openmfa/internal/cryptoutil"
-	"openmfa/internal/directory"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/faultnet"
 	"openmfa/internal/flightrec"
@@ -198,7 +197,6 @@ func (m *ModeSwitch) SetMode(mode pam.Mode) {
 type Infrastructure struct {
 	Clock   clock.Sleeper
 	IDM     *idm.IDM
-	Dir     *directory.Dir
 	OTP     *otpd.Server
 	AuthLog *authlog.Log
 	ACL     *accessctl.List
@@ -320,8 +318,7 @@ func New(opts Options) (*Infrastructure, error) {
 		}
 	}
 
-	inf.Dir = directory.New()
-	inf.IDM = idm.New(idmStore, inf.Dir, clk)
+	inf.IDM = idm.New(idmStore, clk)
 
 	// SMS gateway with the default (or supplied) carrier model.
 	carrier := sms.DefaultCarrier()
@@ -415,7 +412,7 @@ func New(opts Options) (*Infrastructure, error) {
 		IDM:        inf.IDM,
 		Exemptions: inf.ACL,
 		TokenCfg:   inf.Mode,
-		Pairing:    pam.LocalPairing{Dir: inf.Dir},
+		Pairing:    inf.IDM,
 		Radius:     inf.Pool,
 		Risk:       opts.Risk,
 	})

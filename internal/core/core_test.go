@@ -142,7 +142,7 @@ func TestPairingLookupKeepsAccountsApart(t *testing.T) {
 	if _, err := inf.PairSoft("a,b"); err != nil {
 		t.Fatal(err)
 	}
-	lookup := pam.LocalPairing{Dir: inf.Dir}
+	var lookup pam.PairingLookup = inf.IDM
 	check := func(when string, want map[string]string) {
 		t.Helper()
 		for u, w := range want {

@@ -4,9 +4,10 @@
 // management back end that the user has configured multi-factor
 // authentication and which method").
 //
-// Each account gets a unique numeric uid shared with the OTP database via
-// the directory (§3.1: "an LDAP entry is generated including a unique user
-// ID that becomes common to both databases"). The IDM owns first-factor
+// Each account gets a unique numeric uid (§3.1: "an LDAP entry is
+// generated including a unique user ID that becomes common to both
+// databases"). The account record is that entry: the PAM token module's
+// pairing query reads it directly (Pairing). The IDM owns first-factor
 // credentials: salted password hashes and authorized ed25519 public keys.
 package idm
 
@@ -23,12 +24,13 @@ import (
 
 	"openmfa/internal/clock"
 	"openmfa/internal/cryptoutil"
-	"openmfa/internal/directory"
 	"openmfa/internal/store"
 )
 
-// PairingStatus mirrors the portal-visible MFA state of an account.
-type PairingStatus string
+// PairingStatus is the portal-visible MFA state of an account, the value
+// the PAM token module's pairing query reads. It is a plain string, the
+// type that query returns.
+type PairingStatus = string
 
 // Pairing states. "none" is the pre-MFA default.
 const (
@@ -75,11 +77,10 @@ var (
 	ErrBadCreds = errors.New("idm: bad credentials")
 )
 
-// IDM is the account database. It optionally mirrors entries into a
-// directory so the PAM token module's LDAP queries see pairing state.
+// IDM is the account database. Reads share the store's decoded copy of
+// an account; writes save a changed copy.
 type IDM struct {
 	db        *store.Store
-	dir       *directory.Dir
 	clk       clock.Clock
 	cacheSalt [16]byte
 
@@ -88,51 +89,26 @@ type IDM struct {
 	verifyCache map[[32]byte]bool
 }
 
-// New builds an IDM over db, mirroring into dir (may be nil), using clk
-// for timestamps (nil means real time).
-func New(db *store.Store, dir *directory.Dir, clk clock.Clock) *IDM {
+// New builds an IDM over db, using clk for timestamps (nil means real
+// time).
+func New(db *store.Store, clk clock.Clock) *IDM {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	idm := &IDM{db: db, dir: dir, clk: clk, nextUID: 1000,
+	idm := &IDM{db: db, clk: clk, nextUID: 1000,
 		verifyCache: make(map[[32]byte]bool)}
 	copy(idm.cacheSalt[:], cryptoutil.RandomBytes(16))
-	// Resume the uid sequence after a restart, and rebuild the in-memory
-	// directory so PAM reads every account's pairing, not "none". The
-	// store was just opened, so the only possible Scan error is ErrClosed
-	// — nothing to resume then.
+	// Resume the uid sequence after a restart. The store was just opened,
+	// so the only possible Scan error is ErrClosed — nothing to resume
+	// then.
 	kvs, _ := db.Scan("acct/")
 	for _, kv := range kvs {
 		var a Account
-		if json.Unmarshal(kv.Value, &a) != nil {
-			continue
-		}
-		if a.UID >= idm.nextUID {
+		if json.Unmarshal(kv.Value, &a) == nil && a.UID >= idm.nextUID {
 			idm.nextUID = a.UID + 1
 		}
-		// A stored account has a non-empty name, so Add cannot fail.
-		_ = idm.mirror(&a)
 	}
 	return idm
-}
-
-// mirror adds a's directory entry, the one PAM's pairing lookup reads. An
-// entry already there is kept.
-func (m *IDM) mirror(a *Account) error {
-	if m.dir == nil {
-		return nil
-	}
-	err := m.dir.Add(a.Username, map[string][]string{
-		"uid":         {a.Username},
-		"uidnumber":   {fmt.Sprint(a.UID)},
-		"mail":        {a.Email},
-		"objectclass": {"person", string(a.Class)},
-		"mfapairing":  {string(a.Pairing)},
-	})
-	if errors.Is(err, directory.ErrExists) {
-		return nil
-	}
-	return err
 }
 
 func acctKey(username string) string { return "acct/" + strings.ToLower(username) }
@@ -161,34 +137,52 @@ func (m *IDM) Create(username, email, password string, class AccountClass) (*Acc
 	if err := m.save(a); err != nil {
 		return nil, err
 	}
-	if err := m.mirror(a); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return a.clone(), nil
 }
 
+// save writes a and hands it to the store as the account's decoded form;
+// a must not be changed afterwards.
 func (m *IDM) save(a *Account) error {
 	b, err := json.Marshal(a)
 	if err != nil {
 		return err
 	}
-	return m.db.Put(acctKey(a.Username), b)
+	return m.db.Apply([]store.Op{{Key: acctKey(a.Username), Value: b, Decoded: a}})
 }
 
-// Lookup fetches an account.
-func (m *IDM) Lookup(username string) (*Account, error) {
-	b, err := m.db.Get(acctKey(username))
+// clone returns a copy of a that shares nothing with it.
+func (a *Account) clone() *Account {
+	c := *a
+	c.PublicKeys = append([]string(nil), a.PublicKeys...)
+	return &c
+}
+
+// account returns username's account as the store holds it decoded,
+// shared with every other reader: read it, never change it.
+func (m *IDM) account(username string) (*Account, error) {
+	v, err := m.db.View(acctKey(username), func(b []byte) (any, error) {
+		a := new(Account)
+		if err := json.Unmarshal(b, a); err != nil {
+			return nil, fmt.Errorf("idm: corrupt account %s: %w", username, err)
+		}
+		return a, nil
+	})
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, ErrNoUser
 	}
 	if err != nil {
 		return nil, err
 	}
-	var a Account
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("idm: corrupt account %s: %w", username, err)
+	return v.(*Account), nil
+}
+
+// Lookup fetches a copy of an account.
+func (m *IDM) Lookup(username string) (*Account, error) {
+	a, err := m.account(username)
+	if err != nil {
+		return nil, err
 	}
-	return &a, nil
+	return a.clone(), nil
 }
 
 // Authenticate checks a first-factor password. Successful verifications
@@ -198,7 +192,7 @@ func (m *IDM) Lookup(username string) (*Account, error) {
 // digests, never plaintext, and is invalidated automatically when the
 // stored hash changes (SetPassword produces a new salt).
 func (m *IDM) Authenticate(username, password string) error {
-	a, err := m.Lookup(username)
+	a, err := m.account(username)
 	if err != nil {
 		return ErrBadCreds // do not reveal which accounts exist
 	}
@@ -222,16 +216,11 @@ func (m *IDM) Authenticate(username, password string) error {
 }
 
 func (m *IDM) cacheKey(username, storedHash, password string) [32]byte {
-	h := sha256.New()
-	h.Write(m.cacheSalt[:])
-	h.Write([]byte(username))
-	h.Write([]byte{0})
-	h.Write([]byte(storedHash))
-	h.Write([]byte{0})
-	h.Write([]byte(password))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [256]byte // on the stack; a longer input grows onto the heap
+	b := append(buf[:0], m.cacheSalt[:]...)
+	b = append(append(b, username...), 0)
+	b = append(append(b, storedHash...), 0)
+	return sha256.Sum256(append(b, password...))
 }
 
 // SetPassword replaces the account password.
@@ -270,7 +259,7 @@ func (m *IDM) AddPublicKey(username string, pub ed25519.PublicKey) error {
 
 // PublicKeys returns the account's authorized keys.
 func (m *IDM) PublicKeys(username string) ([]ed25519.PublicKey, error) {
-	a, err := m.Lookup(username)
+	a, err := m.account(username)
 	if err != nil {
 		return nil, err
 	}
@@ -284,9 +273,8 @@ func (m *IDM) PublicKeys(username string) ([]ed25519.PublicKey, error) {
 	return out, nil
 }
 
-// SetPairing records the MFA pairing status, advances PairingGen, and
-// mirrors the status to the directory so PAM's LDAP query sees it
-// immediately.
+// SetPairing records the MFA pairing status and advances PairingGen.
+// PAM's pairing query reads the account, so it sees the change at once.
 func (m *IDM) SetPairing(username string, p PairingStatus) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -296,23 +284,20 @@ func (m *IDM) SetPairing(username string, p PairingStatus) error {
 	}
 	a.Pairing = p
 	a.PairingGen++
-	if err := m.save(a); err != nil {
-		return err
-	}
-	if m.dir != nil {
-		err := m.dir.Modify(a.Username, map[string][]string{
-			"mfapairing": {string(p)},
-		})
-		if err != nil && !errors.Is(err, directory.ErrNoEntry) {
-			return err
-		}
-	}
-	return nil
+	return m.save(a)
 }
 
-// Pairing returns the account's pairing status.
+// Pairing returns the account's pairing status; it is the PAM token
+// module's pairing lookup (pam.PairingLookup). An account that does not
+// exist reads PairingNone, as a user without a directory entry does. Any
+// other failure to read the account is an error, which the token module
+// treats as an unknown pairing: it challenges, and never waives the
+// factor.
 func (m *IDM) Pairing(username string) (PairingStatus, error) {
-	a, err := m.Lookup(username)
+	a, err := m.account(username)
+	if errors.Is(err, ErrNoUser) {
+		return PairingNone, nil
+	}
 	if err != nil {
 		return "", err
 	}

@@ -6,20 +6,19 @@ import (
 	"time"
 
 	"openmfa/internal/clock"
-	"openmfa/internal/directory"
+	"openmfa/internal/racecheck"
 	"openmfa/internal/store"
 )
 
 var t0 = time.Date(2016, 8, 1, 0, 0, 0, 0, time.UTC)
 
-func newIDM(t testing.TB) (*IDM, *directory.Dir) {
+func newIDM(t testing.TB) *IDM {
 	t.Helper()
-	dir := directory.New()
-	return New(store.OpenMemory(), dir, clock.NewSim(t0)), dir
+	return New(store.OpenMemory(), clock.NewSim(t0))
 }
 
 func TestCreateAndLookup(t *testing.T) {
-	m, dir := newIDM(t)
+	m := newIDM(t)
 	a, err := m.Create("CProctor", "cproctor@hpc.example", "pw1", ClassStaff)
 	if err != nil {
 		t.Fatal(err)
@@ -34,13 +33,9 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil || got.UID != a.UID {
 		t.Fatalf("lookup: %+v, %v", got, err)
 	}
-	// Directory entry mirrored.
-	p, err := dir.Attr("cproctor", "mfapairing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uid, _ := dir.Attr("cproctor", "uid"); p != "none" || uid != "cproctor" {
-		t.Fatalf("dir entry: mfapairing %q, uid %q", p, uid)
+	// The pairing query reads the new account.
+	if p, err := m.Pairing("CProctor"); err != nil || p != "none" {
+		t.Fatalf("pairing: %q, %v", p, err)
 	}
 	// Duplicates and empties rejected.
 	if _, err := m.Create("cproctor", "x", "y", ClassUser); err != ErrExists {
@@ -56,14 +51,14 @@ func TestCreateAndLookup(t *testing.T) {
 
 func TestUIDsUniqueAndResumeAfterRestart(t *testing.T) {
 	db := store.OpenMemory()
-	m := New(db, nil, clock.NewSim(t0))
+	m := New(db, clock.NewSim(t0))
 	a, _ := m.Create("a", "", "p", ClassUser)
 	b, _ := m.Create("b", "", "p", ClassUser)
 	if a.UID == b.UID {
 		t.Fatal("duplicate uids")
 	}
 	// New IDM over the same store must not reuse uids.
-	m2 := New(db, nil, clock.NewSim(t0))
+	m2 := New(db, clock.NewSim(t0))
 	c, _ := m2.Create("c", "", "p", ClassUser)
 	if c.UID <= b.UID {
 		t.Fatalf("uid sequence regressed: %d after %d", c.UID, b.UID)
@@ -71,7 +66,7 @@ func TestUIDsUniqueAndResumeAfterRestart(t *testing.T) {
 }
 
 func TestAuthenticate(t *testing.T) {
-	m, _ := newIDM(t)
+	m := newIDM(t)
 	m.Create("u", "", "correct horse", ClassUser)
 	if err := m.Authenticate("u", "correct horse"); err != nil {
 		t.Fatal(err)
@@ -94,8 +89,31 @@ func TestAuthenticate(t *testing.T) {
 	}
 }
 
+// TestAuthenticateWarmAllocs gates the first factor of every password
+// login: once the account is decoded and the password verified, a repeat
+// Authenticate reads the store's decoded account, keys the verify cache
+// on the stack and allocates nothing.
+func TestAuthenticateWarmAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("alloc-count assertions are meaningless under -race")
+	}
+	m := newIDM(t)
+	m.Create("alice", "", "correct horse", ClassUser)
+	if err := m.Authenticate("alice", "correct horse"); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		if err := m.Authenticate("alice", "correct horse"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("warm Authenticate: %.1f allocs/op, want 0", got)
+	}
+}
+
 func TestPublicKeys(t *testing.T) {
-	m, _ := newIDM(t)
+	m := newIDM(t)
 	m.Create("u", "", "p", ClassUser)
 	pub, _, err := ed25519.GenerateKey(nil)
 	if err != nil {
@@ -123,51 +141,73 @@ func TestPublicKeys(t *testing.T) {
 	}
 }
 
-// TestDirectoryRebuiltAfterRestart: an IDM reopened on its store mirrors
-// every account into the fresh directory with its current pairing, so a
-// restart does not make paired users read "none".
-func TestDirectoryRebuiltAfterRestart(t *testing.T) {
-	db := store.OpenMemory()
-	m := New(db, directory.New(), clock.NewSim(t0))
-	m.Create("storm", "", "p", ClassStaff)
-	m.Create("hanlon", "", "p", ClassStaff)
-	if err := m.SetPairing("storm", PairingSMS); err != nil {
-		t.Fatal(err)
-	}
-	dir := directory.New()
-	New(db, dir, clock.NewSim(t0))
-	for user, want := range map[string]string{"storm": "sms", "hanlon": "none"} {
-		if p, err := dir.Attr(user, "mfapairing"); err != nil || p != want {
-			t.Errorf("after restart: %s mfapairing = %q, %v; want %q", user, p, err, want)
-		}
-	}
-}
-
+// TestSetPairingMirrorsDirectory: the account record is the directory
+// entry the token module queries, so a pairing change reads back at once,
+// and an unknown account reads "none".
 func TestSetPairingMirrorsDirectory(t *testing.T) {
-	m, dir := newIDM(t)
+	m := newIDM(t)
 	m.Create("storm", "", "p", ClassStaff)
 	if err := m.SetPairing("storm", PairingSMS); err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.Pairing("storm")
+	p, err := m.Pairing("Storm")
 	if err != nil || p != PairingSMS {
 		t.Fatalf("pairing = %v, %v", p, err)
 	}
-	if dp, _ := dir.Attr("storm", "mfapairing"); dp != "sms" {
-		t.Fatalf("dir mfapairing = %q", dp)
-	}
 	// Unpair.
 	m.SetPairing("storm", PairingNone)
-	if dp, _ := dir.Attr("storm", "mfapairing"); dp != "none" {
-		t.Fatal("unpair not mirrored")
+	if p, _ := m.Pairing("storm"); p != PairingNone {
+		t.Fatal("unpair not read back")
 	}
 	if err := m.SetPairing("ghost", PairingSoft); err != ErrNoUser {
 		t.Fatalf("ghost: %v", err)
 	}
+	if p, err := m.Pairing("ghost"); err != nil || p != PairingNone {
+		t.Fatalf("ghost pairing = %q, %v; want none", p, err)
+	}
+}
+
+// TestPairingFailsOnStoreError: a missing account reads "none", but an
+// account store that cannot be read is an error, never "none": the token
+// module then challenges instead of waiving the factor.
+func TestPairingFailsOnStoreError(t *testing.T) {
+	db := store.OpenMemory()
+	m := New(db, clock.NewSim(t0))
+	m.Create("storm", "", "p", ClassStaff)
+	m.SetPairing("storm", PairingSMS)
+	db.Close()
+	for _, u := range []string{"storm", "ghost"} {
+		if p, err := m.Pairing(u); err == nil {
+			t.Errorf("Pairing(%q) on a closed store = %q, nil; want an error", u, p)
+		}
+	}
+}
+
+// TestLookupIsACopy: callers of Lookup and Create get their own copy; a
+// change to it reaches neither the store nor the copy other readers share.
+func TestLookupIsACopy(t *testing.T) {
+	m := newIDM(t)
+	a, _ := m.Create("u", "", "p", ClassUser)
+	pub, _, _ := ed25519.GenerateKey(nil)
+	if err := m.AddPublicKey("u", pub); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Lookup("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Pairing, got.Pairing = PairingSoft, PairingSoft
+	got.PublicKeys[0] = "tampered"
+	if p, _ := m.Pairing("u"); p != PairingNone {
+		t.Fatalf("pairing changed through a copy: %q", p)
+	}
+	if keys, _ := m.PublicKeys("u"); len(keys) != 1 || !keys[0].Equal(pub) {
+		t.Fatal("public key changed through a copy")
+	}
 }
 
 func TestAllAndCount(t *testing.T) {
-	m, _ := newIDM(t)
+	m := newIDM(t)
 	for _, u := range []string{"c", "a", "b"} {
 		m.Create(u, "", "p", ClassUser)
 	}
@@ -178,15 +218,5 @@ func TestAllAndCount(t *testing.T) {
 	// Sorted by username (store scan order).
 	if all[0].Username != "a" || all[2].Username != "c" {
 		t.Fatalf("order: %s %s %s", all[0].Username, all[1].Username, all[2].Username)
-	}
-}
-
-func TestNilDirectoryOK(t *testing.T) {
-	m := New(store.OpenMemory(), nil, nil)
-	if _, err := m.Create("u", "", "p", ClassUser); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPairing("u", PairingSoft); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -35,14 +35,15 @@ func midnight(t time.Time) time.Time {
 
 // DayIndex maps a timestamp to its day offset, clamped to the calendar.
 func (d *Daily) DayIndex(t time.Time) int {
+	idx, _ := d.day(t)
+	return min(max(idx, 0), d.Days-1)
+}
+
+// day maps a timestamp to its day offset and reports whether the offset
+// is inside the calendar.
+func (d *Daily) day(t time.Time) (int, bool) {
 	idx := int(midnight(t).Sub(d.Start).Hours() / 24)
-	if idx < 0 {
-		return 0
-	}
-	if idx >= d.Days {
-		return d.Days - 1
-	}
-	return idx
+	return idx, idx >= 0 && idx < d.Days
 }
 
 // Date returns the calendar date of a day index.
@@ -59,19 +60,33 @@ func (d *Daily) row(name string) []float64 {
 	return s
 }
 
-// Add accumulates v into series name on the day containing t.
-func (d *Daily) Add(t time.Time, name string, v float64) {
-	d.row(name)[d.DayIndex(t)] += v
+// Add accumulates v into series name on the day containing t. A date
+// outside the calendar changes nothing and reports false.
+func (d *Daily) Add(t time.Time, name string, v float64) bool {
+	idx, ok := d.day(t)
+	if ok {
+		d.row(name)[idx] += v
+	}
+	return ok
 }
 
-// Set overwrites the value for the day containing t.
-func (d *Daily) Set(t time.Time, name string, v float64) {
-	d.row(name)[d.DayIndex(t)] = v
+// Set overwrites the value for the day containing t. A date outside the
+// calendar changes nothing and reports false.
+func (d *Daily) Set(t time.Time, name string, v float64) bool {
+	idx, ok := d.day(t)
+	if ok {
+		d.row(name)[idx] = v
+	}
+	return ok
 }
 
-// Get reads one day's value.
-func (d *Daily) Get(t time.Time, name string) float64 {
-	return d.row(name)[d.DayIndex(t)]
+// Get reads one day's value; a date outside the calendar reads 0, false.
+func (d *Daily) Get(t time.Time, name string) (float64, bool) {
+	idx, ok := d.day(t)
+	if !ok {
+		return 0, false
+	}
+	return d.row(name)[idx], true
 }
 
 // Series returns a copy of the named series (zeros if absent).

@@ -38,12 +38,40 @@ func TestDayIndexAndDate(t *testing.T) {
 	}
 }
 
+// TestOutsideCalendarIsANoOp: a date outside the calendar is refused,
+// not clamped onto an edge day: Set and Add report false and change
+// nothing, Get reads 0, false.
+func TestOutsideCalendarIsANoOp(t *testing.T) {
+	d := NewDaily(start, end)
+	d.Set(start, "v", 7)
+	d.Set(end, "v", 9)
+	before, after := start.AddDate(0, 0, -1), end.AddDate(0, 0, 1)
+	if d.Set(before, "v", 1) || d.Add(before, "v", 1) {
+		t.Fatal("Set/Add one day before the start reported true")
+	}
+	if d.Set(after, "v", 1) || d.Add(after, "v", 1) {
+		t.Fatal("Set/Add one day after the end reported true")
+	}
+	if v, _ := d.Get(start, "v"); v != 7 {
+		t.Fatalf("day 0 = %v after out-of-calendar writes, want 7", v)
+	}
+	if v, _ := d.Get(end, "v"); v != 9 {
+		t.Fatalf("last day = %v after out-of-calendar writes, want 9", v)
+	}
+	if v, ok := d.Get(before, "v"); ok || v != 0 {
+		t.Fatalf("Get before the start = %v, %v; want 0, false", v, ok)
+	}
+	if !d.Set(start, "v", 8) || !d.Add(end, "v", 1) {
+		t.Fatal("Set/Add inside the calendar reported false")
+	}
+}
+
 func TestAddSetGetSum(t *testing.T) {
 	d := NewDaily(start, end)
 	d.Add(start, "logins", 2)
 	d.Add(start.Add(time.Hour), "logins", 3)
 	d.Add(start.AddDate(0, 0, 1), "logins", 7)
-	if got := d.Get(start, "logins"); got != 5 {
+	if got, ok := d.Get(start, "logins"); got != 5 || !ok {
 		t.Fatalf("Get = %v", got)
 	}
 	if got := d.Sum("logins"); got != 12 {
@@ -87,7 +115,7 @@ func TestSeriesCopyAndNames(t *testing.T) {
 	d.Add(start, "a", 1)
 	s := d.Series("a")
 	s[0] = 99
-	if d.Get(start, "a") != 1 {
+	if v, _ := d.Get(start, "a"); v != 1 {
 		t.Fatal("Series returned live slice")
 	}
 	names := d.Names()

@@ -98,10 +98,10 @@ func BenchmarkCheckUnderProfiler(b *testing.B) {
 }
 
 // maxBareCheckAllocs is the ceiling on a deterministic-failure Check with
-// no observability attached, as measured: the store's copies of the
-// record out and in, the key it keeps, the record handed back, its JSON
-// encoding, the audit detail and the MAC string. The record decode, the
-// HMAC keyings and the audit formatting cost nothing per call.
+// no observability attached, as measured: the changed copy of the record,
+// its JSON encoding, the op that writes it, the store's copy of the bytes,
+// the key it keeps, the audit detail and the MAC string. Reading the
+// record, the HMAC keyings and the audit formatting cost nothing per call.
 const maxBareCheckAllocs = 7
 
 // TestCheckObsAllocs gates the deterministic-failure Check, counted in
@@ -119,7 +119,7 @@ func TestCheckObsAllocs(t *testing.T) {
 				t.Fatalf("check = %+v, %v (want deterministic failure)", res, err)
 			}
 		}
-		check() // warm the token cache
+		check() // decode the record once
 		return testing.AllocsPerRun(500, check)
 	}
 	bus := eventstream.NewBus(nil)
@@ -146,9 +146,9 @@ func TestCheckObsAllocs(t *testing.T) {
 
 // maxBareTriggerAllocs is the ceiling on a suppressed TriggerSMS (a code
 // is still active) with no observability and no Logger attached, as
-// measured: the store's copy of the record and the record handed back.
-// The log line's arguments are boxed only when a Logger is set.
-const maxBareTriggerAllocs = 2
+// measured: it reads the record the store holds decoded and writes
+// nothing. The log line's arguments are boxed only when a Logger is set.
+const maxBareTriggerAllocs = 0
 
 // TestTriggerSMSBareAllocs gates the suppressed SMS trigger, the call a
 // user's second login within the code's lifetime makes, in allocations per

@@ -78,7 +78,7 @@ type Config struct {
 // recordWriter is the store surface record saves go through: either the
 // Store itself or a coalescing Batcher in front of it.
 type recordWriter interface {
-	Put(key string, value []byte) error
+	Apply(ops []store.Op) error
 }
 
 // Server is the OTP platform.
@@ -103,12 +103,6 @@ type Server struct {
 	// fob serial (AssignHardToken races ImportHardToken and other
 	// assignments for the same serial).
 	serials *syncutil.StripedMutex
-
-	// tokens caches each user's token record, decoded, with its secret
-	// unsealed, so the validation hot path skips the JSON decode and the
-	// AES-GCM unseal; an entry hits only while the stored bytes are
-	// byte-identical to the ones it holds.
-	tokens *tokenCache
 
 	met    otpdMetrics
 	logger *obs.Logger
@@ -192,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 		audit:   NewAudit(auditKey, clk.Now),
 		users:   syncutil.NewStriped(0),
 		serials: syncutil.NewStriped(0),
-		tokens:  newTokenCache(),
 		met:     newOtpdMetrics(cfg.Obs),
 		logger:  cfg.Logger,
 		spans:   cfg.Spans,
@@ -289,6 +282,7 @@ func (s *Server) initGenerated(user string, typ TokenType, phone, serial string)
 		SecretSealed: s.sealSecret(user, secret),
 		Active:       true,
 		CreatedUnix:  s.clk.Now().Unix(),
+		secret:       secret,
 	}
 	if err := s.saveRecord(r); err != nil {
 		return nil, err
@@ -333,6 +327,7 @@ func (s *Server) AssignHardToken(user, serial string) (*Enrollment, error) {
 		SecretSealed: s.sealSecret(user, secret),
 		Active:       true,
 		CreatedUnix:  s.clk.Now().Unix(),
+		secret:       secret,
 	}
 	if err := s.saveRecord(r); err != nil {
 		return nil, err
@@ -358,22 +353,25 @@ func (s *Server) SetStaticToken(user, code string) error {
 	}
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
-	r, err := s.loadRecord(user)
+	cur, err := s.loadRecord(user)
 	created := false
+	var r record
 	if errors.Is(err, ErrNoToken) {
-		r = &record{User: user, Type: TokenTraining, Active: true, CreatedUnix: s.clk.Now().Unix()}
+		r = record{User: user, Type: TokenTraining, Active: true, CreatedUnix: s.clk.Now().Unix()}
 		created = true
 	} else if err != nil {
 		return err
-	} else if r.Type != TokenTraining {
-		return fmt.Errorf("otpd: %s has a %s token; remove it first", user, r.Type)
+	} else if cur.Type != TokenTraining {
+		return fmt.Errorf("otpd: %s has a %s token; remove it first", user, cur.Type)
+	} else {
+		r = *cur
 	}
 	// "The static token codes are easily regenerated once the training
 	// session is finished" — reprovisioning resets state.
 	r.StaticSealed = s.box.Seal([]byte(code), []byte("static:"+user))
 	r.FailCount = 0
 	r.Active = true
-	if err := s.saveRecord(r); err != nil {
+	if err := s.saveRecord(&r); err != nil {
 		return err
 	}
 	s.audit.Record("set_static", user, "", true)
@@ -396,7 +394,6 @@ func (s *Server) RemoveToken(user string) error {
 	if err := s.db.Delete(tokenKey(user)); err != nil {
 		return err
 	}
-	s.tokens.invalidate(user)
 	s.audit.Record("remove", user, "", true)
 	return nil
 }
@@ -501,10 +498,11 @@ func (s *Server) check(user, code string) (CheckResult, error) {
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
 
-	r, err := s.loadRecord(user)
+	cur, err := s.loadRecord(user)
 	if err != nil {
 		return CheckResult{Message: "no token"}, err
 	}
+	r := *cur // the state change below is made on a private copy
 	if !r.Active {
 		s.audit.Record("check", user, "locked out", false)
 		return CheckResult{Message: "token deactivated", LockedOut: true}, ErrLockedOut
@@ -521,7 +519,7 @@ func (s *Server) check(user, code string) (CheckResult, error) {
 		ok = len(static) == len(code) &&
 			subtle.ConstantTimeCompare(static, []byte(code)) == 1
 	default:
-		secret, err := s.openSecretCached(user, r.SecretSealed)
+		secret, err := s.secretOf(user, &r)
 		if err != nil {
 			return CheckResult{}, fmt.Errorf("otpd: unseal secret: %w", err)
 		}
@@ -540,7 +538,7 @@ func (s *Server) check(user, code string) (CheckResult, error) {
 			res.LockedOut = true
 			res.Message = "token deactivated after repeated failures"
 		}
-		if err := s.saveRecord(r); err != nil {
+		if err := s.saveRecord(&r); err != nil {
 			return CheckResult{}, err
 		}
 		s.audit.Record("check", user, fmt.Sprintf("fail_count=%d", r.FailCount), false)
@@ -554,7 +552,7 @@ func (s *Server) check(user, code string) (CheckResult, error) {
 	// The consumed code is no longer "active": the next null request may
 	// send a fresh SMS immediately instead of the already-sent notice.
 	r.LastSMSUnix = 0
-	if err := s.saveRecord(r); err != nil {
+	if err := s.saveRecord(&r); err != nil {
 		return CheckResult{}, err
 	}
 	s.audit.Record("check", user, "", true)
@@ -626,7 +624,7 @@ func (s *Server) triggerSMS(user string) (bool, string, error) {
 	if r.LastSMSUnix > 0 && now.Sub(time.Unix(r.LastSMSUnix, 0)) < s.smsValidity() {
 		return false, "an SMS has already been sent; enter the code you received", nil
 	}
-	secret, err := s.openSecretCached(user, r.SecretSealed)
+	secret, err := s.secretOf(user, r)
 	if err != nil {
 		return false, "", err
 	}
@@ -641,8 +639,9 @@ func (s *Server) triggerSMS(user string) (bool, string, error) {
 		s.audit.Record("sms", user, err.Error(), false)
 		return false, "", fmt.Errorf("otpd: sms send: %w", err)
 	}
-	r.LastSMSUnix = now.Unix()
-	if err := s.saveRecord(r); err != nil {
+	sent := *r
+	sent.LastSMSUnix = now.Unix()
+	if err := s.saveRecord(&sent); err != nil {
 		return false, "", err
 	}
 	s.audit.Record("sms", user, "code sent", true)
@@ -655,14 +654,14 @@ func (s *Server) Resync(user, code1, code2 string) error {
 	user = strings.ToLower(user)
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
-	r, err := s.loadRecord(user)
+	cur, err := s.loadRecord(user)
 	if err != nil {
 		return err
 	}
-	if r.Type == TokenTraining {
+	if cur.Type == TokenTraining {
 		return errors.New("otpd: training tokens cannot be resynced")
 	}
-	secret, err := s.openSecretCached(user, r.SecretSealed)
+	secret, err := s.secretOf(user, cur)
 	if err != nil {
 		return err
 	}
@@ -671,10 +670,11 @@ func (s *Server) Resync(user, code1, code2 string) error {
 		s.audit.Record("resync", user, "", false)
 		return errors.New("otpd: resync failed: codes not consecutive in search window")
 	}
+	r := *cur
 	r.LastCounter = counter
 	r.FailCount = 0
 	r.Active = true
-	if err := s.saveRecord(r); err != nil {
+	if err := s.saveRecord(&r); err != nil {
 		return err
 	}
 	s.audit.Record("resync", user, fmt.Sprintf("counter=%d", counter), true)
@@ -688,13 +688,14 @@ func (s *Server) ResetFailures(user string) error {
 	user = strings.ToLower(user)
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
-	r, err := s.loadRecord(user)
+	cur, err := s.loadRecord(user)
 	if err != nil {
 		return err
 	}
+	r := *cur
 	r.FailCount = 0
 	r.Active = true
-	if err := s.saveRecord(r); err != nil {
+	if err := s.saveRecord(&r); err != nil {
 		return err
 	}
 	s.audit.Record("reset", user, "", true)
@@ -728,7 +729,7 @@ func (s *Server) CurrentCode(user string, deviceDrift time.Duration) (string, er
 		}
 		return string(static), nil
 	}
-	secret, err := s.openSecretCached(strings.ToLower(user), r.SecretSealed)
+	secret, err := s.secretOf(strings.ToLower(user), r)
 	if err != nil {
 		return "", err
 	}

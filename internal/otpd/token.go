@@ -64,6 +64,11 @@ type record struct {
 	LastCounter  uint64    `json:"last_counter"` // replay high-water mark
 	LastSMSUnix  int64     `json:"last_sms_unix,omitempty"`
 	CreatedUnix  int64     `json:"created_unix"`
+
+	// secret is SecretSealed unsealed, kept beside it in the store's
+	// decoded copy and never written out; nil for training tokens and
+	// for a sealed secret that does not open.
+	secret []byte
 }
 
 // TokenInfo is the admin-visible view of a token (no secret material).
@@ -100,39 +105,46 @@ var (
 	ErrBadStatic = errors.New("otpd: static code must be six digits")
 )
 
-// loadRecord reads user's token record (user lowercased). A record whose
-// stored bytes are the ones the token cache holds is not decoded again.
+// loadRecord returns user's token record (user lowercased) as the store
+// holds it decoded: decoded once per write of its bytes, with its secret
+// unsealed. The record is shared with every other reader, so callers
+// change a copy (r := *rec) and save that.
 func (s *Server) loadRecord(user string) (*record, error) {
-	b, err := s.db.Get(tokenKey(user))
+	v, err := s.db.View(tokenKey(user), func(b []byte) (any, error) { return s.decodeRecord(user, b) })
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, ErrNoToken
 	}
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := s.tokens.lookup(user, b); ok {
-		return &r, nil
-	}
-	var r record
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("otpd: corrupt record for %s: %w", user, err)
-	}
-	s.tokens.store(user, b, &r)
-	return &r, nil
+	return v.(*record), nil
 }
 
-// saveRecord writes r and caches the bytes it wrote, so the next load
-// of the record does not decode it.
+// decodeRecord decodes user's stored token record and unseals its secret.
+// A secret that does not open stays nil; the check that needs it reports
+// the unseal error.
+func (s *Server) decodeRecord(user string, b []byte) (*record, error) {
+	r := new(record)
+	if err := json.Unmarshal(b, r); err != nil {
+		return nil, fmt.Errorf("otpd: corrupt record for %s: %w", user, err)
+	}
+	if r.SecretSealed != nil {
+		r.secret, _ = s.openSecret(user, r.SecretSealed)
+	}
+	return r, nil
+}
+
+// saveRecord writes r and hands it to the store as the record's decoded
+// form, so the next load does not decode what was just encoded. r must
+// not be changed afterwards, and r.secret must be what SecretSealed
+// unseals to: a new record sets the two together, and a copy of a loaded
+// record, whose sealed secret no state change touches, carries both over.
 func (s *Server) saveRecord(r *record) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	if err := s.writes.Put(tokenKey(r.User), b); err != nil {
-		return err
-	}
-	s.tokens.store(r.User, b, r)
-	return nil
+	return s.writes.Apply([]store.Op{{Key: tokenKey(r.User), Value: b, Decoded: r}})
 }
 
 func (s *Server) sealSecret(user string, secret []byte) []byte {
@@ -141,6 +153,16 @@ func (s *Server) sealSecret(user string, secret []byte) []byte {
 
 func (s *Server) openSecret(user string, sealed []byte) ([]byte, error) {
 	return s.box.Open(sealed, []byte("user:"+strings.ToLower(user)))
+}
+
+// secretOf returns r's unsealed secret, or the unseal error of a sealed
+// secret that did not open when r was decoded. The slice is shared:
+// read it, never change it.
+func (s *Server) secretOf(user string, r *record) ([]byte, error) {
+	if r.secret != nil {
+		return r.secret, nil
+	}
+	return s.openSecret(user, r.SecretSealed)
 }
 
 // hardInventory is the persisted form of an unassigned fob.

@@ -14,7 +14,6 @@ import (
 	"openmfa/internal/accessctl"
 	"openmfa/internal/authlog"
 	"openmfa/internal/clock"
-	"openmfa/internal/directory"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
@@ -91,7 +90,6 @@ func (c *conv) sawPrompt(substr string) bool {
 type harness struct {
 	sim     *clock.Sim
 	idm     *idm.IDM
-	dir     *directory.Dir
 	otp     *otpd.Server
 	authLog *authlog.Log
 	acl     *accessctl.List
@@ -127,11 +125,9 @@ func (s *smsCapture) lastCode() string {
 func newHarness(t testing.TB, aclRules string) *harness {
 	t.Helper()
 	sim := clock.NewSim(t0)
-	dir := directory.New()
 	h := &harness{
 		sim: sim,
-		dir: dir,
-		idm: idm.New(store.OpenMemory(), dir, sim),
+		idm: idm.New(store.OpenMemory(), sim),
 		sms: &smsCapture{},
 	}
 	var err error
@@ -177,7 +173,7 @@ func (h *harness) stackConfig(engine *risk.Engine) SSHDStackConfig {
 		IDM:        h.idm,
 		Exemptions: h.acl,
 		TokenCfg:   h.mode,
-		Pairing:    LocalPairing{Dir: h.dir},
+		Pairing:    h.idm,
 		Radius:     h.pool,
 		Risk:       engine,
 	}
@@ -599,7 +595,7 @@ func TestTokenModuleRadiusOutage(t *testing.T) {
 	h.pairSoft(t, "u")
 	dead := radius.NewPool([]string{"127.0.0.1:9"}, []byte("s"), 50*time.Millisecond, 0)
 	h.stack.Entries[3].Module = &Token{
-		Config: h.mode, Pairing: LocalPairing{Dir: h.dir}, Radius: dead,
+		Config: h.mode, Pairing: h.idm, Radius: dead,
 	}
 	c := &conv{answers: []any{"pw", "123456"}}
 	if err := h.login(t, "u", external, c); !errors.Is(err, ErrAuthFailed) {
@@ -607,11 +603,11 @@ func TestTokenModuleRadiusOutage(t *testing.T) {
 	}
 }
 
-// brokenPairing is a directory that is down.
+// brokenPairing is an account store that cannot be read.
 type brokenPairing struct{}
 
 func (brokenPairing) Pairing(string) (string, error) {
-	return "", errors.New("directory unreachable")
+	return "", errors.New("account store unreadable")
 }
 
 // TestPairingOutageFailsClosed: when the pairing lookup fails, no
@@ -650,11 +646,47 @@ func TestPairingOutageFailsClosed(t *testing.T) {
 	}
 }
 
+// TestPairingClosedAccountStoreChallenges: an idm whose account store is
+// closed answers the pairing query with an error, not "none", so even
+// paired mode challenges: the SMS-paired user gets no SMS trigger and is
+// denied, and a soft-paired user still logs in with a valid code.
+func TestPairingClosedAccountStoreChallenges(t *testing.T) {
+	h := newHarness(t, "")
+	*h.mode = StaticConfig{Mode: ModePaired}
+	db := store.OpenMemory()
+	closed := idm.New(db, nil)
+	db.Close()
+	h.stack.Entries[3].Module = &Token{Config: h.mode, Pairing: closed, Radius: h.pool}
+	h.addUser(t, "storm", "pw")
+	h.pairSMS(t, "storm", "+15125550100")
+	h.addUser(t, "alice", "pw")
+	code := h.pairSoft(t, "alice")
+
+	c := &conv{answers: []any{"pw", "000000"}}
+	if err := h.login(t, "storm", external, c); !errors.Is(err, ErrAuthFailed) {
+		t.Fatalf("SMS-paired user: err = %v, want denied", err)
+	}
+	if !c.sawPrompt("Token Code:") {
+		t.Fatalf("SMS-paired user never challenged: prompts %q", c.prompts)
+	}
+	if h.sms.lastCode() != "" {
+		t.Fatal("an SMS was sent while the pairing was unknown")
+	}
+	c = &conv{answers: []any{"pw", func() string { return code() }}}
+	if err := h.login(t, "alice", external, c); err != nil {
+		t.Fatalf("soft-paired user with a valid code: %v", err)
+	}
+}
+
+// TestDirectoryPairingLookup: the token module's pairing query reads the
+// idm account record, case-insensitively; an unpaired account and a user
+// without an account both read "none".
 func TestDirectoryPairingLookup(t *testing.T) {
-	d := directory.New()
-	d.Add("u", map[string][]string{"uid": {"u"}, "mfapairing": {"sms"}})
-	d.Add("v", map[string][]string{"uid": {"v"}})
-	lp := LocalPairing{Dir: d}
+	m := idm.New(store.OpenMemory(), nil)
+	m.Create("u", "", "p", idm.ClassUser)
+	m.SetPairing("u", idm.PairingSMS)
+	m.Create("v", "", "p", idm.ClassUser)
+	var lp PairingLookup = m
 	for user, want := range map[string]string{"u": "sms", "U": "sms", "v": "none", "ghost": "none"} {
 		if p, err := lp.Pairing(user); err != nil || p != want {
 			t.Errorf("Pairing(%q) = %q, %v; want %q", user, p, err, want)

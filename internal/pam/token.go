@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"openmfa/internal/directory"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/radius"
 )
@@ -142,27 +141,13 @@ func parseTokenConfig(s string) (TokenConfig, bool) {
 	return cfg, ok
 }
 
-// PairingLookup resolves a user's MFA pairing type; the production wiring
-// queries the directory ("An LDAP query is used to check the user's MFA
-// pairing type", Figure 2).
+// PairingLookup resolves a user's MFA pairing type ("An LDAP query is
+// used to check the user's MFA pairing type", Figure 2). The deployment's
+// lookup is *idm.IDM, whose account record is the entry the query reads:
+// a user without an account reads "none", and an account store that
+// cannot be read returns an error.
 type PairingLookup interface {
 	Pairing(user string) (string, error)
-}
-
-// LocalPairing is the deployment's pairing lookup: it reads the user's
-// mfapairing attribute from the in-process directory that internal/idm
-// mirrors. A user without an entry or without the attribute reads "none".
-type LocalPairing struct {
-	Dir *directory.Dir
-}
-
-// Pairing implements PairingLookup.
-func (d LocalPairing) Pairing(user string) (string, error) {
-	p, err := d.Dir.Attr(user, "mfapairing")
-	if err != nil || p == "" {
-		return "none", nil
-	}
-	return p, nil
 }
 
 // Token is in-house module 3 (§3.4, Figures 1 and 2): the second-factor
@@ -199,8 +184,8 @@ func (m *Token) Authenticate(ctx *Context) Result {
 
 	pairing, err := m.Pairing.Pairing(ctx.User)
 	if err != nil {
-		// Directory unavailable: the pairing is unknown, so no mode may
-		// waive the factor. Challenge without the SMS trigger: a soft or
+		// Account store unreadable: the pairing is unknown, so no mode
+		// may waive the factor. Challenge without the SMS trigger: a soft or
 		// hard token code still logs its user in, and everyone else
 		// (SMS-paired or unpaired) fails closed at the back end.
 		if ctx.Logger != nil {

@@ -15,7 +15,6 @@ import (
 
 	"openmfa/internal/authwatch"
 	"openmfa/internal/clock"
-	"openmfa/internal/directory"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/httpdigest"
 	"openmfa/internal/idm"
@@ -91,8 +90,7 @@ func newWorld(t testing.TB) *world {
 	t.Helper()
 	sim := clock.NewSim(t0)
 	w := &world{sim: sim, sms: &smsCap{}, email: &emailCap{}, bus: eventstream.NewBus(nil)}
-	dir := directory.New()
-	w.idm = idm.New(store.OpenMemory(), dir, sim)
+	w.idm = idm.New(store.OpenMemory(), sim)
 	var err error
 	w.otp, err = otpd.New(otpd.Config{
 		DB:            store.OpenMemory(),

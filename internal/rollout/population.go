@@ -85,6 +85,9 @@ func pickDevice(rng *rand.Rand) otpd.TokenType {
 // September 6th between them.
 func (s *sim) pairingWeights() []float64 {
 	w := make([]float64, s.metrics.Days)
+	// The schedule keeps DayIndex's clamp on purpose: a phase date outside
+	// a shortened calendar lands on its edge day, so every phase still
+	// has a day index inside the calendar and the phases stay in order.
 	announce := s.metrics.DayIndex(s.cfg.Announce)
 	phase2 := s.metrics.DayIndex(s.cfg.Phase2)
 	phase3 := s.metrics.DayIndex(s.cfg.Phase3)

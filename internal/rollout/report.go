@@ -100,11 +100,11 @@ func (r *Result) Figure6() string {
 	sb.WriteString(m.Chart(SeriesPairingsNew, 80, 12))
 	fmt.Fprintf(&sb, "\npaper: 09-07 ranks 1st in new pairings; 10-04 ranks 4th; spikes at announcements/phase changes\n")
 	fmt.Fprintf(&sb, "measured: 08-10=%g 09-06=%g 09-07=%g (rank %d) 10-04=%g (rank %d)\n",
-		m.Get(d("2016-08-10"), SeriesPairingsNew),
-		m.Get(d("2016-09-06"), SeriesPairingsNew),
-		m.Get(d("2016-09-07"), SeriesPairingsNew),
+		r.at(d("2016-08-10"), SeriesPairingsNew),
+		r.at(d("2016-09-06"), SeriesPairingsNew),
+		r.at(d("2016-09-07"), SeriesPairingsNew),
 		m.Rank(SeriesPairingsNew, d("2016-09-07")),
-		m.Get(d("2016-10-04"), SeriesPairingsNew),
+		r.at(d("2016-10-04"), SeriesPairingsNew),
 		m.Rank(SeriesPairingsNew, d("2016-10-04")))
 	return sb.String()
 }
@@ -148,6 +148,12 @@ func (r *Result) Summary() string {
 	return sb.String()
 }
 
+// at reads one day of a series; a date outside the calendar reads 0.
+func (r *Result) at(date time.Time, series string) float64 {
+	v, _ := r.Metrics.Get(date, series)
+	return v
+}
+
 func (r *Result) weekdayMeanRange(series, from, to string) float64 {
 	m := r.Metrics
 	sum, n := 0.0, 0
@@ -156,7 +162,7 @@ func (r *Result) weekdayMeanRange(series, from, to string) float64 {
 		if date.Weekday() == time.Saturday || date.Weekday() == time.Sunday {
 			continue
 		}
-		sum += m.Get(date, series)
+		sum += r.at(date, series)
 		n++
 	}
 	if n == 0 {
@@ -197,10 +203,10 @@ func (r *Result) ExperimentsMarkdown() string {
 	fmt.Fprintf(&sb, "| Fig 5: MFA ticket share Aug–Dec | 6.7%% | %.1f%% | %s |\n", tr, verdict(tr > 4.5 && tr < 9.5))
 	fmt.Fprintf(&sb, "| Fig 5: MFA ticket share Jan–Mar | 2.7%% | %.1f%% | %s |\n", st, verdict(st > 1.2 && st < 4.8))
 	fmt.Fprintf(&sb, "| Fig 6: 2016-09-07 rank in new pairings | 1st | rank %d (%g pairings) | %s |\n",
-		m.Rank(SeriesPairingsNew, d("2016-09-07")), m.Get(d("2016-09-07"), SeriesPairingsNew),
+		m.Rank(SeriesPairingsNew, d("2016-09-07")), r.at(d("2016-09-07"), SeriesPairingsNew),
 		verdict(m.Rank(SeriesPairingsNew, d("2016-09-07")) == 1))
 	fmt.Fprintf(&sb, "| Fig 6: 2016-10-04 rank in new pairings | 4th | rank %d (%g pairings) | %s |\n",
-		m.Rank(SeriesPairingsNew, d("2016-10-04")), m.Get(d("2016-10-04"), SeriesPairingsNew),
+		m.Rank(SeriesPairingsNew, d("2016-10-04")), r.at(d("2016-10-04"), SeriesPairingsNew),
 		verdict(m.Rank(SeriesPairingsNew, d("2016-10-04")) >= 2 && m.Rank(SeriesPairingsNew, d("2016-10-04")) <= 6))
 	for _, row := range []struct {
 		label string

@@ -155,7 +155,9 @@ func (s *sim) runDay(d int) {
 		}
 	}
 
-	// Pairings scheduled for today happen in the morning.
+	// Pairings scheduled for today happen in the morning. Figure 6 counts
+	// them from otpd's enrolment events; this count only feeds the
+	// ticket model.
 	newPairings := 0
 	for _, p := range s.people {
 		if p.pairDay == d {
@@ -164,7 +166,6 @@ func (s *sim) runDay(d int) {
 			}
 		}
 	}
-	s.metrics.Set(date, SeriesPairingsNew, float64(newPairings))
 
 	// Generate the day's login schedule.
 	type login struct {
@@ -341,13 +342,12 @@ func (s *sim) tickets(date time.Time, newPairings, failures int) {
 	s.metrics.Set(date, SeriesTicketsTotal, total+mfa)
 }
 
-// copyLoginSeries copies the drained watcher's day buckets into the login
-// series of Figures 3 and 4. A dropped event, or login activity dated
-// outside the calendar, means the stream is not the run's: the figures
-// would be wrong, so the run fails.
+// copyLoginSeries copies the drained watcher's day buckets into the
+// series of Figures 3, 4 and 6: logins, and otpd's enrolments. A dropped
+// event, or activity dated outside the calendar, means the stream is not
+// the run's: the figures would be wrong, so the run fails.
 func (s *sim) copyLoginSeries() error {
 	snap := s.watch.Snapshot()
-	first, last := s.metrics.Date(0), s.metrics.Date(s.metrics.Days-1)
 	if snap.Dropped > 0 {
 		return fmt.Errorf("rollout: the login series subscription dropped %d events", snap.Dropped)
 	}
@@ -356,22 +356,23 @@ func (s *sim) copyLoginSeries() error {
 		if err != nil {
 			return err
 		}
-		if date.Before(first) || date.After(last) {
-			if ds.TrafficAll > 0 || ds.LoginFailures > 0 {
-				return fmt.Errorf("rollout: login activity on %s, outside the simulated calendar", ds.Date)
+		if !s.metrics.Set(date, SeriesTrafficAll, float64(ds.TrafficAll)) {
+			if ds.TrafficAll > 0 || ds.LoginFailures > 0 || ds.Enrolments > 0 {
+				return fmt.Errorf("rollout: activity on %s, outside the simulated calendar", ds.Date)
 			}
 			continue
 		}
-		s.metrics.Set(date, SeriesTrafficAll, float64(ds.TrafficAll))
 		s.metrics.Set(date, SeriesTrafficExternal, float64(ds.TrafficExt))
 		s.metrics.Set(date, SeriesTrafficExtMFA, float64(ds.TrafficExtMFA))
 		s.metrics.Set(date, SeriesUniqueMFAUsers, float64(ds.UniqueMFAUsers))
+		s.metrics.Set(date, SeriesPairingsNew, float64(ds.Enrolments))
 	}
 	return nil
 }
 
 // assemble builds the Result.
 func (s *sim) assemble() *Result {
+	// Table 1 is the final mix: otpd's inventory, not enrolments, which count removed tokens too.
 	counts := map[string]int{}
 	for _, ti := range s.inf.OTP.Tokens() {
 		counts[string(ti.Type)]++

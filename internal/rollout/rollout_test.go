@@ -47,7 +47,8 @@ func weekdayMean(r *Result, series, from, to string) float64 {
 		if date.Weekday() == time.Saturday || date.Weekday() == time.Sunday {
 			continue
 		}
-		sum += m.Get(date, series)
+		v, _ := m.Get(date, series)
+		sum += v
 		n++
 	}
 	if n == 0 {
@@ -170,8 +171,8 @@ func TestFigure6PairingSpikes(t *testing.T) {
 		t.Fatalf("2016-10-04 pairing rank = %d, paper: 4", rank)
 	}
 	// The announcement day is itself a visible spike vs its neighbours.
-	ann := m.Get(day("2016-08-10"), SeriesPairingsNew)
-	before := m.Get(day("2016-08-08"), SeriesPairingsNew)
+	ann, _ := m.Get(day("2016-08-10"), SeriesPairingsNew)
+	before, _ := m.Get(day("2016-08-08"), SeriesPairingsNew)
 	if ann < 3*(before+1) {
 		t.Fatalf("announcement spike missing: 08-08=%v 08-10=%v", before, ann)
 	}

@@ -11,7 +11,6 @@ import (
 	"openmfa/internal/accessctl"
 	"openmfa/internal/authlog"
 	"openmfa/internal/clock"
-	"openmfa/internal/directory"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
@@ -25,7 +24,6 @@ var t0 = time.Date(2016, 10, 10, 9, 0, 0, 0, time.UTC)
 type harness struct {
 	sim    *clock.Sim
 	idm    *idm.IDM
-	dir    *directory.Dir
 	otp    *otpd.Server
 	alog   *authlog.Log
 	server *Server
@@ -35,11 +33,9 @@ type harness struct {
 func newHarness(t testing.TB, aclRules string) *harness {
 	t.Helper()
 	sim := clock.NewSim(t0)
-	dir := directory.New()
 	h := &harness{
 		sim: sim,
-		dir: dir,
-		idm: idm.New(store.OpenMemory(), dir, sim),
+		idm: idm.New(store.OpenMemory(), sim),
 	}
 	var err error
 	h.otp, err = otpd.New(otpd.Config{
@@ -73,7 +69,7 @@ func newHarness(t testing.TB, aclRules string) *harness {
 		IDM:        h.idm,
 		Exemptions: accessctl.NewList(rules),
 		TokenCfg:   h.mode,
-		Pairing:    pam.LocalPairing{Dir: dir},
+		Pairing:    h.idm,
 		Radius:     radius.NewPool([]string{rsrv.Addr().String()}, secret, 2*time.Second, 0),
 	})
 	h.server = &Server{

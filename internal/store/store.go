@@ -7,7 +7,9 @@
 // cryptoutil.Box before they arrive) and the IDM keeps account records;
 // otpd's HMAC-chained audit log is in memory only. The store offers the
 // operations those components need — Put/Get/Delete, prefix scans, and
-// atomic batches — with crash recovery via parallel WAL replay.
+// atomic batches — with crash recovery via parallel WAL replay. Both read
+// their records through View, which keeps one decoded copy per key until
+// the key is next written.
 //
 // Keys hash to one of N shards (N a power of two, fixed when the directory
 // is created), each with its own RWMutex, map, WAL segment, and snapshot,
@@ -62,6 +64,12 @@ type Op struct {
 	Key    string
 	Value  []byte
 	Delete bool
+	// Decoded, when set, is Value's decoded form: View returns it until
+	// Key is written again, without decoding Value. It is neither logged
+	// nor replicated, so a writer that hands it in must hand in exactly
+	// what View's decode would make of Value, and must not change it
+	// afterwards.
+	Decoded any
 }
 
 // KV is a key-value pair returned by Scan.
@@ -93,8 +101,14 @@ type Options struct {
 // shard is one lock domain: a map partition plus its WAL segment and
 // group-commit state.
 type shard struct {
-	mu     sync.RWMutex
-	data   map[string][]byte
+	mu   sync.RWMutex
+	data map[string][]byte
+	// decoded holds the decoded form of data[key] for keys a View has
+	// decoded or a writer handed in (nil until the first). applyOps
+	// replaces or clears it with every write of the key, so it never
+	// outlives the bytes it came from.
+	decoded map[string]any
+
 	wal    *os.File
 	walBuf *bufio.Writer
 	walLen int   // ops logged to this segment since the last compaction
@@ -199,7 +213,8 @@ func newStore(n int, opts Options) *Store {
 		mask:   uint32(n - 1),
 	}
 	for i := range s.shards {
-		sh := &shard{data: make(map[string][]byte)}
+		sh := &shard{}
+		sh.reset(0)
 		sh.gcond = sync.NewCond(&sh.gmu)
 		s.shards[i] = sh
 	}
@@ -559,20 +574,84 @@ func readIfExists(path string) ([]byte, error) {
 	return data, nil
 }
 
+// reset empties the shard's maps, sized for n keys.
+func (sh *shard) reset(n int) {
+	sh.data = make(map[string][]byte, n)
+	sh.decoded = nil
+}
+
+// setDecoded records v as the decoded form of data[key].
+func (sh *shard) setDecoded(key string, v any) {
+	if sh.decoded == nil {
+		sh.decoded = make(map[string]any)
+	}
+	sh.decoded[key] = v
+}
+
 // applyOps applies ops to the shard maps, routing each key to its shard.
-// It is the one place ops reach a map; the caller holds the write lock of
-// every shard ops touch (or, during recovery, owns them outright).
+// It is the one place ops reach a map: each op replaces a key's bytes and
+// its decoded form together, with the op's Decoded or with nothing. The
+// caller holds the write lock of every shard ops touch (or, during
+// recovery, owns them outright).
 func (s *Store) applyOps(ops []Op) {
 	for _, op := range ops {
 		sh := s.shardFor(op.Key)
 		if op.Delete {
 			delete(sh.data, op.Key)
+			delete(sh.decoded, op.Key)
+			continue
+		}
+		v := make([]byte, len(op.Value))
+		copy(v, op.Value)
+		sh.data[op.Key] = v
+		if op.Decoded != nil {
+			sh.setDecoded(op.Key, op.Decoded)
 		} else {
-			v := make([]byte, len(op.Value))
-			copy(v, op.Value)
-			sh.data[op.Key] = v
+			delete(sh.decoded, op.Key)
 		}
 	}
+}
+
+// View returns the decoded form of key's value: the one a writer handed
+// in with its Op, or decode's result for the stored bytes. decode runs at
+// most once per write of key, under the shard's write lock, so it must
+// not call the store, and it must not keep the slice it is given. The
+// value is shared by every View of key until the next write, so callers
+// must treat it as read-only and copy it before changing it. A hit takes
+// a read lock and allocates nothing. decode's error is returned as is and
+// nothing is kept.
+func (s *Store) View(key string, decode func([]byte) (any, error)) (any, error) {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	if s.closed.Load() {
+		sh.mu.RUnlock()
+		return nil, ErrClosed
+	}
+	v, ok := sh.decoded[key]
+	sh.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	if v, ok := sh.decoded[key]; ok {
+		return v, nil // decoded by another View while this one waited
+	}
+	b, ok := sh.data[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	v, err := decode(b)
+	if err != nil {
+		return nil, err
+	}
+	// A copy of the key, so the caller's key never escapes: one built on
+	// its stack stays there.
+	sh.setDecoded(strings.Clone(key), v)
+	return v, nil
 }
 
 // Get returns the value for key. The returned slice is a copy.
@@ -953,7 +1032,7 @@ func (s *Store) InstallReplicaSnapshot(lsn uint64, kvs []KV) error {
 		if sh.walErr != nil {
 			return sh.walErr
 		}
-		sh.data = make(map[string][]byte, len(sh.data))
+		sh.reset(len(sh.data))
 	}
 	ops := make([]Op, len(kvs))
 	for i, kv := range kvs {
@@ -1214,7 +1293,7 @@ func (s *Store) Close() error {
 			sh.gcond.Broadcast()
 			sh.gmu.Unlock()
 		}
-		sh.data = nil
+		sh.data, sh.decoded = nil, nil
 		sh.mu.Unlock()
 	}
 	return firstErr
