@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,16 +85,6 @@ func TestTraceIDs(t *testing.T) {
 		if ValidTraceID(bad) {
 			t.Fatalf("ValidTraceID(%q) = true", bad)
 		}
-	}
-	ctx := WithTrace(context.Background(), a)
-	if got := TraceID(ctx); got != a {
-		t.Fatalf("TraceID = %q, want %q", got, a)
-	}
-	if TraceID(context.Background()) != "" {
-		t.Fatal("empty context should have no trace")
-	}
-	if WithTrace(context.Background(), "") != context.Background() {
-		t.Fatal("empty trace should not allocate a context")
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +40,9 @@ type SpanData struct {
 // Duration is the span's elapsed wall time.
 func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
-// Span is one in-flight timing leg. Start spans via SpanStore.Start /
-// StartCtx or Span.StartChild; call End exactly once to record the leg
-// (later Ends are no-ops).
+// Span is one in-flight timing leg. Start spans via SpanStore.Start or
+// Span.StartChild; call End exactly once to record the leg (later Ends
+// are no-ops).
 type Span struct {
 	store *SpanStore
 
@@ -244,40 +243,4 @@ func (s *SpanStore) Evicted() uint64 {
 		return 0
 	}
 	return s.evicted.Load()
-}
-
-type spanCtxKey struct{}
-
-// withSpan attaches a span to ctx so downstream legs can parent off it.
-func withSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, sp)
-}
-
-// SpanFromContext extracts the current span from ctx (nil if absent).
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return sp
-}
-
-// StartCtx begins a span as a child of the span in ctx if one is present,
-// or as a root span under the ctx trace ID otherwise, and returns a
-// derived context carrying the new span. Nil-safe: with a nil store the
-// original ctx and a nil span come back.
-func (s *SpanStore) StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	if s == nil {
-		return ctx, nil
-	}
-	var sp *Span
-	if parent := SpanFromContext(ctx); parent != nil {
-		sp = parent.StartChild(name)
-	} else {
-		sp = s.Start(TraceID(ctx), name)
-	}
-	return withSpan(ctx, sp), sp
 }

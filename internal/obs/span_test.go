@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -93,33 +92,6 @@ func TestSpanStoreRingEviction(t *testing.T) {
 	}
 }
 
-func TestSpanStartCtx(t *testing.T) {
-	s := NewSpanStore(8)
-	trace := NewTraceID()
-
-	// Without a parent span in ctx, StartCtx roots under the ctx trace ID.
-	ctx := WithTrace(context.Background(), trace)
-	ctx, root := s.StartCtx(ctx, "otpd.check")
-	if root.TraceID() != trace {
-		t.Errorf("root trace = %q, want %q", root.TraceID(), trace)
-	}
-	if SpanFromContext(ctx) != root {
-		t.Error("derived ctx does not carry the new span")
-	}
-
-	// With a parent in ctx, StartCtx chains off it.
-	_, child := s.StartCtx(ctx, "otpd.sms")
-	child.End()
-	root.End()
-	spans := s.Trace(trace)
-	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2", len(spans))
-	}
-	if spans[0].Name != "otpd.sms" || spans[0].Parent != spans[1].ID {
-		t.Errorf("child span %+v not parented on root %+v", spans[0], spans[1])
-	}
-}
-
 func TestSpanNilSafety(t *testing.T) {
 	var s *SpanStore
 	sp := s.Start("t", "x")
@@ -136,10 +108,6 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	if s.Trace("t") != nil || s.Len() != 0 || s.Evicted() != 0 {
 		t.Error("nil store queries not empty")
-	}
-	ctx, nsp := s.StartCtx(context.Background(), "z")
-	if ctx != context.Background() || nsp != nil {
-		t.Error("nil store StartCtx changed ctx or returned a span")
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 )
@@ -9,10 +8,9 @@ import (
 // Trace IDs follow one authentication across layers: sshd assigns one per
 // connection, the PAM stack tags every module decision with it, the token
 // module carries it to the RADIUS server inside a Proxy-State attribute,
-// and otpd reads it back out of the request context — so a single grep
-// over the logs reconstructs the full path of any login.
-
-type traceCtxKey struct{}
+// and the RADIUS server hands it to otpd as a plain string with the
+// request — so a single grep over the logs reconstructs the full path of
+// any login.
 
 // NewTraceID returns a fresh 16-hex-character trace ID.
 func NewTraceID() string {
@@ -23,23 +21,6 @@ func NewTraceID() string {
 		return "0000000000000000"
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// WithTrace attaches a trace ID to ctx.
-func WithTrace(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, id)
-}
-
-// TraceID extracts the trace ID from ctx ("" if absent).
-func TraceID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(traceCtxKey{}).(string)
-	return id
 }
 
 // ValidTraceID reports whether s looks like a trace ID (8–32 lowercase hex

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"openmfa/internal/clock"
+	"openmfa/internal/eventstream"
 	"openmfa/internal/httpdigest"
 	"openmfa/internal/otp"
 	"openmfa/internal/radius"
+	"openmfa/internal/store"
 )
 
 // --- RADIUS handler ---
@@ -32,6 +34,13 @@ func radiusPair(t *testing.T) (*Server, *capturedSMS, *clock.Sim, string, []byte
 
 func radiusAsk(t *testing.T, addr string, secret []byte, user, code string) *radius.Packet {
 	t.Helper()
+	return radiusAskTraced(t, addr, secret, user, code, "")
+}
+
+// radiusAskTraced is radiusAsk from a NAS that puts a trace ID, when it
+// has one, in Proxy-State.
+func radiusAskTraced(t *testing.T, addr string, secret []byte, user, code, trace string) *radius.Packet {
+	t.Helper()
 	c := &radius.Client{Addr: addr, Secret: secret, Timeout: 2 * time.Second}
 	req := radius.NewRequest(0)
 	req.AddString(radius.AttrUserName, user)
@@ -40,6 +49,9 @@ func radiusAsk(t *testing.T, addr string, secret []byte, user, code string) *rad
 		t.Fatal(err)
 	}
 	req.Add(radius.AttrUserPassword, hidden)
+	if trace != "" {
+		req.AddString(radius.AttrProxyState, trace)
+	}
 	resp, err := c.Exchange(req)
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +143,70 @@ func TestRadiusLockedOutReject(t *testing.T) {
 	}
 	if resp := radiusAsk(t, addr, secret, "u", ""); resp.Code != radius.AccessReject {
 		t.Fatalf("locked out trigger → %v", resp.Code)
+	}
+}
+
+// TestRadiusEventsCarryNASTrace: a lockout and an SMS send reached through
+// the RADIUS hop publish their events under the trace ID the NAS put in
+// Proxy-State, so the back end's events join the login's trace.
+func TestRadiusEventsCarryNASTrace(t *testing.T) {
+	sim := clock.NewSim(t0)
+	bus := eventstream.NewBus(nil)
+	s, err := New(Config{
+		DB:            store.OpenMemory(),
+		EncryptionKey: bytes.Repeat([]byte{0x42}, 32),
+		Clock:         sim,
+		SMS:           &capturedSMS{},
+		Events:        bus,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := []byte("radius-secret")
+	srv := &radius.Server{Secret: secret, Handler: &RadiusHandler{OTP: s}}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if _, err := s.InitSoftToken("locked"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InitSMSToken("texted", "5125551234"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < DefaultLockoutThreshold-1; i++ {
+		s.Check("locked", "000000")
+	}
+	sub := bus.Subscribe(16)
+	defer sub.Close()
+
+	next := func(want eventstream.Type) eventstream.Event {
+		t.Helper()
+		select {
+		case e := <-sub.Events():
+			if e.Type != want {
+				t.Fatalf("event %+v, want type %s", e, want)
+			}
+			return e
+		default:
+			t.Fatalf("no %s event published", want)
+			return eventstream.Event{}
+		}
+	}
+
+	const lockTrace, smsTrace = "0123456789abcdef", "fedcba9876543210"
+	addr := srv.Addr().String()
+	if resp := radiusAskTraced(t, addr, secret, "locked", "000000", lockTrace); resp.Code != radius.AccessReject {
+		t.Fatalf("threshold failure → %v", resp.Code)
+	}
+	if e := next(eventstream.TypeLockout); e.Trace != lockTrace || e.User != "locked" {
+		t.Fatalf("lockout event %+v, want trace %s", e, lockTrace)
+	}
+	if resp := radiusAskTraced(t, addr, secret, "texted", "", smsTrace); resp.Code != radius.AccessChallenge {
+		t.Fatalf("null request → %v", resp.Code)
+	}
+	if e := next(eventstream.TypeSMS); e.Trace != smsTrace || e.User != "texted" {
+		t.Fatalf("sms event %+v, want trace %s", e, smsTrace)
 	}
 }
 

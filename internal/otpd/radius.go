@@ -1,10 +1,8 @@
 package otpd
 
 import (
-	"context"
 	"errors"
 
-	"openmfa/internal/obs"
 	"openmfa/internal/radius"
 )
 
@@ -35,13 +33,13 @@ func (h *RadiusHandler) ServeRADIUS(reply *radius.Packet, req *radius.Request) b
 	if err != nil {
 		return reject(reply, "undecodable password attribute")
 	}
-	// The NAS's trace ID rides in on Proxy-State; rehydrate it into a
-	// context so otpd's log lines join the same trace.
-	ctx := obs.WithTrace(context.Background(), req.Trace())
+	// The NAS's trace ID rides in on Proxy-State; otpd's span, events and
+	// log lines join the same trace.
+	trace := req.Trace()
 
 	if code == "" {
 		// Null request: SMS trigger (§3.4 Figure 2).
-		_, msg, err := h.OTP.TriggerSMSCtx(ctx, user)
+		_, msg, err := h.OTP.triggerSMSTraced(trace, user)
 		switch {
 		case errors.Is(err, ErrNotSMS), errors.Is(err, ErrNoToken):
 			// Not an SMS user: prompt for the device code directly.
@@ -54,7 +52,7 @@ func (h *RadiusHandler) ServeRADIUS(reply *radius.Packet, req *radius.Request) b
 		return challenge(reply, msg)
 	}
 
-	res, err := h.OTP.CheckCtx(ctx, user, code)
+	res, err := h.OTP.checkTraced(trace, user, code)
 	switch {
 	case errors.Is(err, ErrNoToken):
 		return reject(reply, "no token paired")

@@ -1,7 +1,6 @@
 package otpd
 
 import (
-	"context"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -58,10 +57,10 @@ type Config struct {
 	// costs only atomic operations.
 	Obs *obs.Registry
 	// Logger, when set, receives a structured line per validation
-	// (component=otpd) carrying the trace ID from the request context.
+	// (component=otpd) carrying the RADIUS request's trace ID.
 	Logger *obs.Logger
 	// Spans, when set, records an otpd.check span per validation under
-	// the request context's trace ID (the back-end leg of the login's
+	// the RADIUS request's trace ID (the back-end leg of the login's
 	// span tree; it joins the sshd/pam legs through the shared trace).
 	Spans *obs.SpanStore
 	// Events, when set, receives typed auth events (SMS sends, lockouts,
@@ -443,15 +442,16 @@ type CheckResult struct {
 //   - 20 consecutive failures deactivate the token (§3.1); successes reset
 //     the counter.
 func (s *Server) Check(user, code string) (CheckResult, error) {
-	return s.CheckCtx(context.Background(), user, code)
+	return s.checkTraced("", user, code)
 }
 
-// CheckCtx is Check with a request context; the context's trace ID
-// (obs.WithTrace) tags the structured log line so one login can be
-// followed from sshd all the way into the validation back end.
-func (s *Server) CheckCtx(ctx context.Context, user, code string) (CheckResult, error) {
+// checkTraced is Check under a login's trace ID, which the RADIUS handler
+// reads from the request: it tags the span, the lockout event and the
+// structured log line so one login can be followed from sshd all the way
+// into the validation back end.
+func (s *Server) checkTraced(trace, user, code string) (CheckResult, error) {
 	start := time.Now()
-	_, span := s.spans.StartCtx(ctx, "otpd.check")
+	span := s.spans.Start(trace, "otpd.check")
 	res, err := s.check(user, code)
 	class := checkClass(res, err)
 	span.SetAttr("user", strings.ToLower(user))
@@ -468,12 +468,12 @@ func (s *Server) CheckCtx(ctx context.Context, user, code string) (CheckResult, 
 	}
 	if res.LockedOut && err == nil {
 		s.publish(eventstream.Event{
-			Type: eventstream.TypeLockout, Trace: obs.TraceID(ctx),
+			Type: eventstream.TypeLockout, Trace: trace,
 			User: strings.ToLower(user), Result: class,
 		})
 	}
 	if s.logger != nil {
-		s.logger.Info("check", "component", "otpd", "trace", obs.TraceID(ctx),
+		s.logger.Info("check", "component", "otpd", "trace", trace,
 			"user", strings.ToLower(user), "result", class)
 	}
 	return res, err
@@ -574,11 +574,12 @@ func (s *Server) smsValidity() time.Duration {
 // TriggerSMS sends the current token code to user's phone, unless a code
 // is still active. It returns (sent, userMessage).
 func (s *Server) TriggerSMS(user string) (bool, string, error) {
-	return s.TriggerSMSCtx(context.Background(), user)
+	return s.triggerSMSTraced("", user)
 }
 
-// TriggerSMSCtx is TriggerSMS with a request context carrying the trace ID.
-func (s *Server) TriggerSMSCtx(ctx context.Context, user string) (bool, string, error) {
+// triggerSMSTraced is TriggerSMS under a login's trace ID, which tags the
+// SMS event and the log line.
+func (s *Server) triggerSMSTraced(trace, user string) (bool, string, error) {
 	start := time.Now()
 	sent, msg, err := s.triggerSMS(user)
 	class := "error"
@@ -594,12 +595,12 @@ func (s *Server) TriggerSMSCtx(ctx context.Context, user string) (bool, string, 
 	}
 	if sent {
 		s.publish(eventstream.Event{
-			Type: eventstream.TypeSMS, Trace: obs.TraceID(ctx),
+			Type: eventstream.TypeSMS, Trace: trace,
 			User: strings.ToLower(user), Result: "sent",
 		})
 	}
 	if s.logger != nil {
-		s.logger.Info("sms trigger", "component", "otpd", "trace", obs.TraceID(ctx),
+		s.logger.Info("sms trigger", "component", "otpd", "trace", trace,
 			"user", strings.ToLower(user), "result", class)
 	}
 	return sent, msg, err

@@ -167,10 +167,7 @@ func StandardRegistry(cfg SSHDStackConfig) ModuleRegistry {
 		"pam_password":       &Password{IDM: cfg.IDM},
 		"pam_mfa_exempt":     &Exempt{List: cfg.Exemptions},
 		"pam_mfa_token":      &Token{Config: cfg.TokenCfg, Pairing: cfg.Pairing, Radius: cfg.Radius},
-		"pam_solaris_combo": &SolarisCombo{
-			Pubkey: &PubkeySuccess{Log: cfg.AuthLog},
-			Exempt: &Exempt{List: cfg.Exemptions},
-		},
+		"pam_solaris_combo":  &SolarisCombo{Exempt: &Exempt{List: cfg.Exemptions}},
 	}
 }
 

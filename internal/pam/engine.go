@@ -142,8 +142,13 @@ type Context struct {
 	Conv       Conversation
 	Now        func() time.Time
 
-	// Data is module-shared state (pam_set_data equivalent).
-	Data map[string]any
+	// MFAMethod is the pairing type (soft/sms/hard/training) of the
+	// second factor the token module verified; "" when none was. sshd
+	// reads it to tag the login event.
+	MFAMethod string
+	// RiskForceMFA is set by the risk gate on a step-up: exemptions do
+	// not apply to this attempt, so the token module runs.
+	RiskForceMFA bool
 
 	// Trace is the connection's trace ID (assigned by sshd). It tags
 	// every structured log line this attempt produces and rides to the
@@ -230,9 +235,6 @@ func (s *Stack) Authenticate(ctx *Context) error {
 }
 
 func (s *Stack) run(ctx *Context) error {
-	if ctx.Data == nil {
-		ctx.Data = make(map[string]any)
-	}
 	type impression int
 	const (
 		none impression = iota

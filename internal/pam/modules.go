@@ -8,21 +8,6 @@ import (
 	"openmfa/internal/idm"
 )
 
-// Context data keys set by modules for later entries in the stack.
-const (
-	// DataPubkeyOK is set to true by PubkeySuccess when the first factor
-	// was an authorized public key.
-	DataPubkeyOK = "pubkey_ok"
-	// DataExempt is set to true by Exempt when an MFA exemption applies.
-	DataExempt = "mfa_exempt"
-	// DataMFAUsed is set to true by Token when the user presented a
-	// valid second factor; sshd reads it to tag the login event.
-	DataMFAUsed = "mfa_used"
-	// DataMFAMethod is the pairing type the second factor used
-	// (soft/sms/hard/training), set alongside DataMFAUsed.
-	DataMFAMethod = "mfa_method"
-)
-
 // PubkeySuccess is in-house module 1 (§3.4, Figure 1 "Public Key
 // Success?"): "constructed to determine if a user has utilized public key
 // authentication successfully via SSH as their first factor ... This
@@ -51,7 +36,6 @@ func (m *PubkeySuccess) Authenticate(ctx *Context) Result {
 		addr = ctx.RemoteAddr.String()
 	}
 	if m.Log.FindPubkeySuccess(ctx.User, addr, ctx.now(), window) {
-		ctx.Data[DataPubkeyOK] = true
 		return Success
 	}
 	return Ignore
@@ -98,7 +82,7 @@ func (m *Exempt) Name() string { return "pam_mfa_exempt" }
 
 // Authenticate implements Module.
 func (m *Exempt) Authenticate(ctx *Context) Result {
-	if force, _ := ctx.Data[DataRiskForceMFA].(bool); force {
+	if ctx.RiskForceMFA {
 		// The risk gate flagged this attempt: exemptions do not apply,
 		// the second factor is mandatory.
 		if ctx.Logger != nil {
@@ -109,7 +93,6 @@ func (m *Exempt) Authenticate(ctx *Context) Result {
 	}
 	d := m.List.Check(ctx.User, ctx.RemoteAddr, ctx.now())
 	if d.Exempt {
-		ctx.Data[DataExempt] = true
 		if ctx.Logger != nil {
 			ctx.Logger.Info("exemption granted", "component", "pam", "trace", ctx.Trace,
 				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr)
@@ -122,11 +105,10 @@ func (m *Exempt) Authenticate(ctx *Context) Result {
 // SolarisCombo is in-house module 4 (§3.4): "a module specific for use on
 // Oracle Solaris operating systems that combine the public key and MFA
 // exemption checks to accommodate differences in PAM stack processing
-// logic." It performs both checks in one pass: success only when the
-// exemption applies (the pubkey state is still recorded for later
-// modules).
+// logic." Password handling on Solaris happens before the stack runs, so
+// whether the first factor was a public key decides nothing here: the
+// module succeeds only when the exemption applies.
 type SolarisCombo struct {
-	Pubkey *PubkeySuccess
 	Exempt *Exempt
 }
 
@@ -135,6 +117,5 @@ func (m *SolarisCombo) Name() string { return "pam_solaris_combo" }
 
 // Authenticate implements Module.
 func (m *SolarisCombo) Authenticate(ctx *Context) Result {
-	m.Pubkey.Authenticate(ctx) // records DataPubkeyOK; result folded below
 	return m.Exempt.Authenticate(ctx)
 }

@@ -568,21 +568,18 @@ func TestPubkeyModuleWindowAndAddr(t *testing.T) {
 	h := newHarness(t, "")
 	mod := &PubkeySuccess{Log: h.authLog}
 	h.recordPubkey("u", external)
-	ctx := &Context{User: "u", RemoteAddr: external, Now: h.sim.Now, Data: map[string]any{}}
+	ctx := &Context{User: "u", RemoteAddr: external, Now: h.sim.Now}
 	if mod.Authenticate(ctx) != Success {
 		t.Fatal("fresh pubkey event not found")
 	}
-	if ctx.Data[DataPubkeyOK] != true {
-		t.Fatal("DataPubkeyOK not set")
-	}
 	// Different source address must not match.
-	ctx2 := &Context{User: "u", RemoteAddr: internal, Now: h.sim.Now, Data: map[string]any{}}
+	ctx2 := &Context{User: "u", RemoteAddr: internal, Now: h.sim.Now}
 	if mod.Authenticate(ctx2) != Ignore {
 		t.Fatal("pubkey matched from wrong address")
 	}
 	// Stale events (35s later, default 30s window) must not match.
 	h.sim.Advance(35 * time.Second)
-	ctx3 := &Context{User: "u", RemoteAddr: external, Now: h.sim.Now, Data: map[string]any{}}
+	ctx3 := &Context{User: "u", RemoteAddr: external, Now: h.sim.Now}
 	if mod.Authenticate(ctx3) != Ignore {
 		t.Fatal("stale pubkey event matched")
 	}

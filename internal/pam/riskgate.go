@@ -12,7 +12,7 @@ import (
 //
 //   - deny    → refuses the attempt outright (AuthErr),
 //   - step_up → cancels any MFA exemption for this attempt by setting
-//     DataRiskForceMFA, which the Exempt module honours, so the second
+//     RiskForceMFA, which the Exempt module honours, so the second
 //     factor is required even for whitelisted origins,
 //   - skip    → the account earned an MFA bypass (policy opt-in): the
 //     gate returns Success and its Control ends the stack before the
@@ -27,12 +27,6 @@ import (
 type RiskGate struct {
 	Engine *risk.Engine
 }
-
-// DataRiskForceMFA marks the attempt as too risky for exemptions.
-const DataRiskForceMFA = "risk_force_mfa"
-
-// DataRiskSkipMFA marks the attempt as granted an adaptive MFA bypass.
-const DataRiskSkipMFA = "risk_skip_mfa"
 
 // RiskGateControl is the stack control for the gate: a skip outcome
 // (Success) terminates the stack in success before the token module, an
@@ -72,14 +66,13 @@ func (m *RiskGate) Authenticate(ctx *Context) Result {
 			ctx.Logger.Info("risk step-up: MFA forced", "component", "pam", "trace", ctx.Trace,
 				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr, "risk", d.Detail())
 		}
-		ctx.Data[DataRiskForceMFA] = true
+		ctx.RiskForceMFA = true
 		return Ignore
 	case risk.OutcomeSkip:
 		if ctx.Logger != nil {
 			ctx.Logger.Info("risk skip: MFA waived", "component", "pam", "trace", ctx.Trace,
 				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr, "history", d.History, "risk", d.Detail())
 		}
-		ctx.Data[DataRiskSkipMFA] = true
 		return Success
 	default:
 		return Ignore

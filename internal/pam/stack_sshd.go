@@ -62,14 +62,10 @@ func NewSSHDStack(cfg SSHDStackConfig) *Stack {
 // handling on Solaris happens before this stack runs, so the combo module
 // leads.
 func NewSolarisStack(cfg SSHDStackConfig) *Stack {
-	combo := &SolarisCombo{
-		Pubkey: &PubkeySuccess{Log: cfg.AuthLog},
-		Exempt: &Exempt{List: cfg.Exemptions},
-	}
 	return &Stack{
 		Service: "sshd-solaris",
 		Entries: []Entry{
-			{Sufficient(), combo},
+			{Sufficient(), &SolarisCombo{Exempt: &Exempt{List: cfg.Exemptions}}},
 			{Required(), &Token{Config: cfg.TokenCfg, Pairing: cfg.Pairing, Radius: cfg.Radius}},
 		},
 	}

@@ -276,8 +276,7 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 	}
 	switch resp.Code {
 	case radius.AccessAccept:
-		ctx.Data[DataMFAUsed] = true
-		ctx.Data[DataMFAMethod] = pairing
+		ctx.MFAMethod = pairing
 		m.publish(ctx, pairing, "accept")
 		return Success
 	default:

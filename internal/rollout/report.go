@@ -99,13 +99,16 @@ func (r *Result) Figure6() string {
 	sb.WriteString(r.phaseLegend() + "\n\n")
 	sb.WriteString(m.Chart(SeriesPairingsNew, 80, 12))
 	fmt.Fprintf(&sb, "\npaper: 09-07 ranks 1st in new pairings; 10-04 ranks 4th; spikes at announcements/phase changes\n")
-	fmt.Fprintf(&sb, "measured: 08-10=%g 09-06=%g 09-07=%g (rank %d) 10-04=%g (rank %d)\n",
+	// The series total shows one lost enrolment on any day, which the
+	// chart's 4-day columns and the four dates above cannot.
+	fmt.Fprintf(&sb, "measured: 08-10=%g 09-06=%g 09-07=%g (rank %d) 10-04=%g (rank %d) total=%g\n",
 		r.at(d("2016-08-10"), SeriesPairingsNew),
 		r.at(d("2016-09-06"), SeriesPairingsNew),
 		r.at(d("2016-09-07"), SeriesPairingsNew),
 		m.Rank(SeriesPairingsNew, d("2016-09-07")),
 		r.at(d("2016-10-04"), SeriesPairingsNew),
-		m.Rank(SeriesPairingsNew, d("2016-10-04")))
+		m.Rank(SeriesPairingsNew, d("2016-10-04")),
+		m.Sum(SeriesPairingsNew))
 	return sb.String()
 }
 

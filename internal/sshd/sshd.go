@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,13 +287,13 @@ func (r *remoteConv) Info(msg string) error {
 	return r.wc.Send(&sshwire.Msg{T: sshwire.TInfo, Msg: msg})
 }
 
-func splitHostPort(addr net.Addr) (net.IP, int) {
-	host, portStr, err := net.SplitHostPort(addr.String())
-	if err != nil {
-		return nil, 0
+// peer is the remote IP and port of an accepted connection; any address
+// that is not TCP reads nil, 0.
+func peer(addr net.Addr) (net.IP, int) {
+	if a, ok := addr.(*net.TCPAddr); ok {
+		return a.IP, a.Port
 	}
-	port, _ := strconv.Atoi(portStr)
-	return net.ParseIP(host), port
+	return nil, 0
 }
 
 func (s *Server) serveConn(raw net.Conn) {
@@ -310,7 +309,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		defer open.Add(-1)
 	}
 	wc := sshwire.NewConn(raw)
-	ip, port := splitHostPort(raw.RemoteAddr())
+	ip, port := peer(raw.RemoteAddr())
 	addr := ip.String() // formatted once for every log line and event below
 
 	// LoginGraceTime: one wall-clock deadline covers the entire pre-auth
@@ -415,12 +414,10 @@ func (s *Server) serveConn(raw net.Conn) {
 			"user", user, "addr", addr, "result", result)
 	}
 	if s.Events != nil {
-		mfaUsed, _ := lastCtx.Data[pam.DataMFAUsed].(bool)
-		method, _ := lastCtx.Data[pam.DataMFAMethod].(string)
 		s.Events.Publish(eventstream.Event{
 			Time: s.clk().Now(), Type: eventstream.TypeLogin, Component: "sshd",
 			Trace: trace, User: user, Addr: addr, Result: result,
-			MFA: mfaUsed && authErr == nil, Method: method,
+			MFA: lastCtx.MFAMethod != "" && authErr == nil, Method: lastCtx.MFAMethod,
 			TTY: hello.TTY, Shell: hello.Shell,
 			Duration: time.Since(authStart),
 		})

@@ -11,6 +11,7 @@ import (
 	"openmfa/internal/accessctl"
 	"openmfa/internal/authlog"
 	"openmfa/internal/clock"
+	"openmfa/internal/eventstream"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
@@ -399,5 +400,69 @@ func TestBadHelloDropped(t *testing.T) {
 	_, err := Dial(h.addr(), DialOptions{User: ""}) // empty user
 	if err == nil {
 		t.Fatal("empty user accepted")
+	}
+}
+
+// TestLoginEventCarriesTokenOutcome: the login event sshd publishes reports
+// whether the token module verified a second factor, and with which
+// pairing.
+func TestLoginEventCarriesTokenOutcome(t *testing.T) {
+	h := newHarness(t, "permit : gw : ALL : ALL")
+	bus := eventstream.NewBus(nil)
+	h.server.Events = bus
+	sub := bus.Subscribe(64)
+	defer sub.Close()
+
+	h.addUser(t, "soft", "pw")
+	softCode := h.pairSoft(t, "soft")
+	h.addUser(t, "texted", "pw")
+	enr, err := h.otp.InitSMSToken("texted", "5125551234")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.idm.SetPairing("texted", idm.PairingSMS)
+	smsCode := func() string {
+		c, _ := otp.TOTP(enr.Secret, h.sim.Now(), h.otp.OTPOptions())
+		return c
+	}
+	h.addUser(t, "gw", "pw")
+	h.addUser(t, "typo", "pw")
+	h.pairSoft(t, "typo")
+
+	for _, tc := range []struct {
+		user   string
+		code   func() string // nil: a wrong code
+		ok     bool
+		mfa    bool
+		method string
+	}{
+		{user: "soft", code: softCode, ok: true, mfa: true, method: "soft"},
+		{user: "texted", code: smsCode, ok: true, mfa: true, method: "sms"},
+		{user: "gw", ok: true},
+		{user: "typo"},
+	} {
+		c, err := Dial(h.addr(), DialOptions{User: tc.user, Responder: pwTokenResponder("pw", tc.code)})
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: login err = %v", tc.user, err)
+		}
+		if c != nil {
+			c.Close()
+		}
+		var login *eventstream.Event
+		for login == nil {
+			select {
+			case e := <-sub.Events():
+				if e.Type == eventstream.TypeLogin {
+					login = &e
+				}
+			default:
+				t.Fatalf("%s: no login event published", tc.user)
+			}
+		}
+		if login.User != tc.user || login.MFA != tc.mfa || login.Method != tc.method {
+			t.Errorf("%s: login event user=%q mfa=%v method=%q, want mfa=%v method=%q",
+				tc.user, login.User, login.MFA, login.Method, tc.mfa, tc.method)
+		}
+		h.sim.Advance(time.Minute)
 	}
 }
