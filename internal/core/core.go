@@ -225,6 +225,7 @@ type Infrastructure struct {
 	portalHTTP    *http.Server
 	adminAddr     string
 	portalAddr    string
+	sshAddr       string
 	stores        []*store.Store
 	otpStore      *store.Store
 }
@@ -432,6 +433,7 @@ func New(opts Options) (*Infrastructure, error) {
 	if err := inf.SSHD.ListenAndServe("127.0.0.1:0"); err != nil {
 		return fail(err)
 	}
+	inf.sshAddr = inf.SSHD.Addr().String()
 
 	// otpd admin REST API with digest credentials for the portal.
 	adminPass := cryptoutil.RandomHex(16)
@@ -505,7 +507,7 @@ func New(opts Options) (*Infrastructure, error) {
 }
 
 // SSHAddr is the login node's address.
-func (inf *Infrastructure) SSHAddr() string { return inf.SSHD.Addr().String() }
+func (inf *Infrastructure) SSHAddr() string { return inf.sshAddr }
 
 // PortalURL is the portal's base URL.
 func (inf *Infrastructure) PortalURL() string { return "http://" + inf.portalAddr }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -224,8 +225,8 @@ func (n *Network) ListenPacket(network, addr string) (net.PacketConn, error) {
 	return n.WrapPacketConn(pc), nil
 }
 
-// WrapPacketConn interposes the datagram fault model on an existing
-// packet connection.
+// WrapPacketConn interposes the datagram fault model on an existing UDP
+// socket.
 func (n *Network) WrapPacketConn(pc net.PacketConn) net.PacketConn {
 	return &faultPacketConn{PacketConn: pc, n: n}
 }
@@ -353,8 +354,8 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	}
 }
 
-// faultPacketConn applies the datagram fault model to an unconnected
-// packet socket (the server side of the RADIUS farm).
+// faultPacketConn applies the datagram fault model to an unconnected UDP
+// socket, a *net.UDPConn (the server side of the RADIUS farm).
 type faultPacketConn struct {
 	net.PacketConn
 	n *Network
@@ -381,6 +382,9 @@ func (p *faultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if p.n.roll(p.n.cfg.ReorderRate) {
 		held := make([]byte, len(out))
 		copy(held, out)
+		if u, ok := addr.(*net.UDPAddr); ok { // the caller may reuse *u
+			addr = net.UDPAddrFromAddrPort(u.AddrPort())
+		}
 		p.mu.Lock()
 		prevB, prevA := p.stash, p.sAddr
 		p.stash, p.sAddr = held, addr
@@ -409,16 +413,24 @@ func (p *faultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	return len(b), nil
 }
 
+// ReadFrom is ReadFromUDPAddrPort with the source as a net.Addr.
 func (p *faultPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+	nr, src, err := p.ReadFromUDPAddrPort(b)
+	if err != nil {
+		return nr, nil, err
+	}
+	return nr, net.UDPAddrFromAddrPort(src), nil
+}
+
+// ReadFromUDPAddrPort is ReadFrom without a net.Addr per datagram, as the
+// wrapped *net.UDPConn offers it, so a server reads this wrapper the way
+// it reads a plain UDP socket.
+func (p *faultPacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	for {
-		nr, src, err := p.PacketConn.ReadFrom(b)
-		if err != nil {
+		nr, src, err := p.PacketConn.(*net.UDPConn).ReadFromUDPAddrPort(b)
+		if err != nil || !p.n.partitioned(net.UDPAddrFromAddrPort(src).String()) {
 			return nr, src, err
 		}
-		if src != nil && p.n.partitioned(src.String()) {
-			p.n.cPartition.Inc()
-			continue // blackhole inbound datagrams from partitioned peers
-		}
-		return nr, src, nil
+		p.n.cPartition.Inc() // blackhole inbound datagrams from partitioned peers
 	}
 }

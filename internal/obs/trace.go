@@ -20,7 +20,9 @@ func NewTraceID() string {
 		// losing a trace ID is not worth crashing an auth path over.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // ValidTraceID reports whether s looks like a trace ID (8–32 lowercase hex

@@ -99,10 +99,11 @@ func BenchmarkCheckUnderProfiler(b *testing.B) {
 
 // maxBareCheckAllocs is the ceiling on a deterministic-failure Check with
 // no observability attached, as measured: the changed copy of the record,
-// its JSON encoding, the op that writes it, the store's copy of the bytes,
-// the key it keeps, the audit detail and the MAC string. Reading the
-// record, the HMAC keyings and the audit formatting cost nothing per call.
-const maxBareCheckAllocs = 7
+// its JSON encoding, the key it keeps, the audit detail and the MAC
+// string. The op that writes it stays on the stack, and the store keeps
+// the encoded bytes rather than a copy. Reading the record, the HMAC
+// keyings and the audit formatting cost nothing per call.
+const maxBareCheckAllocs = 5
 
 // TestCheckObsAllocs gates the deterministic-failure Check, counted in
 // allocations per call: bare, at most maxBareCheckAllocs; the metrics

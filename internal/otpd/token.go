@@ -144,7 +144,15 @@ func (s *Server) saveRecord(r *record) error {
 	if err != nil {
 		return err
 	}
-	return s.writes.Apply([]store.Op{{Key: tokenKey(r.User), Value: b, Decoded: r}})
+	op := [1]store.Op{{Key: tokenKey(r.User), Value: b, Decoded: r}}
+	// Through its concrete writers the op stays on the stack.
+	switch w := s.writes.(type) {
+	case *store.Store:
+		return w.Apply(op[:])
+	case *store.Batcher:
+		return w.Apply(op[:])
+	}
+	return s.writes.Apply([]store.Op{op[0]})
 }
 
 func (s *Server) sealSecret(user string, secret []byte) []byte {

@@ -134,10 +134,13 @@ type Conversation interface {
 	Info(msg string) error
 }
 
-// Context carries one authentication attempt through the stack.
+// Context carries one authentication attempt through the stack. Modules
+// must not keep it past Authenticate: sshd reuses one Context for every
+// attempt on a connection, zeroed and refilled before each.
 type Context struct {
 	User       string
-	RemoteAddr net.IP
+	RemoteAddr net.IP // nil when the peer is unknown
+	Addr       string // RemoteAddr formatted, if the caller has it; read by PeerAddr
 	Service    string // e.g. "sshd"
 	Conv       Conversation
 	Now        func() time.Time
@@ -181,6 +184,14 @@ func (ctx *Context) startSpan(name string) *obs.Span {
 		return ctx.Span.StartChild(name)
 	}
 	return ctx.Spans.Start(ctx.Trace, name)
+}
+
+// PeerAddr returns Addr, formatted from RemoteAddr on first use if empty.
+func (ctx *Context) PeerAddr() string {
+	if ctx.Addr == "" && ctx.RemoteAddr != nil {
+		ctx.Addr = ctx.RemoteAddr.String()
+	}
+	return ctx.Addr
 }
 
 func (ctx *Context) now() time.Time {

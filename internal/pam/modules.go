@@ -31,11 +31,12 @@ func (m *PubkeySuccess) Authenticate(ctx *Context) Result {
 	if window == 0 {
 		window = 30 * time.Second
 	}
-	addr := ""
-	if ctx.RemoteAddr != nil {
-		addr = ctx.RemoteAddr.String()
+	// The log indexes "" as any origin, so an unknown peer must not query
+	// it: a key accepted from another host would waive this password.
+	if ctx.RemoteAddr == nil {
+		return Ignore
 	}
-	if m.Log.FindPubkeySuccess(ctx.User, addr, ctx.now(), window) {
+	if m.Log.FindPubkeySuccess(ctx.User, ctx.PeerAddr(), ctx.now(), window) {
 		return Success
 	}
 	return Ignore
@@ -95,7 +96,7 @@ func (m *Exempt) Authenticate(ctx *Context) Result {
 	if d.Exempt {
 		if ctx.Logger != nil {
 			ctx.Logger.Info("exemption granted", "component", "pam", "trace", ctx.Trace,
-				"module", m.Name(), "user", ctx.User, "addr", ctx.RemoteAddr)
+				"module", m.Name(), "user", ctx.User, "addr", ctx.PeerAddr())
 		}
 		return Success
 	}

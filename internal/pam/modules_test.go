@@ -585,6 +585,24 @@ func TestPubkeyModuleWindowAndAddr(t *testing.T) {
 	}
 }
 
+// TestPubkeyModuleUnknownPeer: an attempt whose peer address is unknown
+// (a transport that is not TCP hands sshd none) never skips the password.
+// The auth log also indexes every accepted key under "any origin", so a
+// query with no address would find a key accepted from another host.
+func TestPubkeyModuleUnknownPeer(t *testing.T) {
+	h := newHarness(t, "")
+	mod := &PubkeySuccess{Log: h.authLog}
+	h.recordPubkey("u", external)
+	if got := mod.Authenticate(&Context{User: "u", Now: h.sim.Now}); got != Ignore {
+		t.Fatalf("unknown peer: %v, want ignore (a key from %v would waive the password)", got, external)
+	}
+	// The address a caller formatted already is the one queried.
+	ctx := &Context{User: "u", RemoteAddr: external, Addr: external.String(), Now: h.sim.Now}
+	if got := mod.Authenticate(ctx); got != Success {
+		t.Fatalf("known peer: %v, want success", got)
+	}
+}
+
 func TestTokenModuleRadiusOutage(t *testing.T) {
 	// All RADIUS servers dead → SystemErr → required entry fails closed.
 	h := newHarness(t, "")

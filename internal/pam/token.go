@@ -1,6 +1,7 @@
 package pam
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -237,7 +238,14 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 	if pairing == "sms" {
 		// "a null request is first sent to the LinOTP back end to
 		// initiate a text message."
-		resp, err := m.exchange(ctx, ctx.User, "", nil)
+		var rejected bool
+		var msg string
+		err := m.exchange(ctx, "", nil, func(resp *radius.Packet) {
+			rejected, msg = resp.Code == radius.AccessReject, replyMessage(resp)
+			if s, ok := resp.Get(radius.AttrState); ok {
+				state = bytes.Clone(s)
+			}
+		})
 		if err != nil {
 			if ctx.Logger != nil {
 				ctx.Logger.Warn("sms trigger failed", "component", "pam", "trace", ctx.Trace,
@@ -245,16 +253,13 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 			}
 			return SystemErr
 		}
-		if msg := replyMessage(resp); msg != "" {
+		if msg != "" {
 			if err := ctx.Conv.Info(msg); err != nil {
 				return SystemErr
 			}
 		}
-		if resp.Code == radius.AccessReject {
+		if rejected {
 			return AuthErr
-		}
-		if s, ok := resp.Get(radius.AttrState); ok {
-			state = s
 		}
 	}
 
@@ -266,7 +271,13 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 	if err != nil {
 		return SystemErr
 	}
-	resp, err := m.exchange(ctx, ctx.User, code, state)
+	var accepted bool
+	var msg string
+	err = m.exchange(ctx, code, state, func(resp *radius.Packet) {
+		if accepted = resp.Code == radius.AccessAccept; !accepted {
+			msg = replyMessage(resp)
+		}
+	})
 	if err != nil {
 		if ctx.Logger != nil {
 			ctx.Logger.Warn("radius exchange failed", "component", "pam", "trace", ctx.Trace,
@@ -274,18 +285,16 @@ func (m *Token) challenge(ctx *Context, pairing string) Result {
 		}
 		return SystemErr
 	}
-	switch resp.Code {
-	case radius.AccessAccept:
+	if accepted {
 		ctx.MFAMethod = pairing
 		m.publish(ctx, pairing, "accept")
 		return Success
-	default:
-		if msg := replyMessage(resp); msg != "" {
-			ctx.Conv.Info(msg)
-		}
-		m.publish(ctx, pairing, "reject")
-		return AuthErr
 	}
+	if msg != "" {
+		ctx.Conv.Info(msg)
+	}
+	m.publish(ctx, pairing, "reject")
+	return AuthErr
 }
 
 // publish announces the second-factor outcome on the analytics bus.
@@ -293,22 +302,18 @@ func (m *Token) publish(ctx *Context, pairing, result string) {
 	if ctx.Events == nil {
 		return
 	}
-	addr := ""
-	if ctx.RemoteAddr != nil {
-		addr = ctx.RemoteAddr.String()
-	}
 	ctx.Events.Publish(eventstream.Event{
 		Time: ctx.now(), Type: eventstream.TypeMFA, Component: "pam",
-		Trace: ctx.Trace, User: ctx.User, Addr: addr,
+		Trace: ctx.Trace, User: ctx.User, Addr: ctx.PeerAddr(),
 		Result: result, Method: pairing, MFA: result == "accept",
 	})
 }
 
-func (m *Token) exchange(ctx *Context, user, code string, state []byte) (*radius.Packet, error) {
+func (m *Token) exchange(ctx *Context, code string, state []byte, read func(resp *radius.Packet)) error {
 	span := ctx.startSpan("radius.rtt")
 	defer span.End()
-	return m.Radius.Exchange(func(req *radius.Packet) {
-		req.AddString(radius.AttrUserName, user)
+	return m.Radius.ExchangeRead(func(req *radius.Packet) {
+		req.AddString(radius.AttrUserName, ctx.User)
 		// A code over 128 bytes cannot be hidden; it is left out.
 		_ = req.AddPassword(code, m.Radius.Secret())
 		if state != nil {
@@ -320,7 +325,7 @@ func (m *Token) exchange(ctx *Context, user, code string, state []byte) (*radius
 		if ctx.Trace != "" {
 			req.AddString(radius.AttrProxyState, ctx.Trace)
 		}
-	})
+	}, read)
 }
 
 // replyMessage joins the reply's Reply-Message lines with newlines,

@@ -165,19 +165,26 @@ func (c *Client) nextID() byte {
 // a late or duplicated reply to an earlier exchange that lands on a
 // reused socket: its Identifier differs, or its Response Authenticator is
 // bound to another request's random authenticator.
-func (c *Client) Exchange(req *Packet) (*Packet, error) {
+func (c *Client) Exchange(req *Packet) (resp *Packet, err error) {
+	err = c.exchange(req, func(r *Packet) { resp = r.clone() })
+	return resp, err
+}
+
+// exchange is Exchange with the verified reply read in place, as in
+// Pool.ExchangeRead.
+func (c *Client) exchange(req *Packet, read func(resp *Packet)) error {
 	if err := c.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	wire, err := c.seal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	conn, gen, err := c.take()
 	if err != nil {
-		return nil, fmt.Errorf("radius: %w", err)
+		return fmt.Errorf("radius: %w", err)
 	}
-	resp, sockErr, err := c.roundTrip(conn, req, wire)
+	sockErr, err := c.roundTrip(conn, req, wire, read)
 	if err != nil || sockErr {
 		// A socket that saw an error or ended in a timeout may hold a
 		// pending ICMP error or a dead peer: never reuse it.
@@ -185,7 +192,7 @@ func (c *Client) Exchange(req *Packet) (*Packet, error) {
 	} else {
 		c.keep(conn, gen)
 	}
-	return resp, err
+	return err
 }
 
 // seal assigns req's Identifier, fills its Message-Authenticator and
@@ -249,9 +256,9 @@ func (c *Client) Close() error {
 
 // roundTrip runs the attempt loop on one socket. The bool reports a write
 // or read error other than a timeout, even when a later attempt succeeded.
-// Each datagram is read and checked in pooled scratch; only the verified
-// reply is copied out.
-func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bool, error) {
+// Each datagram is read and checked in pooled scratch, where read sees the
+// verified reply.
+func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte, read func(resp *Packet)) (bool, error) {
 	scratch := getPacketBuf()
 	defer packetBufs.Put(scratch)
 	resp := &scratch.pkt
@@ -270,7 +277,7 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 			deadline := time.Now().Add(c.timeout())
 			for {
 				if err := conn.SetReadDeadline(deadline); err != nil {
-					return nil, true, err
+					return true, err
 				}
 				n, err := conn.Read(scratch.buf[:])
 				if err != nil {
@@ -284,7 +291,8 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 					c.discard(reason)
 					continue
 				}
-				return resp.clone(), lastErr != nil, nil
+				read(resp)
+				return lastErr != nil, nil
 			}
 		}
 		if earlyFail && a < attempts-1 {
@@ -294,9 +302,9 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte) (*Packet, bo
 		}
 	}
 	if lastErr != nil {
-		return nil, true, lastErr
+		return true, lastErr
 	}
-	return nil, false, ErrTimeout
+	return false, ErrTimeout
 }
 
 // check decodes datagram into resp and verifies it as the reply to req.
@@ -440,9 +448,17 @@ func (p *Pool) markDown(idx int) {
 // (Code/Authenticator set) built in pooled scratch and must populate its
 // attributes; the request is valid only until Exchange returns. The reply
 // owns its bytes.
-func (p *Pool) Exchange(rebuild func(req *Packet)) (*Packet, error) {
+func (p *Pool) Exchange(rebuild func(req *Packet)) (resp *Packet, err error) {
+	err = p.ExchangeRead(rebuild, func(r *Packet) { resp = r.clone() })
+	return resp, err
+}
+
+// ExchangeRead is Exchange with the verified reply read in place: read is
+// called once, with a reply that views pooled scratch and is valid only
+// during the call, so the caller copies out only what it keeps.
+func (p *Pool) ExchangeRead(rebuild func(req *Packet), read func(resp *Packet)) error {
 	start := time.Now()
-	resp, err := p.exchange(rebuild)
+	err := p.exchange(rebuild, read)
 	if p.Obs != nil {
 		result := "ok"
 		if err != nil {
@@ -451,13 +467,13 @@ func (p *Pool) Exchange(rebuild func(req *Packet)) (*Packet, error) {
 		p.Obs.Counter("radius_client_exchange_total", "result", result).Inc()
 		p.Obs.Histogram("radius_client_exchange_duration_seconds", nil).ObserveSince(start)
 	}
-	return resp, err
+	return err
 }
 
-func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
+func (p *Pool) exchange(rebuild func(req *Packet), read func(resp *Packet)) error {
 	n := len(p.clients)
 	if n == 0 {
-		return nil, ErrAllDown
+		return ErrAllDown
 	}
 	scratch := getPacketBuf()
 	defer packetBufs.Put(scratch)
@@ -481,9 +497,9 @@ func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
 		}
 		req.startRequest(0, scratch.buf[:0])
 		rebuild(req)
-		resp, err := p.clients[idx].Exchange(req)
+		err := p.clients[idx].exchange(req, read)
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		lastErr = err
 		lastFailed = idx
@@ -492,7 +508,7 @@ func (p *Pool) exchange(rebuild func(req *Packet)) (*Packet, error) {
 			p.Obs.Counter("radius_client_failover_total").Inc()
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // packetBuf is pooled scratch for one packet: a Packet and the array its

@@ -3,6 +3,7 @@ package radius
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -135,6 +136,10 @@ const (
 	maxDedupEntries = 65536
 )
 
+// maxProxyStates bounds the Proxy-State attributes (one per proxy hop,
+// each echoed in the reply) of an Access-Request the server answers.
+const maxProxyStates = 8
+
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
@@ -198,6 +203,24 @@ func (s *Server) Addr() net.Addr {
 type datagram struct {
 	in, out packetBuf
 	req     Request
+	src     net.UDPAddr // the source, when read as a netip.AddrPort
+	ip      [16]byte
+}
+
+// read reads one datagram into d. A socket that reports the source as a
+// netip.AddrPort (*net.UDPConn, or faultnet's wrapper of one) has it kept
+// in d rather than allocated as a net.Addr.
+func (d *datagram) read(conn net.PacketConn) (int, net.Addr, error) {
+	u, ok := conn.(interface {
+		ReadFromUDPAddrPort([]byte) (int, netip.AddrPort, error)
+	})
+	if !ok {
+		return conn.ReadFrom(d.in.buf[:])
+	}
+	n, ap, err := u.ReadFromUDPAddrPort(d.in.buf[:])
+	d.ip = ap.Addr().As16()
+	d.src = net.UDPAddr{IP: d.ip[:], Port: int(ap.Port()), Zone: ap.Addr().Zone()}
+	return n, &d.src, err
 }
 
 var datagrams = sync.Pool{New: func() any { return new(datagram) }}
@@ -213,7 +236,7 @@ func (s *Server) serve(conn net.PacketConn) {
 	defer s.wg.Done()
 	for {
 		d := datagrams.Get().(*datagram)
-		n, src, err := conn.ReadFrom(d.in.buf[:])
+		n, src, err := d.read(conn)
 		if err != nil {
 			releaseDatagram(d)
 			return // closed
@@ -257,6 +280,17 @@ func (s *Server) handle(conn net.PacketConn, d *datagram, n int, src net.Addr) {
 	}
 	if !VerifyMessageAuthenticator(req, s.Secret) {
 		s.discard("bad_message_authenticator", src)
+		return
+	}
+	proxyStates := 0
+	req.Range(func(typ byte, _ []byte) bool {
+		if typ == AttrProxyState {
+			proxyStates++
+		}
+		return proxyStates <= maxProxyStates
+	})
+	if proxyStates > maxProxyStates {
+		s.discard("too_many_proxy_state", src)
 		return
 	}
 

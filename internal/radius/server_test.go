@@ -396,3 +396,57 @@ func TestUnsignedRequestDiscarded(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyStateBound: the server echoes every Proxy-State of a request
+// it answers, so it discards, unanswered and before the duplicate cache,
+// a signed Access-Request that carries more than maxProxyStates of them.
+// One at the bound is answered with all of them echoed.
+func TestProxyStateBound(t *testing.T) {
+	secret := []byte("s")
+	reg := obs.NewRegistry()
+	var calls int32
+	srv := &Server{Secret: secret, Obs: reg, Handler: HandlerFunc(func(reply *Packet, _ *Request) bool {
+		atomic.AddInt32(&calls, 1)
+		reply.Code = AccessAccept
+		return true
+	})}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &Client{Addr: srv.Addr().String(), Secret: secret, Timeout: 200 * time.Millisecond, Retries: NoRetry}
+	defer c.Close()
+	withProxyStates := func(n int) *Packet {
+		req := NewRequest(0)
+		req.AddString(AttrUserName, "u")
+		for i := 0; i < n; i++ {
+			req.Add(AttrProxyState, []byte{byte(i)})
+		}
+		return req
+	}
+
+	resp, err := c.Exchange(withProxyStates(maxProxyStates))
+	if err != nil {
+		t.Fatalf("%d Proxy-States: %v", maxProxyStates, err)
+	}
+	echoed := 0
+	resp.Range(func(typ byte, _ []byte) bool {
+		if typ == AttrProxyState {
+			echoed++
+		}
+		return true
+	})
+	if echoed != maxProxyStates {
+		t.Errorf("%d Proxy-States echoed, want %d", echoed, maxProxyStates)
+	}
+
+	if _, err := c.Exchange(withProxyStates(maxProxyStates + 1)); err != ErrTimeout {
+		t.Fatalf("%d Proxy-States: err = %v, want ErrTimeout (no reply)", maxProxyStates+1, err)
+	}
+	if got := atomic.LoadInt32(&calls); got != 1 {
+		t.Errorf("handler ran %d times, want 1", got)
+	}
+	if got := reg.Counter("radius_server_discards_total", "reason", "too_many_proxy_state").Value(); got != 1 {
+		t.Errorf(`radius_server_discards_total{reason="too_many_proxy_state"} = %d, want 1`, got)
+	}
+}

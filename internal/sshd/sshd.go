@@ -11,6 +11,7 @@ package sshd
 
 import (
 	"crypto/ed25519"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net"
@@ -21,7 +22,6 @@ import (
 
 	"openmfa/internal/authlog"
 	"openmfa/internal/clock"
-	"openmfa/internal/cryptoutil"
 	"openmfa/internal/eventstream"
 	"openmfa/internal/idm"
 	"openmfa/internal/obs"
@@ -102,6 +102,7 @@ type Server struct {
 	wg     sync.WaitGroup
 	closed bool
 	conns  map[net.Conn]struct{}
+	now    func() time.Time // Clock's Now, made once for every PAM attempt
 
 	// Counters for tests and metrics.
 	accepted atomic.Int64
@@ -191,6 +192,9 @@ func (s *Server) ListenAndServe(addr string) error {
 	if s.conns == nil {
 		s.conns = make(map[net.Conn]struct{})
 	}
+	if s.now == nil {
+		s.now = s.clk().Now
+	}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
@@ -262,29 +266,33 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// remoteConv bridges the PAM conversation over the wire. The receive
-// frame is reused across prompts (a login is several prompts, every
-// retry restarts them all).
-type remoteConv struct {
-	wc *sshwire.Conn
-	m  sshwire.Msg
+// conn is one connection's state, made in one allocation: the frame
+// codec, the pubkey nonce, and the PAM context that every attempt zeroes
+// and refills. It is the PAM conversation over the wire, reading each
+// answer into one reused frame (a login is several prompts, every retry
+// restarts them all).
+type conn struct {
+	wc    sshwire.Conn
+	m     sshwire.Msg
+	nonce [32]byte
+	pam   pam.Context
 }
 
-func (r *remoteConv) Prompt(echo bool, msg string) (string, error) {
-	if err := r.wc.Send(&sshwire.Msg{T: sshwire.TPrompt, Msg: msg, Echo: echo}); err != nil {
+func (c *conn) Prompt(echo bool, msg string) (string, error) {
+	if err := c.wc.Send(&sshwire.Msg{T: sshwire.TPrompt, Msg: msg, Echo: echo}); err != nil {
 		return "", err
 	}
-	if err := r.wc.RecvInto(&r.m); err != nil {
+	if err := c.wc.RecvInto(&c.m); err != nil {
 		return "", err
 	}
-	if r.m.T != sshwire.TAnswer {
-		return "", fmt.Errorf("sshd: expected answer, got %q", r.m.T)
+	if c.m.T != sshwire.TAnswer {
+		return "", fmt.Errorf("sshd: expected answer, got %q", c.m.T)
 	}
-	return r.m.Value, nil
+	return c.m.Value, nil
 }
 
-func (r *remoteConv) Info(msg string) error {
-	return r.wc.Send(&sshwire.Msg{T: sshwire.TInfo, Msg: msg})
+func (c *conn) Info(msg string) error {
+	return c.wc.Send(&sshwire.Msg{T: sshwire.TInfo, Msg: msg})
 }
 
 // peer is the remote IP and port of an accepted connection; any address
@@ -308,9 +316,11 @@ func (s *Server) serveConn(raw net.Conn) {
 		open.Add(1)
 		defer open.Add(-1)
 	}
-	wc := sshwire.NewConn(raw)
+	c := new(conn)
+	wc := &c.wc
+	wc.Reset(raw)
 	ip, port := peer(raw.RemoteAddr())
-	addr := ip.String() // formatted once for every log line and event below
+	addr := ip.String() // formatted once for every log line, event and PAM module below
 
 	// LoginGraceTime: one wall-clock deadline covers the entire pre-auth
 	// conversation, so a client that stalls at any phase (or a network
@@ -328,8 +338,10 @@ func (s *Server) serveConn(raw net.Conn) {
 	user := strings.ToLower(hello.User)
 
 	// Session nonce for pubkey proof; the banner rides along.
-	nonce := cryptoutil.RandomBytes(32)
-	if err := wc.Send(&sshwire.Msg{T: sshwire.TNonce, Nonce: nonce, Banner: s.Banner}); err != nil {
+	if _, err := rand.Read(c.nonce[:]); err != nil {
+		return
+	}
+	if err := wc.Send(&sshwire.Msg{T: sshwire.TNonce, Nonce: c.nonce[:], Banner: s.Banner}); err != nil {
 		return
 	}
 
@@ -340,7 +352,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		return
 	}
 	for m.T == sshwire.TPubkey {
-		if s.verifyPubkey(user, nonce, m.Pub, m.Sig) {
+		if s.verifyPubkey(user, c.nonce[:], m.Pub, m.Sig) {
 			s.AuthLog.Append(authlog.Event{
 				Time: s.clk().Now(), Type: authlog.AcceptedPublickey,
 				User: user, Addr: addr, Port: port,
@@ -370,23 +382,20 @@ func (s *Server) serveConn(raw net.Conn) {
 
 	// PAM phase with the retry budget: "the PAM stack is restarted and
 	// the user is prompted once again ... before SSH disconnect."
-	conv := &remoteConv{wc: wc}
 	authStart := time.Now()
 	// The conversation span covers the whole PAM phase (all retry
 	// attempts); each module and RADIUS exchange hangs off it as a child.
 	span := s.Spans.Start(trace, "sshd.conversation")
 	span.SetAttr("user", user)
 	var authErr error
-	var lastCtx *pam.Context
 	for attempt := 0; attempt < s.maxTries(); attempt++ {
-		ctx := &pam.Context{
-			User: user, RemoteAddr: ip, Service: "sshd",
-			Conv: conv, Now: s.clk().Now,
+		c.pam = pam.Context{
+			User: user, RemoteAddr: ip, Addr: addr, Service: "sshd",
+			Conv: c, Now: s.now,
 			Trace: trace, Metrics: s.Obs, Logger: s.Logger,
 			Spans: s.Spans, Span: span, Events: s.Events,
 		}
-		lastCtx = ctx
-		authErr = s.Stack.Authenticate(ctx)
+		authErr = s.Stack.Authenticate(&c.pam)
 		if authErr == nil {
 			break
 		}
@@ -417,7 +426,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		s.Events.Publish(eventstream.Event{
 			Time: s.clk().Now(), Type: eventstream.TypeLogin, Component: "sshd",
 			Trace: trace, User: user, Addr: addr, Result: result,
-			MFA: lastCtx.MFAMethod != "" && authErr == nil, Method: lastCtx.MFAMethod,
+			MFA: c.pam.MFAMethod != "" && authErr == nil, Method: c.pam.MFAMethod,
 			TTY: hello.TTY, Shell: hello.Shell,
 			Duration: time.Since(authStart),
 		})

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +235,60 @@ func TestRetrySucceedsOnSecondPassword(t *testing.T) {
 	c.Close()
 	if pwAttempt != 2 {
 		t.Fatalf("password attempts = %d", pwAttempt)
+	}
+}
+
+// attemptProbe is a module that records the shared state each attempt's
+// context holds on entry, then sets it as the token module and the risk
+// gate would, and fails the connection's first attempt.
+type attemptProbe struct {
+	mu   sync.Mutex
+	seen []pam.Context
+}
+
+func (p *attemptProbe) Name() string { return "attempt_probe" }
+
+func (p *attemptProbe) Authenticate(ctx *pam.Context) pam.Result {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.seen = append(p.seen, pam.Context{MFAMethod: ctx.MFAMethod, RiskForceMFA: ctx.RiskForceMFA, Addr: ctx.Addr})
+	ctx.MFAMethod, ctx.RiskForceMFA = "soft", true
+	if len(p.seen) == 1 {
+		return pam.AuthErr
+	}
+	return pam.Success
+}
+
+// TestRetryStartsFromZeroContext: sshd reuses one PAM context for every
+// attempt on a connection, and each retry must still start clean. A
+// second factor recorded, or a risk step-up set, on a failed attempt must
+// not reach the next one.
+func TestRetryStartsFromZeroContext(t *testing.T) {
+	h := newHarness(t, "")
+	probe := &attemptProbe{}
+	srv := &Server{
+		IDM: h.idm, AuthLog: h.alog, Clock: h.sim,
+		Stack: &pam.Stack{Service: "sshd", Entries: []pam.Entry{{Control: pam.Required(), Module: probe}}},
+	}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String(), DialOptions{User: "alice", Responder: pwTokenResponder("pw", nil)})
+	if err != nil {
+		t.Fatalf("login on the second attempt: %v", err)
+	}
+	c.Close()
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	if len(probe.seen) != 2 {
+		t.Fatalf("%d attempts, want 2", len(probe.seen))
+	}
+	for i, got := range probe.seen {
+		if got.MFAMethod != "" || got.RiskForceMFA || got.Addr != "127.0.0.1" {
+			t.Errorf("attempt %d began with MFAMethod %q, RiskForceMFA %v, Addr %q; want a fresh context from 127.0.0.1",
+				i+1, got.MFAMethod, got.RiskForceMFA, got.Addr)
+		}
 	}
 }
 

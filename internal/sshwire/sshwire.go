@@ -109,10 +109,15 @@ type Conn struct {
 
 // NewConn wraps c.
 func NewConn(c net.Conn) *Conn {
-	wc := &Conn{c: c}
-	wc.rbuf = wc.rarr[:]
-	wc.wbuf = wc.warr[:0]
+	wc := new(Conn)
+	wc.Reset(c)
 	return wc
+}
+
+// Reset makes c a fresh Conn over nc, for a Conn held inside a larger value.
+func (c *Conn) Reset(nc net.Conn) {
+	*c = Conn{c: nc}
+	c.rbuf, c.wbuf = c.rarr[:], c.warr[:0]
 }
 
 // Send writes one frame with a single Write.

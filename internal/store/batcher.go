@@ -94,9 +94,9 @@ func (b *Batcher) lastOpenGroup() *batchGroup {
 	return g
 }
 
-// Put commits a single write through the coalescing path.
+// Put commits a copy of value under key through the coalescing path.
 func (b *Batcher) Put(key string, value []byte) error {
-	return b.Apply([]Op{{Key: key, Value: value}})
+	return b.Apply([]Op{{Key: key, Value: append([]byte(nil), value...)}})
 }
 
 // Delete removes key through the coalescing path.

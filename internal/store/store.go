@@ -61,7 +61,10 @@ const MaxShards = 256
 
 // Op is a single mutation inside a Batch.
 type Op struct {
-	Key    string
+	Key string
+	// Value is kept as it is handed in, not copied: once Apply is called
+	// the store owns it, and the writer must not change it afterwards.
+	// (Put copies for a caller that reuses its buffer.)
 	Value  []byte
 	Delete bool
 	// Decoded, when set, is Value's decoded form: View returns it until
@@ -601,9 +604,7 @@ func (s *Store) applyOps(ops []Op) {
 			delete(sh.decoded, op.Key)
 			continue
 		}
-		v := make([]byte, len(op.Value))
-		copy(v, op.Value)
-		sh.data[op.Key] = v
+		sh.data[op.Key] = op.Value
 		if op.Decoded != nil {
 			sh.setDecoded(op.Key, op.Decoded)
 		} else {
@@ -683,9 +684,9 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
-// Put stores value under key.
+// Put stores a copy of value under key; the caller keeps value.
 func (s *Store) Put(key string, value []byte) error {
-	return s.Apply([]Op{{Key: key, Value: value}})
+	return s.Apply([]Op{{Key: key, Value: append([]byte(nil), value...)}})
 }
 
 // Delete removes key. Deleting an absent key is not an error.
@@ -1012,7 +1013,8 @@ func (s *Store) SegmentFrames(sinceLSN uint64) ([]ReplFrame, error) {
 // ReplicationSnapshot cut: state becomes exactly kvs, the LSN clock jumps
 // to lsn, the snapshots are rewritten on disk and the segments truncated
 // (so a follower restart recovers the installed state). Installing a
-// snapshot older than local state is refused with ErrStaleSnapshot.
+// snapshot older than local state is refused with ErrStaleSnapshot. The
+// values are copied: a follower's are views of the transfer's chunks.
 func (s *Store) InstallReplicaSnapshot(lsn uint64, kvs []KV) error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -1036,7 +1038,7 @@ func (s *Store) InstallReplicaSnapshot(lsn uint64, kvs []KV) error {
 	}
 	ops := make([]Op, len(kvs))
 	for i, kv := range kvs {
-		ops[i] = Op{Key: kv.Key, Value: kv.Value}
+		ops[i] = Op{Key: kv.Key, Value: append([]byte(nil), kv.Value...)}
 	}
 	s.applyOps(ops)
 	s.lsn.Store(lsn)

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -253,4 +254,50 @@ func TestViewConcurrentWithWriters(t *testing.T) {
 			t.Errorf("k%d after the writers: %v, %v; want %d", k, v, err, writes)
 		}
 	}
+}
+
+// TestStoredValuesOwnTheirBytes: Apply keeps the Op.Value it is handed,
+// which is sound only because the other write paths hand the shard maps
+// slices of their own. Overwriting the buffer a value was decoded from (a
+// replicated frame after ApplyReplicated, a segment's read buffer after
+// recovery replays it) must not change what Get and View return. It fails
+// if the WAL payload decoder ever views its input.
+func TestStoredValuesOwnTheirBytes(t *testing.T) {
+	const key, want = "token/u", "original"
+	scribbleThenRead := func(t *testing.T, s *Store, buf []byte) {
+		t.Helper()
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		if got, err := s.Get(key); err != nil || string(got) != want {
+			t.Errorf("Get = %q, %v; want %q", got, err, want)
+		}
+		if got, err := viewString(t, s, key); err != nil || got != want {
+			t.Errorf("View = %q, %v; want %q", got, err, want)
+		}
+	}
+	t.Run("ApplyReplicated", func(t *testing.T) {
+		s := OpenMemory()
+		frame := EncodeFrame(1, []Op{{Key: key, Value: []byte(want)}})
+		if _, err := s.ApplyReplicated(frame); err != nil {
+			t.Fatal(err)
+		}
+		scribbleThenRead(t, s, frame)
+	})
+	t.Run("recovery", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{Shards: 1})
+		must(t, err)
+		must(t, s.Apply([]Op{{Key: key, Value: []byte(want)}}))
+		must(t, s.Close())
+		seg, err := os.ReadFile(s.walPath(0))
+		must(t, err)
+		// Replay the segment as Open's recovery does (scanBatches, then
+		// applyOps), from a read buffer the test holds.
+		r := OpenMemoryShards(1)
+		if _, err := scanBatches(seg, func(b walBatch, _, _ int) { r.applyOps(b.ops) }); err != nil {
+			t.Fatal(err)
+		}
+		scribbleThenRead(t, r, seg)
+	})
 }
