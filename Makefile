@@ -83,11 +83,12 @@ flightrec-smoke:
 # fail-closed, torn-stream determinism), the leader-failover capstone
 # (leader killed mid login-storm under a faultnet partition; the promoted
 # standby must show zero double-accepted OTPs and zero lost lockout
-# increments), and the store-side LSN / compaction durability
-# regressions — race detector on.
+# increments), the pairing failover (pairings made and removed on the
+# leader hold on the promoted standby in every enforcement mode), and the
+# store-side LSN / compaction durability regressions — race detector on.
 repl-smoke:
 	$(GO) test -race -count 1 ./internal/store/repl
-	$(GO) test -race -count 1 -run 'TestLeaderFailoverUnderLoginStorm' ./internal/core
+	$(GO) test -race -count 1 -run 'TestLeaderFailoverUnderLoginStorm|TestFailoverKeepsPairings' ./internal/core
 	$(GO) test -race -count 1 -run 'TestLSNMonotonicAcrossCompactReopen|TestCompact|TestEpoch|TestFollowerMode|TestApplyReplicated|TestReplica|TestSegmentFrames' ./internal/store
 	$(GO) test -race -count 1 -run 'TestCompactThenCrash' ./internal/store/crashtest
 

@@ -413,7 +413,7 @@ func New(opts Options) (*Infrastructure, error) {
 		IDM:        inf.IDM,
 		Exemptions: inf.ACL,
 		TokenCfg:   inf.Mode,
-		Pairing:    inf.IDM,
+		Pairing:    inf.OTP,
 		Radius:     inf.Pool,
 		Risk:       opts.Risk,
 	})
@@ -527,17 +527,11 @@ func (inf *Infrastructure) CreateUser(username, email, password string, class id
 	return inf.IDM.Create(username, email, password, class)
 }
 
-// PairSoft provisions a soft token for user and records the pairing, the
-// non-HTTP equivalent of the portal flow (used by simulations and CLIs).
+// PairSoft provisions a soft token for user, the non-HTTP equivalent of
+// the portal flow (used by simulations and CLIs). Each Pair* call and
+// Unpair is one otpd write: the token record is the pairing.
 func (inf *Infrastructure) PairSoft(user string) (*otpd.Enrollment, error) {
-	enr, err := inf.OTP.InitSoftToken(user)
-	if err != nil {
-		return nil, err
-	}
-	if err := inf.IDM.SetPairing(user, idm.PairingSoft); err != nil {
-		return nil, err
-	}
-	return enr, nil
+	return inf.OTP.InitSoftToken(user)
 }
 
 // PairSMS provisions an SMS token, registering the phone on the virtual
@@ -548,42 +542,23 @@ func (inf *Infrastructure) PairSMS(user, phone string) (*otpd.Enrollment, *sms.P
 		return nil, nil, err
 	}
 	enr, err := inf.OTP.InitSMSToken(user, phone)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := inf.IDM.SetPairing(user, idm.PairingSMS); err != nil {
-		return nil, nil, err
-	}
-	return enr, ph, nil
+	return enr, ph, err
 }
 
 // PairHard assigns an imported fob by serial.
 func (inf *Infrastructure) PairHard(user, serial string) (*otpd.Enrollment, error) {
-	enr, err := inf.OTP.AssignHardToken(user, serial)
-	if err != nil {
-		return nil, err
-	}
-	if err := inf.IDM.SetPairing(user, idm.PairingHard); err != nil {
-		return nil, err
-	}
-	return enr, nil
+	return inf.OTP.AssignHardToken(user, serial)
 }
 
 // PairTraining provisions a static training token.
 func (inf *Infrastructure) PairTraining(user, code string) error {
-	if err := inf.OTP.SetStaticToken(user, code); err != nil {
-		return err
-	}
-	return inf.IDM.SetPairing(user, idm.PairingTraining)
+	return inf.OTP.SetStaticToken(user, code)
 }
 
 // Unpair removes a pairing (admin-side; the portal's flows add possession
 // proof on top of this).
 func (inf *Infrastructure) Unpair(user string) error {
-	if err := inf.OTP.RemoveToken(user); err != nil {
-		return err
-	}
-	return inf.IDM.SetPairing(user, idm.PairingNone)
+	return inf.OTP.RemoveToken(user)
 }
 
 // Close shuts everything down.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"openmfa/internal/idm"
 	"openmfa/internal/leakcheck"
 	"openmfa/internal/otp"
+	"openmfa/internal/otpd"
 	"openmfa/internal/pam"
 	"openmfa/internal/sshd"
 )
@@ -130,8 +132,9 @@ func TestModeSwitchDuringProduction(t *testing.T) {
 }
 
 // TestPairingLookupKeepsAccountsApart: the accounts "a,b" and "a, b" are
-// distinct in idm, so each reads its own pairing type. Unpairing one must
-// never waive the other's second factor in paired mode.
+// distinct in idm and in otpd, so each reads its own pairing type.
+// Unpairing one must never waive the other's second factor in paired
+// mode.
 func TestPairingLookupKeepsAccountsApart(t *testing.T) {
 	inf := newInfra(t, Options{Mode: pam.ModePaired})
 	for _, u := range []string{"a,b", "a, b"} {
@@ -139,10 +142,12 @@ func TestPairingLookupKeepsAccountsApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := inf.PairSoft("a,b"); err != nil {
-		t.Fatal(err)
+	for _, u := range []string{"a,b", "a, b"} {
+		if _, err := inf.PairSoft(u); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var lookup pam.PairingLookup = inf.IDM
+	var lookup pam.PairingLookup = inf.OTP
 	check := func(when string, want map[string]string) {
 		t.Helper()
 		for u, w := range want {
@@ -151,8 +156,8 @@ func TestPairingLookupKeepsAccountsApart(t *testing.T) {
 			}
 		}
 	}
-	check("after pairing a,b", map[string]string{"a,b": "soft", "a, b": "none"})
-	if err := inf.IDM.SetPairing("a, b", idm.PairingNone); err != nil {
+	check("after pairing both", map[string]string{"a,b": "soft", "a, b": "soft"})
+	if err := inf.Unpair("a, b"); err != nil {
 		t.Fatal(err)
 	}
 	check("after unpairing a, b", map[string]string{"a,b": "soft", "a, b": "none"})
@@ -187,7 +192,7 @@ func TestHardTokenLifecycleViaFacade(t *testing.T) {
 	if err := inf.Unpair("hanlon"); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := inf.IDM.Pairing("hanlon"); p != idm.PairingNone {
+	if p, _ := inf.OTP.Pairing("hanlon"); p != "none" {
 		t.Fatal("pairing not cleared")
 	}
 }
@@ -245,9 +250,19 @@ func TestPortalReachableWithinInfrastructure(t *testing.T) {
 	if enr.Secret == "" || enr.URI == "" {
 		t.Fatalf("enrollment = %+v", enr)
 	}
-	// Duplicate init surfaces the HTTP conflict as an APIError.
-	if _, err := inf.Admin.Init("x", "soft", "", ""); err == nil {
-		t.Fatal("duplicate init accepted")
+	// Once a code has confirmed the token, a duplicate init surfaces the
+	// HTTP conflict as an APIError.
+	secret, err := enr.SecretBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _ := otp.TOTP(secret, inf.Clock.Now(), inf.OTP.OTPOptions())
+	if res, err := inf.OTP.Check("x", code); err != nil || !res.OK {
+		t.Fatalf("confirming check: %+v, %v", res, err)
+	}
+	var apiErr *otpd.APIError
+	if _, err := inf.Admin.Init("x", "soft", "", ""); !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
+		t.Fatalf("duplicate init: %v, want a 409 APIError", err)
 	}
 }
 

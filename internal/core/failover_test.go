@@ -15,6 +15,7 @@ import (
 	"openmfa/internal/obs"
 	"openmfa/internal/otp"
 	"openmfa/internal/otpd"
+	"openmfa/internal/pam"
 	"openmfa/internal/sshd"
 	"openmfa/internal/store/repl"
 )
@@ -72,9 +73,10 @@ func TestLeaderFailoverUnderLoginStorm(t *testing.T) {
 	})
 	waitUntil(t, "standby connected", func() bool { return inf1.ReplLeader.Followers() == 1 })
 
-	// Accounts exist on both deployments (IDM is per-site state); tokens
-	// are enrolled only on the leader — the standby must get them via
-	// replication. The standby's own store refuses local enrolment.
+	// Accounts exist on both deployments (IDM is per-site state); tokens,
+	// and with them the pairings, are enrolled only on the leader — the
+	// standby must get them via replication. The standby's own store
+	// refuses local enrolment.
 	users := []string{"storm0", "storm1", "storm2", "fresh0", "fresh1", "lockme"}
 	secrets := map[string][]byte{}
 	for _, u := range users {
@@ -86,9 +88,6 @@ func TestLeaderFailoverUnderLoginStorm(t *testing.T) {
 		}
 		enr, err := inf1.PairSoft(u)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inf2.IDM.SetPairing(u, idm.PairingSoft); err != nil {
 			t.Fatal(err)
 		}
 		secrets[u] = enr.Secret
@@ -253,4 +252,129 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestFailoverKeepsPairings: pairings made and removed on the leader
+// after the standby started are on the standby when it is promoted,
+// because the pairing is the replicated token record. One user of each
+// token type is paired and one more is paired and then unpaired; the
+// promoted standby then serves logins in each enforcement mode. No paired
+// user gets in without a factor in any mode that enforces one (off is the
+// paper's documented open mode), each still gets in with it, and the
+// unpaired user is not challenged for a token they no longer hold.
+func TestFailoverKeepsPairings(t *testing.T) {
+	sim := clock.NewSim(t0)
+	key := []byte("0123456789abcdef0123456789abcdef")
+	inf1, err := New(Options{Clock: sim, EncryptionKey: key, ReplListen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	killLeader := func() { once.Do(func() { inf1.Close() }) }
+	defer killLeader()
+	inf2 := newInfra(t, Options{Clock: sim, EncryptionKey: key, ReplFollow: inf1.ReplLeader.Addr()})
+	waitUntil(t, "standby connected", func() bool { return inf1.ReplLeader.Followers() == 1 })
+
+	for _, u := range []string{"soft", "sms", "hard", "training", "gone"} {
+		for _, inf := range []*Infrastructure{inf1, inf2} {
+			if _, err := inf.CreateUser(u, u+"@x", "pw", idm.ClassUser); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fob := []byte("fob-secret-0100-----")
+	if err := inf1.OTP.ImportHardToken("C200-0100", fob); err != nil {
+		t.Fatal(err)
+	}
+	secrets := map[string][]byte{"hard": fob}
+	enr, err := inf1.PairSoft("soft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	secrets["soft"] = enr.Secret
+	if enr, _, err = inf1.PairSMS("sms", "5125550100"); err != nil {
+		t.Fatal(err)
+	}
+	secrets["sms"] = enr.Secret
+	if _, err := inf2.SMS.Register("5125550100"); err != nil { // the phone, on the standby's carrier
+		t.Fatal(err)
+	}
+	if _, err := inf1.PairHard("hard", "C200-0100"); err != nil {
+		t.Fatal(err)
+	}
+	if err := inf1.PairTraining("training", "424242"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inf1.PairSoft("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := inf1.Unpair("gone"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "standby caught up", func() bool { return inf2.OTPStore().LSN() == inf1.OTPStore().LSN() })
+
+	killLeader()
+	inf2.ReplFollower.Stop()
+	promoted, err := repl.StartLeader(inf2.OTPStore(), repl.LeaderOptions{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+
+	code := func(user string) string {
+		if user == "training" {
+			return "424242"
+		}
+		c, _ := otp.TOTP(secrets[user], sim.Now(), inf2.OTP.OTPOptions())
+		return c
+	}
+	// login answers the password prompt with the password and every other
+	// prompt with answer; it reports whether a token code was asked for.
+	login := func(user, answer string) (challenged bool, err error) {
+		r := &sshd.FuncResponder{}
+		r.Fn = func(echo bool, prompt string) (string, error) {
+			if strings.Contains(prompt, "Password") {
+				return "pw", nil
+			}
+			challenged = challenged || strings.Contains(prompt, "Token Code")
+			return answer, nil
+		}
+		c, err := sshd.Dial(inf2.SSHAddr(), DialOpts(user, r))
+		if err == nil {
+			c.Close()
+		}
+		return challenged, err
+	}
+	for _, mode := range []pam.Mode{pam.ModeOff, pam.ModePaired, pam.ModeCountdown, pam.ModeFull} {
+		t.Run(string(mode), func(t *testing.T) {
+			inf2.Mode.Set(pam.TokenConfig{Mode: mode, Deadline: t0.AddDate(0, 1, 0), InfoURL: "https://portal.example"})
+			sim.Advance(31 * time.Second) // a fresh code for every row
+			for _, u := range []string{"soft", "sms", "hard", "training"} {
+				_, err := login(u, "")
+				if mode == pam.ModeOff {
+					if err != nil {
+						t.Errorf("%s without a factor in off mode: %v", u, err)
+					}
+					continue
+				}
+				if !errors.Is(err, sshd.ErrDenied) {
+					t.Errorf("%s got in without a factor: err = %v", u, err)
+				}
+				if _, err := login(u, code(u)); err != nil {
+					t.Errorf("%s with its factor: %v", u, err)
+				}
+			}
+			challenged, err := login("gone", "")
+			switch {
+			case mode == pam.ModeFull:
+				if !errors.Is(err, sshd.ErrDenied) {
+					t.Errorf("unpaired user in full mode: err = %v, want denied", err)
+				}
+			case err != nil:
+				t.Errorf("unpaired user: %v", err)
+			case challenged:
+				t.Error("unpaired user challenged for a token they no longer hold")
+			}
+		})
+	}
 }

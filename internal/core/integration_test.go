@@ -1,18 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
 	"net/url"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"openmfa/internal/clock"
 	"openmfa/internal/idm"
 	"openmfa/internal/otp"
+	"openmfa/internal/portal"
 	"openmfa/internal/sshd"
 )
 
@@ -105,5 +108,120 @@ func TestPortalPairThenSSHLogin(t *testing.T) {
 	}
 	if _, err := sshd.Dial(inf.SSHAddr(), sshd.DialOptions{User: "grace", Responder: r}); err == nil {
 		t.Fatal("unpaired user admitted in full mode")
+	}
+}
+
+// TestPairingIsOneApply: the token record is the pairing, so every
+// pairing change is one Apply to otpd's store: each Pair* call and
+// Unpair, the portal's confirm (the check that accepts the code also
+// confirms the token) and the portal's unpair, by emailed link and after
+// the possession check of unpair-by-code.
+func TestPairingIsOneApply(t *testing.T) {
+	var mail struct {
+		sync.Mutex
+		body string
+	}
+	inf := newInfra(t, Options{Email: portal.EmailFunc(func(_, _, body string) error {
+		mail.Lock()
+		defer mail.Unlock()
+		mail.body = body
+		return nil
+	})})
+	sim := inf.Clock.(*clock.Sim)
+	applies := func(what string, do func() error) {
+		t.Helper()
+		before := inf.OTPStore().LSN()
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := inf.OTPStore().LSN() - before; n != 1 {
+			t.Errorf("%s: %d Applies, want 1", what, n)
+		}
+	}
+	for _, u := range []string{"soft", "sms", "hard", "train", "grace"} {
+		if _, err := inf.CreateUser(u, u+"@x", "pw", idm.ClassUser); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inf.OTP.ImportHardToken("C200-0042", []byte("fob-secret-0042-----")); err != nil {
+		t.Fatal(err)
+	}
+	applies("PairSoft", func() error { _, err := inf.PairSoft("soft"); return err })
+	applies("PairSMS", func() error { _, _, err := inf.PairSMS("sms", "5125550142"); return err })
+	applies("PairHard", func() error { _, err := inf.PairHard("hard", "C200-0042"); return err })
+	applies("PairTraining", func() error { return inf.PairTraining("train", "424242") })
+	applies("Unpair", func() error { return inf.Unpair("soft") })
+
+	var secret []byte
+	var state string
+	jar, _ := cookiejar.New(nil)
+	browser := &http.Client{Jar: jar, CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	post := func(path string, form url.Values) error {
+		resp, err := browser.PostForm(inf.PortalURL()+path, form)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode >= 400 {
+			return fmt.Errorf("%s = %d %q", path, resp.StatusCode, b)
+		}
+		if m := regexp.MustCompile(`QR payload: (\S+)`).FindSubmatch(b); m != nil {
+			key, err := otp.ParseURI(string(m[1]))
+			if err != nil {
+				return err
+			}
+			secret = key.Secret
+			state = string(regexp.MustCompile(`state: (\S+)`).FindSubmatch(b)[1])
+		}
+		return nil
+	}
+	code := func() string {
+		c, _ := otp.TOTP(secret, sim.Now(), inf.OTP.OTPOptions())
+		return c
+	}
+	pair := func() {
+		t.Helper()
+		if err := post("/pair/start", url.Values{"type": {"soft"}}); err != nil {
+			t.Fatal(err)
+		}
+		applies("portal confirm", func() error {
+			return post("/pair/confirm", url.Values{"state": {state}, "code": {code()}})
+		})
+		sim.Advance(31 * time.Second)
+	}
+	if err := post("/login", url.Values{"username": {"grace"}, "password": {"pw"}}); err != nil {
+		t.Fatal(err)
+	}
+	pair()
+	before := inf.OTPStore().LSN()
+	if err := post("/unpair/confirm", url.Values{"code": {code()}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := inf.OTPStore().LSN() - before; n != 2 {
+		t.Errorf("portal unpair by code: %d Applies, want 2 (the possession check, then the unpair)", n)
+	}
+	pair()
+	if err := post("/unpair/email", nil); err != nil {
+		t.Fatal(err)
+	}
+	mail.Lock()
+	link := regexp.MustCompile(`/unpair/oob\?token=\S+`).FindString(mail.body)
+	mail.Unlock()
+	applies("portal unpair by link", func() error {
+		resp, err := http.Get(inf.PortalURL() + link)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			return fmt.Errorf("unpair link = %d", resp.StatusCode)
+		}
+		return nil
+	})
+	if p, _ := inf.OTP.Pairing("grace"); p != "none" {
+		t.Fatalf("pairing after unpair = %q", p)
 	}
 }

@@ -1,14 +1,14 @@
 // Package idm is the identity-management back end: the account database
-// that predates MFA in the paper's deployment and that the portal keeps in
-// sync with pairing state (§3.5: "the portal notifies the identity
-// management back end that the user has configured multi-factor
-// authentication and which method").
+// that predates MFA in the paper's deployment. It owns first-factor
+// credentials: salted password hashes and authorized ed25519 public keys,
+// plus each account's email and class.
 //
 // Each account gets a unique numeric uid (§3.1: "an LDAP entry is
 // generated including a unique user ID that becomes common to both
-// databases"). The account record is that entry: the PAM token module's
-// pairing query reads it directly (Pairing). The IDM owns first-factor
-// credentials: salted password hashes and authorized ed25519 public keys.
+// databases"). The pairing half of that entry, the type the PAM token
+// module's Figure 2 query reads and the portal reports on every pairing
+// change (§3.5), lives in otpd's token record instead, so one write
+// changes it and the replicated store carries it (otpd.Server.Pairing).
 package idm
 
 import (
@@ -27,20 +27,6 @@ import (
 	"openmfa/internal/store"
 )
 
-// PairingStatus is the portal-visible MFA state of an account, the value
-// the PAM token module's pairing query reads. It is a plain string, the
-// type that query returns.
-type PairingStatus = string
-
-// Pairing states. "none" is the pre-MFA default.
-const (
-	PairingNone     PairingStatus = "none"
-	PairingSoft     PairingStatus = "soft"
-	PairingSMS      PairingStatus = "sms"
-	PairingHard     PairingStatus = "hard"
-	PairingTraining PairingStatus = "training"
-)
-
 // AccountClass labels the behavioural category of an account (§2: SSH
 // users, gateways, community accounts; §3.3: training accounts).
 type AccountClass string
@@ -56,18 +42,13 @@ const (
 
 // Account is one identity.
 type Account struct {
-	Username     string        `json:"username"`
-	UID          int           `json:"uid"`
-	Email        string        `json:"email"`
-	Class        AccountClass  `json:"class"`
-	PasswordHash string        `json:"password_hash"`
-	PublicKeys   []string      `json:"public_keys,omitempty"` // base64 ed25519
-	Pairing      PairingStatus `json:"pairing"`
-	// PairingGen counts pairing changes: SetPairing increments it, so a
-	// credential bound to one value (the portal's unpair link) dies with
-	// the pairing it was issued for.
-	PairingGen uint64    `json:"pairing_gen,omitempty"`
-	Created    time.Time `json:"created"`
+	Username     string       `json:"username"`
+	UID          int          `json:"uid"`
+	Email        string       `json:"email"`
+	Class        AccountClass `json:"class"`
+	PasswordHash string       `json:"password_hash"`
+	PublicKeys   []string     `json:"public_keys,omitempty"` // base64 ed25519
+	Created      time.Time    `json:"created"`
 }
 
 // Errors.
@@ -130,7 +111,6 @@ func (m *IDM) Create(username, email, password string, class AccountClass) (*Acc
 		Email:        email,
 		Class:        class,
 		PasswordHash: cryptoutil.HashPassword(password),
-		Pairing:      PairingNone,
 		Created:      m.clk.Now().UTC(),
 	}
 	m.nextUID++
@@ -271,37 +251,6 @@ func (m *IDM) PublicKeys(username string) ([]ed25519.PublicKey, error) {
 		}
 	}
 	return out, nil
-}
-
-// SetPairing records the MFA pairing status and advances PairingGen.
-// PAM's pairing query reads the account, so it sees the change at once.
-func (m *IDM) SetPairing(username string, p PairingStatus) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, err := m.Lookup(username)
-	if err != nil {
-		return err
-	}
-	a.Pairing = p
-	a.PairingGen++
-	return m.save(a)
-}
-
-// Pairing returns the account's pairing status; it is the PAM token
-// module's pairing lookup (pam.PairingLookup). An account that does not
-// exist reads PairingNone, as a user without a directory entry does. Any
-// other failure to read the account is an error, which the token module
-// treats as an unknown pairing: it challenges, and never waives the
-// factor.
-func (m *IDM) Pairing(username string) (PairingStatus, error) {
-	a, err := m.account(username)
-	if errors.Is(err, ErrNoUser) {
-		return PairingNone, nil
-	}
-	if err != nil {
-		return "", err
-	}
-	return a.Pairing, nil
 }
 
 // All returns every account, sorted by username.

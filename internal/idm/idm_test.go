@@ -23,7 +23,7 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Username != "cproctor" || a.UID < 1000 || a.Pairing != PairingNone {
+	if a.Username != "cproctor" || a.UID < 1000 {
 		t.Fatalf("account = %+v", a)
 	}
 	if !a.Created.Equal(t0) {
@@ -32,10 +32,6 @@ func TestCreateAndLookup(t *testing.T) {
 	got, err := m.Lookup("cproctor")
 	if err != nil || got.UID != a.UID {
 		t.Fatalf("lookup: %+v, %v", got, err)
-	}
-	// The pairing query reads the new account.
-	if p, err := m.Pairing("CProctor"); err != nil || p != "none" {
-		t.Fatalf("pairing: %q, %v", p, err)
 	}
 	// Duplicates and empties rejected.
 	if _, err := m.Create("cproctor", "x", "y", ClassUser); err != ErrExists {
@@ -141,48 +137,6 @@ func TestPublicKeys(t *testing.T) {
 	}
 }
 
-// TestSetPairingMirrorsDirectory: the account record is the directory
-// entry the token module queries, so a pairing change reads back at once,
-// and an unknown account reads "none".
-func TestSetPairingMirrorsDirectory(t *testing.T) {
-	m := newIDM(t)
-	m.Create("storm", "", "p", ClassStaff)
-	if err := m.SetPairing("storm", PairingSMS); err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.Pairing("Storm")
-	if err != nil || p != PairingSMS {
-		t.Fatalf("pairing = %v, %v", p, err)
-	}
-	// Unpair.
-	m.SetPairing("storm", PairingNone)
-	if p, _ := m.Pairing("storm"); p != PairingNone {
-		t.Fatal("unpair not read back")
-	}
-	if err := m.SetPairing("ghost", PairingSoft); err != ErrNoUser {
-		t.Fatalf("ghost: %v", err)
-	}
-	if p, err := m.Pairing("ghost"); err != nil || p != PairingNone {
-		t.Fatalf("ghost pairing = %q, %v; want none", p, err)
-	}
-}
-
-// TestPairingFailsOnStoreError: a missing account reads "none", but an
-// account store that cannot be read is an error, never "none": the token
-// module then challenges instead of waiving the factor.
-func TestPairingFailsOnStoreError(t *testing.T) {
-	db := store.OpenMemory()
-	m := New(db, clock.NewSim(t0))
-	m.Create("storm", "", "p", ClassStaff)
-	m.SetPairing("storm", PairingSMS)
-	db.Close()
-	for _, u := range []string{"storm", "ghost"} {
-		if p, err := m.Pairing(u); err == nil {
-			t.Errorf("Pairing(%q) on a closed store = %q, nil; want an error", u, p)
-		}
-	}
-}
-
 // TestLookupIsACopy: callers of Lookup and Create get their own copy; a
 // change to it reaches neither the store nor the copy other readers share.
 func TestLookupIsACopy(t *testing.T) {
@@ -196,10 +150,10 @@ func TestLookupIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Pairing, got.Pairing = PairingSoft, PairingSoft
+	a.Email, got.Email = "x@evil.example", "x@evil.example"
 	got.PublicKeys[0] = "tampered"
-	if p, _ := m.Pairing("u"); p != PairingNone {
-		t.Fatalf("pairing changed through a copy: %q", p)
+	if now, _ := m.Lookup("u"); now.Email != "" {
+		t.Fatalf("email changed through a copy: %q", now.Email)
 	}
 	if keys, _ := m.PublicKeys("u"); len(keys) != 1 || !keys[0].Equal(pub) {
 		t.Fatal("public key changed through a copy")

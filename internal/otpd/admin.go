@@ -17,7 +17,7 @@ import (
 //
 // Endpoints (all JSON):
 //
-//	POST /admin/init    {user, type, phone?, serial?}   → Enrollment
+//	POST /admin/init    {user, type, phone?, serial?}   → Enrollment (provisional)
 //	POST /admin/remove  {user}                          → {ok}
 //	POST /admin/resync  {user, otp1, otp2}              → {ok}
 //	POST /admin/reset   {user}                          → {ok}
@@ -79,15 +79,17 @@ func (a *AdminAPI) handleInit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	// The portal enrols here, so the token is provisional until its
+	// first accepted code.
 	var enr *Enrollment
 	var err error
 	switch req.Type {
 	case TokenSoft:
-		enr, err = a.OTP.InitSoftToken(req.User)
+		enr, err = a.OTP.initGenerated(req.User, TokenSoft, "", true)
 	case TokenSMS:
-		enr, err = a.OTP.InitSMSToken(req.User, req.Phone)
+		enr, err = a.OTP.initGenerated(req.User, TokenSMS, req.Phone, true)
 	case TokenHard:
-		enr, err = a.OTP.AssignHardToken(req.User, req.Serial)
+		enr, err = a.OTP.assignHard(req.User, req.Serial, true)
 	default:
 		writeError(w, http.StatusBadRequest, ErrBadType)
 		return

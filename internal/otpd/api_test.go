@@ -253,7 +253,7 @@ func TestAdminAPIInitShowRemove(t *testing.T) {
 	if body["secret"] == "" || body["uri"] == "" {
 		t.Fatalf("init response = %v", body)
 	}
-	if !s.HasToken("alice") {
+	if !hasToken(s, "alice") {
 		t.Fatal("token not created")
 	}
 
@@ -265,11 +265,19 @@ func TestAdminAPIInitShowRemove(t *testing.T) {
 	var info TokenInfo
 	json.NewDecoder(r2.Body).Decode(&info)
 	r2.Body.Close()
-	if info.Type != TokenSoft || !info.Active {
+	if info.Type != TokenSoft || !info.Active || !info.Provisional || info.PairingID == 0 {
 		t.Fatalf("show = %+v", info)
 	}
 
-	// Duplicate init → 409.
+	// A second init replaces the provisional token; once a code has
+	// confirmed the token, a duplicate init → 409.
+	resp, _ = postJSON(t, client, srv.URL+"/admin/init", initReq{User: "alice", Type: TokenSoft})
+	if resp.StatusCode != 200 {
+		t.Fatalf("init over a provisional token: status = %d", resp.StatusCode)
+	}
+	if res, err := s.Check("alice", currentCode(t, s, "alice")); err != nil || !res.OK {
+		t.Fatalf("confirming check: %+v, %v", res, err)
+	}
 	resp, _ = postJSON(t, client, srv.URL+"/admin/init", initReq{User: "alice", Type: TokenSoft})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate init status = %d", resp.StatusCode)
@@ -280,7 +288,7 @@ func TestAdminAPIInitShowRemove(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("remove status = %d", resp.StatusCode)
 	}
-	if s.HasToken("alice") {
+	if hasToken(s, "alice") {
 		t.Fatal("token survived remove")
 	}
 	// Remove again → 404.

@@ -2,6 +2,8 @@ package otpd
 
 import (
 	"crypto/subtle"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -253,36 +255,33 @@ type Enrollment struct {
 
 // InitSoftToken provisions a fresh soft token for user. The secret is
 // returned once (encoded in the QR the portal shows) and stored sealed.
+// In-process enrolments pair at once; the admin API's /init (the
+// portal's path) enrols a provisional token.
 func (s *Server) InitSoftToken(user string) (*Enrollment, error) {
-	return s.initGenerated(user, TokenSoft, "", "")
+	return s.initGenerated(user, TokenSoft, "", false)
 }
 
 // InitSMSToken provisions an SMS token tied to phone.
 func (s *Server) InitSMSToken(user, phone string) (*Enrollment, error) {
-	if phone == "" {
-		return nil, errors.New("otpd: phone required for SMS token")
-	}
-	return s.initGenerated(user, TokenSMS, phone, "")
+	return s.initGenerated(user, TokenSMS, phone, false)
 }
 
-func (s *Server) initGenerated(user string, typ TokenType, phone, serial string) (*Enrollment, error) {
+func (s *Server) initGenerated(user string, typ TokenType, phone string, provisional bool) (*Enrollment, error) {
 	user = strings.ToLower(user)
 	if user == "" {
 		return nil, errors.New("otpd: empty user")
 	}
+	if typ == TokenSMS && phone == "" {
+		return nil, errors.New("otpd: phone required for SMS token")
+	}
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
-	if s.db.Has(tokenKey(user)) {
-		return nil, ErrHasToken
+	if err := s.clearProvisional(user); err != nil {
+		return nil, err
 	}
 	secret := cryptoutil.RandomBytes(20)
-	r := &record{
-		User: user, Type: typ, Phone: phone, Serial: serial,
-		SecretSealed: s.sealSecret(user, secret),
-		Active:       true,
-		CreatedUnix:  s.clk.Now().Unix(),
-		secret:       secret,
-	}
+	r := s.newRecord(user, typ, secret, provisional)
+	r.Phone = phone
 	if err := s.saveRecord(r); err != nil {
 		return nil, err
 	}
@@ -294,8 +293,24 @@ func (s *Server) initGenerated(user string, typ TokenType, phone, serial string)
 	return &Enrollment{User: user, Type: typ, Secret: secret, Phone: phone, URI: key.URI()}, nil
 }
 
+// newRecord is a fresh, active token record with a random pairing ID.
+func (s *Server) newRecord(user string, typ TokenType, secret []byte, provisional bool) *record {
+	r := &record{
+		User: user, Type: typ, Active: true, Provisional: provisional,
+		PairingID: binary.LittleEndian.Uint64(cryptoutil.RandomBytes(8)), CreatedUnix: s.clk.Now().Unix(),
+	}
+	if secret != nil {
+		r.SecretSealed, r.secret = s.sealSecret(user, secret), secret
+	}
+	return r
+}
+
 // AssignHardToken pairs an inventory fob (by serial) to user.
 func (s *Server) AssignHardToken(user, serial string) (*Enrollment, error) {
+	return s.assignHard(user, serial, false)
+}
+
+func (s *Server) assignHard(user, serial string, provisional bool) (*Enrollment, error) {
 	user = strings.ToLower(user)
 	// Lock order: user stripe, then serial stripe (ImportHardToken takes
 	// only the serial stripe, so the order is never inverted).
@@ -303,8 +318,8 @@ func (s *Server) AssignHardToken(user, serial string) (*Enrollment, error) {
 	defer s.users.Unlock(user)
 	s.serials.Lock(serial)
 	defer s.serials.Unlock(serial)
-	if s.db.Has(tokenKey(user)) {
-		return nil, ErrHasToken
+	if err := s.clearProvisional(user); err != nil {
+		return nil, err
 	}
 	b, err := s.db.Get(hardInvKey(serial))
 	if errors.Is(err, store.ErrNotFound) {
@@ -321,17 +336,13 @@ func (s *Server) AssignHardToken(user, serial string) (*Enrollment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("otpd: inventory unseal: %w", err)
 	}
-	r := &record{
-		User: user, Type: TokenHard, Serial: serial,
-		SecretSealed: s.sealSecret(user, secret),
-		Active:       true,
-		CreatedUnix:  s.clk.Now().Unix(),
-		secret:       secret,
-	}
-	if err := s.saveRecord(r); err != nil {
+	r := s.newRecord(user, TokenHard, secret, provisional)
+	r.Serial = serial
+	if b, err = json.Marshal(r); err != nil {
 		return nil, err
 	}
-	if err := s.db.Delete(hardInvKey(serial)); err != nil {
+	// The fob leaves inventory in the write that pairs it.
+	if err := s.writes.Apply([]store.Op{{Key: tokenKey(user), Value: b, Decoded: r}, {Key: hardInvKey(serial), Delete: true}}); err != nil {
 		return nil, err
 	}
 	s.audit.Record("assign_hard", user, "serial="+serial, true)
@@ -356,7 +367,7 @@ func (s *Server) SetStaticToken(user, code string) error {
 	created := false
 	var r record
 	if errors.Is(err, ErrNoToken) {
-		r = record{User: user, Type: TokenTraining, Active: true, CreatedUnix: s.clk.Now().Unix()}
+		r = *s.newRecord(user, TokenTraining, nil, false)
 		created = true
 	} else if err != nil {
 		return err
@@ -382,15 +393,17 @@ func (s *Server) SetStaticToken(user, code string) error {
 	return nil
 }
 
-// RemoveToken unpairs user's token.
+// RemoveToken unpairs user's token (see remove for the fob). A record
+// that cannot be read is removed all the same.
 func (s *Server) RemoveToken(user string) error {
 	user = strings.ToLower(user)
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
-	if !s.db.Has(tokenKey(user)) {
-		return ErrNoToken
+	cur, err := s.loadRecord(user)
+	if errors.Is(err, ErrNoToken) {
+		return err
 	}
-	if err := s.db.Delete(tokenKey(user)); err != nil {
+	if err := s.remove(user, cur); err != nil {
 		return err
 	}
 	s.audit.Record("remove", user, "", true)
@@ -404,12 +417,6 @@ func (s *Server) Token(user string) (TokenInfo, error) {
 		return TokenInfo{}, err
 	}
 	return r.info(), nil
-}
-
-// HasToken reports whether user has any token ("opt-in ... simply by a
-// device pairing").
-func (s *Server) HasToken(user string) bool {
-	return s.db.Has(tokenKey(strings.ToLower(user)))
 }
 
 // Tokens lists every provisioned token.
@@ -546,6 +553,7 @@ func (s *Server) check(user, code string) (CheckResult, error) {
 	}
 
 	r.FailCount = 0
+	r.Provisional = false // the first accepted code confirms a pairing
 	if r.Type != TokenTraining {
 		r.LastCounter = matched
 	}

@@ -64,6 +64,11 @@ type record struct {
 	LastCounter  uint64    `json:"last_counter"` // replay high-water mark
 	LastSMSUnix  int64     `json:"last_sms_unix,omitempty"`
 	CreatedUnix  int64     `json:"created_unix"`
+	// Provisional marks a portal enrolment no code has confirmed yet: it
+	// reads as unpaired. Records from before the flag decode as confirmed.
+	Provisional bool `json:"provisional,omitempty"`
+	// PairingID is random per pairing; the portal's unpair link binds it.
+	PairingID uint64 `json:"pairing_id,omitempty"`
 
 	// secret is SecretSealed unsealed, kept beside it in the store's
 	// decoded copy and never written out; nil for training tokens and
@@ -73,20 +78,23 @@ type record struct {
 
 // TokenInfo is the admin-visible view of a token (no secret material).
 type TokenInfo struct {
-	User      string    `json:"user"`
-	Type      TokenType `json:"type"`
-	Serial    string    `json:"serial,omitempty"`
-	Phone     string    `json:"phone,omitempty"`
-	Active    bool      `json:"active"`
-	FailCount int       `json:"fail_count"`
-	Created   time.Time `json:"created"`
+	User        string    `json:"user"`
+	Type        TokenType `json:"type"`
+	Serial      string    `json:"serial,omitempty"`
+	Phone       string    `json:"phone,omitempty"`
+	Active      bool      `json:"active"`
+	FailCount   int       `json:"fail_count"`
+	Created     time.Time `json:"created"`
+	Provisional bool      `json:"provisional,omitempty"`
+	PairingID   uint64    `json:"pairing_id,omitempty"`
 }
 
 func (r *record) info() TokenInfo {
 	return TokenInfo{
 		User: r.User, Type: r.Type, Serial: r.Serial, Phone: r.Phone,
 		Active: r.Active, FailCount: r.FailCount,
-		Created: time.Unix(r.CreatedUnix, 0).UTC(),
+		Created:     time.Unix(r.CreatedUnix, 0).UTC(),
+		Provisional: r.Provisional, PairingID: r.PairingID,
 	}
 }
 
@@ -155,6 +163,57 @@ func (s *Server) saveRecord(r *record) error {
 	return s.writes.Apply([]store.Op{op[0]})
 }
 
+// Pairing is the PAM token module's pairing lookup (pam.PairingLookup),
+// the Figure 2 query: the type of user's confirmed token. No token, or a
+// provisional one, reads "none". Any other failure to read the record is
+// an error, on which the token module challenges and never waives.
+func (s *Server) Pairing(user string) (string, error) {
+	r, err := s.loadRecord(strings.ToLower(user))
+	switch {
+	case errors.Is(err, ErrNoToken) || err == nil && r.Provisional:
+		return "none", nil
+	case err != nil:
+		return "", err
+	}
+	return string(r.Type), nil
+}
+
+// clearProvisional removes user's provisional token, which a new
+// enrolment replaces; a confirmed token is ErrHasToken. The caller holds
+// user's stripe.
+func (s *Server) clearProvisional(user string) error {
+	cur, err := s.loadRecord(user)
+	switch {
+	case errors.Is(err, ErrNoToken):
+		return nil
+	case err != nil:
+		return err
+	case !cur.Provisional:
+		return ErrHasToken
+	}
+	return s.remove(user, cur)
+}
+
+// remove deletes user's token cur (nil if unreadable) in one Apply, which
+// puts a provisional hard token's fob back into inventory: it was never
+// confirmed in the user's hands. A confirmed fob stays out, as it may be
+// lost. No assignment races the restore: the fob is not in inventory.
+func (s *Server) remove(user string, cur *record) error {
+	ops := []store.Op{{Key: tokenKey(user), Delete: true}}
+	if cur != nil && cur.Provisional && cur.Type == TokenHard {
+		secret, err := s.secretOf(user, cur)
+		if err != nil {
+			return err
+		}
+		b, err := s.fobValue(cur.Serial, secret)
+		if err != nil {
+			return err
+		}
+		ops = append(ops, store.Op{Key: hardInvKey(cur.Serial), Value: b})
+	}
+	return s.db.Apply(ops)
+}
+
 func (s *Server) sealSecret(user string, secret []byte) []byte {
 	return s.box.Seal(secret, []byte("user:"+strings.ToLower(user)))
 }
@@ -191,8 +250,7 @@ func (s *Server) ImportHardToken(serial string, secret []byte) error {
 	if s.db.Has(hardInvKey(serial)) {
 		return fmt.Errorf("otpd: serial %s already imported", serial)
 	}
-	inv := hardInventory{Serial: serial, SecretSealed: s.box.Seal(secret, []byte("serial:"+serial))}
-	b, err := json.Marshal(inv)
+	b, err := s.fobValue(serial, secret)
 	if err != nil {
 		return err
 	}
@@ -201,6 +259,11 @@ func (s *Server) ImportHardToken(serial string, secret []byte) error {
 	}
 	s.audit.Record("import_hard", "", "serial="+serial, true)
 	return nil
+}
+
+// fobValue is the stored inventory entry of fob serial.
+func (s *Server) fobValue(serial string, secret []byte) ([]byte, error) {
+	return json.Marshal(hardInventory{Serial: serial, SecretSealed: s.box.Seal(secret, []byte("serial:"+serial))})
 }
 
 // HardInventoryCount reports unassigned fobs remaining.

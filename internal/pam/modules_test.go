@@ -173,7 +173,7 @@ func (h *harness) stackConfig(engine *risk.Engine) SSHDStackConfig {
 		IDM:        h.idm,
 		Exemptions: h.acl,
 		TokenCfg:   h.mode,
-		Pairing:    h.idm,
+		Pairing:    h.otp,
 		Radius:     h.pool,
 		Risk:       engine,
 	}
@@ -193,9 +193,6 @@ func (h *harness) pairSoft(t testing.TB, user string) func() string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.idm.SetPairing(user, idm.PairingSoft); err != nil {
-		t.Fatal(err)
-	}
 	return func() string {
 		code, err := otp.TOTP(enr.Secret, h.sim.Now(), h.otp.OTPOptions())
 		if err != nil {
@@ -208,9 +205,6 @@ func (h *harness) pairSoft(t testing.TB, user string) func() string {
 func (h *harness) pairSMS(t testing.TB, user, phone string) {
 	t.Helper()
 	if _, err := h.otp.InitSMSToken(user, phone); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.idm.SetPairing(user, idm.PairingSMS); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -610,7 +604,7 @@ func TestTokenModuleRadiusOutage(t *testing.T) {
 	h.pairSoft(t, "u")
 	dead := radius.NewPool([]string{"127.0.0.1:9"}, []byte("s"), 50*time.Millisecond, 0)
 	h.stack.Entries[3].Module = &Token{
-		Config: h.mode, Pairing: h.idm, Radius: dead,
+		Config: h.mode, Pairing: h.otp, Radius: dead,
 	}
 	c := &conv{answers: []any{"pw", "123456"}}
 	if err := h.login(t, "u", external, c); !errors.Is(err, ErrAuthFailed) {
@@ -661,7 +655,7 @@ func TestPairingOutageFailsClosed(t *testing.T) {
 	}
 }
 
-// TestPairingClosedAccountStoreChallenges: an idm whose account store is
+// TestPairingClosedAccountStoreChallenges: an otpd whose token store is
 // closed answers the pairing query with an error, not "none", so even
 // paired mode challenges: the SMS-paired user gets no SMS trigger and is
 // denied, and a soft-paired user still logs in with a valid code.
@@ -669,7 +663,10 @@ func TestPairingClosedAccountStoreChallenges(t *testing.T) {
 	h := newHarness(t, "")
 	*h.mode = StaticConfig{Mode: ModePaired}
 	db := store.OpenMemory()
-	closed := idm.New(db, nil)
+	closed, err := otpd.New(otpd.Config{DB: db, EncryptionKey: bytes.Repeat([]byte{1}, 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db.Close()
 	h.stack.Entries[3].Module = &Token{Config: h.mode, Pairing: closed, Radius: h.pool}
 	h.addUser(t, "storm", "pw")
@@ -693,15 +690,15 @@ func TestPairingClosedAccountStoreChallenges(t *testing.T) {
 	}
 }
 
-// TestDirectoryPairingLookup: the token module's pairing query reads the
-// idm account record, case-insensitively; an unpaired account and a user
+// TestDirectoryPairingLookup: the token module's pairing query reads
+// otpd's token record, case-insensitively; an unpaired account and a user
 // without an account both read "none".
 func TestDirectoryPairingLookup(t *testing.T) {
-	m := idm.New(store.OpenMemory(), nil)
-	m.Create("u", "", "p", idm.ClassUser)
-	m.SetPairing("u", idm.PairingSMS)
-	m.Create("v", "", "p", idm.ClassUser)
-	var lp PairingLookup = m
+	h := newHarness(t, "")
+	h.addUser(t, "u", "p")
+	h.pairSMS(t, "u", "+15125550100")
+	h.addUser(t, "v", "p")
+	var lp PairingLookup = h.otp
 	for user, want := range map[string]string{"u": "sms", "U": "sms", "v": "none", "ghost": "none"} {
 		if p, err := lp.Pairing(user); err != nil || p != want {
 			t.Errorf("Pairing(%q) = %q, %v; want %q", user, p, err, want)

@@ -144,9 +144,10 @@ func parseTokenConfig(s string) (TokenConfig, bool) {
 
 // PairingLookup resolves a user's MFA pairing type ("An LDAP query is
 // used to check the user's MFA pairing type", Figure 2). The deployment's
-// lookup is *idm.IDM, whose account record is the entry the query reads:
-// a user without an account reads "none", and an account store that
-// cannot be read returns an error.
+// lookup is *otpd.Server: the entry the query reads is the user's token
+// record, the same record the second factor validates against, so it
+// replicates with it. A user without a confirmed token reads "none", and
+// a token store that cannot be read returns an error.
 type PairingLookup interface {
 	Pairing(user string) (string, error)
 }

@@ -13,8 +13,9 @@
 //   - unpairing with possession proof (current code), the signed-URL
 //     out-of-band email path for lost devices, and the hard-token
 //     exception (support ticket only);
-//   - notifications to the identity-management back end on every pairing
-//     change.
+//   - the pairing record §3.5 notifies the identity-management back end
+//     of: here it is otpd's token record, which the token module's pairing
+//     query reads, so each change is the one admin-API call that makes it.
 package portal
 
 import (
@@ -219,8 +220,8 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 	})
 	// "If no multi-factor device is configured, then the user is
 	// directed to an interstitial page" — on every log in.
-	pairing, err := p.idm.Pairing(user)
-	if err == nil && pairing == idm.PairingNone {
+	pairing, _, err := p.pairing(user)
+	if err == nil && pairing == "none" {
 		http.Redirect(w, r, "/splash", http.StatusSeeOther)
 		return
 	}
@@ -229,6 +230,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) handleLogout(w http.ResponseWriter, r *http.Request) {
 	if s, sid := p.session(r); s != nil {
+		p.abortPending(s)
 		p.mu.Lock()
 		delete(p.sessions, sid)
 		p.mu.Unlock()
@@ -268,8 +270,22 @@ func (p *Portal) auth(fn func(http.ResponseWriter, *http.Request, *session)) htt
 
 // --- pages ---
 
+// pairing reads user's device type and pairing ID from otpd's token
+// record; no token, or a provisional one, reads "none".
+func (p *Portal) pairing(user string) (string, uint64, error) {
+	info, err := p.admin.Show(user)
+	var apiErr *otpd.APIError
+	switch {
+	case errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound, err == nil && info.Provisional:
+		return "none", 0, nil
+	case err != nil:
+		return "", 0, err
+	}
+	return string(info.Type), info.PairingID, nil
+}
+
 func (p *Portal) handleHome(w http.ResponseWriter, r *http.Request, s *session) {
-	pairing, _ := p.idm.Pairing(s.user)
+	pairing, _, _ := p.pairing(s.user)
 	fmt.Fprintf(w, "user: %s\npairing: %s\n", s.user, pairing)
 }
 
@@ -285,7 +301,7 @@ func (p *Portal) handlePairPage(w http.ResponseWriter, r *http.Request, s *sessi
 	// "If a user refreshes in the middle of the process ... the process
 	// is aborted and the user will have to restart from the beginning."
 	p.abortPending(s)
-	pairing, _ := p.idm.Pairing(s.user)
+	pairing, _, _ := p.pairing(s.user)
 	fmt.Fprintf(w, "current pairing: %s\noptions: soft sms hard\n", pairing)
 }
 
@@ -304,7 +320,7 @@ func (p *Portal) abortPending(s *session) {
 func (p *Portal) handlePairStart(w http.ResponseWriter, r *http.Request, s *session) {
 	p.abortPending(s) // restarting the process aborts the previous one
 
-	if pairing, _ := p.idm.Pairing(s.user); pairing != idm.PairingNone {
+	if pairing, _, _ := p.pairing(s.user); pairing != "none" {
 		http.Error(w, "a device is already paired; unpair it first", http.StatusConflict)
 		return
 	}
@@ -397,15 +413,11 @@ func (p *Portal) handlePairConfirm(w http.ResponseWriter, r *http.Request, s *se
 		http.Error(w, "code did not validate: "+msg, http.StatusUnprocessableEntity)
 		return
 	}
+	// "the identity management back end is notified that the user has
+	// paired": the accepted code confirmed the token in the same write.
 	p.mu.Lock()
 	s.pending = nil
 	p.mu.Unlock()
-	// "the identity management back end is notified that the user has
-	// paired using a ... token device."
-	if err := p.idm.SetPairing(s.user, pairingFor(st.typ)); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	if p.events != nil {
 		p.events.Publish(eventstream.Event{
 			Time: p.clk.Now(), Type: eventstream.TypeEnroll, Component: "portal",
@@ -415,30 +427,15 @@ func (p *Portal) handlePairConfirm(w http.ResponseWriter, r *http.Request, s *se
 	fmt.Fprintf(w, "paired: %s\n", st.typ)
 }
 
-func pairingFor(t otpd.TokenType) idm.PairingStatus {
-	switch t {
-	case otpd.TokenSoft:
-		return idm.PairingSoft
-	case otpd.TokenSMS:
-		return idm.PairingSMS
-	case otpd.TokenHard:
-		return idm.PairingHard
-	case otpd.TokenTraining:
-		return idm.PairingTraining
-	default:
-		return idm.PairingNone
-	}
-}
-
 // --- unpairing ---
 
 func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *session) {
-	pairing, err := p.idm.Pairing(s.user)
-	if err != nil || pairing == idm.PairingNone {
+	pairing, _, err := p.pairing(s.user)
+	if err != nil || pairing == "none" {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return
 	}
-	if pairing == idm.PairingHard {
+	if pairing == string(otpd.TokenHard) {
 		// "Support is not provided for the unpairing of a hard token
 		// device via the portal. Instead ... submit a request directly
 		// to the center's user support ticketing system."
@@ -463,13 +460,10 @@ func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *
 	fmt.Fprintln(w, "device unpaired")
 }
 
-// unpair removes user's device from otpd and the directory, then
-// announces it on the bus: an unpair is the account-takeover signal.
-func (p *Portal) unpair(user string, was idm.PairingStatus) error {
+// unpair removes user's device from otpd, then announces it on the bus:
+// an unpair is the account-takeover signal.
+func (p *Portal) unpair(user, was string) error {
 	if err := p.admin.Remove(user); err != nil {
-		return err
-	}
-	if err := p.idm.SetPairing(user, idm.PairingNone); err != nil {
 		return err
 	}
 	if p.events != nil {
@@ -494,14 +488,19 @@ func (p *Portal) handleUnpairEmail(w http.ResponseWriter, r *http.Request, s *se
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if acct.Pairing == idm.PairingHard {
+	pairing, id, err := p.pairing(s.user)
+	if err != nil {
+		p.adminError(w, err)
+		return
+	}
+	if pairing == string(otpd.TokenHard) {
 		http.Error(w, "hard tokens are unpaired via a support ticket", http.StatusForbidden)
 		return
 	}
 	// "The user is sent an email to their associated account email
 	// address that contains a signed URL." The URL names the pairing it
 	// was issued for, so it dies on first use and on any re-pair.
-	tok := p.signer.Sign(fmt.Sprintf("unpair:%s:%d", s.user, acct.PairingGen), p.clk.Now().Add(OOBTTL))
+	tok := p.signer.Sign(fmt.Sprintf("unpair:%s:%d", s.user, id), p.clk.Now().Add(OOBTTL))
 	link := fmt.Sprintf("%s/unpair/oob?token=%s", p.base, tok)
 	body := fmt.Sprintf("Follow this link to remove your MFA device pairing:\n%s\n", link)
 	if err := p.email.SendEmail(acct.Email, "MFA device unpairing request", body); err != nil {
@@ -519,26 +518,26 @@ func (p *Portal) handleUnpairOOB(w http.ResponseWriter, r *http.Request) {
 	}
 	rest, ok := strings.CutPrefix(payload, "unpair:")
 	i := strings.LastIndexByte(rest, ':')
-	gen, err := strconv.ParseUint(rest[i+1:], 10, 64)
+	linked, err := strconv.ParseUint(rest[i+1:], 10, 64)
 	if !ok || i < 0 || err != nil {
 		http.Error(w, "invalid link", http.StatusForbidden)
 		return
 	}
 	user := rest[:i]
-	acct, err := p.idm.Lookup(user)
-	if err != nil || acct.Pairing == idm.PairingNone {
+	pairing, id, err := p.pairing(user)
+	if err != nil || pairing == "none" {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return
 	}
-	if acct.Pairing == idm.PairingHard {
+	if pairing == string(otpd.TokenHard) {
 		http.Error(w, "hard tokens are unpaired via a support ticket", http.StatusForbidden)
 		return
 	}
-	if acct.PairingGen != gen {
+	if id != linked {
 		http.Error(w, "link was issued for an earlier pairing", http.StatusForbidden)
 		return
 	}
-	if err := p.unpair(user, acct.Pairing); err != nil {
+	if err := p.unpair(user, pairing); err != nil {
 		p.adminError(w, err)
 		return
 	}

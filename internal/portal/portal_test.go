@@ -134,6 +134,12 @@ func (w *world) addUser(t testing.TB, user, pw string) {
 	}
 }
 
+// hasToken reports whether user has a token, provisional or confirmed.
+func (w *world) hasToken(user string) bool {
+	_, err := w.otp.Token(user)
+	return err == nil
+}
+
 // browser is an http client with a cookie jar (a user's web browser).
 func browser(t testing.TB) *http.Client {
 	t.Helper()
@@ -244,8 +250,8 @@ func TestSoftPairingFlow(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(body, "paired: soft") {
 		t.Fatalf("confirm = %d %q", resp.StatusCode, body)
 	}
-	// IDM notified.
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingSoft {
+	// The token module's pairing query reads the confirmed token.
+	if p, _ := w.otp.Pairing("alice"); p != "soft" {
 		t.Fatalf("pairing = %v", p)
 	}
 	// Next login goes straight home.
@@ -282,7 +288,7 @@ func TestSMSPairingFlow(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(body, "paired: sms") {
 		t.Fatalf("confirm = %d %q", resp.StatusCode, body)
 	}
-	if p, _ := w.idm.Pairing("storm"); p != idm.PairingSMS {
+	if p, _ := w.otp.Pairing("storm"); p != "sms" {
 		t.Fatalf("pairing = %v", p)
 	}
 }
@@ -334,7 +340,7 @@ func TestPairingAbortOnRefresh(t *testing.T) {
 	// "If a user refreshes in the middle of the process ... the process
 	// is aborted": GET /pair kills the pending state and the token.
 	get(t, c, w.portal.URL+"/pair")
-	if w.otp.HasToken("alice") {
+	if w.hasToken("alice") {
 		t.Fatal("provisional token survived the refresh")
 	}
 	// The old form (back button) is now stale.
@@ -344,6 +350,76 @@ func TestPairingAbortOnRefresh(t *testing.T) {
 		url.Values{"state": {state[1]}, "code": {code}})
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("stale confirm status = %d", resp.StatusCode)
+	}
+}
+
+// TestLogoutMidPairingLetsUserRestart: a pairing left half done by a
+// logout, or by a session that expired, does not strand the user. The
+// provisional token reads as no pairing, and a fresh start replaces it.
+func TestLogoutMidPairingLetsUserRestart(t *testing.T) {
+	w := newWorld(t)
+	w.addUser(t, "alice", "pw")
+	c := browser(t)
+	for _, leave := range []string{"expiry", "logout"} {
+		login(t, w, c, "alice", "pw")
+		if resp, body := post(t, c, w.portal.URL+"/pair/start", url.Values{"type": {"soft"}}); resp.StatusCode != 200 {
+			t.Fatalf("%s: first start = %d %q", leave, resp.StatusCode, body)
+		}
+		if leave == "logout" {
+			post(t, c, w.portal.URL+"/logout", nil)
+			if w.hasToken("alice") {
+				t.Fatal("logout left the provisional token behind")
+			}
+		} else {
+			w.sim.Advance(13 * time.Hour) // past the session TTL
+		}
+		login(t, w, c, "alice", "pw")
+		if _, body := get(t, c, w.portal.URL+"/home"); !strings.Contains(body, "pairing: none") {
+			t.Fatalf("%s: home = %q", leave, body)
+		}
+		if resp, body := post(t, c, w.portal.URL+"/pair/start", url.Values{"type": {"soft"}}); resp.StatusCode != 200 {
+			t.Fatalf("%s: restart = %d %q, want 200", leave, resp.StatusCode, body)
+		}
+		post(t, c, w.portal.URL+"/logout", nil)
+	}
+	login(t, w, c, "alice", "pw")
+	pairSoft(t, w, c)
+	if p, _ := w.otp.Pairing("alice"); p != "soft" {
+		t.Fatalf("pairing after restart = %q", p)
+	}
+}
+
+// TestRefreshMidHardPairingKeepsFob: a refresh that aborts a hard-token
+// pairing puts the fob back into inventory, so the user can start again
+// with the same serial. A fob whose pairing was confirmed stays out of
+// inventory when support removes it, since it may be lost.
+func TestRefreshMidHardPairingKeepsFob(t *testing.T) {
+	w := newWorld(t)
+	w.addUser(t, "hanlon", "pw")
+	secret := []byte("fob-secret-0001-----")
+	w.otp.ImportHardToken("C200-0001", secret)
+	c := browser(t)
+	login(t, w, c, "hanlon", "pw")
+	start := url.Values{"type": {"hard"}, "serial": {"C200-0001"}}
+	if resp, body := post(t, c, w.portal.URL+"/pair/start", start); resp.StatusCode != 200 {
+		t.Fatalf("start = %d %q", resp.StatusCode, body)
+	}
+	get(t, c, w.portal.URL+"/pair") // a refresh aborts
+	resp, body := post(t, c, w.portal.URL+"/pair/start", start)
+	if resp.StatusCode != 200 {
+		t.Fatalf("restart with the same serial = %d %q, want 200", resp.StatusCode, body)
+	}
+	code, _ := otp.TOTP(secret, w.sim.Now(), w.otp.OTPOptions())
+	resp, body = post(t, c, w.portal.URL+"/pair/confirm",
+		url.Values{"state": {stateRe.FindStringSubmatch(body)[1]}, "code": {code}})
+	if resp.StatusCode != 200 {
+		t.Fatalf("confirm = %d %q", resp.StatusCode, body)
+	}
+	if err := w.otp.RemoveToken("hanlon"); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.otp.HardInventoryCount(); n != 0 {
+		t.Fatalf("inventory after removing a confirmed fob = %d, want 0", n)
 	}
 }
 
@@ -367,7 +443,7 @@ func TestPairingConfirmReplayBlocked(t *testing.T) {
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("replayed confirm status = %d", resp.StatusCode)
 	}
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingSoft {
+	if p, _ := w.otp.Pairing("alice"); p != "soft" {
 		t.Fatal("pairing state corrupted by replay")
 	}
 }
@@ -450,10 +526,10 @@ func TestUnpairWithCurrentCode(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(body, "unpaired") {
 		t.Fatalf("unpair = %d %q", resp.StatusCode, body)
 	}
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingNone {
-		t.Fatal("IDM not notified of unpair")
+	if p, _ := w.otp.Pairing("alice"); p != "none" {
+		t.Fatal("pairing survived unpair")
 	}
-	if w.otp.HasToken("alice") {
+	if w.hasToken("alice") {
 		t.Fatal("token survived unpair")
 	}
 }
@@ -503,7 +579,7 @@ func TestOutOfBandEmailUnpair(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(out, "unpaired") {
 		t.Fatalf("oob unpair = %d %q", resp.StatusCode, out)
 	}
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingNone {
+	if p, _ := w.otp.Pairing("alice"); p != "none" {
 		t.Fatal("oob unpair did not clear pairing")
 	}
 	// The link is single-purpose: second use finds nothing to unpair.
@@ -539,8 +615,8 @@ func TestReplayedUnpairLinkAfterRepair(t *testing.T) {
 	if resp, out := get(t, anon, link); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("replayed link after re-pair = %d %q, want 403", resp.StatusCode, out)
 	}
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingSoft || !w.otp.HasToken("alice") {
-		t.Fatalf("replayed link removed the new device: pairing %v, token %v", p, w.otp.HasToken("alice"))
+	if p, _ := w.otp.Pairing("alice"); p != "soft" || !w.hasToken("alice") {
+		t.Fatalf("replayed link removed the new device: pairing %v, token %v", p, w.hasToken("alice"))
 	}
 }
 
@@ -574,7 +650,7 @@ func TestUnpairIsOnTheBus(t *testing.T) {
 		watch.Ingest(e)
 		if e.Type == eventstream.TypeEnroll && e.Result == "unpaired" {
 			unpaired++
-			if e.User != "alice" || e.Method != string(idm.PairingSoft) {
+			if e.User != "alice" || e.Method != "soft" {
 				t.Errorf("unpair event = %+v", e)
 			}
 		}
@@ -612,7 +688,7 @@ func TestOOBLinkForgeryAndExpiry(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("expired token status = %d", resp.StatusCode)
 	}
-	if p, _ := w.idm.Pairing("alice"); p != idm.PairingSoft {
+	if p, _ := w.otp.Pairing("alice"); p != "soft" {
 		t.Fatal("pairing removed by bad link")
 	}
 }

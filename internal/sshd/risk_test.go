@@ -28,7 +28,7 @@ func TestRiskFeedbackLoop(t *testing.T) {
 		IDM:        h.idm,
 		Exemptions: h.server.Stack.Entries[2].Module.(*pam.Exempt).List,
 		TokenCfg:   h.mode,
-		Pairing:    h.idm,
+		Pairing:    h.otp,
 		Radius:     h.server.Stack.Entries[3].Module.(*pam.Token).Radius,
 		Risk:       engine,
 	})
@@ -77,7 +77,7 @@ func TestRiskGateDoesNotBreakGateways(t *testing.T) {
 		IDM:        h.idm,
 		Exemptions: h.server.Stack.Entries[2].Module.(*pam.Exempt).List,
 		TokenCfg:   h.mode,
-		Pairing:    h.idm,
+		Pairing:    h.otp,
 		Radius:     h.server.Stack.Entries[3].Module.(*pam.Token).Radius,
 		Risk:       engine,
 	})

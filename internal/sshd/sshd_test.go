@@ -71,7 +71,7 @@ func newHarness(t testing.TB, aclRules string) *harness {
 		IDM:        h.idm,
 		Exemptions: accessctl.NewList(rules),
 		TokenCfg:   h.mode,
-		Pairing:    h.idm,
+		Pairing:    h.otp,
 		Radius:     radius.NewPool([]string{rsrv.Addr().String()}, secret, 2*time.Second, 0),
 	})
 	h.server = &Server{
@@ -100,7 +100,6 @@ func (h *harness) pairSoft(t testing.TB, user string) func() string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.idm.SetPairing(user, idm.PairingSoft)
 	return func() string {
 		c, _ := otp.TOTP(enr.Secret, h.sim.Now(), h.otp.OTPOptions())
 		return c
@@ -475,7 +474,6 @@ func TestLoginEventCarriesTokenOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.idm.SetPairing("texted", idm.PairingSMS)
 	smsCode := func() string {
 		c, _ := otp.TOTP(enr.Secret, h.sim.Now(), h.otp.OTPOptions())
 		return c
