@@ -19,10 +19,12 @@ import (
 //
 //	POST /admin/init    {user, type, phone?, serial?}   → Enrollment (provisional)
 //	POST /admin/remove  {user}                          → {ok}
+//	POST /admin/abort   {user, pairing_id}              → {ok}
 //	POST /admin/resync  {user, otp1, otp2}              → {ok}
 //	POST /admin/reset   {user}                          → {ok}
 //	POST /admin/static  {user, code}                    → {ok}
 //	GET  /admin/show?user=U                             → TokenInfo
+//	GET  /admin/pairing?user=U                          → {pairing, pairing_id}
 //	GET  /admin/tokens                                  → []TokenInfo
 //	GET  /admin/lockedout                               → []string
 //	GET  /admin/audit                                   → []AuditEntry
@@ -43,11 +45,13 @@ func (a *AdminAPI) Handler() http.Handler {
 	admin := http.NewServeMux()
 	admin.HandleFunc("POST /admin/init", a.handleInit)
 	admin.HandleFunc("POST /admin/remove", a.handleRemove)
+	admin.HandleFunc("POST /admin/abort", a.handleAbort)
 	admin.HandleFunc("POST /admin/resync", a.handleResync)
 	admin.HandleFunc("POST /admin/reset", a.handleReset)
 	admin.HandleFunc("POST /admin/static", a.handleStatic)
 	admin.HandleFunc("POST /admin/sms", a.handleSMS)
 	admin.HandleFunc("GET /admin/show", a.handleShow)
+	admin.HandleFunc("GET /admin/pairing", a.handlePairing)
 	admin.HandleFunc("GET /admin/tokens", a.handleTokens)
 	admin.HandleFunc("GET /admin/lockedout", a.handleLockedOut)
 	admin.HandleFunc("GET /admin/audit", a.handleAudit)
@@ -64,14 +68,6 @@ type initReq struct {
 	Type   TokenType `json:"type"`
 	Phone  string    `json:"phone,omitempty"`
 	Serial string    `json:"serial,omitempty"`
-}
-
-type enrollmentResp struct {
-	User   string    `json:"user"`
-	Type   TokenType `json:"type"`
-	Secret string    `json:"secret,omitempty"` // base32
-	Serial string    `json:"serial,omitempty"`
-	URI    string    `json:"uri,omitempty"`
 }
 
 func (a *AdminAPI) handleInit(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +94,7 @@ func (a *AdminAPI) handleInit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := enrollmentResp{User: enr.User, Type: enr.Type, Serial: enr.Serial, URI: enr.URI}
+	resp := RemoteEnrollment{User: enr.User, Type: enr.Type, Serial: enr.Serial, URI: enr.URI, PairingID: enr.PairingID}
 	if enr.Secret != nil {
 		resp.Secret = otp.EncodeSecret(enr.Secret)
 	}
@@ -111,10 +107,16 @@ type userReq struct {
 	OTP1 string `json:"otp1,omitempty"`
 	OTP2 string `json:"otp2,omitempty"`
 	Pass string `json:"pass,omitempty"`
+	// PairingID is the pairing /admin/abort removes.
+	PairingID uint64 `json:"pairing_id,omitempty"`
 }
 
 func (a *AdminAPI) handleRemove(w http.ResponseWriter, r *http.Request) {
 	a.simpleOp(w, r, func(req *userReq) error { return a.OTP.RemoveToken(req.User) })
+}
+
+func (a *AdminAPI) handleAbort(w http.ResponseWriter, r *http.Request) {
+	a.simpleOp(w, r, func(req *userReq) error { return a.OTP.AbortPairing(req.User, req.PairingID) })
 }
 
 func (a *AdminAPI) handleResync(w http.ResponseWriter, r *http.Request) {
@@ -161,6 +163,21 @@ func (a *AdminAPI) handleShow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
+}
+
+// pairingResp is the pairing the token module reads, and its ID.
+type pairingResp struct {
+	Pairing   string `json:"pairing"`
+	PairingID uint64 `json:"pairing_id,omitempty"`
+}
+
+func (a *AdminAPI) handlePairing(w http.ResponseWriter, r *http.Request) {
+	typ, id, err := a.OTP.pairing(r.URL.Query().Get("user"))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, pairingResp{Pairing: typ, PairingID: id})
 }
 
 func (a *AdminAPI) handleTokens(w http.ResponseWriter, r *http.Request) {

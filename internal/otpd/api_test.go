@@ -265,7 +265,7 @@ func TestAdminAPIInitShowRemove(t *testing.T) {
 	var info TokenInfo
 	json.NewDecoder(r2.Body).Decode(&info)
 	r2.Body.Close()
-	if info.Type != TokenSoft || !info.Active || !info.Provisional || info.PairingID == 0 {
+	if info.Type != TokenSoft || !info.Active || !info.Provisional {
 		t.Fatalf("show = %+v", info)
 	}
 

@@ -79,13 +79,15 @@ func decodeResp(resp *http.Response, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// RemoteEnrollment is the client-side view of a token initialisation.
+// RemoteEnrollment is the admin API's view of a token initialisation.
 type RemoteEnrollment struct {
 	User   string    `json:"user"`
 	Type   TokenType `json:"type"`
 	Secret string    `json:"secret,omitempty"` // base32
 	Serial string    `json:"serial,omitempty"`
 	URI    string    `json:"uri,omitempty"`
+	// PairingID names this provisional pairing for Abort.
+	PairingID uint64 `json:"pairing_id"`
 }
 
 // SecretBytes decodes the base32 secret.
@@ -110,6 +112,12 @@ func (c *AdminClient) Init(user string, typ TokenType, phone, serial string) (*R
 // Remove unpairs the user's token.
 func (c *AdminClient) Remove(user string) error {
 	return c.post("/admin/remove", userReq{User: user}, nil)
+}
+
+// Abort removes the user's token only while it is still the provisional
+// one that pairing id enrolled.
+func (c *AdminClient) Abort(user string, id uint64) error {
+	return c.post("/admin/abort", userReq{User: user, PairingID: id}, nil)
 }
 
 // Reset clears the user's failure counter.
@@ -146,6 +154,16 @@ func (c *AdminClient) Show(user string) (*TokenInfo, error) {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Pairing reads the user's pairing as the token module sees it ("none"
+// until a code confirms a token) and the ID of that pairing.
+func (c *AdminClient) Pairing(user string) (string, uint64, error) {
+	var out pairingResp
+	if err := c.get("/admin/pairing?user="+user, &out); err != nil {
+		return "", 0, err
+	}
+	return out.Pairing, out.PairingID, nil
 }
 
 // Validate checks a token code via the open validation endpoint.

@@ -76,6 +76,56 @@ func TestAdminClientSoftLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdminClientAbortOnlyItsOwnPairing: /admin/pairing reads as the token
+// module does, and /admin/abort removes a provisional token only for the
+// pairing ID that enrolled it. A pairing that replaced it, or one a code
+// has confirmed, survives the abort.
+func TestAdminClientAbortOnlyItsOwnPairing(t *testing.T) {
+	s, _, sim, c := clientWorld(t)
+	pairing := func(want string, wantID uint64) {
+		t.Helper()
+		if p, id, err := c.Pairing("alice"); err != nil || p != want || id != wantID {
+			t.Fatalf("Pairing = %q %d, %v; want %q %d", p, id, err, want, wantID)
+		}
+	}
+	first, err := c.Init("alice", TokenSoft, "", "")
+	if err != nil || first.PairingID == 0 {
+		t.Fatalf("Init = %+v, %v", first, err)
+	}
+	pairing("none", 0)
+	second, err := c.Init("alice", TokenSoft, "", "") // replaces the first
+	if err != nil || second.PairingID == first.PairingID {
+		t.Fatalf("second Init = %+v, %v", second, err)
+	}
+	if err := c.Abort("alice", first.PairingID); err != nil {
+		t.Fatal(err)
+	}
+	secret, _ := second.SecretBytes()
+	code, _ := otp.TOTP(secret, sim.Now(), s.OTPOptions())
+	if ok, msg, err := c.Validate("alice", code); err != nil || !ok {
+		t.Fatalf("second pairing did not survive the first's abort: %v %q %v", ok, msg, err)
+	}
+	pairing("soft", second.PairingID)
+	if err := c.Abort("alice", second.PairingID); err != nil {
+		t.Fatal(err)
+	}
+	pairing("soft", second.PairingID) // confirmed: the abort leaves it
+
+	if err := c.Remove("alice"); err != nil {
+		t.Fatal(err)
+	}
+	third, err := c.Init("alice", TokenSoft, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Abort("alice", third.PairingID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Show("alice"); err == nil {
+		t.Fatal("abort left its own provisional token")
+	}
+}
+
 func TestAdminClientSMSAndTrigger(t *testing.T) {
 	_, sms, sim, c := clientWorld(t)
 	if _, err := c.Init("storm", TokenSMS, "5125551234", ""); err != nil {

@@ -28,10 +28,10 @@ func TestPairingReadsTokenRecord(t *testing.T) {
 	pairing("Storm", "sms")
 	pairing("ghost", "none")
 
-	if _, err := s.initGenerated("alice", TokenSoft, "", true); err != nil {
+	first, err := s.initGenerated("alice", TokenSoft, "", true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := s.Token("alice")
 	pairing("alice", "none")
 	if res, _ := s.Check("alice", "000000"); res.OK {
 		t.Fatal("wrong code accepted")
@@ -46,11 +46,12 @@ func TestPairingReadsTokenRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairing("alice", "none")
-	if _, err := s.InitSoftToken("alice"); err != nil {
+	again, err := s.InitSoftToken("alice")
+	if err != nil {
 		t.Fatal(err)
 	}
 	pairing("alice", "soft")
-	if again, _ := s.Token("alice"); again.PairingID == first.PairingID || again.PairingID == 0 {
+	if _, id, _ := s.pairing("alice"); id != again.PairingID || id == first.PairingID || id == 0 {
 		t.Fatalf("pairing IDs %d then %d, want two distinct non-zero IDs", first.PairingID, again.PairingID)
 	}
 }

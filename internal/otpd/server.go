@@ -251,6 +251,8 @@ type Enrollment struct {
 	Serial string // hard tokens
 	Phone  string // SMS tokens
 	URI    string // otpauth:// URI (soft tokens: the QR payload)
+	// PairingID names this pairing; AbortPairing removes only its token.
+	PairingID uint64
 }
 
 // InitSoftToken provisions a fresh soft token for user. The secret is
@@ -290,7 +292,7 @@ func (s *Server) initGenerated(user string, typ TokenType, phone string, provisi
 	s.publish(eventstream.Event{
 		Type: eventstream.TypeEnroll, User: user, Method: string(typ),
 	})
-	return &Enrollment{User: user, Type: typ, Secret: secret, Phone: phone, URI: key.URI()}, nil
+	return &Enrollment{User: user, Type: typ, Secret: secret, Phone: phone, URI: key.URI(), PairingID: r.PairingID}, nil
 }
 
 // newRecord is a fresh, active token record with a random pairing ID.
@@ -350,7 +352,7 @@ func (s *Server) assignHard(user, serial string, provisional bool) (*Enrollment,
 		Type: eventstream.TypeEnroll, User: user, Method: string(TokenHard),
 		Detail: "serial=" + serial,
 	})
-	return &Enrollment{User: user, Type: TokenHard, Serial: serial}, nil
+	return &Enrollment{User: user, Type: TokenHard, Serial: serial, PairingID: r.PairingID}, nil
 }
 
 // SetStaticToken provisions (or reprovisions) a training account with a
@@ -407,6 +409,24 @@ func (s *Server) RemoveToken(user string) error {
 		return err
 	}
 	s.audit.Record("remove", user, "", true)
+	return nil
+}
+
+// AbortPairing removes user's token only while it is the provisional one
+// that pairing id enrolled: the portal abandons its own pairing and never
+// one that replaced it or that a code has confirmed.
+func (s *Server) AbortPairing(user string, id uint64) error {
+	user = strings.ToLower(user)
+	s.users.Lock(user)
+	defer s.users.Unlock(user)
+	cur, err := s.loadRecord(user)
+	if err != nil || !cur.Provisional || cur.PairingID != id {
+		return err
+	}
+	if err := s.remove(user, cur); err != nil {
+		return err
+	}
+	s.audit.Record("abort", user, "", true)
 	return nil
 }
 

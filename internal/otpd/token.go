@@ -86,15 +86,13 @@ type TokenInfo struct {
 	FailCount   int       `json:"fail_count"`
 	Created     time.Time `json:"created"`
 	Provisional bool      `json:"provisional,omitempty"`
-	PairingID   uint64    `json:"pairing_id,omitempty"`
 }
 
 func (r *record) info() TokenInfo {
 	return TokenInfo{
 		User: r.User, Type: r.Type, Serial: r.Serial, Phone: r.Phone,
 		Active: r.Active, FailCount: r.FailCount,
-		Created:     time.Unix(r.CreatedUnix, 0).UTC(),
-		Provisional: r.Provisional, PairingID: r.PairingID,
+		Created: time.Unix(r.CreatedUnix, 0).UTC(), Provisional: r.Provisional,
 	}
 }
 
@@ -168,14 +166,21 @@ func (s *Server) saveRecord(r *record) error {
 // provisional one, reads "none". Any other failure to read the record is
 // an error, on which the token module challenges and never waives.
 func (s *Server) Pairing(user string) (string, error) {
+	typ, _, err := s.pairing(user)
+	return typ, err
+}
+
+// pairing is Pairing with the pairing's ID, which the admin API's
+// /pairing hands the portal.
+func (s *Server) pairing(user string) (string, uint64, error) {
 	r, err := s.loadRecord(strings.ToLower(user))
 	switch {
 	case errors.Is(err, ErrNoToken) || err == nil && r.Provisional:
-		return "none", nil
+		return "none", 0, nil
 	case err != nil:
-		return "", err
+		return "", 0, err
 	}
-	return string(r.Type), nil
+	return string(r.Type), r.PairingID, nil
 }
 
 // clearProvisional removes user's provisional token, which a new

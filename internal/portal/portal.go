@@ -107,6 +107,7 @@ type pairingState struct {
 	uri    string
 	serial string
 	phone  string
+	id     uint64 // the pairing ID of the provisional token
 }
 
 // New builds the Portal.
@@ -220,7 +221,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 	})
 	// "If no multi-factor device is configured, then the user is
 	// directed to an interstitial page" — on every log in.
-	pairing, _, err := p.pairing(user)
+	pairing, _, err := p.admin.Pairing(user)
 	if err == nil && pairing == "none" {
 		http.Redirect(w, r, "/splash", http.StatusSeeOther)
 		return
@@ -270,22 +271,8 @@ func (p *Portal) auth(fn func(http.ResponseWriter, *http.Request, *session)) htt
 
 // --- pages ---
 
-// pairing reads user's device type and pairing ID from otpd's token
-// record; no token, or a provisional one, reads "none".
-func (p *Portal) pairing(user string) (string, uint64, error) {
-	info, err := p.admin.Show(user)
-	var apiErr *otpd.APIError
-	switch {
-	case errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound, err == nil && info.Provisional:
-		return "none", 0, nil
-	case err != nil:
-		return "", 0, err
-	}
-	return string(info.Type), info.PairingID, nil
-}
-
 func (p *Portal) handleHome(w http.ResponseWriter, r *http.Request, s *session) {
-	pairing, _, _ := p.pairing(s.user)
+	pairing, _, _ := p.admin.Pairing(s.user)
 	fmt.Fprintf(w, "user: %s\npairing: %s\n", s.user, pairing)
 }
 
@@ -301,26 +288,26 @@ func (p *Portal) handlePairPage(w http.ResponseWriter, r *http.Request, s *sessi
 	// "If a user refreshes in the middle of the process ... the process
 	// is aborted and the user will have to restart from the beginning."
 	p.abortPending(s)
-	pairing, _, _ := p.pairing(s.user)
+	pairing, _, _ := p.admin.Pairing(s.user)
 	fmt.Fprintf(w, "current pairing: %s\noptions: soft sms hard\n", pairing)
 }
 
-// abortPending discards a half-finished pairing, removing the provisional
-// token from the back end.
+// abortPending discards a half-finished pairing, removing its provisional
+// token from the back end unless another pairing has replaced it.
 func (p *Portal) abortPending(s *session) {
 	p.mu.Lock()
 	pending := s.pending
 	s.pending = nil
 	p.mu.Unlock()
 	if pending != nil {
-		p.admin.Remove(s.user) // best effort; token was provisional
+		p.admin.Abort(s.user, pending.id) // best effort
 	}
 }
 
 func (p *Portal) handlePairStart(w http.ResponseWriter, r *http.Request, s *session) {
 	p.abortPending(s) // restarting the process aborts the previous one
 
-	if pairing, _, _ := p.pairing(s.user); pairing != "none" {
+	if pairing, _, _ := p.admin.Pairing(s.user); pairing != "none" {
 		http.Error(w, "a device is already paired; unpair it first", http.StatusConflict)
 		return
 	}
@@ -329,44 +316,34 @@ func (p *Portal) handlePairStart(w http.ResponseWriter, r *http.Request, s *sess
 
 	switch typ {
 	case otpd.TokenSoft:
-		enr, err := p.admin.Init(s.user, otpd.TokenSoft, "", "")
-		if err != nil {
-			p.adminError(w, err)
-			return
-		}
-		st.secret, st.uri = enr.Secret, enr.URI
 	case otpd.TokenSMS:
-		phone := r.PostFormValue("phone")
-		if !sms.ValidUSNumber(phone) {
+		if st.phone = r.PostFormValue("phone"); !sms.ValidUSNumber(st.phone) {
 			http.Error(w, "enter a ten-digit, US-based phone number", http.StatusBadRequest)
 			return
 		}
-		if _, err := p.admin.Init(s.user, otpd.TokenSMS, phone, ""); err != nil {
-			p.adminError(w, err)
-			return
-		}
-		st.phone = phone
-		// "The portal then triggers the LinOTP server to send a token
-		// code to the user via SMS."
-		if _, _, err := p.admin.TriggerSMS(s.user); err != nil {
-			p.admin.Remove(s.user)
-			p.adminError(w, err)
-			return
-		}
 	case otpd.TokenHard:
-		serial := strings.TrimSpace(r.PostFormValue("serial"))
-		if serial == "" {
+		if st.serial = strings.TrimSpace(r.PostFormValue("serial")); st.serial == "" {
 			http.Error(w, "enter the serial number on the back of the token", http.StatusBadRequest)
 			return
 		}
-		if _, err := p.admin.Init(s.user, otpd.TokenHard, "", serial); err != nil {
-			p.adminError(w, err)
-			return
-		}
-		st.serial = serial
 	default:
 		http.Error(w, "unknown device type", http.StatusBadRequest)
 		return
+	}
+	enr, err := p.admin.Init(s.user, typ, st.phone, st.serial)
+	if err != nil {
+		p.adminError(w, err)
+		return
+	}
+	st.secret, st.uri, st.id = enr.Secret, enr.URI, enr.PairingID
+	// "The portal then triggers the LinOTP server to send a token code
+	// to the user via SMS."
+	if typ == otpd.TokenSMS {
+		if _, _, err := p.admin.TriggerSMS(s.user); err != nil {
+			p.admin.Abort(s.user, st.id)
+			p.adminError(w, err)
+			return
+		}
 	}
 
 	p.mu.Lock()
@@ -430,7 +407,7 @@ func (p *Portal) handlePairConfirm(w http.ResponseWriter, r *http.Request, s *se
 // --- unpairing ---
 
 func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *session) {
-	pairing, _, err := p.pairing(s.user)
+	pairing, _, err := p.admin.Pairing(s.user)
 	if err != nil || pairing == "none" {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return
@@ -488,7 +465,7 @@ func (p *Portal) handleUnpairEmail(w http.ResponseWriter, r *http.Request, s *se
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	pairing, id, err := p.pairing(s.user)
+	pairing, id, err := p.admin.Pairing(s.user)
 	if err != nil {
 		p.adminError(w, err)
 		return
@@ -524,7 +501,7 @@ func (p *Portal) handleUnpairOOB(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	user := rest[:i]
-	pairing, id, err := p.pairing(user)
+	pairing, id, err := p.admin.Pairing(user)
 	if err != nil || pairing == "none" {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return

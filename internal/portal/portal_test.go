@@ -389,6 +389,38 @@ func TestLogoutMidPairingLetsUserRestart(t *testing.T) {
 	}
 }
 
+// TestAbortSparesAnotherSessionsPairing: a session aborts only the
+// provisional token it enrolled. Session A starts a pairing; session B
+// starts its own, which replaces A's token, and confirms it. A's logout,
+// refresh or restart then leaves B's pairing in place, so the user is not
+// silently unpaired without a code.
+func TestAbortSparesAnotherSessionsPairing(t *testing.T) {
+	for _, leave := range []string{"logout", "refresh", "restart"} {
+		w := newWorld(t)
+		w.addUser(t, "alice", "pw")
+		a, b := browser(t), browser(t)
+		login(t, w, a, "alice", "pw")
+		login(t, w, b, "alice", "pw")
+		if resp, body := post(t, a, w.portal.URL+"/pair/start", url.Values{"type": {"soft"}}); resp.StatusCode != 200 {
+			t.Fatalf("%s: A start = %d %q", leave, resp.StatusCode, body)
+		}
+		pairSoft(t, w, b)
+		switch leave {
+		case "logout":
+			post(t, a, w.portal.URL+"/logout", nil)
+		case "refresh":
+			get(t, a, w.portal.URL+"/pair")
+		case "restart":
+			if resp, _ := post(t, a, w.portal.URL+"/pair/start", url.Values{"type": {"soft"}}); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("%s: A restart over B's pairing = %d, want 409", leave, resp.StatusCode)
+			}
+		}
+		if p, err := w.otp.Pairing("alice"); err != nil || p != "soft" {
+			t.Fatalf("%s: B's pairing after A left = %q, %v; want soft", leave, p, err)
+		}
+	}
+}
+
 // TestRefreshMidHardPairingKeepsFob: a refresh that aborts a hard-token
 // pairing puts the fob back into inventory, so the user can start again
 // with the same serial. A fob whose pairing was confirmed stays out of
