@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 
 	"openmfa/internal/httpdigest"
 	"openmfa/internal/otp"
@@ -160,7 +161,7 @@ func (c *AdminClient) Show(user string) (*TokenInfo, error) {
 // until a code confirms a token) and the ID of that pairing.
 func (c *AdminClient) Pairing(user string) (string, uint64, error) {
 	var out pairingResp
-	if err := c.get("/admin/pairing?user="+user, &out); err != nil {
+	if err := c.get("/admin/pairing?user="+url.QueryEscape(user), &out); err != nil {
 		return "", 0, err
 	}
 	return out.Pairing, out.PairingID, nil

@@ -35,9 +35,15 @@ const (
 // error: "if any configuration errors occur, the token module defaults to
 // the fourth enforcement mode" — callers should fall back to ModeFull.
 func ParseMode(s string) (Mode, bool) {
-	switch m := Mode(strings.ToLower(strings.TrimSpace(s))); m {
-	case ModeOff, ModePaired, ModeCountdown, ModeFull:
-		return m, true
+	switch Mode(strings.ToLower(strings.TrimSpace(s))) {
+	case ModeOff:
+		return ModeOff, true
+	case ModePaired:
+		return ModePaired, true
+	case ModeCountdown:
+		return ModeCountdown, true
+	case ModeFull:
+		return ModeFull, true
 	}
 	return ModeFull, false
 }
