@@ -31,11 +31,15 @@ race:
 # backend (TestAuthUnderChaos), plus the per-layer fault regressions
 # (spoofed-datagram discard, stale replies on reused RADIUS client
 # sockets, faultnet self-tests, a pairing-lookup outage failing closed in
-# every enforcement mode but off), all with the race detector watching.
+# every enforcement mode but off), and the serving workers of the RADIUS
+# server and sshd (a parked handler or a stalled client holds up no fresh
+# login; idle workers are bounded after a burst), all with the race
+# detector watching.
 chaos:
 	$(GO) test -race -count 1 -run 'TestAuthUnderChaos' ./internal/core
 	$(GO) test -race -count 1 ./internal/faultnet ./internal/leakcheck
-	$(GO) test -race -count 1 -run 'TestSpoofedResponseSilentlyDiscarded|TestUnsignedRequestDiscarded|TestReplyWithoutMessageAuthenticatorDiscarded|TestDeadServerRetransmitBackoff|TestPool|TestSocketReuse|TestStaleReply|TestDeadServerSocket' ./internal/radius
+	$(GO) test -race -count 1 -run 'TestSpoofedResponseSilentlyDiscarded|TestUnsignedRequestDiscarded|TestReplyWithoutMessageAuthenticatorDiscarded|TestDeadServerRetransmitBackoff|TestPool|TestSocketReuse|TestStaleReply|TestDeadServerSocket|TestParkedHandlerDoesNotDelayFreshRequest|TestWorkersReturnToIdleBoundAfterBurst' ./internal/radius
+	$(GO) test -race -count 1 -run 'TestStalledClientDoesNotDelayLogin|TestWorkersReturnToIdleBoundAfterBurst' ./internal/sshd
 	$(GO) test -race -count 1 -run 'TestPairingOutageFailsClosed' ./internal/pam
 
 # The hot-path concurrency benchmarks: BenchmarkValidateParallel must not

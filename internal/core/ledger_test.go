@@ -26,14 +26,15 @@ const ledgerLogins = 100
 // are the driver (sshd.Dial and the test's responder) and never count as
 // a gain of the system.
 //
-// Server, 19: sshd 9 (the accept path's 7, the per-connection state, the
-// peer address as text); radius 4 (the per-datagram goroutine, the trace
-// ID and user name as strings, the duplicate cache's copy of the reply);
-// otpd 4 (the record copy, its JSON encoding, the token key, the audit
-// entry); obs 1 (the trace ID); sshwire 1 (the hello's user name).
+// Server, 16: sshd 7 (the accept path's 6, the peer address as text; the
+// serving worker and its connection state outlive the login); radius 3
+// (the trace ID and user name as strings, the duplicate cache's copy of
+// the reply; the worker and its datagram scratch outlive the login); otpd
+// 4 (the record copy, its JSON encoding, the token key, the audit entry);
+// obs 1 (the trace ID); sshwire 1 (the hello's user name).
 var ledgerCeilings = map[string]int{
-	"server sshd":    9,
-	"server radius":  4,
+	"server sshd":    7,
+	"server radius":  3,
 	"server otpd":    4,
 	"server obs":     1,
 	"server sshwire": 1,

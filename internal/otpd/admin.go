@@ -18,7 +18,7 @@ import (
 // Endpoints (all JSON):
 //
 //	POST /admin/init    {user, type, phone?, serial?}   → Enrollment (provisional)
-//	POST /admin/remove  {user}                          → {ok}
+//	POST /admin/remove  {user, pairing_id?}             → {ok}
 //	POST /admin/abort   {user, pairing_id}              → {ok}
 //	POST /admin/resync  {user, otp1, otp2}              → {ok}
 //	POST /admin/reset   {user}                          → {ok}
@@ -107,12 +107,13 @@ type userReq struct {
 	OTP1 string `json:"otp1,omitempty"`
 	OTP2 string `json:"otp2,omitempty"`
 	Pass string `json:"pass,omitempty"`
-	// PairingID is the pairing /admin/abort removes.
+	// PairingID is the pairing /admin/abort removes, and the only one
+	// /admin/remove removes when set.
 	PairingID uint64 `json:"pairing_id,omitempty"`
 }
 
 func (a *AdminAPI) handleRemove(w http.ResponseWriter, r *http.Request) {
-	a.simpleOp(w, r, func(req *userReq) error { return a.OTP.RemoveToken(req.User) })
+	a.simpleOp(w, r, func(req *userReq) error { return a.OTP.removePairing(req.User, req.PairingID) })
 }
 
 func (a *AdminAPI) handleAbort(w http.ResponseWriter, r *http.Request) {
@@ -217,7 +218,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrNoToken), errors.Is(err, ErrBadSerial):
 		return http.StatusNotFound
-	case errors.Is(err, ErrHasToken):
+	case errors.Is(err, ErrHasToken), errors.Is(err, ErrPairingChanged):
 		return http.StatusConflict
 	case errors.Is(err, ErrBadType), errors.Is(err, ErrBadStatic), errors.Is(err, ErrNotSMS):
 		return http.StatusBadRequest

@@ -110,9 +110,10 @@ func (c *AdminClient) Init(user string, typ TokenType, phone, serial string) (*R
 	return &out, nil
 }
 
-// Remove unpairs the user's token.
-func (c *AdminClient) Remove(user string) error {
-	return c.post("/admin/remove", userReq{User: user}, nil)
+// Remove unpairs the user's token. A non-zero id limits it to that
+// pairing: any other token is a 409 APIError and stays.
+func (c *AdminClient) Remove(user string, id uint64) error {
+	return c.post("/admin/remove", userReq{User: user, PairingID: id}, nil)
 }
 
 // Abort removes the user's token only while it is still the provisional
@@ -151,7 +152,7 @@ func (c *AdminClient) TriggerSMS(user string) (sent bool, msg string, err error)
 // Show fetches the admin view of a user's token.
 func (c *AdminClient) Show(user string) (*TokenInfo, error) {
 	var out TokenInfo
-	if err := c.get("/admin/show?user="+user, &out); err != nil {
+	if err := c.get("/admin/show?user="+url.QueryEscape(user), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

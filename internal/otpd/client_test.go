@@ -63,7 +63,7 @@ func TestAdminClientSoftLifecycle(t *testing.T) {
 	}
 
 	// Remove, then Show → APIError with 404.
-	if err := c.Remove("alice"); err != nil {
+	if err := c.Remove("alice", 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Show("alice")
@@ -111,7 +111,7 @@ func TestAdminClientAbortOnlyItsOwnPairing(t *testing.T) {
 	}
 	pairing("soft", second.PairingID) // confirmed: the abort leaves it
 
-	if err := c.Remove("alice"); err != nil {
+	if err := c.Remove("alice", 0); err != nil {
 		t.Fatal(err)
 	}
 	third, err := c.Init("alice", TokenSoft, "", "")
@@ -123,6 +123,62 @@ func TestAdminClientAbortOnlyItsOwnPairing(t *testing.T) {
 	}
 	if _, err := c.Show("alice"); err == nil {
 		t.Fatal("abort left its own provisional token")
+	}
+}
+
+// TestAdminClientRemoveNamedPairing: a remove that names a pairing ID, as
+// the portal's unpair link does, removes only that pairing. After an unpair
+// and a re-pair the stale ID is a 409 and the new pairing stays.
+func TestAdminClientRemoveNamedPairing(t *testing.T) {
+	s, _, sim, c := clientWorld(t)
+	pair := func() uint64 {
+		t.Helper()
+		enr, err := c.Init("alice", TokenSoft, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		secret, _ := enr.SecretBytes()
+		code, _ := otp.TOTP(secret, sim.Now(), s.OTPOptions())
+		if ok, msg, err := c.Validate("alice", code); err != nil || !ok {
+			t.Fatalf("confirm: %v %q %v", ok, msg, err)
+		}
+		_, id, _ := c.Pairing("alice")
+		return id
+	}
+	stale := pair() // the ID an emailed link signs
+	if err := c.Remove("alice", stale); err != nil {
+		t.Fatal(err)
+	}
+	sim.Advance(31 * time.Second)
+	fresh := pair()
+	var apiErr *APIError
+	if err := c.Remove("alice", stale); !errors.As(err, &apiErr) || apiErr.Status != 409 {
+		t.Fatalf("remove with the stale ID: %v, want a 409", err)
+	}
+	if p, id, err := c.Pairing("alice"); err != nil || p != "soft" || id != fresh {
+		t.Fatalf("after the stale remove: %q %d, %v; want soft %d", p, id, err, fresh)
+	}
+	if err := c.Remove("alice", fresh); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, _ := c.Pairing("alice"); p != "none" {
+		t.Fatalf("pairing = %q after removing it", p)
+	}
+}
+
+// TestAdminClientShowEscapesUser: a user name holding query syntax reads
+// that user's token, not another's.
+func TestAdminClientShowEscapesUser(t *testing.T) {
+	s, _, _, c := clientWorld(t)
+	if _, err := s.InitSoftToken("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InitSMSToken("a&user=b#c", "+15125550100"); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Show("a&user=b#c")
+	if err != nil || info.User != "a&user=b#c" || info.Type != TokenSMS {
+		t.Fatalf("Show = %+v, %v", info, err)
 	}
 }
 

@@ -165,3 +165,48 @@ func TestProvisionalFobReturnsToInventory(t *testing.T) {
 	applies(1, func() error { return s.RemoveToken("hanlon") })
 	inventory(0)
 }
+
+// TestSetStaticTokenReplacesProvisional: a training code replaces a portal
+// enrolment no code has confirmed, as Init* do, and a provisional fob goes
+// back to inventory in the Apply that writes the training token. A
+// confirmed token still has to be removed first.
+func TestSetStaticTokenReplacesProvisional(t *testing.T) {
+	sim := clock.NewSim(t0)
+	s, _ := newServer(t, sim)
+	if _, err := s.initGenerated("trainee", TokenSoft, "", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetStaticToken("trainee", "123456"); err != nil {
+		t.Fatalf("static over a provisional soft token: %v", err)
+	}
+	if p, _ := s.Pairing("trainee"); p != string(TokenTraining) {
+		t.Fatalf("pairing = %q, want training", p)
+	}
+	if res, err := s.Check("trainee", "123456"); err != nil || !res.OK {
+		t.Fatalf("static code: %+v, %v", res, err)
+	}
+
+	if err := s.ImportHardToken("C200-0002", []byte("fob-secret-0002-----")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.assignHard("fobbed", "C200-0002", true); err != nil {
+		t.Fatal(err)
+	}
+	before := s.db.LSN()
+	if err := s.SetStaticToken("fobbed", "654321"); err != nil {
+		t.Fatalf("static over a provisional fob: %v", err)
+	}
+	if n := s.db.LSN() - before; n != 1 {
+		t.Fatalf("%d Applies, want 1", n)
+	}
+	if n := s.HardInventoryCount(); n != 1 {
+		t.Fatalf("inventory = %d, want the fob back", n)
+	}
+
+	if _, err := s.InitSoftToken("paired"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetStaticToken("paired", "111111"); err == nil {
+		t.Fatal("static over a confirmed soft token succeeded")
+	}
+}

@@ -366,15 +366,20 @@ func (s *Server) SetStaticToken(user, code string) error {
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
 	cur, err := s.loadRecord(user)
-	created := false
-	var r record
-	if errors.Is(err, ErrNoToken) {
-		r = *s.newRecord(user, TokenTraining, nil, false)
-		created = true
-	} else if err != nil {
+	switch {
+	case errors.Is(err, ErrNoToken):
+		cur = nil
+	case err != nil:
 		return err
-	} else if cur.Type != TokenTraining {
+	case !cur.Provisional && cur.Type != TokenTraining:
 		return fmt.Errorf("otpd: %s has a %s token; remove it first", user, cur.Type)
+	}
+	// A portal enrolment no code confirmed is replaced, as Init* replace
+	// it.
+	created := cur == nil || cur.Provisional
+	var r record
+	if created {
+		r = *s.newRecord(user, TokenTraining, nil, false)
 	} else {
 		r = *cur
 	}
@@ -383,7 +388,7 @@ func (s *Server) SetStaticToken(user, code string) error {
 	r.StaticSealed = s.box.Seal([]byte(code), []byte("static:"+user))
 	r.FailCount = 0
 	r.Active = true
-	if err := s.saveRecord(&r); err != nil {
+	if err := s.replace(user, cur, &r); err != nil {
 		return err
 	}
 	s.audit.Record("set_static", user, "", true)
@@ -397,13 +402,21 @@ func (s *Server) SetStaticToken(user, code string) error {
 
 // RemoveToken unpairs user's token (see remove for the fob). A record
 // that cannot be read is removed all the same.
-func (s *Server) RemoveToken(user string) error {
+func (s *Server) RemoveToken(user string) error { return s.removePairing(user, 0) }
+
+// removePairing is RemoveToken, limited by a non-zero id to the pairing
+// that carries it: any other token is ErrPairingChanged, and an
+// unreadable one stays.
+func (s *Server) removePairing(user string, id uint64) error {
 	user = strings.ToLower(user)
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
 	cur, err := s.loadRecord(user)
-	if errors.Is(err, ErrNoToken) {
+	if errors.Is(err, ErrNoToken) || err != nil && id != 0 {
 		return err
+	}
+	if id != 0 && cur.PairingID != id {
+		return ErrPairingChanged
 	}
 	if err := s.remove(user, cur); err != nil {
 		return err

@@ -109,6 +109,9 @@ var (
 	ErrNotSMS    = errors.New("otpd: token is not an SMS token")
 	ErrInactive  = errors.New("otpd: token is inactive")
 	ErrBadStatic = errors.New("otpd: static code must be six digits")
+	// ErrPairingChanged refuses to remove a token that is no longer the
+	// pairing the caller named.
+	ErrPairingChanged = errors.New("otpd: token is not the named pairing")
 )
 
 // loadRecord returns user's token record (user lowercased) as the store
@@ -199,12 +202,24 @@ func (s *Server) clearProvisional(user string) error {
 	return s.remove(user, cur)
 }
 
-// remove deletes user's token cur (nil if unreadable) in one Apply, which
-// puts a provisional hard token's fob back into inventory: it was never
+// remove deletes user's token cur (nil if unreadable or absent); see
+// replace.
+func (s *Server) remove(user string, cur *record) error { return s.replace(user, cur, nil) }
+
+// replace writes next as user's token in place of cur (nil if unreadable
+// or absent), or deletes it if next is nil, in one Apply, which puts a
+// provisional hard token's fob back into inventory: it was never
 // confirmed in the user's hands. A confirmed fob stays out, as it may be
 // lost. No assignment races the restore: the fob is not in inventory.
-func (s *Server) remove(user string, cur *record) error {
+func (s *Server) replace(user string, cur, next *record) error {
 	ops := []store.Op{{Key: tokenKey(user), Delete: true}}
+	if next != nil {
+		b, err := json.Marshal(next)
+		if err != nil {
+			return err
+		}
+		ops[0] = store.Op{Key: tokenKey(user), Value: b, Decoded: next}
+	}
 	if cur != nil && cur.Provisional && cur.Type == TokenHard {
 		secret, err := s.secretOf(user, cur)
 		if err != nil {

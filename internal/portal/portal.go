@@ -407,7 +407,7 @@ func (p *Portal) handlePairConfirm(w http.ResponseWriter, r *http.Request, s *se
 // --- unpairing ---
 
 func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *session) {
-	pairing, _, err := p.admin.Pairing(s.user)
+	pairing, id, err := p.admin.Pairing(s.user)
 	if err != nil || pairing == "none" {
 		http.Error(w, "no device paired", http.StatusNotFound)
 		return
@@ -430,17 +430,17 @@ func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *
 		http.Error(w, "code did not validate: "+msg, http.StatusUnprocessableEntity)
 		return
 	}
-	if err := p.unpair(s.user, pairing); err != nil {
+	if err := p.unpair(s.user, pairing, id); err != nil {
 		p.adminError(w, err)
 		return
 	}
 	fmt.Fprintln(w, "device unpaired")
 }
 
-// unpair removes user's device from otpd, then announces it on the bus:
-// an unpair is the account-takeover signal.
-func (p *Portal) unpair(user, was string) error {
-	if err := p.admin.Remove(user); err != nil {
+// unpair removes user's device from otpd if it is still pairing id, then
+// announces it on the bus: an unpair is the account-takeover signal.
+func (p *Portal) unpair(user, was string, id uint64) error {
+	if err := p.admin.Remove(user, id); err != nil {
 		return err
 	}
 	if p.events != nil {
@@ -514,7 +514,7 @@ func (p *Portal) handleUnpairOOB(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "link was issued for an earlier pairing", http.StatusForbidden)
 		return
 	}
-	if err := p.unpair(user, pairing); err != nil {
+	if err := p.unpair(user, pairing, linked); err != nil {
 		p.adminError(w, err)
 		return
 	}

@@ -33,6 +33,9 @@ type world struct {
 	sms    *smsCap
 	email  *emailCap
 	bus    *eventstream.Bus
+	// beforeAdmin, when set, runs in otpd's admin API before each
+	// request it serves.
+	beforeAdmin func(*http.Request)
 }
 
 type smsCap struct {
@@ -107,7 +110,13 @@ func newWorld(t testing.TB) *world {
 		Realm: "otpd-admin",
 		Creds: httpdigest.StaticCredentials{"portal": httpdigest.HA1("portal", "otpd-admin", "pw")},
 	}
-	otpSrv := httptest.NewServer(api.Handler())
+	h := api.Handler()
+	otpSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if w.beforeAdmin != nil {
+			w.beforeAdmin(r)
+		}
+		h.ServeHTTP(rw, r)
+	}))
 	t.Cleanup(otpSrv.Close)
 
 	p, err := New(Config{
@@ -649,6 +658,53 @@ func TestReplayedUnpairLinkAfterRepair(t *testing.T) {
 	}
 	if p, _ := w.otp.Pairing("alice"); p != "soft" || !w.hasToken("alice") {
 		t.Fatalf("replayed link removed the new device: pairing %v, token %v", p, w.hasToken("alice"))
+	}
+}
+
+// TestUnpairLinkRacingRepairSparesNewPairing: the emailed link names its
+// pairing to otpd's remove. An unpair and re-pair that land between the
+// portal's check of the link and its remove make the remove a 409, and the
+// new pairing stays.
+func TestUnpairLinkRacingRepairSparesNewPairing(t *testing.T) {
+	w := newWorld(t)
+	w.addUser(t, "alice", "pw")
+	c := browser(t)
+	login(t, w, c, "alice", "pw")
+	pairSoft(t, w, c)
+	post(t, c, w.portal.URL+"/unpair/email", nil)
+	m := tokenRe.FindStringSubmatch(w.email.lastBody())
+	if m == nil {
+		t.Fatalf("no token in email body %q", w.email.lastBody())
+	}
+	var mu sync.Mutex
+	var repaired []byte // the new pairing's secret
+	w.beforeAdmin = func(r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.URL.Path != "/admin/remove" || repaired != nil {
+			return
+		}
+		if err := w.otp.RemoveToken("alice"); err != nil {
+			t.Error(err)
+		}
+		enr, err := w.otp.InitSoftToken("alice")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		repaired = enr.Secret
+	}
+	resp, out := get(t, browser(t), w.portal.URL+"/unpair/oob?token="+m[1])
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("stale link = %d %q, want 409", resp.StatusCode, out)
+	}
+	mu.Lock()
+	secret := repaired
+	mu.Unlock()
+	w.sim.Advance(31 * time.Second)
+	code, _ := otp.TOTP(secret, w.sim.Now(), w.otp.OTPOptions())
+	if res, err := w.otp.Check("alice", code); err != nil || !res.OK {
+		t.Fatalf("the new pairing did not survive the stale link: %+v, %v", res, err)
 	}
 }
 

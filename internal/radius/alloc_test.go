@@ -228,6 +228,7 @@ func TestHidePasswordRoundTripLongSecret(t *testing.T) {
 // net.PacketConn, WriteTo keeps the reply for the client's next Read.
 type loopConn struct {
 	srv   *Server
+	d     datagram
 	reply [MaxPacketLen]byte
 	n     int
 }
@@ -235,9 +236,7 @@ type loopConn struct {
 var loopAddr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1812}
 
 func (c *loopConn) Write(b []byte) (int, error) {
-	d := datagrams.Get().(*datagram)
-	defer releaseDatagram(d)
-	c.srv.handle(c, d, copy(d.in.buf[:], b), loopAddr)
+	c.srv.handle(c, &c.d, copy(c.d.in.buf[:], b), loopAddr)
 	return len(b), nil
 }
 
@@ -269,8 +268,8 @@ const (
 // and server apart: one Pool.ExchangeRead of a login's request (User-Name,
 // hidden password, trace ID in Proxy-State) against an in-process Server
 // whose fixed handler reads the user and password and accepts. The
-// socket reads and the server's per-datagram goroutine are left out
-// (loopConn); TestLoginAllocsRatchet counts them with the rest of a login.
+// socket reads are left out (loopConn); TestLoginAllocsRatchet counts
+// them with the rest of a login.
 func TestExchangeAllocs(t *testing.T) {
 	skipUnderRace(t)
 	secret := []byte("s3cret")

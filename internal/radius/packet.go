@@ -20,10 +20,10 @@
 // returned by Get and Range view the same bytes.
 //
 //   - On the server, the Request a Handler is given and the reply it fills
-//     live in the datagram's pooled scratch. They, and every value read
-//     from them, are valid only during the ServeRADIUS call: copy what
-//     must outlive it. The only reply bytes that outlive the datagram are
-//     the duplicate cache's own copy.
+//     live in the scratch of the server worker that read the datagram.
+//     They, and every value read from them, are valid only during the
+//     ServeRADIUS call: copy what must outlive it. The only reply bytes
+//     that outlive the datagram are the duplicate cache's own copy.
 //   - On the client, the request Pool.Exchange hands to its rebuild
 //     callback lives in pooled scratch and is valid only during that
 //     exchange. The reply Exchange returns owns exactly its datagram's

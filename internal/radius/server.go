@@ -1,6 +1,7 @@
 package radius
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"net/netip"
@@ -9,6 +10,7 @@ import (
 
 	"openmfa/internal/eventstream"
 	"openmfa/internal/obs"
+	"openmfa/internal/syncutil"
 )
 
 // Handler answers a decoded Access-Request by filling reply, which the
@@ -108,11 +110,12 @@ type Server struct {
 	// exchange sees the same degraded network as the client side.
 	ListenPacket func(network, addr string) (net.PacketConn, error)
 
-	mu     sync.Mutex
-	conn   net.PacketConn
-	closed bool
-	dedup  *dedupTable
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	conn    net.PacketConn
+	closed  bool
+	dedup   *dedupTable
+	wg      sync.WaitGroup
+	workers syncutil.Workers
 
 	// Metric handles, resolved once in ListenAndServe so the per-packet
 	// path never touches the registry map.
@@ -182,7 +185,7 @@ func (s *Server) ListenAndServe(addr string) error {
 	}
 	s.mu.Unlock()
 	s.wg.Add(1)
-	go s.serve(conn)
+	go s.worker(conn)
 	return nil
 }
 
@@ -196,10 +199,10 @@ func (s *Server) Addr() net.Addr {
 	return s.conn.LocalAddr()
 }
 
-// datagram is the pooled scratch of one received datagram: its bytes, the
-// request that views them, and the reply the handler fills. Nothing in it
-// outlives the datagram's handling; the duplicate cache keeps its own copy
-// of the reply.
+// datagram is a worker's scratch for one received datagram: its bytes,
+// the request that views them, and the reply the handler fills. Nothing
+// in it outlives the datagram's handling; the duplicate cache keeps its
+// own copy of the reply.
 type datagram struct {
 	in, out packetBuf
 	req     Request
@@ -223,32 +226,25 @@ func (d *datagram) read(conn net.PacketConn) (int, net.Addr, error) {
 	return n, &d.src, err
 }
 
-var datagrams = sync.Pool{New: func() any { return new(datagram) }}
-
-// releaseDatagram returns d to the pool, dropping what its request
-// points at outside it.
-func releaseDatagram(d *datagram) {
-	d.req = Request{}
-	datagrams.Put(d)
-}
-
-func (s *Server) serve(conn net.PacketConn) {
+// worker serves conn from a long-lived goroutine that owns its datagram
+// scratch (see syncutil.Workers): a duplicate waiting on its original, or
+// a slow handler, never holds up a fresh request.
+func (s *Server) worker(conn net.PacketConn) {
 	defer s.wg.Done()
+	d := new(datagram)
 	for {
-		d := datagrams.Get().(*datagram)
 		n, src, err := d.read(conn)
 		if err != nil {
-			releaseDatagram(d)
 			return // closed
 		}
-		// One goroutine per datagram: a duplicate waiting on its
-		// original never holds up a fresh request.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer releaseDatagram(d)
-			s.handle(conn, d, n, src)
-		}()
+		if s.workers.Busy() {
+			s.wg.Add(1)
+			go s.worker(conn)
+		}
+		s.handle(conn, d, n, src)
+		if !s.workers.Idle() {
+			return
+		}
 	}
 }
 
@@ -332,11 +328,7 @@ func (s *Server) handle(conn net.PacketConn, d *datagram, n int, src net.Addr) {
 		s.Logger.Info("request", "component", "radius", "trace", d.req.trace,
 			"user", d.req.Username(), "result", result)
 	}
-	var kept []byte
-	if replyWire != nil {
-		kept = append([]byte(nil), replyWire...)
-	}
-	s.dedup.finish(seq, kept)
+	s.dedup.finish(seq, bytes.Clone(replyWire)) // nil on drop
 	if replyWire != nil {
 		if _, err := conn.WriteTo(replyWire, src); err != nil {
 			s.logf("radius: write to %s: %v", src, err)

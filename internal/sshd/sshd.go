@@ -28,6 +28,7 @@ import (
 	"openmfa/internal/pam"
 	"openmfa/internal/risk"
 	"openmfa/internal/sshwire"
+	"openmfa/internal/syncutil"
 )
 
 // DefaultMaxAuthTries mirrors OpenSSH's default of three interactive
@@ -97,12 +98,13 @@ type Server struct {
 	// decision on the operational analytics bus.
 	Events *eventstream.Bus
 
-	mu     sync.Mutex
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed bool
-	conns  map[net.Conn]struct{}
-	now    func() time.Time // Clock's Now, made once for every PAM attempt
+	mu      sync.Mutex
+	ln      net.Listener
+	wg      sync.WaitGroup
+	closed  bool
+	conns   map[net.Conn]struct{}
+	now     func() time.Time // Clock's Now, made once for every PAM attempt
+	workers syncutil.Workers
 
 	// Counters for tests and metrics.
 	accepted atomic.Int64
@@ -160,9 +162,7 @@ func (s *Server) noteIOErr(err error) {
 	if err == nil || !errors.As(err, &ne) || !ne.Timeout() {
 		return
 	}
-	if s.Obs != nil {
-		s.Obs.Counter("sshd_io_timeouts_total").Inc()
-	}
+	s.Obs.Counter("sshd_io_timeouts_total").Inc() // nil-safe, as every obs metric
 	s.Logger.Warn("io timeout", "component", "sshd")
 }
 
@@ -197,46 +197,55 @@ func (s *Server) ListenAndServe(addr string) error {
 	}
 	s.mu.Unlock()
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			if max := s.maxConns(); max > 0 && len(s.conns) >= max {
-				s.mu.Unlock()
-				// Count before closing, so a peer that sees the close
-				// also sees the rejection counted.
-				if s.Obs != nil {
-					s.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Inc()
-				}
-				conn.Close()
-				s.Logger.Warn("connection rejected at capacity",
-					"component", "sshd", "max_conns", max)
-				continue
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer func() {
-					s.mu.Lock()
-					delete(s.conns, conn)
-					s.mu.Unlock()
-				}()
-				s.serveConn(conn)
-			}()
-		}
-	}()
+	go s.worker(ln)
 	return nil
+}
+
+// worker accepts and serves connections with one reused conn (see
+// syncutil.Workers): a stalled client never holds up a fresh one.
+func (s *Server) worker(ln net.Listener) {
+	defer s.wg.Done()
+	c := new(conn)
+	for {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		if s.workers.Busy() {
+			s.wg.Add(1)
+			go s.worker(ln)
+		}
+		s.mu.Lock()
+		max := s.maxConns()
+		full := !s.closed && max > 0 && len(s.conns) >= max
+		admitted := !s.closed && !full
+		if admitted {
+			s.conns[raw] = struct{}{}
+		}
+		s.mu.Unlock()
+		switch {
+		case admitted:
+			s.serveConn(c, raw)
+			*c = conn{} // no byte of it, a password included, stays in an idle worker
+			s.mu.Lock()
+			delete(s.conns, raw)
+			s.mu.Unlock()
+		case full:
+			// Count before closing, so a peer that sees the close also
+			// sees the rejection counted.
+			if s.Obs != nil {
+				s.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Inc()
+			}
+			raw.Close()
+			s.Logger.Warn("connection rejected at capacity",
+				"component", "sshd", "max_conns", max)
+		default:
+			raw.Close()
+		}
+		if !s.workers.Idle() {
+			return
+		}
+	}
 }
 
 // Addr returns the bound address.
@@ -266,11 +275,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// conn is one connection's state, made in one allocation: the frame
-// codec, the pubkey nonce, and the PAM context that every attempt zeroes
-// and refills. It is the PAM conversation over the wire, reading each
-// answer into one reused frame (a login is several prompts, every retry
-// restarts them all).
+// conn is one connection's state, owned by the worker serving it and
+// zeroed after each connection: the frame codec, the pubkey nonce, and
+// the PAM context that every attempt zeroes and refills. It is the PAM
+// conversation over the wire, reading each answer into one reused frame
+// (a login is several prompts, every retry restarts them all).
 type conn struct {
 	wc    sshwire.Conn
 	m     sshwire.Msg
@@ -295,36 +304,35 @@ func (c *conn) Info(msg string) error {
 	return c.wc.Send(&sshwire.Msg{T: sshwire.TInfo, Msg: msg})
 }
 
-// peer is the remote IP and port of an accepted connection; any address
-// that is not TCP reads nil, 0.
-func peer(addr net.Addr) (net.IP, int) {
+// peer is the remote IP, port and printed address of an accepted
+// connection; an address that is not TCP has no IP or port.
+func peer(addr net.Addr) (net.IP, int, string) {
 	if a, ok := addr.(*net.TCPAddr); ok {
-		return a.IP, a.Port
+		return a.IP, a.Port, a.IP.String()
 	}
-	return nil, 0
+	if addr == nil {
+		return nil, 0, ""
+	}
+	return nil, 0, addr.String()
 }
 
-func (s *Server) serveConn(raw net.Conn) {
+func (s *Server) serveConn(c *conn, raw net.Conn) {
 	defer raw.Close()
 	// Every connection gets a trace ID; it tags this layer's log lines,
 	// rides into the PAM stack, and crosses the RADIUS wire inside a
 	// Proxy-State attribute so the back end's lines join the same trace.
 	trace := obs.NewTraceID()
-	if s.Obs != nil {
-		s.Obs.Counter("sshd_connections_total").Inc()
-		open := s.Obs.Gauge("sshd_open_connections")
-		open.Add(1)
-		defer open.Add(-1)
-	}
-	c := new(conn)
+	s.Obs.Counter("sshd_connections_total").Inc()
+	open := s.Obs.Gauge("sshd_open_connections")
+	open.Add(1)
+	defer open.Add(-1)
 	wc := &c.wc
 	wc.Reset(raw)
-	ip, port := peer(raw.RemoteAddr())
-	addr := ip.String() // formatted once for every log line, event and PAM module below
+	ip, port, addr := peer(raw.RemoteAddr()) // addr is formatted once for every log line, event and PAM module
 
 	// LoginGraceTime: one wall-clock deadline covers the entire pre-auth
 	// conversation, so a client that stalls at any phase (or a network
-	// that eats our prompts) cannot pin this goroutine.
+	// that eats our prompts) cannot pin this worker.
 	if d := s.authTimeout(); d > 0 {
 		raw.SetDeadline(time.Now().Add(d))
 	}

@@ -63,3 +63,40 @@ func (m *StripedMutex) Unlock(key string) { m.stripes[m.index(key)].Unlock() }
 
 // Stripes reports the table size (always a power of two).
 func (m *StripedMutex) Stripes() int { return len(m.stripes) }
+
+// Workers counts the long-lived goroutines a server keeps waiting on one
+// source, a socket's reads or a listener's Accept, and bounds the idle
+// ones. The zero value counts the one worker a server starts with.
+type Workers struct {
+	mu   sync.Mutex
+	more int // workers waiting besides one
+}
+
+// maxIdleWorkers bounds the workers waiting: one that finishes while this
+// many others wait exits.
+const maxIdleWorkers = 2
+
+// Busy takes a worker that got work out of the waiting ones and reports
+// whether it was the last. Then the caller starts a worker that takes its
+// place, so one always waits and slow work never holds up fresh work.
+func (w *Workers) Busy() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.more == 0 {
+		return true
+	}
+	w.more--
+	return false
+}
+
+// Idle counts a worker that finished its work as waiting again, unless
+// maxIdleWorkers others wait: then it reports false and the worker exits.
+func (w *Workers) Idle() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.more+1 >= maxIdleWorkers {
+		return false
+	}
+	w.more++
+	return true
+}

@@ -68,3 +68,35 @@ func BenchmarkStripedLockUnlock(b *testing.B) {
 		}
 	})
 }
+
+// TestWorkersKeepOneWaitingAndBoundIdle: the last waiting worker to get
+// work is told to start its replacement, so one always waits, and a worker
+// that finishes while maxIdleWorkers others wait is told to exit.
+func TestWorkersKeepOneWaitingAndBoundIdle(t *testing.T) {
+	var w Workers // one worker waiting
+	if !w.Busy() {
+		t.Fatal("the only waiting worker got work and was not told to start another")
+	}
+	// Its replacement waits; three more are busy beside the first.
+	for i := 1; i <= 4; i++ {
+		if !w.Busy() {
+			t.Fatalf("busy worker %d: the last waiter was not replaced", i)
+		}
+	}
+	idle := 1 // the last replacement
+	for i := 0; i < 5; i++ {
+		stay := w.Idle()
+		if want := idle < maxIdleWorkers; stay != want {
+			t.Fatalf("finished worker %d with %d waiting: stay = %v, want %v", i, idle, stay, want)
+		}
+		if stay {
+			idle++
+		}
+	}
+	if idle != maxIdleWorkers {
+		t.Fatalf("%d waiting, want %d", idle, maxIdleWorkers)
+	}
+	if w.Busy() {
+		t.Fatal("a worker was told to start another while one more waits")
+	}
+}
