@@ -45,9 +45,12 @@ chaos:
 # The hot-path concurrency benchmarks: BenchmarkValidateParallel must not
 # collapse as GOMAXPROCS grows (per-user lock striping), and
 # BenchmarkRadiusRetransmitStorm must report handler-calls/op = 1
-# (exactly-once evaluation under retransmit storms).
+# (exactly-once evaluation under retransmit storms), and
+# BenchmarkRadiusConcurrentClients must accept every login from 16
+# clients at once, more in flight than the RADIUS server keeps idle
+# workers for.
 bench-concurrency:
-	$(GO) test -run xxx -bench 'BenchmarkValidateParallel|BenchmarkRadiusRetransmitStorm' -benchtime 0.5s -cpu 1,2,4 .
+	$(GO) test -run xxx -bench 'BenchmarkValidateParallel|BenchmarkRadiusRetransmitStorm|BenchmarkRadiusConcurrentClients' -benchtime 0.5s -cpu 1,2,4 .
 
 # Login-benchmark smoke: the benchmark's own entry point (BENCHMARK.json's
 # command) for 2 s on each listed workload. `go test ./bench` runs at

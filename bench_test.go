@@ -263,6 +263,84 @@ func BenchmarkRadiusRetransmitStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkRadiusConcurrentClients measures one otpd RADIUS server under
+// 16 clients, each with one login in flight at a time. That is more in
+// flight than the server keeps idle workers for, so workers start and
+// exit as the load swings. Every request validates a fresh, correct TOTP
+// code through otpd's handler, record write included; any reject beyond
+// code-collision noise fails the benchmark.
+func BenchmarkRadiusConcurrentClients(b *testing.B) {
+	const clients = 16
+	sim := clock.NewSim(time.Date(2016, 10, 10, 8, 0, 0, 0, time.UTC))
+	opts := otp.DefaultTOTPOptions()
+	opts.Skew = 2 * time.Hour // as in BenchmarkValidateParallel
+	srv, err := otpd.New(otpd.Config{
+		DB:               store.OpenMemory(),
+		EncryptionKey:    cryptoutil.RandomBytes(32),
+		Clock:            sim,
+		OTP:              opts,
+		LockoutThreshold: 1 << 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	secrets := make([][]byte, clients)
+	for i := range secrets {
+		enr, err := srv.InitSoftToken(fmt.Sprintf("bench-user-%03d", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		secrets[i] = enr.Secret
+	}
+	secret := []byte("fan-in-bench-secret")
+	rs := &radius.Server{Secret: secret, Handler: &otpd.RadiusHandler{OTP: srv}}
+	if err := rs.ListenAndServe("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer rs.Close()
+	var rejects int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := &radius.Client{Addr: rs.Addr().String(), Secret: secret,
+				Timeout: 5 * time.Second, Retries: radius.NoRetry}
+			defer cl.Close()
+			user := fmt.Sprintf("bench-user-%03d", c)
+			for i := c; i < b.N; i += clients {
+				sim.Advance(31 * time.Second)
+				code, err := otp.TOTP(secrets[c], sim.Now(), srv.OTPOptions())
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				req := radius.NewRequest(0)
+				req.AddString(radius.AttrUserName, user)
+				if err := req.AddPassword(code, secret); err != nil {
+					b.Error(err)
+					return
+				}
+				resp, err := cl.Exchange(req)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if resp.Code != radius.AccessAccept {
+					atomic.AddInt64(&rejects, 1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if ratio := float64(rejects) / float64(b.N); ratio > 0.01 {
+		b.Fatalf("%.2f%% of logins rejected", 100*ratio)
+	}
+}
+
 // --- ablations ---
 
 // BenchmarkAblationDriftWindow sweeps the §3.3 ±300 s drift tolerance:

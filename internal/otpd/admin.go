@@ -108,8 +108,9 @@ type userReq struct {
 	OTP2 string `json:"otp2,omitempty"`
 	Pass string `json:"pass,omitempty"`
 	// PairingID is the pairing /admin/abort removes, and the only one
-	// /admin/remove removes when set.
-	PairingID uint64 `json:"pairing_id,omitempty"`
+	// /admin/remove removes when present. A pointer, because 0 names the
+	// pairing of a record written before pairing IDs.
+	PairingID *uint64 `json:"pairing_id,omitempty"`
 }
 
 func (a *AdminAPI) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -117,7 +118,12 @@ func (a *AdminAPI) handleRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *AdminAPI) handleAbort(w http.ResponseWriter, r *http.Request) {
-	a.simpleOp(w, r, func(req *userReq) error { return a.OTP.AbortPairing(req.User, req.PairingID) })
+	a.simpleOp(w, r, func(req *userReq) error {
+		if req.PairingID == nil {
+			return ErrPairingChanged // names no pairing, so not its own
+		}
+		return a.OTP.AbortPairing(req.User, *req.PairingID)
+	})
 }
 
 func (a *AdminAPI) handleResync(w http.ResponseWriter, r *http.Request) {

@@ -110,16 +110,16 @@ func (c *AdminClient) Init(user string, typ TokenType, phone, serial string) (*R
 	return &out, nil
 }
 
-// Remove unpairs the user's token. A non-zero id limits it to that
-// pairing: any other token is a 409 APIError and stays.
-func (c *AdminClient) Remove(user string, id uint64) error {
+// Remove unpairs the user's token. A non-nil id limits it to that
+// pairing, 0 included: any other token is a 409 APIError and stays.
+func (c *AdminClient) Remove(user string, id *uint64) error {
 	return c.post("/admin/remove", userReq{User: user, PairingID: id}, nil)
 }
 
 // Abort removes the user's token only while it is still the provisional
 // one that pairing id enrolled.
 func (c *AdminClient) Abort(user string, id uint64) error {
-	return c.post("/admin/abort", userReq{User: user, PairingID: id}, nil)
+	return c.post("/admin/abort", userReq{User: user, PairingID: &id}, nil)
 }
 
 // Reset clears the user's failure counter.

@@ -63,7 +63,7 @@ func TestAdminClientSoftLifecycle(t *testing.T) {
 	}
 
 	// Remove, then Show → APIError with 404.
-	if err := c.Remove("alice", 0); err != nil {
+	if err := c.Remove("alice", nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Show("alice")
@@ -111,7 +111,7 @@ func TestAdminClientAbortOnlyItsOwnPairing(t *testing.T) {
 	}
 	pairing("soft", second.PairingID) // confirmed: the abort leaves it
 
-	if err := c.Remove("alice", 0); err != nil {
+	if err := c.Remove("alice", nil); err != nil {
 		t.Fatal(err)
 	}
 	third, err := c.Init("alice", TokenSoft, "", "")
@@ -146,23 +146,60 @@ func TestAdminClientRemoveNamedPairing(t *testing.T) {
 		return id
 	}
 	stale := pair() // the ID an emailed link signs
-	if err := c.Remove("alice", stale); err != nil {
+	if err := c.Remove("alice", &stale); err != nil {
 		t.Fatal(err)
 	}
 	sim.Advance(31 * time.Second)
 	fresh := pair()
 	var apiErr *APIError
-	if err := c.Remove("alice", stale); !errors.As(err, &apiErr) || apiErr.Status != 409 {
+	if err := c.Remove("alice", &stale); !errors.As(err, &apiErr) || apiErr.Status != 409 {
 		t.Fatalf("remove with the stale ID: %v, want a 409", err)
 	}
 	if p, id, err := c.Pairing("alice"); err != nil || p != "soft" || id != fresh {
 		t.Fatalf("after the stale remove: %q %d, %v; want soft %d", p, id, err, fresh)
 	}
-	if err := c.Remove("alice", fresh); err != nil {
+	if err := c.Remove("alice", &fresh); err != nil {
 		t.Fatal(err)
 	}
 	if p, _, _ := c.Pairing("alice"); p != "none" {
 		t.Fatalf("pairing = %q after removing it", p)
+	}
+}
+
+// TestAdminClientRemoveLegacyPairing: a record written before pairing IDs
+// has no pairing_id, so the portal names its pairing as 0. A remove that
+// names 0 removes it, and after an unpair and a re-pair the same stale 0
+// is a 409 that leaves the new pairing.
+func TestAdminClientRemoveLegacyPairing(t *testing.T) {
+	s, _, _, c := clientWorld(t)
+	if _, err := s.InitSoftToken("alice"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.loadRecord("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.PairingID = 0 // saved without pairing_id, as before pairing IDs
+	if err := s.saveRecord(r); err != nil {
+		t.Fatal(err)
+	}
+	p, stale, err := c.Pairing("alice")
+	if err != nil || p != "soft" || stale != 0 {
+		t.Fatalf("legacy pairing: %q %d, %v", p, stale, err)
+	}
+	if err := c.Remove("alice", &stale); err != nil {
+		t.Fatalf("remove naming the legacy pairing: %v", err)
+	}
+	if _, err := s.InitSoftToken("alice"); err != nil {
+		t.Fatal(err)
+	}
+	_, fresh, _ := c.Pairing("alice")
+	var apiErr *APIError
+	if err := c.Remove("alice", &stale); !errors.As(err, &apiErr) || apiErr.Status != 409 {
+		t.Fatalf("remove with the stale legacy ID: %v, want a 409", err)
+	}
+	if p, id, err := c.Pairing("alice"); err != nil || p != "soft" || id != fresh {
+		t.Fatalf("after the stale remove: %q %d, %v; want soft %d", p, id, err, fresh)
 	}
 }
 

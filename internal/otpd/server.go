@@ -402,20 +402,20 @@ func (s *Server) SetStaticToken(user, code string) error {
 
 // RemoveToken unpairs user's token (see remove for the fob). A record
 // that cannot be read is removed all the same.
-func (s *Server) RemoveToken(user string) error { return s.removePairing(user, 0) }
+func (s *Server) RemoveToken(user string) error { return s.removePairing(user, nil) }
 
-// removePairing is RemoveToken, limited by a non-zero id to the pairing
-// that carries it: any other token is ErrPairingChanged, and an
-// unreadable one stays.
-func (s *Server) removePairing(user string, id uint64) error {
+// removePairing is RemoveToken, limited by a non-nil id to the pairing
+// that carries it (0 for a record written before pairing IDs): any other
+// token is ErrPairingChanged, and an unreadable one stays.
+func (s *Server) removePairing(user string, id *uint64) error {
 	user = strings.ToLower(user)
 	s.users.Lock(user)
 	defer s.users.Unlock(user)
 	cur, err := s.loadRecord(user)
-	if errors.Is(err, ErrNoToken) || err != nil && id != 0 {
+	if errors.Is(err, ErrNoToken) || err != nil && id != nil {
 		return err
 	}
-	if id != 0 && cur.PairingID != id {
+	if id != nil && cur.PairingID != *id {
 		return ErrPairingChanged
 	}
 	if err := s.remove(user, cur); err != nil {

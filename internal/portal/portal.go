@@ -440,7 +440,7 @@ func (p *Portal) handleUnpairConfirm(w http.ResponseWriter, r *http.Request, s *
 // unpair removes user's device from otpd if it is still pairing id, then
 // announces it on the bus: an unpair is the account-takeover signal.
 func (p *Portal) unpair(user, was string, id uint64) error {
-	if err := p.admin.Remove(user, id); err != nil {
+	if err := p.admin.Remove(user, &id); err != nil {
 		return err
 	}
 	if p.events != nil {

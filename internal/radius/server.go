@@ -114,8 +114,7 @@ type Server struct {
 	conn    net.PacketConn
 	closed  bool
 	dedup   *dedupTable
-	wg      sync.WaitGroup
-	workers syncutil.Workers
+	workers syncutil.Workers[datagram]
 
 	// Metric handles, resolved once in ListenAndServe so the per-packet
 	// path never touches the registry map.
@@ -184,8 +183,10 @@ func (s *Server) ListenAndServe(addr string) error {
 		}
 	}
 	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.worker(conn)
+	// A duplicate waiting on its original, or a slow handler, never
+	// holds up a fresh request (see syncutil.Workers).
+	s.workers.Start(func(d *datagram) bool { return d.read(conn) },
+		func(d *datagram) { s.handle(conn, d, d.n, d.from) })
 	return nil
 }
 
@@ -200,52 +201,37 @@ func (s *Server) Addr() net.Addr {
 }
 
 // datagram is a worker's scratch for one received datagram: its bytes,
-// the request that views them, and the reply the handler fills. Nothing
-// in it outlives the datagram's handling; the duplicate cache keeps its
-// own copy of the reply.
+// their source, the request that views them, and the reply the handler
+// fills. Nothing in it outlives the datagram's handling; the duplicate
+// cache keeps its own copy of the reply.
 type datagram struct {
 	in, out packetBuf
 	req     Request
-	src     net.UDPAddr // the source, when read as a netip.AddrPort
+	n       int         // bytes read into in
+	from    net.Addr    // their source
+	src     net.UDPAddr // from, when read as a netip.AddrPort
 	ip      [16]byte
 }
 
-// read reads one datagram into d. A socket that reports the source as a
-// netip.AddrPort (*net.UDPConn, or faultnet's wrapper of one) has it kept
-// in d rather than allocated as a net.Addr.
-func (d *datagram) read(conn net.PacketConn) (int, net.Addr, error) {
+// read reads one datagram into d and reports false once conn is closed. A
+// socket that reports the source as a netip.AddrPort (*net.UDPConn, or
+// faultnet's wrapper of one) has it kept in d rather than allocated as a
+// net.Addr.
+func (d *datagram) read(conn net.PacketConn) bool {
 	u, ok := conn.(interface {
 		ReadFromUDPAddrPort([]byte) (int, netip.AddrPort, error)
 	})
+	var err error
 	if !ok {
-		return conn.ReadFrom(d.in.buf[:])
+		d.n, d.from, err = conn.ReadFrom(d.in.buf[:])
+		return err == nil
 	}
-	n, ap, err := u.ReadFromUDPAddrPort(d.in.buf[:])
+	var ap netip.AddrPort
+	d.n, ap, err = u.ReadFromUDPAddrPort(d.in.buf[:])
 	d.ip = ap.Addr().As16()
 	d.src = net.UDPAddr{IP: d.ip[:], Port: int(ap.Port()), Zone: ap.Addr().Zone()}
-	return n, &d.src, err
-}
-
-// worker serves conn from a long-lived goroutine that owns its datagram
-// scratch (see syncutil.Workers): a duplicate waiting on its original, or
-// a slow handler, never holds up a fresh request.
-func (s *Server) worker(conn net.PacketConn) {
-	defer s.wg.Done()
-	d := new(datagram)
-	for {
-		n, src, err := d.read(conn)
-		if err != nil {
-			return // closed
-		}
-		if s.workers.Busy() {
-			s.wg.Add(1)
-			go s.worker(conn)
-		}
-		s.handle(conn, d, n, src)
-		if !s.workers.Idle() {
-			return
-		}
-	}
+	d.from = &d.src
+	return err == nil
 }
 
 // discard drops a datagram before any handling, counting it in
@@ -389,6 +375,6 @@ func (s *Server) Close() error {
 	if conn != nil {
 		conn.Close()
 	}
-	s.wg.Wait()
+	s.workers.Wait()
 	return nil
 }

@@ -100,11 +100,10 @@ type Server struct {
 
 	mu      sync.Mutex
 	ln      net.Listener
-	wg      sync.WaitGroup
 	closed  bool
 	conns   map[net.Conn]struct{}
 	now     func() time.Time // Clock's Now, made once for every PAM attempt
-	workers syncutil.Workers
+	workers syncutil.Workers[conn]
 
 	// Counters for tests and metrics.
 	accepted atomic.Int64
@@ -196,56 +195,46 @@ func (s *Server) ListenAndServe(addr string) error {
 		s.now = s.clk().Now
 	}
 	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.worker(ln)
+	// A stalled client never holds up a fresh one (see syncutil.Workers).
+	s.workers.Start(func(c *conn) bool {
+		var err error
+		c.raw, err = ln.Accept()
+		return err == nil
+	}, s.admit)
 	return nil
 }
 
-// worker accepts and serves connections with one reused conn (see
-// syncutil.Workers): a stalled client never holds up a fresh one.
-func (s *Server) worker(ln net.Listener) {
-	defer s.wg.Done()
-	c := new(conn)
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if s.workers.Busy() {
-			s.wg.Add(1)
-			go s.worker(ln)
-		}
-		s.mu.Lock()
-		max := s.maxConns()
-		full := !s.closed && max > 0 && len(s.conns) >= max
-		admitted := !s.closed && !full
-		if admitted {
-			s.conns[raw] = struct{}{}
-		}
-		s.mu.Unlock()
-		switch {
-		case admitted:
-			s.serveConn(c, raw)
-			*c = conn{} // no byte of it, a password included, stays in an idle worker
-			s.mu.Lock()
-			delete(s.conns, raw)
-			s.mu.Unlock()
-		case full:
-			// Count before closing, so a peer that sees the close also
-			// sees the rejection counted.
-			if s.Obs != nil {
-				s.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Inc()
-			}
-			raw.Close()
-			s.Logger.Warn("connection rejected at capacity",
-				"component", "sshd", "max_conns", max)
-		default:
-			raw.Close()
-		}
-		if !s.workers.Idle() {
-			return
-		}
+// admit serves the connection c accepted, unless the server is closed or
+// at MaxConns.
+func (s *Server) admit(c *conn) {
+	raw := c.raw
+	s.mu.Lock()
+	max := s.maxConns()
+	full := !s.closed && max > 0 && len(s.conns) >= max
+	admitted := !s.closed && !full
+	if admitted {
+		s.conns[raw] = struct{}{}
 	}
+	s.mu.Unlock()
+	switch {
+	case admitted:
+		s.serveConn(c, raw)
+		s.mu.Lock()
+		delete(s.conns, raw)
+		s.mu.Unlock()
+	case full:
+		// Count before closing, so a peer that sees the close also
+		// sees the rejection counted.
+		if s.Obs != nil {
+			s.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Inc()
+		}
+		raw.Close()
+		s.Logger.Warn("connection rejected at capacity",
+			"component", "sshd", "max_conns", max)
+	default:
+		raw.Close()
+	}
+	*c = conn{} // no byte of it, a password included, stays in an idle worker
 }
 
 // Addr returns the bound address.
@@ -271,16 +260,18 @@ func (s *Server) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
-	s.wg.Wait()
+	s.workers.Wait()
 	return nil
 }
 
 // conn is one connection's state, owned by the worker serving it and
-// zeroed after each connection: the frame codec, the pubkey nonce, and
-// the PAM context that every attempt zeroes and refills. It is the PAM
-// conversation over the wire, reading each answer into one reused frame
-// (a login is several prompts, every retry restarts them all).
+// zeroed after each connection: the connection, its frame codec, the
+// pubkey nonce, and the PAM context that every attempt zeroes and
+// refills. It is the PAM conversation over the wire, reading each answer
+// into one reused frame (a login is several prompts, every retry restarts
+// them all).
 type conn struct {
+	raw   net.Conn
 	wc    sshwire.Conn
 	m     sshwire.Msg
 	nonce [32]byte

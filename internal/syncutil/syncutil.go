@@ -64,22 +64,65 @@ func (m *StripedMutex) Unlock(key string) { m.stripes[m.index(key)].Unlock() }
 // Stripes reports the table size (always a power of two).
 func (m *StripedMutex) Stripes() int { return len(m.stripes) }
 
-// Workers counts the long-lived goroutines a server keeps waiting on one
+// Workers runs the long-lived goroutines a server keeps waiting on one
 // source, a socket's reads or a listener's Accept, and bounds the idle
-// ones. The zero value counts the one worker a server starts with.
-type Workers struct {
-	mu   sync.Mutex
-	more int // workers waiting besides one
+// ones. Each worker owns a *T of scratch: it takes one from a pool when it
+// starts and puts it back when it exits, so the workers a burst starts
+// past the idle bound reuse the scratch of those that exited before. The
+// zero value is ready for Start.
+type Workers[T any] struct {
+	wait    func(*T) bool
+	serve   func(*T)
+	scratch sync.Pool
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	more    int // workers waiting besides one
 }
 
 // maxIdleWorkers bounds the workers waiting: one that finishes while this
-// many others wait exits.
+// many others wait exits. Up to this many requests in flight at once are
+// served with no worker started; each further one starts a worker that
+// later exits.
 const maxIdleWorkers = 2
 
-// Busy takes a worker that got work out of the waiting ones and reports
-// whether it was the last. Then the caller starts a worker that takes its
-// place, so one always waits and slow work never holds up fresh work.
-func (w *Workers) Busy() bool {
+// Start starts the first worker; it is called once. A worker loops: wait
+// blocks until work is in its scratch and reports false once the source
+// is closed, and serve handles the work. The last waiting worker starts
+// its replacement before serve, so one always waits and slow work never
+// holds up fresh work.
+func (w *Workers[T]) Start(wait func(*T) bool, serve func(*T)) {
+	w.wait, w.serve = wait, serve
+	w.scratch.New = func() any { return new(T) }
+	w.spawn()
+}
+
+// Wait waits until every worker has exited, which each does once wait
+// reports false.
+func (w *Workers[T]) Wait() { w.wg.Wait() }
+
+func (w *Workers[T]) spawn() {
+	w.wg.Add(1)
+	go w.run()
+}
+
+func (w *Workers[T]) run() {
+	defer w.wg.Done()
+	t := w.scratch.Get().(*T)
+	defer w.scratch.Put(t)
+	for w.wait(t) {
+		if w.busy() {
+			w.spawn()
+		}
+		w.serve(t)
+		if !w.idle() {
+			return
+		}
+	}
+}
+
+// busy takes a worker that got work out of the waiting ones and reports
+// whether it was the last, which must then start its replacement.
+func (w *Workers[T]) busy() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.more == 0 {
@@ -89,9 +132,9 @@ func (w *Workers) Busy() bool {
 	return false
 }
 
-// Idle counts a worker that finished its work as waiting again, unless
+// idle counts a worker that finished its work as waiting again, unless
 // maxIdleWorkers others wait: then it reports false and the worker exits.
-func (w *Workers) Idle() bool {
+func (w *Workers[T]) idle() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.more+1 >= maxIdleWorkers {

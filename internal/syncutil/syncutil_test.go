@@ -3,6 +3,7 @@ package syncutil
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestStripesRoundUpToPowerOfTwo(t *testing.T) {
@@ -73,19 +74,19 @@ func BenchmarkStripedLockUnlock(b *testing.B) {
 // work is told to start its replacement, so one always waits, and a worker
 // that finishes while maxIdleWorkers others wait is told to exit.
 func TestWorkersKeepOneWaitingAndBoundIdle(t *testing.T) {
-	var w Workers // one worker waiting
-	if !w.Busy() {
+	var w Workers[struct{}] // one worker waiting
+	if !w.busy() {
 		t.Fatal("the only waiting worker got work and was not told to start another")
 	}
 	// Its replacement waits; three more are busy beside the first.
 	for i := 1; i <= 4; i++ {
-		if !w.Busy() {
+		if !w.busy() {
 			t.Fatalf("busy worker %d: the last waiter was not replaced", i)
 		}
 	}
 	idle := 1 // the last replacement
 	for i := 0; i < 5; i++ {
-		stay := w.Idle()
+		stay := w.idle()
 		if want := idle < maxIdleWorkers; stay != want {
 			t.Fatalf("finished worker %d with %d waiting: stay = %v, want %v", i, idle, stay, want)
 		}
@@ -96,7 +97,43 @@ func TestWorkersKeepOneWaitingAndBoundIdle(t *testing.T) {
 	if idle != maxIdleWorkers {
 		t.Fatalf("%d waiting, want %d", idle, maxIdleWorkers)
 	}
-	if w.Busy() {
+	if w.busy() {
 		t.Fatal("a worker was told to start another while one more waits")
 	}
+}
+
+// TestWorkersServeBurstAndExit: work parked in serve never holds up fresh
+// work, so a burst is in serve all at once, and every worker exits once
+// the source closes.
+func TestWorkersServeBurstAndExit(t *testing.T) {
+	const burst = 16
+	src := make(chan int)
+	release := make(chan struct{})
+	var parked sync.WaitGroup
+	parked.Add(burst)
+	var w Workers[int]
+	w.Start(func(v *int) bool {
+		var ok bool
+		*v, ok = <-src
+		return ok
+	}, func(*int) {
+		parked.Done()
+		<-release
+	})
+	all := make(chan struct{})
+	go func() {
+		for i := 0; i < burst; i++ {
+			src <- i
+		}
+		parked.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked worker held up the burst")
+	}
+	close(release)
+	close(src)
+	w.Wait()
 }
