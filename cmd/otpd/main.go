@@ -155,7 +155,6 @@ func run(ctx context.Context) error {
 		rsrv := &radius.Server{
 			Secret:  []byte(*secret),
 			Handler: &otpd.RadiusHandler{OTP: srv},
-			Logf:    log.Printf,
 			Obs:     reg,
 			Logger:  kit.Logger,
 			Events:  kit.Bus,

@@ -73,7 +73,6 @@ func run(ctx context.Context) error {
 	srv := &radius.Server{
 		Secret:  []byte(*secret),
 		Handler: &radius.Proxy{Upstream: upstreamClient},
-		Logf:    log.Printf,
 		Obs:     reg,
 		Logger:  kit.Logger,
 		Events:  kit.Bus,

@@ -27,49 +27,21 @@ import (
 	"openmfa/internal/obs"
 )
 
-// Rules are the alert thresholds. Zero values take defaults.
-type Rules struct {
-	// FailureWindow is the sliding window for the failure-rate burn rule
-	// (default 1h). With at least FailureMinLogins login decisions in the
-	// window (default 50), a failure share above FailureMaxRate (default
-	// 0.5) fires the "failure_rate" alert.
-	FailureWindow    time.Duration
-	FailureMinLogins int
-	FailureMaxRate   float64
-	// LockoutWindow / LockoutMax fire "lockout_spike" when at least
-	// LockoutMax lockouts (default 5) land inside the window (default 1h).
-	LockoutWindow time.Duration
-	LockoutMax    int
-	// SMSWindow / SMSMax fire "sms_surge" when at least SMSMax token
-	// texts (default 1000) are sent inside the window (default 1h).
-	SMSWindow time.Duration
-	SMSMax    int
-}
+// Alert thresholds. Each rule looks back over the last hour of stream
+// time: with at least failureMinLogins login decisions in the hour, a
+// failure share above failureMaxRate fires "failure_rate"; lockoutMax
+// lockouts fire "lockout_spike"; smsMax token texts fire "sms_surge".
+const (
+	alertWindow      = time.Hour
+	failureMinLogins = 50
+	failureMaxRate   = 0.5
+	lockoutMax       = 5
+	smsMax           = 1000
+)
 
-func (r Rules) withDefaults() Rules {
-	if r.FailureWindow <= 0 {
-		r.FailureWindow = time.Hour
-	}
-	if r.FailureMinLogins <= 0 {
-		r.FailureMinLogins = 50
-	}
-	if r.FailureMaxRate <= 0 {
-		r.FailureMaxRate = 0.5
-	}
-	if r.LockoutWindow <= 0 {
-		r.LockoutWindow = time.Hour
-	}
-	if r.LockoutMax <= 0 {
-		r.LockoutMax = 5
-	}
-	if r.SMSWindow <= 0 {
-		r.SMSWindow = time.Hour
-	}
-	if r.SMSMax <= 0 {
-		r.SMSMax = 1000
-	}
-	return r
-}
+// internalNet is the stack's internal fabric: logins from it are left out
+// of the external series (Figure 4 red/blue bars).
+var internalNet = &net.IPNet{IP: net.IPv4(10, 128, 0, 0).To4(), Mask: net.CIDRMask(16, 32)}
 
 // Alert rule names.
 const (
@@ -83,12 +55,6 @@ type Config struct {
 	// Obs, when set, exports authwatch_events_ingested_total and one
 	// authwatch_alert_active{rule=...} gauge per rule.
 	Obs *obs.Registry
-	// InternalNets classify login source addresses; traffic from these
-	// networks is excluded from the external series (Figure 4 red/blue
-	// bars). Defaults to the stack's internal fabric, 10.128.0.0/16.
-	InternalNets []*net.IPNet
-	// Rules are the alert thresholds.
-	Rules Rules
 	// ExtraHealth adds further checks consulted by Health alongside the
 	// watcher's own alert state — e.g. an SLO engine's fast-burn check,
 	// so an error-budget burn degrades /healthz exactly like a native
@@ -113,9 +79,7 @@ type hourBucket struct {
 // Watcher is the streaming aggregator. Create with New, feed it with
 // Ingest (synchronous) or Attach (live, from a bus subscription).
 type Watcher struct {
-	internal []*net.IPNet
-	rules    Rules
-	extra    []obs.HealthCheck
+	extra []obs.HealthCheck
 
 	ingestedCtr *obs.Counter
 	alertGauges map[string]*obs.Gauge
@@ -135,14 +99,7 @@ type Watcher struct {
 
 // New builds a watcher.
 func New(cfg Config) *Watcher {
-	nets := cfg.InternalNets
-	if nets == nil {
-		_, fabric, _ := net.ParseCIDR("10.128.0.0/16")
-		nets = []*net.IPNet{fabric}
-	}
 	w := &Watcher{
-		internal:    nets,
-		rules:       cfg.Rules.withDefaults(),
 		extra:       cfg.ExtraHealth,
 		ingestedCtr: cfg.Obs.Counter("authwatch_events_ingested_total"),
 		alertGauges: map[string]*obs.Gauge{
@@ -160,15 +117,7 @@ func New(cfg Config) *Watcher {
 
 func (w *Watcher) isInternal(addr string) bool {
 	ip := net.ParseIP(addr)
-	if ip == nil {
-		return false
-	}
-	for _, n := range w.internal {
-		if n.Contains(ip) {
-			return true
-		}
-	}
-	return false
+	return ip != nil && internalNet.Contains(ip)
 }
 
 func dayKey(t time.Time) int64  { return t.Unix() / 86400 }
@@ -260,17 +209,10 @@ func (w *Watcher) Ingest(e eventstream.Event) {
 	w.evaluateLocked()
 }
 
-// pruneHoursLocked drops hour buckets that have slid out of every rule
+// pruneHoursLocked drops hour buckets that have slid out of the alert
 // window (with one window of slack for late events).
 func (w *Watcher) pruneHoursLocked() {
-	maxWin := w.rules.FailureWindow
-	if w.rules.LockoutWindow > maxWin {
-		maxWin = w.rules.LockoutWindow
-	}
-	if w.rules.SMSWindow > maxWin {
-		maxWin = w.rules.SMSWindow
-	}
-	horizon := hourKey(w.now.Add(-2 * maxWin))
+	horizon := hourKey(w.now.Add(-2 * alertWindow))
 	if len(w.hours) < 64 {
 		return
 	}
@@ -281,8 +223,8 @@ func (w *Watcher) pruneHoursLocked() {
 	}
 }
 
-func (w *Watcher) windowSum(win time.Duration, f func(*hourBucket) int) int {
-	from := hourKey(w.now.Add(-win))
+func (w *Watcher) windowSum(f func(*hourBucket) int) int {
+	from := hourKey(w.now.Add(-alertWindow))
 	to := hourKey(w.now)
 	sum := 0
 	for k, b := range w.hours {
@@ -294,15 +236,12 @@ func (w *Watcher) windowSum(win time.Duration, f func(*hourBucket) int) int {
 }
 
 func (w *Watcher) evaluateLocked() {
-	logins := w.windowSum(w.rules.FailureWindow, func(b *hourBucket) int { return b.logins })
-	failures := w.windowSum(w.rules.FailureWindow, func(b *hourBucket) int { return b.failures })
+	logins := w.windowSum(func(b *hourBucket) int { return b.logins })
+	failures := w.windowSum(func(b *hourBucket) int { return b.failures })
 	w.setAlertLocked(RuleFailureRate,
-		logins >= w.rules.FailureMinLogins &&
-			float64(failures) > w.rules.FailureMaxRate*float64(logins))
-	w.setAlertLocked(RuleLockoutSpike,
-		w.windowSum(w.rules.LockoutWindow, func(b *hourBucket) int { return b.lockouts }) >= w.rules.LockoutMax)
-	w.setAlertLocked(RuleSMSSurge,
-		w.windowSum(w.rules.SMSWindow, func(b *hourBucket) int { return b.sms }) >= w.rules.SMSMax)
+		logins >= failureMinLogins && float64(failures) > failureMaxRate*float64(logins))
+	w.setAlertLocked(RuleLockoutSpike, w.windowSum(func(b *hourBucket) int { return b.lockouts }) >= lockoutMax)
+	w.setAlertLocked(RuleSMSSurge, w.windowSum(func(b *hourBucket) int { return b.sms }) >= smsMax)
 }
 
 func (w *Watcher) setAlertLocked(rule string, active bool) {

@@ -86,13 +86,13 @@ func TestWatcherDailyAggregation(t *testing.T) {
 
 func TestAlertRulesAndHealth(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := New(Config{Obs: reg, Rules: Rules{LockoutMax: 3, FailureMinLogins: 10}})
+	w := New(Config{Obs: reg})
 	if err := w.Health(); err != nil {
 		t.Fatalf("healthy watcher Health() = %v", err)
 	}
 
-	// Lockout spike: 3 lockouts inside the hour window.
-	for i := 0; i < 3; i++ {
+	// Lockout spike: lockoutMax lockouts inside the hour window.
+	for i := 0; i < lockoutMax; i++ {
 		w.Ingest(eventstream.Event{Time: base.Add(time.Duration(i) * time.Minute),
 			Type: eventstream.TypeLockout, User: "m"})
 	}
@@ -104,11 +104,11 @@ func TestAlertRulesAndHealth(t *testing.T) {
 		t.Errorf("lockout gauge = %v, want 1", v)
 	}
 
-	// Failure-rate burn: 10 logins in-window, 8 failures (> 50%).
-	for i := 0; i < 8; i++ {
+	// Failure-rate burn: failureMinLogins logins in-window, 80% failures.
+	for i := 0; i < failureMinLogins*8/10; i++ {
 		w.Ingest(login(base.Add(time.Minute), "x", "73.0.0.1", "reject", false))
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failureMinLogins*2/10; i++ {
 		w.Ingest(login(base.Add(time.Minute), "y", "73.0.0.2", "accept", false))
 	}
 	err = w.Health()
@@ -129,7 +129,7 @@ func TestAlertRulesAndHealth(t *testing.T) {
 
 func TestHealthzDegradesUnderAlert(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := New(Config{Obs: reg, Rules: Rules{LockoutMax: 1}})
+	w := New(Config{Obs: reg})
 	mux := http.NewServeMux()
 	obs.Mount(mux, reg, w.Health)
 	w.Mount(mux)
@@ -149,7 +149,9 @@ func TestHealthzDegradesUnderAlert(t *testing.T) {
 	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz = %d before alert, want 200", code)
 	}
-	w.Ingest(eventstream.Event{Time: base, Type: eventstream.TypeLockout, User: "m"})
+	for i := 0; i < lockoutMax; i++ {
+		w.Ingest(eventstream.Event{Time: base, Type: eventstream.TypeLockout, User: "m"})
+	}
 	code, body := get("/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz = %d under alert, want 503", code)
@@ -166,7 +168,7 @@ func TestHealthzDegradesUnderAlert(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/debug/authwatch not JSON: %v", err)
 	}
-	if len(snap.Days) != 1 || snap.Days[0].Lockouts != 1 {
+	if len(snap.Days) != 1 || snap.Days[0].Lockouts != lockoutMax {
 		t.Errorf("snapshot days = %+v", snap.Days)
 	}
 	active := false

@@ -64,11 +64,9 @@ type Options struct {
 	// ExemptionRules is the initial accessctl configuration.
 	ExemptionRules string
 	// Mode is the initial token-module enforcement mode; empty means
-	// full.
+	// full. Countdown's deadline and info URL are set on the running
+	// deployment's ModeSwitch.
 	Mode pam.Mode
-	// Deadline/InfoURL configure countdown mode.
-	Deadline time.Time
-	InfoURL  string
 	// Banner is the sshd pre-auth banner.
 	Banner string
 	// Carrier overrides the SMS delivery model.
@@ -407,7 +405,7 @@ func New(opts Options) (*Infrastructure, error) {
 		mode = pam.ModeFull
 	}
 	inf.Mode = &ModeSwitch{}
-	inf.Mode.Set(pam.TokenConfig{Mode: mode, Deadline: opts.Deadline, InfoURL: opts.InfoURL})
+	inf.Mode.SetMode(mode)
 	inf.Stack = pam.NewSSHDStack(pam.SSHDStackConfig{
 		AuthLog:    inf.AuthLog,
 		IDM:        inf.IDM,

@@ -102,20 +102,23 @@ type Config struct {
 	// CompleteOn lists the event types that complete a trace (default
 	// TypeLogin; standalone radiusd/otpd pass TypeRadius/TypeLockout).
 	CompleteOn []eventstream.Type
-	// MaxSegmentSize rotates the active segment once it reaches this
-	// many bytes (default 4 MiB).
-	MaxSegmentSize int64
-	// MaxSegments bounds the retained segment count (default 8); the
-	// oldest segment is deleted, with its bundles, on rotation past it.
-	MaxSegments int
 	// Obs receives flightrec_* counters (optional).
 	Obs *obs.Registry
+
+	// maxSegmentSize and maxSegments, when set, replace
+	// DefaultMaxSegmentSize and DefaultMaxSegments; tests lower them.
+	maxSegmentSize int64
+	maxSegments    int
 }
 
-// Defaults and fixed operating points.
+// Fixed operating points.
 const (
+	// DefaultMaxSegmentSize rotates the active segment once it reaches
+	// this many bytes.
 	DefaultMaxSegmentSize = 4 << 20
-	DefaultMaxSegments    = 8
+	// DefaultMaxSegments bounds the retained segment count; the oldest
+	// segment is deleted, with its bundles, on rotation past it.
+	DefaultMaxSegments = 8
 
 	successResult    = "accept" // the completion Result of a success; any other is the failed class
 	busBuffer        = 1024     // bus subscription depth
@@ -186,11 +189,11 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("flightrec: Config.Dir required")
 	}
-	if cfg.MaxSegmentSize <= 0 {
-		cfg.MaxSegmentSize = DefaultMaxSegmentSize
+	if cfg.maxSegmentSize == 0 {
+		cfg.maxSegmentSize = DefaultMaxSegmentSize
 	}
-	if cfg.MaxSegments <= 0 {
-		cfg.MaxSegments = DefaultMaxSegments
+	if cfg.maxSegments == 0 {
+		cfg.maxSegments = DefaultMaxSegments
 	}
 	completeOn := map[eventstream.Type]bool{}
 	if len(cfg.CompleteOn) == 0 {
@@ -225,7 +228,7 @@ func New(cfg Config) (*Recorder, error) {
 
 	// Recovery, rotation and the trace index live in the shared journal.
 	j, torn, err := seglog.OpenJournal(seglog.Options{
-		Dir: cfg.Dir, Prefix: segPrefix, MaxSegmentSize: cfg.MaxSegmentSize, MaxSegments: cfg.MaxSegments,
+		Dir: cfg.Dir, Prefix: segPrefix, MaxSegmentSize: cfg.maxSegmentSize, MaxSegments: cfg.maxSegments,
 	}, func(b *Bundle) string { return b.Trace }, summarize)
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: %w", err)

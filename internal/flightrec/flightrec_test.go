@@ -175,7 +175,7 @@ func TestRotationExpiresOldestSegment(t *testing.T) {
 	bus := eventstream.NewBus(reg)
 	rec, err := New(Config{
 		Dir: t.TempDir(), Bus: bus, Obs: reg,
-		MaxSegmentSize: 512, MaxSegments: 2,
+		maxSegmentSize: 512, maxSegments: 2,
 		Policy: Policy{},
 	})
 	if err != nil {

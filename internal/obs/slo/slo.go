@@ -117,9 +117,9 @@ type Objective struct {
 	Source Source
 }
 
-// WindowPair is one burn-rate alert rule: both windows must burn above
+// windowPair is one burn-rate alert rule: both windows must burn above
 // Threshold for the alert to fire.
-type WindowPair struct {
+type windowPair struct {
 	Severity string // "page" or "ticket"
 	Short    time.Duration
 	Long     time.Duration
@@ -128,13 +128,16 @@ type WindowPair struct {
 	Threshold float64
 }
 
-// defaultWindows returns the standard multi-window multi-burn-rate pairs.
-func defaultWindows() []WindowPair {
-	return []WindowPair{
-		{Severity: "page", Short: 5 * time.Minute, Long: time.Hour, Threshold: 14.4},
-		{Severity: "ticket", Short: 6 * time.Hour, Long: 3 * 24 * time.Hour, Threshold: 1},
-	}
+// windows are the standard multi-window multi-burn-rate pairs.
+var windows = [...]windowPair{
+	{Severity: "page", Short: 5 * time.Minute, Long: time.Hour, Threshold: 14.4},
+	{Severity: "ticket", Short: 6 * time.Hour, Long: 3 * 24 * time.Hour, Threshold: 1},
 }
+
+// maxSamples bounds each objective's snapshot history. When exceeded, the
+// older half of the history is thinned 2:1, so recent windows stay precise
+// while long windows coarsen gracefully.
+const maxSamples = 16384
 
 // Config parameterises an Engine.
 type Config struct {
@@ -144,13 +147,6 @@ type Config struct {
 	// deployments pass the same clock.Sim as the rest of the stack so
 	// burn windows track simulated time deterministically.
 	Clock clock.Clock
-	// Windows overrides the alert pairs; nil means the standard page and
-	// ticket pairs (defaultWindows).
-	Windows []WindowPair
-	// MaxSamples bounds each objective's snapshot history (default 16384).
-	// When exceeded, the older half of the history is thinned 2:1, so
-	// recent windows stay precise while long windows coarsen gracefully.
-	MaxSamples int
 }
 
 // DefaultBudgetWindow is the accounting window when an Objective leaves
@@ -182,8 +178,7 @@ type objState struct {
 type Engine struct {
 	clk        clock.Clock
 	reg        *obs.Registry
-	windows    []WindowPair
-	maxSamples int
+	maxSamples int // the maxSamples constant; tests lower it
 
 	mu   sync.Mutex
 	objs []*objState
@@ -199,15 +194,7 @@ func New(cfg Config) *Engine {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	wins := cfg.Windows
-	if wins == nil {
-		wins = defaultWindows()
-	}
-	maxSamples := cfg.MaxSamples
-	if maxSamples <= 0 {
-		maxSamples = 16384
-	}
-	return &Engine{clk: clk, reg: cfg.Obs, windows: wins, maxSamples: maxSamples}
+	return &Engine{clk: clk, reg: cfg.Obs, maxSamples: maxSamples}
 }
 
 // windowLabel renders a duration the way operators write it (5m, 1h, 3d).
@@ -249,7 +236,7 @@ func (e *Engine) Add(obj Objective) error {
 		budgetGauge: e.reg.Gauge("slo_budget_remaining", "slo", obj.Name),
 	}
 	seen := map[string]struct{}{}
-	for _, wp := range e.windows {
+	for _, wp := range windows {
 		for _, d := range []time.Duration{wp.Short, wp.Long} {
 			lbl := windowLabel(d)
 			if _, dup := seen[lbl]; dup {
@@ -298,7 +285,7 @@ func (e *Engine) Evaluate() {
 		for _, lbl := range st.windowLabels {
 			st.burn[lbl] = 0
 		}
-		for _, wp := range e.windows {
+		for _, wp := range windows {
 			shortLbl, longLbl := windowLabel(wp.Short), windowLabel(wp.Long)
 			shortBurn := burnRate(st.samples, cur, now.Add(-wp.Short), budget)
 			longBurn := burnRate(st.samples, cur, now.Add(-wp.Long), budget)

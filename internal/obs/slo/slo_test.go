@@ -165,7 +165,8 @@ func TestSampleHistoryStaysBounded(t *testing.T) {
 	sim := clock.NewSim(t0)
 	good := reg.Counter("g")
 	total := reg.Counter("t")
-	e := New(Config{Obs: reg, Clock: sim, MaxSamples: 64})
+	e := New(Config{Obs: reg, Clock: sim})
+	e.maxSamples = 64
 	if err := e.Add(Objective{Name: "x", Target: 0.99, Source: CounterSource{Good: good, Total: total}}); err != nil {
 		t.Fatal(err)
 	}

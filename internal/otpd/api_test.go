@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,6 +87,85 @@ func TestRadiusAcceptRejectFlow(t *testing.T) {
 	}
 	if resp.Code != radius.AccessReject {
 		t.Fatalf("empty request → %v", resp.Code)
+	}
+}
+
+// TestFarmFailoverAcceptsCodeOnce: two farm members front one otpd, and
+// member a answers past the pool's per-attempt budget, so the pool fails
+// over to b with the same code. Stalled before its check, a leaves the
+// code to b, which accepts it; stalled after (a slow fsync: check writes
+// the consumed code before it answers), a has consumed it and b rejects
+// the replay, so a correct code fails the login. Either way otpd accepts
+// the code once, and the exchange ends without waiting for a.
+func TestFarmFailoverAcceptsCodeOnce(t *testing.T) {
+	const perTry, stall = 100 * time.Millisecond, 500 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		stallBefore bool
+		want        radius.Code
+	}{
+		{"stall before check", true, radius.AccessAccept},
+		{"stall after check", false, radius.AccessReject},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := clock.NewSim(t0)
+			s, _ := newServer(t, sim)
+			enr, _ := s.InitSoftToken("u")
+			code, _ := otp.TOTP(enr.Secret, sim.Now(), s.OTPOptions())
+			secret := []byte("radius-secret")
+
+			var accepts atomic.Int32
+			otpHandler := &RadiusHandler{OTP: s}
+			counted := func(reply *radius.Packet, req *radius.Request) bool {
+				ok := otpHandler.ServeRADIUS(reply, req)
+				if reply.Code == radius.AccessAccept {
+					accepts.Add(1)
+				}
+				return ok
+			}
+			slow := radius.HandlerFunc(func(reply *radius.Packet, req *radius.Request) bool {
+				if tc.stallBefore {
+					time.Sleep(stall)
+				}
+				ok := counted(reply, req)
+				if !tc.stallBefore {
+					time.Sleep(stall)
+				}
+				return ok
+			})
+			a := &radius.Server{Secret: secret, Handler: slow}
+			b := &radius.Server{Secret: secret, Handler: radius.HandlerFunc(counted)}
+			for _, srv := range []*radius.Server{a, b} {
+				if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+			}
+			// One retransmission per member, as core deploys the pool.
+			pool := radius.NewPool([]string{a.Addr().String(), b.Addr().String()}, secret, perTry, 1)
+			defer pool.Close()
+
+			start := time.Now()
+			resp, err := pool.Exchange(func(req *radius.Packet) {
+				req.AddString(radius.AttrUserName, "u")
+				hidden, _ := radius.HidePassword(code, secret, req.Authenticator) // 6 digits always fit
+				req.Add(radius.AttrUserPassword, hidden)
+			})
+			took := time.Since(start)
+			if err != nil {
+				t.Fatalf("exchange: %v", err)
+			}
+			if resp.Code != tc.want {
+				t.Errorf("b answered %v, want %v", resp.Code, tc.want)
+			}
+			if took >= stall {
+				t.Errorf("exchange took %v, waited for the stalled member", took)
+			}
+			a.Close() // waits for a's late handler
+			if n := accepts.Load(); n != 1 {
+				t.Errorf("otpd accepted the code %d times across the failover, want 1", n)
+			}
+		})
 	}
 }
 

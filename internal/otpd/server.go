@@ -34,11 +34,9 @@ func (f SMSSenderFunc) SendSMS(phone, body string) error { return f(phone, body)
 type Config struct {
 	// DB is the backing store (required).
 	DB *store.Store
-	// EncryptionKey seals token secrets at rest (16/24/32 bytes,
-	// required).
+	// EncryptionKey seals token secrets at rest and signs the audit
+	// chain (16/24/32 bytes, required).
 	EncryptionKey []byte
-	// AuditKey signs the audit chain; defaults to EncryptionKey.
-	AuditKey []byte
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// SMS delivers SMS codes; required only if SMS tokens are used.
@@ -173,10 +171,6 @@ func New(cfg Config) (*Server, error) {
 	if issuer == "" {
 		issuer = "HPC"
 	}
-	auditKey := cfg.AuditKey
-	if auditKey == nil {
-		auditKey = cfg.EncryptionKey
-	}
 	var writes recordWriter = cfg.DB
 	if cfg.CoalesceWrites {
 		writes = store.NewBatcher(cfg.DB, 0)
@@ -184,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		db: cfg.DB, writes: writes, box: box, clk: clk, sms: cfg.SMS, opts: opts,
 		issuer: issuer, threshold: threshold,
-		audit:   NewAudit(auditKey, clk.Now),
+		audit:   NewAudit(cfg.EncryptionKey, clk.Now),
 		users:   syncutil.NewStriped(0),
 		serials: syncutil.NewStriped(0),
 		met:     newOtpdMetrics(cfg.Obs),

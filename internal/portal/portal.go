@@ -58,8 +58,6 @@ type Config struct {
 	SessionKey []byte
 	// BaseURL prefixes signed links in email.
 	BaseURL string
-	// SessionTTL defaults to 12 hours.
-	SessionTTL time.Duration
 	// Obs, when set, mounts /metrics, /healthz, and /debug/pprof on the
 	// portal mux and counts requests per route and status class.
 	Obs *obs.Registry
@@ -75,6 +73,9 @@ type Config struct {
 	ExtraMounts []func(*http.ServeMux)
 }
 
+// sessionTTL is how long a login session and its signed cookie last.
+const sessionTTL = 12 * time.Hour
+
 // Portal is the web application.
 type Portal struct {
 	idm    *idm.IDM
@@ -83,7 +84,6 @@ type Portal struct {
 	clk    clock.Clock
 	signer *cryptoutil.Signer
 	base   string
-	ttl    time.Duration
 	obs    *obs.Registry
 	events *eventstream.Bus
 	checks []obs.HealthCheck
@@ -122,10 +122,6 @@ func New(cfg Config) (*Portal, error) {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	ttl := cfg.SessionTTL
-	if ttl == 0 {
-		ttl = 12 * time.Hour
-	}
 	return &Portal{
 		idm:      cfg.IDM,
 		admin:    cfg.Admin,
@@ -133,7 +129,6 @@ func New(cfg Config) (*Portal, error) {
 		clk:      clk,
 		signer:   cryptoutil.NewSigner(cfg.SessionKey),
 		base:     strings.TrimSuffix(cfg.BaseURL, "/"),
-		ttl:      ttl,
 		obs:      cfg.Obs,
 		events:   cfg.Events,
 		checks:   cfg.HealthChecks,
@@ -208,7 +203,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 	sid := cryptoutil.RandomHex(16)
 	now := p.clk.Now()
 	p.mu.Lock()
-	p.sessions[sid] = &session{user: user, expires: now.Add(p.ttl)}
+	p.sessions[sid] = &session{user: user, expires: now.Add(sessionTTL)}
 	for id, s := range p.sessions { // opportunistic GC
 		if now.After(s.expires) {
 			delete(p.sessions, id)
@@ -217,7 +212,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 	p.mu.Unlock()
 	http.SetCookie(w, &http.Cookie{
 		Name: cookieName, Path: "/", HttpOnly: true,
-		Value: p.signer.Sign(sid, now.Add(p.ttl)),
+		Value: p.signer.Sign(sid, now.Add(sessionTTL)),
 	})
 	// "If no multi-factor device is configured, then the user is
 	// directed to an interstitial page" — on every log in.

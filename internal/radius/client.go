@@ -24,8 +24,12 @@ var (
 // once and waits one timeout. Retries: 0 keeps the default budget.
 const NoRetry = -1
 
-// DefaultBackoff is the base retransmit pause after an attempt that failed
-// early (see Client.Backoff).
+// DefaultBackoff is the base pause before retransmitting after an attempt
+// that failed early — a dead server answers ECONNREFUSED immediately, and
+// without a pause the whole retry budget burns in microseconds. The pause
+// doubles per attempt (capped) with ±50% jitter so a farm of clients
+// retrying a rebooted server does not synchronise. Attempts that consumed
+// their full Timeout are already paced and never sleep.
 const DefaultBackoff = 50 * time.Millisecond
 
 // maxBackoff caps exponential growth so a long retry budget against a dead
@@ -55,14 +59,6 @@ type Client struct {
 	// means a single attempt with no retransmission; anything below
 	// NoRetry is rejected with ErrConfig.
 	Retries int
-	// Backoff is the base pause before retransmitting after an attempt
-	// that failed early — a dead server answers ECONNREFUSED immediately,
-	// and without a pause the whole retry budget burns in microseconds.
-	// The pause doubles per attempt (capped) with ±50% jitter so a farm
-	// of clients retrying a rebooted server does not synchronise. Zero
-	// means DefaultBackoff; negative disables the pause. Attempts that
-	// consumed their full Timeout are already paced and never sleep.
-	Backoff time.Duration
 	// Clock paces backoff sleeps; nil means the real clock.
 	Clock clock.Sleeper
 	// Dial opens a UDP socket to Addr; nil means net.Dial. Chaos tests
@@ -124,15 +120,8 @@ func (c *Client) sleeper() clock.Sleeper {
 }
 
 // backoffFor returns the pause before retransmission number attempt+1.
-func (c *Client) backoffFor(attempt int) time.Duration {
-	base := c.Backoff
-	if base < 0 {
-		return 0
-	}
-	if base == 0 {
-		base = DefaultBackoff
-	}
-	d := base << uint(attempt)
+func backoffFor(attempt int) time.Duration {
+	d := DefaultBackoff << uint(attempt)
 	if d > maxBackoff || d <= 0 {
 		d = maxBackoff
 	}
@@ -296,9 +285,7 @@ func (c *Client) roundTrip(conn net.Conn, req *Packet, wire []byte, read func(re
 			}
 		}
 		if earlyFail && a < attempts-1 {
-			if d := c.backoffFor(a); d > 0 {
-				c.sleeper().Sleep(d)
-			}
+			c.sleeper().Sleep(backoffFor(a))
 		}
 	}
 	if lastErr != nil {
@@ -329,14 +316,14 @@ func (c *Client) check(resp *Packet, datagram []byte, req *Packet) string {
 	return ""
 }
 
+// poolCooldown is how long a Pool skips a failed server before retrying it.
+const poolCooldown = 30 * time.Second
+
 // Pool is a round-robin failover client over several RADIUS servers: "API
 // calls communicate with RADIUS servers in a round-robin fashion to provide
 // load balancing and resiliency if specific RADIUS servers are unavailable"
 // (§3.4).
 type Pool struct {
-	// Cooldown is how long a failed server is skipped before being
-	// retried; zero means 30 seconds.
-	Cooldown time.Duration
 	// Obs, when set, receives per-exchange outcome counters, latency
 	// histograms, and a failover counter. Use SetObs to also wire the
 	// member clients' discard counters.
@@ -362,13 +349,6 @@ func NewPool(addrs []string, secret []byte, timeout time.Duration, retries int) 
 	}
 	p.downTil = make([]time.Time, len(p.clients))
 	return p
-}
-
-func (p *Pool) cooldown() time.Duration {
-	if p.Cooldown > 0 {
-		return p.Cooldown
-	}
-	return 30 * time.Second
 }
 
 func (p *Pool) now() time.Time {
@@ -437,7 +417,7 @@ func (p *Pool) pick(now time.Time) int {
 
 func (p *Pool) markDown(idx int) {
 	p.mu.Lock()
-	p.downTil[idx] = p.now().Add(p.cooldown())
+	p.downTil[idx] = p.now().Add(poolCooldown)
 	p.mu.Unlock()
 }
 

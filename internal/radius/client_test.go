@@ -308,7 +308,6 @@ func TestPoolCooldownExpiresMidExchange(t *testing.T) {
 	// shortly before A's timeout expires, B is the stale-clock victim.
 	pool := NewPool([]string{silentA, live.Addr().String(), silentB},
 		secret, 400*time.Millisecond, NoRetry)
-	pool.Cooldown = 5 * time.Second
 	pool.mu.Lock()
 	pool.downTil[1] = time.Now().Add(300 * time.Millisecond)
 	pool.mu.Unlock()
@@ -340,7 +339,6 @@ func TestPoolFallbackSkipsJustFailedServer(t *testing.T) {
 
 	pool := NewPool([]string{live.Addr().String(), deadAddr(t)},
 		secret, 200*time.Millisecond, NoRetry)
-	pool.Cooldown = time.Hour
 	// Force the flap state: the live server (idx 0) is cooling, so pick
 	// starts at the dead idx 1; after it fails, every later attempt falls
 	// back to round-robin and must not re-pick idx 1.

@@ -90,14 +90,13 @@ type Server struct {
 	Secret []byte
 	// Handler processes Access-Requests.
 	Handler Handler
-	// Logf, when set, receives diagnostic messages.
-	Logf func(format string, args ...any)
 	// Obs, when set, receives request/outcome counters, per-exchange
 	// latency histograms, and radius_server_discards_total{reason=...}
 	// for datagrams dropped before handling.
 	Obs *obs.Registry
 	// Logger, when set, receives a structured line per request
-	// (component=radius) carrying the propagated trace ID.
+	// (component=radius) carrying the propagated trace ID, and one per
+	// discarded datagram or failed reply.
 	Logger *obs.Logger
 	// Events, when set, receives one typed event per request decision on
 	// the operational analytics bus.
@@ -141,12 +140,6 @@ const (
 // maxProxyStates bounds the Proxy-State attributes (one per proxy hop,
 // each echoed in the reply) of an Access-Request the server answers.
 const maxProxyStates = 8
-
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
 
 // ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves until Close.
 // It returns once the listener is bound; serving continues in background
@@ -237,7 +230,7 @@ func (d *datagram) read(conn net.PacketConn) bool {
 // discard drops a datagram before any handling, counting it in
 // radius_server_discards_total{reason}.
 func (s *Server) discard(reason string, src net.Addr) {
-	s.logf("radius: discard datagram from %s: %s", src, reason)
+	s.Logger.Warn("discard datagram", "component", "radius", "src", src, "reason", reason)
 	if s.Obs != nil {
 		s.Obs.Counter("radius_server_discards_total", "reason", reason).Inc()
 	}
@@ -317,7 +310,7 @@ func (s *Server) handle(conn net.PacketConn, d *datagram, n int, src net.Addr) {
 	s.dedup.finish(seq, bytes.Clone(replyWire)) // nil on drop
 	if replyWire != nil {
 		if _, err := conn.WriteTo(replyWire, src); err != nil {
-			s.logf("radius: write to %s: %v", src, err)
+			s.Logger.Warn("write reply", "component", "radius", "src", src, "err", err)
 		}
 	}
 }
@@ -360,7 +353,7 @@ func (s *Server) respond(d *datagram, src net.Addr) (wire []byte, result string)
 		err = SignResponse(reply, req.Authenticator, s.Secret)
 	}
 	if err != nil {
-		s.logf("radius: sign response: %v", err)
+		s.Logger.Error("sign response", "component", "radius", "err", err)
 		return nil, "drop"
 	}
 	return reply.image(), result

@@ -14,7 +14,7 @@
 //
 // All state is bounded: per-user network/country sets are capped, the
 // failure ring is capped, and the user table itself evicts
-// least-recently-active accounts in deterministic batches once MaxUsers
+// least-recently-active accounts in deterministic batches once maxUsers
 // is exceeded — eviction order depends only on event times and user
 // names, never on map iteration order, so replays converge.
 package feature
@@ -32,27 +32,25 @@ import (
 	"openmfa/internal/obs"
 )
 
-// Config parameterises a store. Zero values take defaults.
+// Config parameterises a store.
 type Config struct {
 	// Geo resolves source addresses; nil disables the geographic
 	// features (they read as unknown, which the scorer treats neutrally
 	// — see Features.GeoConfigured).
 	Geo *geoip.DB
-	// MaxUsers bounds the user table (default 10000). When exceeded the
-	// least-recently-active batch is evicted.
-	MaxUsers int
-	// MaxNetworks bounds each user's first-sighting /24 set (default 256).
-	MaxNetworks int
 	// Obs, when set, exports risk_feature_users (occupancy gauge) and
 	// risk_feature_evictions_total.
 	Obs *obs.Registry
 }
 
 const (
-	defaultMaxUsers    = 10000
-	defaultMaxNetworks = 256
-	maxCountries       = 64
-	maxFails           = 64
+	// maxUsers bounds the user table. When exceeded the
+	// least-recently-active batch is evicted.
+	maxUsers = 10000
+	// maxNetworks bounds each user's first-sighting /24 set.
+	maxNetworks  = 256
+	maxCountries = 64
+	maxFails     = 64
 	// FailWindow is the sliding window for the recent-failure count.
 	FailWindow = 30 * time.Minute
 	// burstTau is the failure-burst EWMA decay constant.
@@ -81,8 +79,7 @@ type userState struct {
 // Store is the bounded feature table. Safe for concurrent use.
 type Store struct {
 	geo      *geoip.DB
-	maxUsers int
-	maxNets  int
+	maxUsers int // the maxUsers constant; tests lower it
 
 	mu    sync.Mutex
 	users map[string]*userState
@@ -97,16 +94,9 @@ type Store struct {
 
 // NewStore builds a store.
 func NewStore(cfg Config) *Store {
-	if cfg.MaxUsers <= 0 {
-		cfg.MaxUsers = defaultMaxUsers
-	}
-	if cfg.MaxNetworks <= 0 {
-		cfg.MaxNetworks = defaultMaxNetworks
-	}
 	return &Store{
 		geo:       cfg.Geo,
-		maxUsers:  cfg.MaxUsers,
-		maxNets:   cfg.MaxNetworks,
+		maxUsers:  maxUsers,
 		users:     make(map[string]*userState),
 		occupancy: cfg.Obs.Gauge("risk_feature_users"),
 		evictions: cfg.Obs.Counter("risk_feature_evictions_total"),
@@ -161,7 +151,7 @@ func (s *Store) state(user string, at time.Time) *userState {
 }
 
 // evictLocked drops the least-recently-active batch of users, bringing
-// the table back under MaxUsers. Order is (lastEvent, name): purely a
+// the table back under maxUsers. Order is (lastEvent, name): purely a
 // function of the event history, so replays evict identically.
 func (s *Store) evictLocked() {
 	batch := s.maxUsers / 64
@@ -196,7 +186,7 @@ func (s *Store) RecordSuccess(user string, ip net.IP, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state(user, at)
-	if len(st.networks) < s.maxNets {
+	if len(st.networks) < maxNetworks {
 		st.networks[Slash24(ip)] = true
 	}
 	if s.geo != nil {

@@ -196,7 +196,8 @@ func TestIngestRouting(t *testing.T) {
 
 func TestBoundedUnderChurnStorm(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewStore(Config{MaxUsers: 1000, Obs: reg})
+	s := NewStore(Config{Obs: reg})
+	s.maxUsers = 1000
 	a := ip("10.0.0.1")
 	for i := 0; i < 10000; i++ {
 		s.RecordSuccess(fmt.Sprintf("user%05d", i), a, t0.Add(time.Duration(i)*time.Second))
@@ -217,7 +218,8 @@ func TestEvictionDeterministic(t *testing.T) {
 	// The same event history must evict the same accounts: replay
 	// convergence depends on it.
 	feed := func() *Store {
-		s := NewStore(Config{MaxUsers: 64})
+		s := NewStore(Config{})
+		s.maxUsers = 64
 		for i := 0; i < 500; i++ {
 			user := fmt.Sprintf("u%03d", i%150) // revisits keep some fresh
 			s.RecordSuccess(user, ip("10.0.0.1"), t0.Add(time.Duration(i)*time.Minute))
@@ -273,7 +275,8 @@ func TestConcurrentPublishSnapshotStop(t *testing.T) {
 	// reads, and a mid-flight Stop.
 	leakcheck.Check(t)
 	bus := eventstream.NewBus(nil)
-	s := NewStore(Config{MaxUsers: 200, Geo: geoip.Synthetic()})
+	s := NewStore(Config{Geo: geoip.Synthetic()})
+	s.maxUsers = 200
 	s.Attach(bus, 4096)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

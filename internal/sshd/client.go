@@ -49,12 +49,8 @@ type DialOptions struct {
 	// acknowledgements). Required unless the login is fully exempt and
 	// key-based.
 	Responder Responder
-	// LocalAddr optionally pins the client's source IP (tests use
-	// loopback aliases to model internal vs external origins).
-	LocalAddr string
-	// Dialer overrides the TCP dial; nil means a plain net.Dialer. Chaos
-	// tests inject a faultnet dialer here. Ignored when LocalAddr is set.
-	Dialer func(network, addr string) (net.Conn, error)
+	// dial, when set, replaces net.Dial; tests connect over pipes.
+	dial func(network, addr string) (net.Conn, error)
 }
 
 // ErrDenied is returned when the server refuses entry.
@@ -62,17 +58,9 @@ var ErrDenied = errors.New("sshd: permission denied")
 
 // Dial connects to addr and authenticates per opts.
 func Dial(addr string, opts DialOptions) (*Client, error) {
-	dial := opts.Dialer
-	if dial == nil || opts.LocalAddr != "" {
-		var d net.Dialer
-		if opts.LocalAddr != "" {
-			la, err := net.ResolveTCPAddr("tcp", opts.LocalAddr)
-			if err != nil {
-				return nil, fmt.Errorf("sshd: %w", err)
-			}
-			d.LocalAddr = la
-		}
-		dial = d.Dial
+	dial := opts.dial
+	if dial == nil {
+		dial = net.Dial
 	}
 	raw, err := dial("tcp", addr)
 	if err != nil {

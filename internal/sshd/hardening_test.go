@@ -44,7 +44,7 @@ func TestStalledClientDisconnected(t *testing.T) {
 func TestIdleSessionDisconnected(t *testing.T) {
 	leakcheck.Check(t)
 	h := newHarness(t, "")
-	h.server.IdleTimeout = 200 * time.Millisecond
+	h.server.idleTimeout = 200 * time.Millisecond
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
 
@@ -66,7 +66,7 @@ func TestIdleSessionDisconnected(t *testing.T) {
 	// allow one extra round for the error to surface.
 	if _, err := c.Exec("whoami"); err == nil {
 		if _, err := c.Exec("whoami"); err == nil {
-			t.Fatal("idle session survived past IdleTimeout")
+			t.Fatal("idle session survived past idleTimeout")
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestIdleSessionDisconnected(t *testing.T) {
 func TestConnectionCapRejectsExcess(t *testing.T) {
 	leakcheck.Check(t)
 	h := newHarness(t, "")
-	h.server.MaxConns = 1
+	h.server.maxConns = 1
 	h.server.Obs = obs.NewRegistry()
 	h.addUser(t, "alice", "pw")
 	code := h.pairSoft(t, "alice")
@@ -91,7 +91,7 @@ func TestConnectionCapRejectsExcess(t *testing.T) {
 		User: "alice", TTY: true, Responder: pwTokenResponder("pw", code),
 	}); err == nil {
 		c.Close()
-		t.Fatal("dial beyond MaxConns succeeded")
+		t.Fatal("dial beyond maxConns succeeded")
 	}
 	if v := h.server.Obs.Counter("sshd_conns_rejected_total", "reason", "capacity").Value(); v < 1 {
 		t.Fatal("capacity rejection not counted")

@@ -57,7 +57,7 @@ func (l *pipeListener) Close() error {
 
 func (l *pipeListener) Addr() net.Addr { return pipeAddr("pipe-listener") }
 
-// dialer returns a DialOptions.Dialer whose connections reach the server
+// dialer returns a DialOptions dial hook whose connections reach the server
 // from peer.
 func (l *pipeListener) dialer(peer string) func(string, string) (net.Conn, error) {
 	return func(string, string) (net.Conn, error) {
@@ -98,7 +98,7 @@ func TestNonTCPPeersKeepTheirAddresses(t *testing.T) {
 		h.addUser(t, user, "pw")
 		code := h.pairSoft(t, user)
 		c, err := Dial("pipe", DialOptions{
-			User: user, Responder: pwTokenResponder("pw", code), Dialer: ln.dialer(peers[user]),
+			User: user, Responder: pwTokenResponder("pw", code), dial: ln.dialer(peers[user]),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", user, err)

@@ -60,20 +60,11 @@ type Server struct {
 	// Banner is shown before authentication (phase-3 deployments updated
 	// it with MFA instructions, §4.2).
 	Banner string
-	// MaxAuthTries bounds PAM stack restarts; zero means 3.
-	MaxAuthTries int
 	// AuthTimeout bounds the whole pre-auth conversation (hello through
 	// PAM verdict). Zero means DefaultAuthTimeout; negative disables the
 	// deadline. It is enforced in wall-clock time regardless of Clock,
 	// because net.Conn deadlines are wall-clock by contract.
 	AuthTimeout time.Duration
-	// IdleTimeout bounds the gap between session frames after
-	// authentication. Zero means DefaultIdleTimeout; negative disables.
-	IdleTimeout time.Duration
-	// MaxConns caps concurrent connections; excess connections are closed
-	// immediately and counted. Zero means DefaultMaxConns; negative means
-	// unlimited.
-	MaxConns int
 	// Listen binds the server socket; nil means net.Listen. Chaos tests
 	// inject a faultnet binder here.
 	Listen func(network, addr string) (net.Listener, error)
@@ -98,6 +89,11 @@ type Server struct {
 	// decision on the operational analytics bus.
 	Events *eventstream.Bus
 
+	// idleTimeout and maxConns, when set, replace DefaultIdleTimeout and
+	// DefaultMaxConns; tests lower them.
+	idleTimeout time.Duration
+	maxConns    int
+
 	mu      sync.Mutex
 	ln      net.Listener
 	closed  bool
@@ -117,13 +113,6 @@ func (s *Server) clk() clock.Clock {
 	return clock.Real{}
 }
 
-func (s *Server) maxTries() int {
-	if s.MaxAuthTries > 0 {
-		return s.MaxAuthTries
-	}
-	return DefaultMaxAuthTries
-}
-
 func (s *Server) authTimeout() time.Duration {
 	switch {
 	case s.AuthTimeout > 0:
@@ -134,22 +123,16 @@ func (s *Server) authTimeout() time.Duration {
 	return DefaultAuthTimeout
 }
 
-func (s *Server) idleTimeout() time.Duration {
-	switch {
-	case s.IdleTimeout > 0:
-		return s.IdleTimeout
-	case s.IdleTimeout < 0:
-		return 0
+func (s *Server) idleLimit() time.Duration {
+	if s.idleTimeout > 0 {
+		return s.idleTimeout
 	}
 	return DefaultIdleTimeout
 }
 
-func (s *Server) maxConns() int {
-	switch {
-	case s.MaxConns > 0:
-		return s.MaxConns
-	case s.MaxConns < 0:
-		return 0 // unlimited
+func (s *Server) connLimit() int {
+	if s.maxConns > 0 {
+		return s.maxConns
 	}
 	return DefaultMaxConns
 }
@@ -205,12 +188,11 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // admit serves the connection c accepted, unless the server is closed or
-// at MaxConns.
+// at its connection limit.
 func (s *Server) admit(c *conn) {
 	raw := c.raw
 	s.mu.Lock()
-	max := s.maxConns()
-	full := !s.closed && max > 0 && len(s.conns) >= max
+	full := !s.closed && len(s.conns) >= s.connLimit()
 	admitted := !s.closed && !full
 	if admitted {
 		s.conns[raw] = struct{}{}
@@ -230,7 +212,7 @@ func (s *Server) admit(c *conn) {
 		}
 		raw.Close()
 		s.Logger.Warn("connection rejected at capacity",
-			"component", "sshd", "max_conns", max)
+			"component", "sshd", "max_conns", s.connLimit())
 	default:
 		raw.Close()
 	}
@@ -387,7 +369,7 @@ func (s *Server) serveConn(c *conn, raw net.Conn) {
 	span := s.Spans.Start(trace, "sshd.conversation")
 	span.SetAttr("user", user)
 	var authErr error
-	for attempt := 0; attempt < s.maxTries(); attempt++ {
+	for attempt := 0; attempt < DefaultMaxAuthTries; attempt++ {
 		c.pam = pam.Context{
 			User: user, RemoteAddr: ip, Addr: addr, Service: "sshd",
 			Conv: c, Now: s.now,
@@ -479,12 +461,10 @@ func (s *Server) verifyPubkey(user string, nonce, pub, sig []byte) bool {
 }
 
 func (s *Server) session(raw net.Conn, wc *sshwire.Conn, user, addr string, port int, hello *sshwire.Msg) {
-	idle := s.idleTimeout()
+	idle := s.idleLimit()
 	var m sshwire.Msg // reused across the session's frames
 	for {
-		if idle > 0 {
-			raw.SetReadDeadline(time.Now().Add(idle))
-		}
+		raw.SetReadDeadline(time.Now().Add(idle))
 		if err := wc.RecvInto(&m); err != nil {
 			s.noteIOErr(err)
 			return

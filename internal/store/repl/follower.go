@@ -18,19 +18,22 @@ type FollowerOptions struct {
 	Addr string
 	// Dial, when set, replaces net.DialTimeout (faultnet injection).
 	Dial func(network, addr string) (net.Conn, error)
-	// DialTimeout bounds each connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// ReconnectMin/Max bound the exponential backoff between attempts.
-	// Defaults 50ms / 1s.
-	ReconnectMin, ReconnectMax time.Duration
-	// ReadTimeout is the per-read deadline; the leader heartbeats at
-	// HeartbeatEvery, so a read past this means the link is dead.
-	// Default 5s.
-	ReadTimeout time.Duration
 	// Obs receives the repl_* metrics; Logger the session log.
 	Obs    *obs.Registry
 	Logger *obs.Logger
 }
+
+const (
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 2 * time.Second
+	// reconnectMin and reconnectMax bound the exponential backoff
+	// between attempts.
+	reconnectMin = 50 * time.Millisecond
+	reconnectMax = time.Second
+	// readTimeout is the per-read deadline; the leader heartbeats every
+	// heartbeatEvery, so a read past this means the link is dead.
+	readTimeout = 5 * time.Second
+)
 
 // Follower replicates a store from a leader: it puts the store into
 // follower mode (local Apply refused), then dials, hands the leader its
@@ -64,18 +67,6 @@ type Follower struct {
 func StartFollower(st *store.Store, opts FollowerOptions) (*Follower, error) {
 	if opts.Addr == "" {
 		return nil, errors.New("repl: follower needs a leader address")
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
-	}
-	if opts.ReconnectMin <= 0 {
-		opts.ReconnectMin = 50 * time.Millisecond
-	}
-	if opts.ReconnectMax <= 0 {
-		opts.ReconnectMax = time.Second
-	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = 5 * time.Second
 	}
 	f := &Follower{
 		st:     st,
@@ -121,7 +112,7 @@ func (f *Follower) Stop() {
 
 func (f *Follower) run() {
 	defer f.wg.Done()
-	backoff := f.opts.ReconnectMin
+	backoff := reconnectMin
 	for {
 		select {
 		case <-f.done:
@@ -148,8 +139,8 @@ func (f *Follower) run() {
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > f.opts.ReconnectMax {
-			backoff = f.opts.ReconnectMax
+		if backoff > reconnectMax {
+			backoff = reconnectMax
 		}
 	}
 }
@@ -158,7 +149,7 @@ func (f *Follower) dial() (net.Conn, error) {
 	dial := f.opts.Dial
 	if dial == nil {
 		dial = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, f.opts.DialTimeout)
+			return net.DialTimeout(network, addr, dialTimeout)
 		}
 	}
 	conn, err := dial("tcp", f.opts.Addr)
@@ -182,14 +173,14 @@ func (f *Follower) dial() (net.Conn, error) {
 // leader's stream until it breaks.
 func (f *Follower) serve(conn net.Conn) error {
 	bc := newBufConn(conn)
-	conn.SetWriteDeadline(time.Now().Add(f.opts.ReadTimeout))
+	conn.SetWriteDeadline(time.Now().Add(readTimeout))
 	if err := writeHandshake(bc.bw, handshake{epoch: f.st.Epoch(), lsn: f.st.LSN()}); err != nil {
 		return err
 	}
 	if err := bc.bw.Flush(); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
+	conn.SetReadDeadline(time.Now().Add(readTimeout))
 	accept, err := readHandshake(bc.br)
 	if err != nil {
 		return err
@@ -215,7 +206,7 @@ func (f *Follower) serve(conn net.Conn) error {
 
 	var snap *snapshotAssembly
 	for {
-		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		typ, _, payload, err := readMsg(bc.br)
 		if err != nil {
 			return err
@@ -291,7 +282,7 @@ func (f *Follower) serve(conn net.Conn) error {
 				caughtUp = true
 				f.catchupG.Set(time.Since(start).Seconds())
 			}
-			conn.SetWriteDeadline(time.Now().Add(f.opts.ReadTimeout))
+			conn.SetWriteDeadline(time.Now().Add(readTimeout))
 			if err := writeMsg(bc.bw, msgAck, 0, u64payload(lsn)); err != nil {
 				return err
 			}

@@ -28,21 +28,22 @@ type LeaderOptions struct {
 	// SyncTimeout bounds the MinSync wait; past it Apply fails (and
 	// otpd fails the login closed). Default 2s.
 	SyncTimeout time.Duration
-	// RingFrames is the size of the in-memory frame ring used to serve
-	// live streams and short catch-ups without touching disk. Default
-	// 4096 frames.
-	RingFrames int
-	// HeartbeatEvery is the idle interval between heartbeats on each
-	// follower stream. Default 500ms.
-	HeartbeatEvery time.Duration
-	// WriteTimeout bounds each buffered flush to a follower, so a
-	// blackholed link frees its session instead of wedging it. Default
-	// 5s.
-	WriteTimeout time.Duration
 	// Obs receives the repl_* metrics; Logger the session log.
 	Obs    *obs.Registry
 	Logger *obs.Logger
 }
+
+const (
+	// ringFrames is the size of the in-memory frame ring used to serve
+	// live streams and short catch-ups without touching disk.
+	ringFrames = 4096
+	// heartbeatEvery is the idle interval between heartbeats on each
+	// follower stream.
+	heartbeatEvery = 500 * time.Millisecond
+	// writeTimeout bounds each buffered flush to a follower, so a
+	// blackholed link frees its session instead of wedging it.
+	writeTimeout = 5 * time.Second
+)
 
 // Leader accepts follower connections and streams the store's committed
 // WAL frames to each. It installs itself as the store's Replicator:
@@ -52,8 +53,6 @@ type Leader struct {
 	st          *store.Store
 	minSync     int
 	syncTimeout time.Duration
-	heartbeat   time.Duration
-	writeTO     time.Duration
 	logger      *obs.Logger
 	ln          net.Listener
 	ring        *frameRing
@@ -101,7 +100,6 @@ func StartLeader(st *store.Store, opts LeaderOptions) (*Leader, error) {
 		st:          st,
 		minSync:     opts.MinSync,
 		syncTimeout: opts.SyncTimeout,
-		heartbeat:   opts.HeartbeatEvery,
 		logger:      opts.Logger,
 		ln:          ln,
 		sessions:    map[*session]struct{}{},
@@ -111,20 +109,9 @@ func StartLeader(st *store.Store, opts LeaderOptions) (*Leader, error) {
 	if l.syncTimeout <= 0 {
 		l.syncTimeout = 2 * time.Second
 	}
-	if l.heartbeat <= 0 {
-		l.heartbeat = 500 * time.Millisecond
-	}
-	l.writeTO = opts.WriteTimeout
-	if l.writeTO <= 0 {
-		l.writeTO = 5 * time.Second
-	}
-	n := opts.RingFrames
-	if n <= 0 {
-		n = 4096
-	}
 	// Everything committed before the leader started is only reachable
 	// through segments or a snapshot.
-	l.ring = newFrameRing(n, st.LSN())
+	l.ring = newFrameRing(ringFrames, st.LSN())
 	if opts.Obs != nil {
 		l.framesShipped = opts.Obs.Counter("repl_frames_shipped_total")
 		l.snapsShipped = opts.Obs.Counter("repl_snapshots_shipped_total")
@@ -349,7 +336,7 @@ func (s *session) run() {
 // cursor: ring, then segments, then a full snapshot.
 func (s *session) stream(bc bufConn, cursor uint64) error {
 	l := s.l
-	idle := time.NewTimer(l.heartbeat)
+	idle := time.NewTimer(heartbeatEvery)
 	defer idle.Stop()
 	for {
 		select {
@@ -421,7 +408,7 @@ func (s *session) stream(bc bufConn, cursor uint64) error {
 
 // flush drains the buffered writer under a write deadline.
 func (s *session) flush(bc bufConn) error {
-	s.conn.SetWriteDeadline(time.Now().Add(s.l.writeTO))
+	s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return bc.bw.Flush()
 }
 
@@ -432,7 +419,7 @@ func (s *session) waitOrHeartbeat(bc bufConn, wait <-chan struct{}, idle *time.T
 		default:
 		}
 	}
-	idle.Reset(s.l.heartbeat)
+	idle.Reset(heartbeatEvery)
 	select {
 	case <-wait:
 		return nil
